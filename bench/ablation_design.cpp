@@ -7,20 +7,13 @@
 // Measures the executed longest charge delay on fresh charging rounds
 // (not the simulator loop, which would mix in request-dynamics noise).
 //
-// Flags: --n=1000 --chargers=2 --rounds=10 --seed=1 --jobs=0 --plan-jobs=0
-//        [--shard=i/N --chunk=PATH]
+// Flags: --n=1000 --chargers=2 --rounds=10 --seed=1 --jobs=0
 // (--jobs: worker threads; 0 = all hardware threads. Output is identical
-// for every job count — each (variant, round) work item reseeds itself.
-// --plan-jobs: worker threads inside each scheduler invocation, also
-// output-identical for every value; 0 = the scheduler's own configuration.
-// --shard/--chunk: compute only this shard's items and write a chunk file
-// for merge_shards; the merged table is byte-identical to unsharded.)
+// for every job count — each (variant, round) work item reseeds itself.)
 #include <cstdio>
 #include <iostream>
 #include <memory>
 #include <utility>
-
-#include "ablation_common.h"
 
 #include "baselines/greedy_cover.h"
 #include "core/appro.h"
@@ -54,6 +47,14 @@ struct Variant {
   core::ApproOptions options;
 };
 
+/// Executed outcome of one (variant, round) work item.
+struct DesignItem {
+  double delay_h = 0.0;
+  double stops = 0.0;
+  double wait_s = 0.0;
+  std::size_t violations = 0;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -64,9 +65,6 @@ int main(int argc, char** argv) {
   const auto rounds = static_cast<std::size_t>(flags.get_int("rounds", 10));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const auto jobs = static_cast<std::size_t>(flags.get_int("jobs", 0));
-  const auto plan_jobs =
-      static_cast<std::size_t>(flags.get_int("plan-jobs", 0));
-  const auto shard = bench::ShardSpec::from_flags(flags);
 
   std::vector<Variant> variants;
   {
@@ -122,50 +120,47 @@ int main(int argc, char** argv) {
   algos.emplace_back("greedy-cover (no MIS/H)",
                      std::make_unique<baselines::GreedyCoverScheduler>());
 
-  std::vector<bench::DesignItem> results(algos.size() * rounds);
+  std::vector<DesignItem> results(algos.size() * rounds);
   parallel_for(
       results.size(),
       [&](std::size_t idx) {
-        if (!shard.mine(idx)) return;
         const std::size_t a = idx / rounds;
         const std::size_t r = idx % rounds;
         Rng rng(derive_seed(seed, r));  // same round problem for all variants
         const auto problem = random_round(n, k, rng);
-        const auto schedule = sched::execute_plan(
-            problem, algos[a].second->plan_with_jobs(problem, plan_jobs));
-        bench::DesignItem& item = results[idx];
+        const auto schedule =
+            sched::execute_plan(problem, algos[a].second->plan(problem));
+        DesignItem& item = results[idx];
         item.violations = sched::verify_schedule(problem, schedule).size();
         item.delay_h = schedule.longest_delay() / 3600.0;
         item.stops = static_cast<double>(schedule.num_stops());
         item.wait_s = schedule.total_wait();
-        item.present = true;
       },
       jobs);
 
-  std::vector<std::string> algo_names;
-  for (const auto& algo : algos) algo_names.push_back(algo.first);
-
-  if (shard.active()) {
-    bench::ChunkFile chunk;
-    chunk.kind = "ablation_design";
-    chunk.seed = seed;
-    chunk.instances = rounds;
-    chunk.shard_index = shard.index;
-    chunk.shard_count = shard.count;
-    chunk.params = {{"n", std::to_string(n)},
-                    {"chargers", std::to_string(k)}};
-    chunk.algo_names = algo_names;
-    for (std::size_t a = 0; a < algos.size(); ++a) {
-      for (std::size_t r = 0; r < rounds; ++r) {
-        const bench::DesignItem& item = results[a * rounds + r];
-        if (!item.present) continue;
-        chunk.items.push_back(
-            {0, r, a, item.violations, {item.delay_h, item.stops, item.wait_s}});
-      }
+  // Reduce in round order per variant, on this thread.
+  Table table({"variant", "mean_delay_h", "max_delay_h", "mean_stops",
+               "mean_wait_s", "violations"});
+  for (std::size_t a = 0; a < algos.size(); ++a) {
+    RunningStats delay, stops, wait;
+    std::size_t violations = 0;
+    for (std::size_t r = 0; r < rounds; ++r) {
+      const DesignItem& item = results[a * rounds + r];
+      delay.add(item.delay_h);
+      stops.add(item.stops);
+      wait.add(item.wait_s);
+      violations += item.violations;
     }
-    return bench::finish_shard(shard, chunk);
+    table.start_row();
+    table.add(algos[a].first);
+    table.add(delay.mean(), 3);
+    table.add(delay.max(), 3);
+    table.add(stops.mean(), 1);
+    table.add(wait.mean(), 1);
+    table.add(static_cast<long long>(violations));
   }
-
-  bench::emit_design_ablation(n, k, rounds, algo_names, results);
+  std::printf("Appro design ablation: n=%zu, K=%zu, %zu fresh rounds\n\n", n,
+              k, rounds);
+  table.print(std::cout);
   return 0;
 }

@@ -8,20 +8,13 @@
 // up, tour efficiency up).
 //
 // Flags: --n=1000 --chargers=2 --instances=5 --months=12 --seed=1 --jobs=0
-//        --plan-jobs=0 [--shard=i/N --chunk=PATH]
 // (--jobs: worker threads; 0 = all hardware threads. Output is identical
 // for every job count — each (algorithm, policy, instance) work item
-// reseeds itself from the instance index alone. --plan-jobs: worker
-// threads inside each scheduler invocation, also output-identical for
-// every value; 0 = the scheduler's own configuration. --shard/--chunk: compute
-// only this shard's items and write a chunk file for merge_shards; the
-// merged table is byte-identical to unsharded.)
+// reseeds itself from the instance index alone.)
 #include <cstdio>
 #include <iostream>
 #include <iterator>
 #include <vector>
-
-#include "ablation_common.h"
 
 #include "baselines/kminmax.h"
 #include "core/appro.h"
@@ -34,6 +27,19 @@
 #include "util/stats.h"
 #include "util/table.h"
 
+namespace {
+
+/// Simulated outcome of one (algorithm, policy, instance) work item.
+struct PolicyItem {
+  double rounds = 0.0;
+  double batch = 0.0;
+  double tour_h = 0.0;
+  double dead_min = 0.0;
+  double stops_ratio = 1.0;
+};
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace mcharge;
   const CliFlags flags(argc, argv);
@@ -45,9 +51,6 @@ int main(int argc, char** argv) {
   const double months = flags.get_double("months", 12.0);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const auto jobs = static_cast<std::size_t>(flags.get_int("jobs", 0));
-  const auto plan_jobs =
-      static_cast<std::size_t>(flags.get_int("plan-jobs", 0));
-  const auto shard = bench::ShardSpec::from_flags(flags);
 
   struct Policy {
     const char* name;
@@ -71,11 +74,10 @@ int main(int argc, char** argv) {
   // One work item per (algorithm, policy, instance) triple; the instance
   // is regenerated from a seed derived from its index alone, so every
   // (algorithm, policy) cell simulates the same instance stream.
-  std::vector<bench::PolicyItem> items(kNumAlgos * kNumPolicies * instances);
+  std::vector<PolicyItem> items(kNumAlgos * kNumPolicies * instances);
   parallel_for(
       items.size(),
       [&](std::size_t idx) {
-        if (!shard.mine(idx)) return;
         const std::size_t a = idx / (kNumPolicies * instances);
         const std::size_t p = idx / instances % kNumPolicies;
         const std::size_t i = idx % instances;
@@ -87,9 +89,8 @@ int main(int argc, char** argv) {
         sim_config.monitoring_period_s = months * 30.0 * 86400.0;
         sim_config.dispatch_epoch_s = policies[p].epoch_s;
         sim_config.record_rounds = true;
-        sim_config.plan_jobs = plan_jobs;
         const auto r = sim::simulate(instance, *algorithms[a], sim_config);
-        bench::PolicyItem& item = items[idx];
+        PolicyItem& item = items[idx];
         item.rounds = static_cast<double>(r.rounds);
         item.batch = r.round_batch_size.mean();
         item.tour_h = r.mean_longest_delay_hours();
@@ -102,43 +103,36 @@ int main(int argc, char** argv) {
           batches += static_cast<double>(round.batch);
         }
         item.stops_ratio = batches > 0.0 ? charged / batches : 1.0;
-        item.present = true;
       },
       jobs);
 
-  std::vector<std::string> algo_names;
-  for (const auto* algo : algorithms) algo_names.push_back(algo->name());
-  std::vector<std::string> policy_names;
-  for (const auto& policy : policies) policy_names.push_back(policy.name);
-
-  if (shard.active()) {
-    bench::ChunkFile chunk;
-    chunk.kind = "ablation_policy";
-    chunk.seed = seed;
-    chunk.instances = instances;
-    chunk.months = months;
-    chunk.shard_index = shard.index;
-    chunk.shard_count = shard.count;
-    chunk.params = {{"n", std::to_string(n)},
-                    {"chargers", std::to_string(k)}};
-    chunk.algo_names = algo_names;
-    chunk.labels = policy_names;
-    for (std::size_t a = 0; a < kNumAlgos; ++a) {
-      for (std::size_t p = 0; p < kNumPolicies; ++p) {
-        for (std::size_t i = 0; i < instances; ++i) {
-          const bench::PolicyItem& item =
-              items[(a * kNumPolicies + p) * instances + i];
-          if (!item.present) continue;
-          chunk.items.push_back({p, i, a, 0,
-                                 {item.rounds, item.batch, item.tour_h,
-                                  item.dead_min, item.stops_ratio}});
-        }
+  // Reduce in instance order per (algorithm, policy) cell, on this thread.
+  Table table({"algorithm", "policy", "rounds", "mean_batch",
+               "mean_tour_h", "dead_min_per_sensor", "charged_per_batch"});
+  for (std::size_t a = 0; a < kNumAlgos; ++a) {
+    for (std::size_t p = 0; p < kNumPolicies; ++p) {
+      RunningStats rounds, batch, tour, dead, stops_ratio;
+      for (std::size_t i = 0; i < instances; ++i) {
+        const PolicyItem& item = items[(a * kNumPolicies + p) * instances + i];
+        rounds.add(item.rounds);
+        batch.add(item.batch);
+        tour.add(item.tour_h);
+        dead.add(item.dead_min);
+        stops_ratio.add(item.stops_ratio);
       }
+      table.start_row();
+      table.add(algorithms[a]->name());
+      table.add(policies[p].name);
+      table.add(rounds.mean(), 0);
+      table.add(batch.mean(), 1);
+      table.add(tour.mean(), 2);
+      table.add(dead.mean(), 1);
+      table.add(stops_ratio.mean(), 3);
     }
-    return bench::finish_shard(shard, chunk);
   }
-
-  bench::emit_policy_ablation(n, k, instances, months, algo_names,
-                              policy_names, items);
+  std::printf("Dispatch-policy ablation: n=%zu, K=%zu, %zu instance(s), "
+              "%.1f months\n\n",
+              n, k, instances, months);
+  table.print(std::cout);
   return 0;
 }

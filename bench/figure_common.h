@@ -13,37 +13,23 @@
 //   --seed=S        base RNG seed                 (default 1)
 //   --jobs=N        worker threads; 0 = all hardware threads (default),
 //                   1 = serial. Output is byte-identical for every N.
-//   --sim-jobs=N    worker threads *inside* each simulation's per-sensor
-//                   scans (default 1 = serial; 0 = all hardware threads).
-//                   Byte-identical for every N; useful when a single huge
-//                   instance dominates instead of many parallel items.
-//   --plan-jobs=N   worker threads inside each scheduler invocation
-//                   (per-segment tour improvement + eager travel-cache
-//                   fill; default 0 = the scheduler's own configuration).
-//                   Byte-identical for every N, same caveat as --sim-jobs:
-//                   only pays when one huge instance dominates.
 //   --mcv-budget=J  usable MCV battery capacity in joules (default 0 =
 //                   unlimited). Enabling it routes every round through the
 //                   budgeted executor: tours that would overdraw abort at
 //                   the exhaustion point and the orphaned stops are pushed
 //                   to the next round (RecoveryPolicy::kDefer).
 //   --csv=PREFIX    also write PREFIX_a.csv / PREFIX_b.csv
-//   --shard=i/N     run only work items with global index = i mod N and
-//                   write a chunk file instead of tables (requires --chunk).
-//                   Merging the N chunks with merge_shards reproduces the
-//                   unsharded output byte for byte.
-//   --chunk=PATH    chunk file path for --shard mode
+//
+// The (instance, algorithm) work items are the one grain of parallelism:
+// each simulation and each planner call runs on a single thread.
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "shard_chunk.h"
 
 #include "baselines/aa.h"
 #include "baselines/kedf.h"
@@ -77,17 +63,6 @@ struct SweepSettings {
   /// Worker threads for the (instance, algorithm) work items; 0 = all
   /// hardware threads, 1 = serial. Never affects the numbers, only speed.
   std::size_t jobs = 0;
-  /// Worker threads inside each simulation's per-sensor scans
-  /// (SimConfig::jobs). Defaults to serial: the item-level fan-out above
-  /// already saturates the machine on normal sweeps, so nested pools
-  /// would only add contention. Raise it for single-instance runs at
-  /// large n. Never affects the numbers, only speed.
-  std::size_t sim_jobs = 1;
-  /// Worker threads inside each scheduler invocation (SimConfig::plan_jobs:
-  /// per-segment tour improvement and the eager travel-cache fill).
-  /// Defaults to 0 = the scheduler's own configuration, for the same
-  /// reason as sim_jobs. Never affects the numbers, only speed.
-  std::size_t plan_jobs = 0;
   /// MCV battery capacity in joules; 0 (default) = unlimited, taking the
   /// unbudgeted simulator path byte for byte (SimConfig::mcv_budget).
   double mcv_budget_j = 0.0;
@@ -95,12 +70,6 @@ struct SweepSettings {
   /// Sensor placement. The paper uses uniform; --layout=clustered/grid
   /// checks that the conclusions survive other deployment shapes.
   model::FieldLayout layout = model::FieldLayout::kUniform;
-  /// Sharding (--shard=i/N): this process computes only the work items
-  /// whose global index (across all sweep points) is i mod N, and writes
-  /// them to `chunk_path` for merge_shards. 1 = unsharded.
-  std::size_t shard_index = 0;
-  std::size_t shard_count = 1;
-  std::string chunk_path;
 
   static SweepSettings from_flags(const CliFlags& flags) {
     SweepSettings s;
@@ -108,28 +77,11 @@ struct SweepSettings {
     s.months = flags.get_double("months", 12.0);
     s.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
     s.jobs = static_cast<std::size_t>(flags.get_int("jobs", 0));
-    s.sim_jobs = static_cast<std::size_t>(flags.get_int("sim-jobs", 1));
-    s.plan_jobs = static_cast<std::size_t>(flags.get_int("plan-jobs", 0));
     s.mcv_budget_j = flags.get_double("mcv-budget", 0.0);
     s.csv_prefix = flags.get("csv", "");
     const std::string layout = flags.get("layout", "uniform");
     if (layout == "clustered") s.layout = model::FieldLayout::kClustered;
     if (layout == "grid") s.layout = model::FieldLayout::kGrid;
-    const std::string shard = flags.get("shard", "");
-    if (!shard.empty()) {
-      if (std::sscanf(shard.c_str(), "%zu/%zu", &s.shard_index,
-                      &s.shard_count) != 2 ||
-          s.shard_count == 0 || s.shard_index >= s.shard_count) {
-        std::fprintf(stderr, "bad --shard=%s (want i/N with 0 <= i < N)\n",
-                     shard.c_str());
-        std::exit(2);
-      }
-      s.chunk_path = flags.get("chunk", "");
-      if (s.shard_count > 1 && s.chunk_path.empty()) {
-        std::fprintf(stderr, "--shard requires --chunk=PATH\n");
-        std::exit(2);
-      }
-    }
     return s;
   }
 };
@@ -144,89 +96,53 @@ struct PointResult {
   std::size_t violations = 0;
 };
 
-/// Raw simulator output of one (instance, algorithm) work item. `present`
-/// is false for items assigned to other shards.
-struct ItemSample {
-  double tour = 0.0;
-  double dead = 0.0;
-  std::size_t violations = 0;
-  bool present = false;
-};
-
-/// Runs the work items of one sweep point and returns the raw per-item
-/// samples (instances * num_algos slots, instance-major).
+/// Runs one sweep point and averages it per algorithm.
 ///
 /// One work item per (instance, algorithm) pair: the item regenerates
 /// its instance from a seed derived only from the instance index (all
 /// algorithms see the same instance, and no state crosses items), runs
 /// the year-long simulation, and records into its own slot. The mapping
-/// of items to threads therefore cannot influence any number. Under
-/// --shard=i/N, items whose global index (point_idx * items-per-point +
-/// local index) is not congruent to i are skipped and left absent.
+/// of items to threads therefore cannot influence any number. The
+/// reduction then runs single-threaded in instance order, folding each
+/// item in as a one-sample RunningStats merge (not add(): the two round
+/// differently), which keeps the published figure tables bit-identical.
 template <typename MakeInstance>
-std::vector<ItemSample> run_point_samples(
-    const SweepSettings& settings,
-    const std::vector<sched::SchedulerPtr>& algorithms,
-    MakeInstance&& make_instance, std::size_t point_idx = 0) {
+PointResult run_point(const SweepSettings& settings,
+                      const std::vector<sched::SchedulerPtr>& algorithms,
+                      MakeInstance&& make_instance) {
   sim::SimConfig sim_config;
   sim_config.monitoring_period_s = settings.months * 30.0 * 86400.0;
-  sim_config.jobs = settings.sim_jobs;
-  sim_config.plan_jobs = settings.plan_jobs;
   sim_config.mcv_budget.capacity_j = settings.mcv_budget_j;
 
   const std::size_t num_algos = algorithms.size();
-  const std::size_t stride = settings.instances * num_algos;
-  std::vector<ItemSample> items(stride);
+  std::vector<sim::SimResult> items(settings.instances * num_algos);
   parallel_for(
       items.size(),
       [&](std::size_t idx) {
-        if (settings.shard_count > 1 &&
-            (point_idx * stride + idx) % settings.shard_count !=
-                settings.shard_index) {
-          return;
-        }
-        const std::size_t inst = idx / num_algos;
-        const std::size_t a = idx % num_algos;
-        Rng rng(derive_seed(settings.seed, inst));
+        Rng rng(derive_seed(settings.seed, idx / num_algos));
         const model::WrsnInstance instance = make_instance(rng);
-        const auto r = sim::simulate(instance, *algorithms[a], sim_config);
+        items[idx] =
+            sim::simulate(instance, *algorithms[idx % num_algos], sim_config);
         // A run cut off by the max_rounds safety cap is a partial
         // measurement — averaging it into the figure would silently skew
         // the series. (kHorizonMidRound is fine: the last round of a
         // loaded run routinely straddles the end of the period.)
         MCHARGE_ASSERT(
-            r.truncated_reason != sim::TruncationReason::kMaxRounds,
+            items[idx].truncated_reason != sim::TruncationReason::kMaxRounds,
             "figure point hit SimConfig::max_rounds — results are partial");
-        items[idx].tour = r.mean_longest_delay_hours();
-        items[idx].dead = r.mean_dead_minutes_per_sensor;
-        items[idx].violations = r.verify_violations;
-        items[idx].present = true;
       },
       settings.jobs);
-  return items;
-}
 
-/// Deterministic single-threaded reduction of a point's samples, in
-/// instance order. Shared by the unsharded path and merge_shards, so the
-/// merged figures are byte-identical by construction: each item
-/// contributed exactly one sample, and rebuilding a one-sample
-/// RunningStats from the stored double reproduces its state exactly.
-inline PointResult reduce_point(const SweepSettings& settings,
-                                std::size_t num_algos,
-                                const std::vector<ItemSample>& items) {
   std::vector<RunningStats> tour(num_algos);
   std::vector<RunningStats> dead(num_algos);
   PointResult result;
-  for (std::size_t inst = 0; inst < settings.instances; ++inst) {
-    for (std::size_t a = 0; a < num_algos; ++a) {
-      const ItemSample& item = items[inst * num_algos + a];
-      RunningStats item_tour, item_dead;
-      item_tour.add(item.tour);
-      item_dead.add(item.dead);
-      tour[a].merge(item_tour);
-      dead[a].merge(item_dead);
-      result.violations += item.violations;
-    }
+  for (std::size_t idx = 0; idx < items.size(); ++idx) {
+    RunningStats item_tour, item_dead;
+    item_tour.add(items[idx].mean_longest_delay_hours());
+    item_dead.add(items[idx].mean_dead_minutes_per_sensor);
+    tour[idx % num_algos].merge(item_tour);
+    dead[idx % num_algos].merge(item_dead);
+    result.violations += items[idx].verify_violations;
   }
   for (std::size_t a = 0; a < num_algos; ++a) {
     result.longest_tour_hours.push_back(tour[a].mean());
@@ -237,75 +153,8 @@ inline PointResult reduce_point(const SweepSettings& settings,
   return result;
 }
 
-template <typename MakeInstance>
-PointResult run_point(const SweepSettings& settings,
-                      const std::vector<sched::SchedulerPtr>& algorithms,
-                      MakeInstance&& make_instance) {
-  return reduce_point(
-      settings, algorithms.size(),
-      run_point_samples(settings, algorithms, make_instance));
-}
-
-inline std::vector<std::string> algorithm_names(
-    const std::vector<sched::SchedulerPtr>& algorithms) {
-  std::vector<std::string> names;
-  names.reserve(algorithms.size());
-  for (const auto& a : algorithms) names.push_back(a->name());
-  return names;
-}
-
-/// Prints the two series ((a) tour duration, (b) dead duration) and
-/// optionally writes CSVs. Takes algorithm names rather than scheduler
-/// instances so merge_shards can emit figures from chunk headers alone.
-inline void emit_figure(const std::string& figure, const std::string& knob,
-                        const std::vector<std::string>& knob_values,
-                        const std::vector<std::string>& algo_names,
-                        const std::vector<PointResult>& points,
-                        const SweepSettings& settings) {
-  std::vector<std::string> headers{knob};
-  for (const auto& name : algo_names) headers.push_back(name);
-  // Both outputs also carry per-algorithm stddev columns (across the
-  // replicated instances) so plots can show error bars.
-  std::vector<std::string> csv_headers = headers;
-  for (const auto& name : algo_names) csv_headers.push_back(name + "_sd");
-
-  Table tour(csv_headers);
-  Table dead(csv_headers);
-  std::size_t violations = 0;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    tour.start_row();
-    tour.add(knob_values[i]);
-    for (double v : points[i].longest_tour_hours) tour.add(v, 2);
-    for (double v : points[i].tour_stddev) tour.add(v, 2);
-    dead.start_row();
-    dead.add(knob_values[i]);
-    for (double v : points[i].dead_minutes) dead.add(v, 1);
-    for (double v : points[i].dead_stddev) dead.add(v, 1);
-    violations += points[i].violations;
-  }
-
-  std::printf("\n%s(a): average longest tour duration (hours)\n",
-              figure.c_str());
-  tour.print(std::cout);
-  std::printf("\n%s(b): average dead duration per sensor (minutes)\n",
-              figure.c_str());
-  dead.print(std::cout);
-  std::printf("\nschedule verifier violations across all runs: %zu\n",
-              violations);
-  std::printf("settings: %zu instance(s)/point, %.1f-month horizon "
-              "(paper: 100 instances, 12 months)\n",
-              settings.instances, settings.months);
-  if (!settings.csv_prefix.empty()) {
-    tour.write_csv(settings.csv_prefix + "_a.csv");
-    dead.write_csv(settings.csv_prefix + "_b.csv");
-    std::printf("CSV written to %s_a.csv / %s_b.csv\n",
-                settings.csv_prefix.c_str(), settings.csv_prefix.c_str());
-  }
-}
-
 /// Drives a whole figure sweep: the bench main adds one point per knob
-/// value, then finish() either prints the figure (unsharded) or writes
-/// this shard's chunk file for merge_shards.
+/// value, then finish() prints the figure.
 class FigureSweep {
  public:
   FigureSweep(std::string figure, std::string knob, SweepSettings settings)
@@ -321,63 +170,61 @@ class FigureSweep {
 
   template <typename MakeInstance>
   void add_point(std::string label, MakeInstance&& make_instance) {
-    samples_.push_back(run_point_samples(settings_, algorithms_,
-                                         make_instance, samples_.size()));
+    points_.push_back(run_point(settings_, algorithms_, make_instance));
     labels_.push_back(std::move(label));
   }
 
-  /// Emits the figure (or the chunk). Returns the process exit code.
+  /// Prints the two series ((a) tour duration, (b) dead duration) and
+  /// optionally writes CSVs. Returns the process exit code.
   int finish() const {
-    if (settings_.shard_count > 1) return write_shard_chunk();
-    std::vector<PointResult> points;
-    points.reserve(samples_.size());
-    for (const auto& s : samples_) {
-      points.push_back(reduce_point(settings_, algorithms_.size(), s));
+    std::vector<std::string> headers{knob_};
+    for (const auto& a : algorithms_) headers.push_back(a->name());
+    // Both outputs also carry per-algorithm stddev columns (across the
+    // replicated instances) so plots can show error bars.
+    for (const auto& a : algorithms_) headers.push_back(a->name() + "_sd");
+
+    Table tour(headers);
+    Table dead(headers);
+    std::size_t violations = 0;
+    for (std::size_t i = 0; i < points_.size(); ++i) {
+      tour.start_row();
+      tour.add(labels_[i]);
+      for (double v : points_[i].longest_tour_hours) tour.add(v, 2);
+      for (double v : points_[i].tour_stddev) tour.add(v, 2);
+      dead.start_row();
+      dead.add(labels_[i]);
+      for (double v : points_[i].dead_minutes) dead.add(v, 1);
+      for (double v : points_[i].dead_stddev) dead.add(v, 1);
+      violations += points_[i].violations;
     }
-    emit_figure(figure_, knob_, labels_, algorithm_names(algorithms_), points,
-                settings_);
+
+    std::printf("\n%s(a): average longest tour duration (hours)\n",
+                figure_.c_str());
+    tour.print(std::cout);
+    std::printf("\n%s(b): average dead duration per sensor (minutes)\n",
+                figure_.c_str());
+    dead.print(std::cout);
+    std::printf("\nschedule verifier violations across all runs: %zu\n",
+                violations);
+    std::printf("settings: %zu instance(s)/point, %.1f-month horizon "
+                "(paper: 100 instances, 12 months)\n",
+                settings_.instances, settings_.months);
+    if (!settings_.csv_prefix.empty()) {
+      tour.write_csv(settings_.csv_prefix + "_a.csv");
+      dead.write_csv(settings_.csv_prefix + "_b.csv");
+      std::printf("CSV written to %s_a.csv / %s_b.csv\n",
+                  settings_.csv_prefix.c_str(), settings_.csv_prefix.c_str());
+    }
     return 0;
   }
 
  private:
-  int write_shard_chunk() const {
-    ChunkFile chunk;
-    chunk.kind = "figure";
-    chunk.figure = figure_;
-    chunk.knob = knob_;
-    chunk.seed = settings_.seed;
-    chunk.instances = settings_.instances;
-    chunk.months = settings_.months;
-    chunk.shard_index = settings_.shard_index;
-    chunk.shard_count = settings_.shard_count;
-    chunk.algo_names = algorithm_names(algorithms_);
-    chunk.labels = labels_;
-    for (std::size_t p = 0; p < samples_.size(); ++p) {
-      for (std::size_t idx = 0; idx < samples_[p].size(); ++idx) {
-        const ItemSample& item = samples_[p][idx];
-        if (!item.present) continue;
-        chunk.items.push_back({p, idx / algorithms_.size(),
-                               idx % algorithms_.size(), item.violations,
-                               {item.tour, item.dead}});
-      }
-    }
-    if (!write_chunk(settings_.chunk_path, chunk)) {
-      std::fprintf(stderr, "cannot write chunk file %s\n",
-                   settings_.chunk_path.c_str());
-      return 1;
-    }
-    std::printf("shard %zu/%zu: %zu item(s) -> %s\n", settings_.shard_index,
-                settings_.shard_count, chunk.items.size(),
-                settings_.chunk_path.c_str());
-    return 0;
-  }
-
   std::string figure_;
   std::string knob_;
   SweepSettings settings_;
   std::vector<sched::SchedulerPtr> algorithms_;
   std::vector<std::string> labels_;
-  std::vector<std::vector<ItemSample>> samples_;
+  std::vector<PointResult> points_;
 };
 
 }  // namespace mcharge::bench

@@ -110,28 +110,11 @@ void BM_LocalSearchMatching(benchmark::State& state) {
   Rng rng(5);
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto pts = geom::uniform_field(n, 100.0, 100.0, rng);
-  const matching::WeightFn w = [&](std::uint32_t a, std::uint32_t b) {
-    return geom::distance(pts[a], pts[b]);
-  };
   for (auto _ : state) {
-    benchmark::DoNotOptimize(matching::local_search_matching(n, w));
+    benchmark::DoNotOptimize(matching::local_search_matching(pts));
   }
 }
 BENCHMARK(BM_LocalSearchMatching)->Arg(50)->Arg(150)->Arg(400);
-
-void BM_BlossomMatching(benchmark::State& state) {
-  Rng rng(19);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto pts = geom::uniform_field(n, 100.0, 100.0, rng);
-  const matching::WeightFn w = [&](std::uint32_t a, std::uint32_t b) {
-    return geom::distance(pts[a], pts[b]);
-  };
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(matching::blossom_min_weight_matching(n, w));
-  }
-}
-BENCHMARK(BM_BlossomMatching)->Arg(50)->Arg(150)->Arg(256)
-    ->Unit(benchmark::kMillisecond);
 
 matching::MatchingOptions engine_options(std::int64_t engine) {
   matching::MatchingOptions opts;
@@ -284,7 +267,7 @@ BENCHMARK(BM_DistanceCacheBuild)->Arg(50)->Arg(150)->Arg(350)->Arg(1200);
 
 // Raw kernel throughput of the SIMD layer (util/simd.h), independent of
 // the TourProblem plumbing. The active backend is whatever dispatch
-// picked (override with MCHARGE_SIMD=scalar|avx2|avx512 to compare).
+// picked (MCHARGE_SIMD=scalar forces the scalar kernels to compare).
 
 void BM_SimdDistanceMatrix(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
@@ -333,28 +316,6 @@ void BM_MinMaxKTours(benchmark::State& state) {
 }
 BENCHMARK(BM_MinMaxKTours)->Arg(1)->Arg(2)->Arg(5);
 
-void BM_SplitImprove(benchmark::State& state) {
-  // min_max_k_tours with the per-segment improvement fanned out over
-  // `jobs` workers (MinMaxTourOptions::jobs). The k segments improve
-  // independently into their own slots, so the result is byte-identical
-  // at every job count; on a multi-core machine jobs > 1 shows the
-  // wall-clock headroom of the per-charger decomposition (this is the
-  // planner's dominant parallel section).
-  const auto p = make_tour_problem(600, 8);
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const auto jobs = static_cast<std::size_t>(state.range(1));
-  tsp::MinMaxTourOptions options;
-  options.jobs = jobs;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tsp::min_max_k_tours(p, k, options));
-  }
-}
-BENCHMARK(BM_SplitImprove)
-    ->Args({4, 1})
-    ->Args({4, 2})
-    ->Args({4, 4})
-    ->Unit(benchmark::kMillisecond);
-
 void BM_ApproPlan(benchmark::State& state) {
   const auto problem =
       make_round(static_cast<std::size_t>(state.range(0)), 2, 9);
@@ -364,49 +325,6 @@ void BM_ApproPlan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ApproPlan)->Arg(200)->Arg(600)->Arg(1200)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ApproPlanJobs(benchmark::State& state) {
-  // Same plan as BM_ApproPlan/1200 (byte-identical by the determinism
-  // contract) with the planner's parallel sections on `jobs` workers.
-  // Kept separate from BM_ApproPlan so its single-argument series stays
-  // comparable across BENCH_micro.json snapshots.
-  const auto problem =
-      make_round(static_cast<std::size_t>(state.range(0)), 2, 9);
-  core::ApproScheduler appro;
-  const auto jobs = static_cast<std::size_t>(state.range(1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(appro.plan_with_jobs(problem, jobs));
-  }
-}
-BENCHMARK(BM_ApproPlanJobs)
-    ->Args({1200, 2})
-    ->Args({1200, 8})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ApproInsertion(benchmark::State& state) {
-  // The step-6 insertion phase in isolation: range(1) == 0 runs the
-  // incremental path (cached f_N, dirty-set invalidation, suffix-only
-  // finish recompute, tombstoned pending), range(1) == 1 the legacy
-  // reference (full rescans + whole-tour recompute + mid-vector erase).
-  // Both produce byte-identical plans (tests/appro_incremental_test.cpp);
-  // the delta is the tentpole's insertion-phase win. Steps 1-5 are
-  // included in both runs, so read the difference, not the ratio.
-  const auto problem =
-      make_round(static_cast<std::size_t>(state.range(0)), 2, 9);
-  core::ApproOptions options;
-  options.legacy_insertion = state.range(1) != 0;
-  core::ApproScheduler appro(options);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(appro.plan(problem));
-  }
-  state.SetLabel(options.legacy_insertion ? "legacy" : "incremental");
-}
-BENCHMARK(BM_ApproInsertion)
-    ->Args({600, 0})
-    ->Args({600, 1})
-    ->Args({1200, 0})
-    ->Args({1200, 1})
     ->Unit(benchmark::kMillisecond);
 
 void BM_ApproPlanAndExecute(benchmark::State& state) {
@@ -523,15 +441,10 @@ BENCHMARK(BM_ParallelSweep)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Simulate(benchmark::State& state) {
-  // One month of simulated time under Appro at n sensors with the given
-  // SimConfig::jobs (0 = all hardware threads). Exercises the SoA drain
-  // scans (simd::crossing_min / simd::advance_select_below) plus the
-  // per-round scheduling; results are byte-identical at every job count,
-  // only the wall clock moves. shard_grain is left at its default, so
-  // jobs > 1 only splits the scans once n clears it — exactly the
-  // production heuristic under test.
+  // One month of simulated time under Appro at n sensors. Exercises the
+  // SoA drain scans (simd::crossing_min / simd::advance_select_below) plus
+  // the per-round scheduling.
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto jobs = static_cast<std::size_t>(state.range(1));
   Rng rng(23);
   model::NetworkConfig config;
   config.num_chargers = 4;
@@ -539,16 +452,11 @@ void BM_Simulate(benchmark::State& state) {
   core::ApproScheduler appro;
   sim::SimConfig sim_config;
   sim_config.monitoring_period_s = 30.0 * 86400.0;
-  sim_config.jobs = jobs;
   for (auto _ : state) {
     benchmark::DoNotOptimize(sim::simulate(instance, appro, sim_config));
   }
 }
-BENCHMARK(BM_Simulate)
-    ->Args({200, 1})
-    ->Args({1200, 1})
-    ->Args({5000, 1})
-    ->Args({5000, 0})
+BENCHMARK(BM_Simulate)->Arg(200)->Arg(1200)->Arg(5000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ObsOverhead(benchmark::State& state) {

@@ -26,7 +26,7 @@ for arg in "$@"; do
     --quick)
       # The distance-cache, simd-kernel, parallel-sweep, planner-hot-path
       # and simulator-loop trajectory benches.
-      FILTER="--benchmark_filter=BM_(TwoOpt|TwoOptCached|OrOpt|OrOptCached|DistanceCacheBuild|SimdDistanceMatrix|SimdArgminScan|ParallelSweep|ApproPlan|ApproPlanJobs|ApproInsertion|SplitImprove|MinMaxKTours|Simulate)" ;;
+      FILTER="--benchmark_filter=BM_(TwoOpt|TwoOptCached|OrOpt|OrOptCached|DistanceCacheBuild|SimdDistanceMatrix|SimdArgminScan|ParallelSweep|ApproPlan|MinMaxKTours|Simulate)" ;;
     --filter=*)
       FILTER="--benchmark_filter=${arg#--filter=}" ;;
     *)

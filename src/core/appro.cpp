@@ -7,7 +7,6 @@
 #include "core/overlap_graph.h"
 #include "obs/obs.h"
 #include "util/assert.h"
-#include "util/parallel.h"
 #include "util/simd.h"
 
 namespace mcharge::core {
@@ -19,7 +18,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Per-plan travel-time memo over the sensors the insertion phase can
 /// touch (the members of S_I: tour stops and insertion candidates). The
 /// insertion rounds re-derive the same legs over and over — every
-/// recompute_finish walks its whole tour, every candidate probes its
+/// finish recomputation walks a tour suffix, every candidate probes its
 /// neighbors — so pairs are computed once and then served from a dense
 /// |S_I| x |S_I| table. Rows are filled lazily at row granularity through
 /// the SIMD distance kernel over an SoA copy of the member coordinates
@@ -64,21 +63,6 @@ class TravelCache {
     return depot_[static_cast<std::size_t>(compact_[u])];
   }
 
-  /// Eagerly fills every pair row with up to `jobs` workers. Each row is a
-  /// disjoint preallocated slot (and each row_filled_ flag a distinct
-  /// byte), so the fan-out follows the parallel_for determinism rules; a
-  /// filled row holds exactly the bits the lazy first-touch fill would
-  /// produce — same kernel, same operands — so plans cannot change, only
-  /// where the fill latency is paid.
-  void fill_all(std::size_t jobs) {
-    parallel_for(
-        ids_.size(),
-        [this](std::size_t iu) {
-          if (!row_filled_[iu]) fill_row(iu);
-        },
-        jobs);
-  }
-
  private:
   void fill_row(std::size_t iu) {
     const std::size_t m = ids_.size();
@@ -104,13 +88,14 @@ struct WorkTour {
   std::vector<double> finish;           ///< charging finish time f (Eq. (6))
 };
 
-/// Recomputes f from position `from` onward, seeding the clock with the
-/// stored finish of the stop before `from`. An insertion at position
-/// `from` leaves seq/tau_prime on [0, from) untouched, so the stored
-/// finish[from - 1] holds exactly the bits a full forward pass would
-/// reach at that stop — the suffix pass therefore reproduces the
-/// from-scratch recomputation bit for bit (DESIGN.md, planner
-/// determinism).
+/// Recomputes f from position `from` onward (Eqs. (6), (11), (12) fold
+/// into a single forward pass once every stop's tau' is fixed), seeding
+/// the clock with the stored finish of the stop before `from`. An
+/// insertion at position `from` leaves seq/tau_prime on [0, from)
+/// untouched, so the stored finish[from - 1] holds exactly the bits a full
+/// forward pass would reach at that stop — the suffix pass therefore
+/// reproduces the from-scratch recomputation bit for bit (DESIGN.md,
+/// planner determinism).
 void recompute_finish_from(TravelCache& travel, WorkTour& tour,
                            std::size_t from) {
   double clock = from == 0 ? 0.0 : tour.finish[from - 1];
@@ -120,12 +105,6 @@ void recompute_finish_from(TravelCache& travel, WorkTour& tour,
     clock += tour.tau_prime[l];
     tour.finish[l] = clock;
   }
-}
-
-/// Recomputes f along a tour from scratch (Eqs. (6), (11), (12) fold into
-/// a single forward pass once every stop's tau' is fixed).
-void recompute_finish(TravelCache& travel, WorkTour& tour) {
-  recompute_finish_from(travel, tour, 0);
 }
 
 /// Travel detour of inserting sensor `u` right after position `pos`:
@@ -151,14 +130,6 @@ ApproScheduler::ApproScheduler(ApproOptions options)
 sched::ChargingPlan ApproScheduler::plan(
     const model::ChargingProblem& problem) const {
   return plan_with_stats(problem, nullptr);
-}
-
-sched::ChargingPlan ApproScheduler::plan_with_jobs(
-    const model::ChargingProblem& problem, std::size_t jobs) const {
-  if (jobs == 0 || jobs == options_.jobs) return plan(problem);
-  ApproOptions tuned = options_;
-  tuned.jobs = jobs;
-  return ApproScheduler(std::move(tuned)).plan(problem);
 }
 
 sched::ChargingPlan ApproScheduler::plan_with_stats(
@@ -226,7 +197,6 @@ sched::ChargingPlan ApproScheduler::plan_with_stats(
     tour_problem.service.push_back(problem.tau(sensor));
   }
   tsp::MinMaxTourOptions tour_options = options_.tour;
-  if (tour_options.jobs == 0) tour_options.jobs = options_.jobs;
   if (options_.mcv_budget.enabled() && !tour_options.energy.enabled()) {
     // Price the split's segments in the executor's battery units: a
     // second of driving burns move-cost x speed joules, a second of
@@ -244,18 +214,13 @@ sched::ChargingPlan ApproScheduler::plan_with_stats(
   }
 
   // Travel memo over the sensors the insertion phase can touch: every
-  // tour stop and every insertion candidate is a member of S_I. With a
-  // worker budget the rows are filled eagerly in one sharded pass (same
-  // bits as the lazy fills, see fill_all); serially the lazy first-touch
-  // fill avoids computing rows the insertion never reads.
-  std::vector<std::uint32_t> si_sensors(s_i.begin(), s_i.end());
-  TravelCache travel(problem, si_sensors);
-  {
-    // Bills the eager sharded fill; serial runs fill lazily on first
-    // touch, which lands in appro.insertion instead.
+  // tour stop and every insertion candidate is a member of S_I. The span
+  // bills the set-up (SoA copy, table allocation, depot row); pair rows
+  // fill lazily on first touch, which lands in appro.insertion.
+  TravelCache travel = [&] {
     OBS_SPAN("appro.travel_cache");
-    if (options_.jobs > 1) travel.fill_all(options_.jobs);
-  }
+    return TravelCache(problem, s_i);
+  }();
 
   // Working tours over sensor ids, with tau' = tau (coverage disks of V'_H
   // nodes are pairwise disjoint, so nothing is double-counted initially).
@@ -269,19 +234,18 @@ sched::ChargingPlan ApproScheduler::plan_with_stats(
       for (std::uint32_t u : problem.coverage(sensor)) covered[u] = 1;
     }
     tours[t].finish.resize(tours[t].seq.size());
-    recompute_finish(travel, tours[t]);
+    recompute_finish_from(travel, tours[t], 0);
   }
 
   // Position lookup: for each sensor in a tour, (tour, index).
   std::vector<std::int32_t> tour_of(n, -1);
   std::vector<std::size_t> pos_of(n, 0);
-  auto index_tours = [&](std::size_t t) {
+  for (std::size_t t = 0; t < k; ++t) {
     for (std::size_t l = 0; l < tours[t].seq.size(); ++l) {
       tour_of[tours[t].seq[l]] = static_cast<std::int32_t>(t);
       pos_of[tours[t].seq[l]] = l;
     }
-  };
-  for (std::size_t t = 0; t < k; ++t) index_tours(t);
+  }
 
   ApproStats local_stats;
   local_stats.v_s = n;
@@ -307,7 +271,7 @@ sched::ChargingPlan ApproScheduler::plan_with_stats(
   seen_tours.reserve(k);
 
   // f_N(u): max finish over u's H-neighbors that sit in a tour, via the
-  // exact scalar op sequence both insertion paths below replay.
+  // exact scalar op sequence the test reference replays.
   auto latest_neighbor_finish = [&](std::uint32_t hi) {
     double best = -kInf;
     for (graph::Vertex nb : h.neighbors(hi)) {
@@ -395,134 +359,99 @@ sched::ChargingPlan ApproScheduler::plan_with_stats(
         tour.finish.begin() + static_cast<std::ptrdiff_t>(insert_at), 0.0);
   };
 
-  if (options_.legacy_insertion) {
-    // Reference path: full f_N rescans, whole-tour finish recomputation
-    // and a mid-vector erase every round — O(|P|^2 * deg) overall. Kept
-    // so the incremental path can be differentially tested against it.
-    while (!pending.empty()) {
-      // Pick the pending node with the smallest f_N (Algorithm 1, line 9).
-      std::size_t pick = 0;
-      double pick_fn = kInf;
-      for (std::size_t i = 0; i < pending.size(); ++i) {
-        const double fn = latest_neighbor_finish(pending[i]);
-        if (fn < pick_fn) {
-          pick_fn = fn;
-          pick = i;
-        }
-      }
-      const std::uint32_t hi = pending[pick];
-      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pick));
-      const std::uint32_t u = s_i[hi];
-
-      double tau_prime_u = 0.0;
-      if (coverage_probe(u, tau_prime_u)) {
-        ++local_stats.dropped_covered;
-        continue;
-      }
-      std::int32_t best_tour = -1;
-      std::size_t best_pos = 0;
-      choose_placement(hi, u, best_tour, best_pos);
-
-      auto& tour = tours[static_cast<std::size_t>(best_tour)];
-      const std::size_t insert_at = best_pos + 1;
-      splice(tour, insert_at, u, tau_prime_u);
-      recompute_finish(travel, tour);
-      index_tours(static_cast<std::size_t>(best_tour));
-      for (std::uint32_t w : problem.coverage(u)) covered[w] = 1;
+  // Incremental insertion — bit-identical by construction to the
+  // O(|P|^2 * deg) reference (full f_N rescans, whole-tour finish
+  // recomputation, mid-vector erase) frozen in
+  // tests/appro_incremental_test.cpp (DESIGN.md, "planner determinism"):
+  //  * f_N is cached per pending node. An insertion into tour t changes
+  //    finishes only in t (the suffix) and adds one placed neighbor (u,
+  //    in t), so only nodes with a placed H-neighbor in t can observe a
+  //    different value; per-(node, tour) placed-neighbor counts find
+  //    them. Dirty nodes recompute with the same scalar scan the
+  //    reference runs; clean nodes keep bits computed by that same scan
+  //    over operands that have not changed.
+  //  * finish times recompute from the insertion point only — the
+  //    prefix clock is the stored finish of the previous stop.
+  //  * picked nodes are tombstoned; the list compacts in order once
+  //    half the slots are dead. The alive scan visits survivors in the
+  //    exact order the erase-based reference keeps them, so the
+  //    lowest-index tie-break on equal f_N is preserved.
+  std::vector<std::uint32_t> nb_in_tour(s_i.size() * k, 0);
+  const auto count_placement = [&](std::uint32_t hi, std::size_t t) {
+    for (graph::Vertex nb : h.neighbors(hi)) {
+      ++nb_in_tour[static_cast<std::size_t>(nb) * k + t];
     }
-  } else {
-    // Incremental path — bit-identical to the reference by construction
-    // (DESIGN.md, "planner determinism"):
-    //  * f_N is cached per pending node. An insertion into tour t changes
-    //    finishes only in t (the suffix) and adds one placed neighbor (u,
-    //    in t), so only nodes with a placed H-neighbor in t can observe a
-    //    different value; per-(node, tour) placed-neighbor counts find
-    //    them. Dirty nodes recompute with the same scalar scan the
-    //    reference runs; clean nodes keep bits computed by that same scan
-    //    over operands that have not changed.
-    //  * finish times recompute from the insertion point only — the
-    //    prefix clock is the stored finish of the previous stop.
-    //  * picked nodes are tombstoned; the list compacts in order once
-    //    half the slots are dead. The alive scan visits survivors in the
-    //    exact order the erase-based reference keeps them, so the
-    //    lowest-index tie-break on equal f_N is preserved.
-    std::vector<std::uint32_t> nb_in_tour(s_i.size() * k, 0);
-    const auto count_placement = [&](std::uint32_t hi, std::size_t t) {
-      for (graph::Vertex nb : h.neighbors(hi)) {
-        ++nb_in_tour[static_cast<std::size_t>(nb) * k + t];
+  };
+  for (std::size_t i = 0; i < vh_local.size(); ++i) {
+    const std::uint32_t sensor = vh_sensors[i];
+    MCHARGE_ASSERT(tour_of[sensor] >= 0,
+                   "every V'_H member sits in an initial tour");
+    count_placement(vh_local[i], static_cast<std::size_t>(tour_of[sensor]));
+  }
+
+  std::vector<double> fn_cache(s_i.size(), -kInf);
+  for (std::uint32_t p : pending) {
+    fn_cache[p] = latest_neighbor_finish(p);
+  }
+
+  std::vector<char> gone(pending.size(), 0);
+  std::size_t alive = pending.size();
+  std::size_t dead = 0;
+  while (alive > 0) {
+    // Pick the pending node with the smallest f_N (Algorithm 1, line 9).
+    std::size_t pick = 0;
+    double pick_fn = kInf;
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      if (gone[i]) continue;
+      const double fn = fn_cache[pending[i]];
+      if (fn < pick_fn) {
+        pick_fn = fn;
+        pick = i;
       }
-    };
-    for (std::size_t i = 0; i < vh_local.size(); ++i) {
-      const std::uint32_t sensor = vh_sensors[i];
-      MCHARGE_ASSERT(tour_of[sensor] >= 0,
-                     "every V'_H member sits in an initial tour");
-      count_placement(vh_local[i], static_cast<std::size_t>(tour_of[sensor]));
     }
-
-    std::vector<double> fn_cache(s_i.size(), -kInf);
-    for (std::uint32_t p : pending) {
-      fn_cache[p] = latest_neighbor_finish(p);
+    const std::uint32_t hi = pending[pick];
+    gone[pick] = 1;
+    --alive;
+    if (++dead * 2 >= pending.size()) {
+      std::size_t w = 0;
+      for (std::size_t r = 0; r < pending.size(); ++r) {
+        if (!gone[r]) pending[w++] = pending[r];
+      }
+      pending.resize(w);
+      gone.assign(w, 0);
+      dead = 0;
     }
+    const std::uint32_t u = s_i[hi];
 
-    std::vector<char> gone(pending.size(), 0);
-    std::size_t alive = pending.size();
-    std::size_t dead = 0;
-    while (alive > 0) {
-      // Pick the pending node with the smallest f_N (Algorithm 1, line 9).
-      std::size_t pick = 0;
-      double pick_fn = kInf;
-      for (std::size_t i = 0; i < pending.size(); ++i) {
-        if (gone[i]) continue;
-        const double fn = fn_cache[pending[i]];
-        if (fn < pick_fn) {
-          pick_fn = fn;
-          pick = i;
-        }
-      }
-      const std::uint32_t hi = pending[pick];
-      gone[pick] = 1;
-      --alive;
-      if (++dead * 2 >= pending.size()) {
-        std::size_t w = 0;
-        for (std::size_t r = 0; r < pending.size(); ++r) {
-          if (!gone[r]) pending[w++] = pending[r];
-        }
-        pending.resize(w);
-        gone.assign(w, 0);
-        dead = 0;
-      }
-      const std::uint32_t u = s_i[hi];
+    double tau_prime_u = 0.0;
+    if (coverage_probe(u, tau_prime_u)) {
+      ++local_stats.dropped_covered;
+      continue;  // no tour changed: every cached f_N stays valid
+    }
+    std::int32_t best_tour = -1;
+    std::size_t best_pos = 0;
+    choose_placement(hi, u, best_tour, best_pos);
 
-      double tau_prime_u = 0.0;
-      if (coverage_probe(u, tau_prime_u)) {
-        ++local_stats.dropped_covered;
-        continue;  // no tour changed: every cached f_N stays valid
-      }
-      std::int32_t best_tour = -1;
-      std::size_t best_pos = 0;
-      choose_placement(hi, u, best_tour, best_pos);
-
-      const auto t = static_cast<std::size_t>(best_tour);
-      auto& tour = tours[t];
-      const std::size_t insert_at = best_pos + 1;
-      splice(tour, insert_at, u, tau_prime_u);
-      recompute_finish_from(travel, tour, insert_at);
-      // Only positions at and after the insertion moved; earlier stops
-      // keep their (tour, position).
-      tour_of[u] = best_tour;
-      for (std::size_t l = insert_at; l < tour.seq.size(); ++l) {
-        pos_of[tour.seq[l]] = l;
-      }
-      for (std::uint32_t w : problem.coverage(u)) covered[w] = 1;
-      count_placement(hi, t);
-      // Dirty-set recompute: exactly the alive nodes with a placed
-      // H-neighbor in the mutated tour (now including u's neighbors).
-      for (std::size_t i = 0; i < pending.size(); ++i) {
-        if (gone[i]) continue;
-        const std::uint32_t p = pending[i];
-        if (nb_in_tour[static_cast<std::size_t>(p) * k + t] > 0) {
-          fn_cache[p] = latest_neighbor_finish(p);
-        }
+    const auto t = static_cast<std::size_t>(best_tour);
+    auto& tour = tours[t];
+    const std::size_t insert_at = best_pos + 1;
+    splice(tour, insert_at, u, tau_prime_u);
+    recompute_finish_from(travel, tour, insert_at);
+    // Only positions at and after the insertion moved; earlier stops
+    // keep their (tour, position).
+    tour_of[u] = best_tour;
+    for (std::size_t l = insert_at; l < tour.seq.size(); ++l) {
+      pos_of[tour.seq[l]] = l;
+    }
+    for (std::uint32_t w : problem.coverage(u)) covered[w] = 1;
+    count_placement(hi, t);
+    // Dirty-set recompute: exactly the alive nodes with a placed
+    // H-neighbor in the mutated tour (now including u's neighbors).
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      if (gone[i]) continue;
+      const std::uint32_t p = pending[i];
+      if (nb_in_tour[static_cast<std::size_t>(p) * k + t] > 0) {
+        fn_cache[p] = latest_neighbor_finish(p);
       }
     }
   }

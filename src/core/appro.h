@@ -57,18 +57,6 @@ struct ApproOptions {
   tsp::MinMaxTourOptions tour;
   /// Placement rule for the insertion phase (step 6).
   InsertionRule insertion = InsertionRule::kAfterMaxFinishNeighbor;
-  /// Worker threads for the planner's parallel sections — the per-segment
-  /// tour improvement in step 5 and the eager travel-cache row fill that
-  /// feeds step 6. 0 = serial (the default; note this differs from
-  /// parallel_for, where 0 means default_jobs()). Forwarded into
-  /// tour.jobs when tour.jobs == 0. Any value yields byte-identical plans.
-  std::size_t jobs = 0;
-  /// Run the insertion phase (step 6) through the reference O(|P|^2 * deg)
-  /// implementation: full f_N rescans every round, whole-tour finish
-  /// recomputation and a mid-vector pending erase per insertion. The
-  /// default incremental path is bit-identical; the legacy path is kept so
-  /// tests can memcmp the two (see tests/appro_incremental_test.cpp).
-  bool legacy_insertion = false;
   /// Per-MCV energy budget the fleet will execute under (disabled by
   /// default — the planner is then byte-identical to the budget-free
   /// one). When enabled, step 5's K-tour split also cuts on each
@@ -100,10 +88,6 @@ class ApproScheduler : public sched::Scheduler {
 
   std::string name() const override { return "Appro"; }
   sched::ChargingPlan plan(const model::ChargingProblem& problem) const override;
-  /// Plans with options_.jobs overridden to `jobs` (0 keeps options_.jobs).
-  /// Byte-identical to plan() for every thread count.
-  sched::ChargingPlan plan_with_jobs(const model::ChargingProblem& problem,
-                                     std::size_t jobs) const override;
 
   /// Plan and also report the pipeline diagnostics.
   sched::ChargingPlan plan_with_stats(const model::ChargingProblem& problem,

@@ -1,9 +1,6 @@
 #include "matching/blossom.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "matching/blossom_core.h"
@@ -38,44 +35,6 @@ Matching extract_matching(std::size_t n, const auto& core) {
 }
 
 }  // namespace
-
-Matching blossom_min_weight_matching(std::size_t n, const WeightFn& weight) {
-  MCHARGE_ASSERT(n % 2 == 0, "perfect matching requires even n");
-  if (n == 0) return {};
-  if (n == 2) return {{0, 1}};
-
-  // Quantize the costs onto [1, kBlossomResolution + 1] and negate into
-  // "profits" so that maximizing profit minimizes cost; all profits are
-  // kept strictly positive so the maximum-weight matching is perfect.
-  // The WeightFn is evaluated exactly once per pair, into the dense
-  // store: the O(n^3) core itself never touches a std::function.
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  for (std::uint32_t u = 0; u < n; ++u) {
-    for (std::uint32_t v = u + 1; v < n; ++v) {
-      const double w = weight(u, v);
-      lo = std::min(lo, w);
-      hi = std::max(hi, w);
-    }
-  }
-  const double span = hi > lo ? hi - lo : 1.0;
-  const double scale = static_cast<double>(kBlossomResolution) / span;
-
-  detail::BlossomArena& arena = detail::thread_arena();
-  detail::DenseStore store(static_cast<int>(n), arena);
-  for (std::uint32_t u = 0; u < n; ++u) {
-    for (std::uint32_t v = u + 1; v < n; ++v) {
-      const auto cost =
-          static_cast<std::int64_t>(std::llround((weight(u, v) - lo) * scale));
-      const std::int64_t profit = kBlossomResolution + 1 - cost;
-      store.set2(static_cast<int>(u) + 1, static_cast<int>(v) + 1, 2 * profit);
-    }
-  }
-  detail::BlossomCore<detail::DenseStore> core(static_cast<int>(n), store,
-                                              arena);
-  core.solve();
-  return extract_matching(n, core);
-}
 
 Matching dense_blossom_euclidean_matching(const std::vector<geom::Point>& pts) {
   const std::size_t n = pts.size();

@@ -41,11 +41,6 @@
 
 namespace mcharge::matching {
 
-/// Exact blossom solver on an arbitrary complete weighted graph. Requires
-/// even n (n == 0 returns empty); weights from `weight` (any real
-/// values). Dense: O(n^2) memory.
-Matching blossom_min_weight_matching(std::size_t n, const WeightFn& weight);
-
 /// Dense-engine exact matching on Euclidean points (even count). Uses the
 /// shared perturbed quantizer, so the result is bit-identical to the
 /// sparse engine's.

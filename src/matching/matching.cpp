@@ -62,9 +62,13 @@ Matching exact_min_weight_matching(std::size_t n, const WeightFn& weight) {
   return result;
 }
 
-Matching local_search_matching(std::size_t n, const WeightFn& weight) {
+Matching local_search_matching(const std::vector<geom::Point>& pts) {
+  const std::size_t n = pts.size();
   MCHARGE_ASSERT(n % 2 == 0, "perfect matching requires even n");
   if (n == 0) return {};
+  const auto weight = [&pts](std::uint32_t a, std::uint32_t b) {
+    return geom::distance(pts[a], pts[b]);
+  };
 
   // Greedy: repeatedly match the unmatched vertex with its nearest
   // unmatched partner (scanning in index order for determinism).
@@ -135,12 +139,6 @@ Matching local_search_matching(std::size_t n, const WeightFn& weight) {
   return result;
 }
 
-Matching min_weight_perfect_matching(std::size_t n, const WeightFn& weight) {
-  if (n <= kExactLimit) return exact_min_weight_matching(n, weight);
-  if (n <= kDenseBlossomLimit) return blossom_min_weight_matching(n, weight);
-  return local_search_matching(n, weight);
-}
-
 Matching min_weight_euclidean_matching(const std::vector<geom::Point>& pts,
                                        const MatchingOptions& opts) {
   const std::size_t n = pts.size();
@@ -155,14 +153,14 @@ Matching min_weight_euclidean_matching(const std::vector<geom::Point>& pts,
     case MatchingEngine::kSparseBlossom:
       return sparse_blossom_euclidean_matching(pts, opts.knn);
     case MatchingEngine::kLocalSearch:
-      return local_search_matching(n, euclid);
+      return local_search_matching(pts);
     case MatchingEngine::kAuto:
       break;
   }
   if (n <= kExactLimit) return exact_min_weight_matching(n, euclid);
   if (n < kSparseCrossover) return dense_blossom_euclidean_matching(pts);
   if (n <= kBlossomLimit) return sparse_blossom_euclidean_matching(pts, opts.knn);
-  return local_search_matching(n, euclid);
+  return local_search_matching(pts);
 }
 
 double matching_weight(const Matching& m, const WeightFn& weight) {

@@ -16,14 +16,12 @@
 //    kBlossomLimit and a comparison point in the micro benches (within
 //    ~2% of optimal on Euclidean inputs).
 //
-// Geometric callers (Christofides odd-vertex matching) should use
+// Callers (Christofides odd-vertex matching) use
 // min_weight_euclidean_matching, which keeps Christofides' real
 // 1.5-approx guarantee intact up to kBlossomLimit = 4096 vertices — the
 // sparse engine covers every paper-scale instance exactly; only beyond
-// that does the heuristic local search take over. The generic WeightFn
-// dispatch (min_weight_perfect_matching) cannot use the sparse engine
-// (no geometry to prune with) and caps the dense engine at
-// kDenseBlossomLimit to bound its O(n^2) weight matrix.
+// that does the heuristic local search take over. Only the exact DP takes
+// arbitrary weights (WeightFn): it is also the test oracle.
 #pragma once
 
 #include <cstdint>
@@ -49,13 +47,6 @@ inline constexpr std::size_t kExactLimit = 16;
 /// odd-vertex set the paper-scale Christofides runs produce, so the
 /// 1.5-approximation guarantee holds throughout the evaluated range.
 inline constexpr std::size_t kBlossomLimit = 4096;
-
-/// Largest n routed to the DENSE blossom engine from the generic
-/// (non-geometric) dispatch: the dense engine materializes an (n+1)^2
-/// int64 weight matrix, so it is kept to instances where that footprint
-/// is trivial. Geometric callers are not affected (the sparse engine
-/// handles them up to kBlossomLimit).
-inline constexpr std::size_t kDenseBlossomLimit = 256;
 
 /// Below this size kAuto prefers the dense engine over the sparse one:
 /// the sparse engine's candidate-build + multi-round pricing overhead
@@ -84,13 +75,9 @@ struct MatchingOptions {
 /// n <= kExactLimit (asserted; 2^n states are materialized).
 Matching exact_min_weight_matching(std::size_t n, const WeightFn& weight);
 
-/// Greedy + 2-exchange local-search matching. Requires even n.
-Matching local_search_matching(std::size_t n, const WeightFn& weight);
-
-/// Generic dispatch by size: exact DP (n <= kExactLimit), dense blossom
-/// (n <= kDenseBlossomLimit), local search beyond. Prefer
-/// min_weight_euclidean_matching when coordinates are available.
-Matching min_weight_perfect_matching(std::size_t n, const WeightFn& weight);
+/// Greedy + 2-exchange local-search matching on `pts` (even count) under
+/// Euclidean distance.
+Matching local_search_matching(const std::vector<geom::Point>& pts);
 
 /// Geometric dispatch: minimum-weight perfect matching on `pts` (even
 /// count) under Euclidean distance, engine per `opts`. kAuto routes

@@ -58,8 +58,7 @@ bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 Site& site(const char* name, Kind kind) {
   auto& reg = registry();
   std::lock_guard<std::mutex> lock(reg.mu);
-  // Two call sites may share a metric name (e.g. the serial and sharded
-  // variants of the same scan); they aggregate into one site.
+  // Two call sites may share a metric name; they aggregate into one site.
   for (Site* s : reg.sites) {
     if (std::string_view(s->name) == name) return *s;
   }

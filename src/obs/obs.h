@@ -18,7 +18,7 @@
 // Determinism: the layer only ever reads clocks and writes its own
 // buffers. It never influences an algorithmic decision, so traced and
 // untraced runs produce byte-identical plans and SimResults — asserted
-// by tests/obs_test.cpp across jobs x SIMD backends x fault policies.
+// by tests/obs_test.cpp across SIMD backends x fault policies.
 //
 // Aggregation: `capture()` snapshots every site into a TraceReport
 // (sorted by metric name) which renders as versioned JSON

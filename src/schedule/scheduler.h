@@ -22,12 +22,10 @@ class Scheduler {
   /// Computes a plan covering every sensor of the problem.
   virtual ChargingPlan plan(const model::ChargingProblem& problem) const = 0;
 
-  /// Computes the same plan using up to `jobs` worker threads for the
-  /// scheduler's internal parallel sections. jobs == 0 leaves the
-  /// scheduler's own configuration in effect (equivalent to plan()).
-  /// The thread count must never change the plan — only wall-clock time
-  /// (the repo-wide determinism contract); the default implementation
-  /// ignores the hint and plans serially.
+  /// Deprecated: planners are single-threaded (parallelism lives at the
+  /// sweep grain, util/parallel.h), so the hint is ignored and this is
+  /// plan(). Kept virtual so existing wrappers that forward it still build;
+  /// nothing in the library calls it.
   virtual ChargingPlan plan_with_jobs(const model::ChargingProblem& problem,
                                       std::size_t jobs) const {
     (void)jobs;

@@ -12,8 +12,8 @@
 // Every draw is a pure function of (config.seed, stream tag, round index,
 // entity id), hashed through util/rng.h's splitmix64/derive_seed. Nothing
 // here keeps mutable state, so fault outcomes are bit-identical for any
-// `jobs` value, SIMD backend, dispatch policy, or call order — the same
-// determinism contract the rest of the repo holds. Each fault class is
+// sweep `--jobs` value, SIMD backend, dispatch policy, or call order — the
+// same determinism contract the rest of the repo holds. Each fault class is
 // independently enabled by its own rate; a config with all rates at zero
 // behaves exactly like no fault model at all.
 #pragma once

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <optional>
 #include <vector>
 
 #include "core/replan.h"
@@ -14,7 +13,6 @@
 #include "sim/faults.h"
 #include "sim/validate.h"
 #include "util/assert.h"
-#include "util/parallel.h"
 #include "util/simd.h"
 
 namespace mcharge::sim {
@@ -38,23 +36,6 @@ struct SensorSoa {
   std::vector<double> level;
   std::vector<double> as_of;
   std::vector<double> dead_since;
-};
-
-/// Contiguous index shards for the per-sensor scans. The shard count is a
-/// pure function of (n, jobs, shard_grain) — never of thread timing — and
-/// the reductions below preserve global index order, so any shard count
-/// yields bit-identical results (see SimConfig::jobs).
-struct ShardPlan {
-  std::size_t n = 0;
-  std::size_t shards = 1;
-
-  ShardPlan(std::size_t n_, std::size_t jobs, std::size_t grain) : n(n_) {
-    const std::size_t j = jobs == 0 ? default_jobs() : jobs;
-    const std::size_t g = std::max<std::size_t>(1, grain);
-    shards = j <= 1 ? 1 : std::min(j, std::max<std::size_t>(1, n / g));
-  }
-  std::size_t begin(std::size_t s) const { return s * n / shards; }
-  std::size_t end(std::size_t s) const { return (s + 1) * n / shards; }
 };
 
 }  // namespace
@@ -142,13 +123,6 @@ SimResult simulate(const model::WrsnInstance& instance,
   state.dead_since.assign(n, kInf);
   std::vector<std::uint32_t> ids(n);
   std::iota(ids.begin(), ids.end(), 0u);
-
-  const ShardPlan plan_shards(n, config.jobs, config.shard_grain);
-  const std::size_t shards = plan_shards.shards;
-  std::optional<ThreadPool> pool;
-  if (shards > 1) pool.emplace(shards);
-  std::vector<double> shard_min(shards, kInf);
-  std::vector<std::size_t> shard_count(shards, 0);
   std::vector<std::uint32_t> select_scratch(n);
 
   // Advances sensor v's lazy state to time t; the scalar twin of the
@@ -198,30 +172,15 @@ SimResult simulate(const model::WrsnInstance& instance,
       }
     }
 
-    // Next request among all sensors: per-sensor threshold crossings (now
-    // for already-below sensors), min-reduced in shard index order.
+    // Next request among all sensors: the earliest per-sensor threshold
+    // crossing (now for already-below sensors).
     OBS_SPAN("sim.round");
     double first_request = kInf;
     {
       OBS_SPAN("sim.crossing_scan");
-      if (shards == 1) {
-        first_request =
-            simd::crossing_min(state.level.data(), state.as_of.data(), draw,
-                               n, threshold_j, kCrossingEps);
-      } else {
-        for (std::size_t s = 0; s < shards; ++s) {
-          pool->submit([&, s] {
-            const std::size_t b = plan_shards.begin(s);
-            shard_min[s] = simd::crossing_min(
-                state.level.data() + b, state.as_of.data() + b, draw + b,
-                plan_shards.end(s) - b, threshold_j, kCrossingEps);
-          });
-        }
-        pool->wait_idle();
-        for (std::size_t s = 0; s < shards; ++s) {
-          if (shard_min[s] < first_request) first_request = shard_min[s];
-        }
-      }
+      first_request =
+          simd::crossing_min(state.level.data(), state.as_of.data(), draw, n,
+                             threshold_j, kCrossingEps);
     }
     if (first_request >= horizon) break;
     if (result.rounds >= config.max_rounds) {
@@ -249,38 +208,15 @@ SimResult simulate(const model::WrsnInstance& instance,
                    "dispatch while the fleet is still out");
 
     // Freeze V_s: advance everyone to dispatch time and collect everything
-    // below threshold. Per-shard fragments land at the shard's own offset
-    // in the scratch buffer (a shard selects at most its own length), then
-    // concatenate in shard index order == global index order.
+    // below threshold, in sensor index order.
     std::vector<std::uint32_t> batch;
     {
       OBS_SPAN("sim.select_scan");
-      if (shards == 1) {
-        const std::size_t got = simd::advance_select_below(
-            state.level.data(), state.as_of.data(), state.dead_since.data(),
-            draw, n, dispatch, threshold_j, ids.data(),
-            select_scratch.data());
-        batch.assign(
-            select_scratch.begin(),
-            select_scratch.begin() + static_cast<std::ptrdiff_t>(got));
-      } else {
-        for (std::size_t s = 0; s < shards; ++s) {
-          pool->submit([&, s, dispatch] {
-            const std::size_t b = plan_shards.begin(s);
-            shard_count[s] = simd::advance_select_below(
-                state.level.data() + b, state.as_of.data() + b,
-                state.dead_since.data() + b, draw + b, plan_shards.end(s) - b,
-                dispatch, threshold_j, ids.data() + b,
-                select_scratch.data() + b);
-          });
-        }
-        pool->wait_idle();
-        for (std::size_t s = 0; s < shards; ++s) {
-          const std::size_t b = plan_shards.begin(s);
-          batch.insert(batch.end(), select_scratch.begin() + b,
-                       select_scratch.begin() + b + shard_count[s]);
-        }
-      }
+      const std::size_t got = simd::advance_select_below(
+          state.level.data(), state.as_of.data(), state.dead_since.data(),
+          draw, n, dispatch, threshold_j, ids.data(), select_scratch.data());
+      batch.assign(select_scratch.begin(),
+                   select_scratch.begin() + static_cast<std::ptrdiff_t>(got));
     }
     MCHARGE_ASSERT(!batch.empty(), "dispatch with an empty request set");
 
@@ -319,7 +255,7 @@ SimResult simulate(const model::WrsnInstance& instance,
     sched::ChargingPlan plan;
     {
       OBS_SPAN("sim.plan");
-      plan = scheduler.plan_with_jobs(problem, config.plan_jobs);
+      plan = scheduler.plan(problem);
     }
     sched::ExecutionFaults round_fault;
     if (fault_model.enabled()) {

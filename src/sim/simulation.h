@@ -53,26 +53,6 @@ struct SimConfig {
   /// every sojourn but make sensors request again sooner — the classic
   /// full-vs-partial tradeoff of the charging literature.
   double charge_target_fraction = 1.0;
-  /// Worker threads for the per-sensor drain scans (0 = default_jobs(),
-  /// 1 = the serial reference path). Every value produces bit-identical
-  /// SimResults: the scans split into contiguous index shards, per-shard
-  /// minima reduce in shard order on the calling thread, and per-shard
-  /// batch fragments concatenate in shard order, so the global index
-  /// order — and every IEEE-754 operation — matches the serial scan
-  /// exactly (the util/parallel.h determinism rules).
-  std::size_t jobs = 1;
-  /// Minimum sensors per shard before the scans actually split; below
-  /// jobs * shard_grain sensors the round loop stays on the serial path,
-  /// where pool handoff would cost more than the scan. Tests lower this
-  /// to force multi-shard execution at moderate n.
-  std::size_t shard_grain = 1024;
-  /// Worker threads handed to the scheduler for its internal parallel
-  /// sections (Scheduler::plan_with_jobs): the per-segment tour
-  /// improvement and the eager travel-cache fill of the Appro planner.
-  /// 0 = leave the scheduler's own configuration in effect. Like `jobs`,
-  /// every value produces bit-identical SimResults — the planner writes
-  /// each segment into its own slot and reduces in index order.
-  std::size_t plan_jobs = 0;
   /// Deterministic fault injection (sim/faults.h). All rates default to
   /// zero; a zero-rate config takes exactly the fault-free code path, so
   /// its SimResult is byte-identical to a run without the fault layer.
@@ -88,8 +68,8 @@ struct SimConfig {
   /// locomotion + transfer energy per sojourn, and an unaffordable debit
   /// aborts the tour with BreakdownCause::kEnergyExhausted — routed
   /// through the same `recovery` policy as coin-flip breakdowns. Purely
-  /// deterministic: budgeted runs are bit-identical across jobs, SIMD
-  /// backends and recovery-irrelevant knobs, independent of the fault
+  /// deterministic: budgeted runs are bit-identical across sweep jobs,
+  /// SIMD backends and recovery-irrelevant knobs, independent of the fault
   /// rates in `faults`.
   energy::McvBudgetSpec mcv_budget;
   /// Record every per-MCV tour draw (joules) into

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "util/assert.h"
-#include "util/parallel.h"
 #include "util/simd.h"
 
 namespace mcharge::tsp {
@@ -156,14 +155,9 @@ SplitResult min_max_k_tours(const TourProblem& problem, std::size_t k,
   improve_tour(problem, tour, options.improve);
   SplitResult result = split_min_max(problem, tour, k, options.energy);
   if (options.improve_segments) {
-    // The segments are disjoint, every two_opt reads only the (already
-    // built) distance cache and writes only its own tour, and the
-    // max-delay reduction below runs after the fan-out in index order —
-    // so the thread count cannot change a single bit of any tour.
-    parallel_for(
-        result.tours.size(),
-        [&](std::size_t t) { two_opt(problem, result.tours[t], options.improve); },
-        std::max<std::size_t>(1, options.jobs));
+    for (Tour& segment : result.tours) {
+      two_opt(problem, segment, options.improve);
+    }
     result.max_delay = max_segment_delay(problem, result.tours);
   }
   return result;

@@ -60,12 +60,6 @@ struct MinMaxTourOptions {
   matching::MatchingOptions matching;
   ImproveOptions improve;       ///< applied to the global tour before split
   bool improve_segments = true; ///< 2-opt each segment after splitting
-  /// Worker threads for the per-segment improvement pass — the K segments
-  /// are independent, so each is improved in place in its own slot and
-  /// the max-delay reduction runs afterwards in index order; any thread
-  /// count yields byte-identical tours. 0 = serial (unlike parallel_for,
-  /// where 0 means default_jobs()).
-  std::size_t jobs = 0;
   /// Per-segment energy cap forwarded to split_min_max. Disabled by
   /// default; per-segment 2-opt can only shorten travel, so it never
   /// pushes a cap-respecting segment back over the cap.

@@ -245,8 +245,6 @@ const detail::KernelTable* table_for(Backend backend) {
 #if MCHARGE_SIMD_X86
     case Backend::kAvx2:
       return &detail::kAvx2Kernels;
-    case Backend::kAvx512:
-      return &detail::kAvx512Kernels;
 #endif
     default:
       return &detail::kScalarKernels;
@@ -255,23 +253,17 @@ const detail::KernelTable* table_for(Backend backend) {
 
 Backend hardware_best() {
 #if MCHARGE_SIMD_X86
-  if (__builtin_cpu_supports("avx512f")) return Backend::kAvx512;
   if (__builtin_cpu_supports("avx2")) return Backend::kAvx2;
 #endif
   return Backend::kScalar;
 }
 
-/// MCHARGE_SIMD=scalar|avx2|avx512 caps the backend from the environment
-/// (it can only lower, never enable something the CPU lacks).
+/// MCHARGE_SIMD=scalar caps the backend from the environment (it can only
+/// lower, never enable something the CPU lacks).
 Backend env_capped(Backend best) {
   const char* env = std::getenv("MCHARGE_SIMD");
-  if (env == nullptr) return best;
-  const std::string v(env);
-  Backend cap = best;
-  if (v == "scalar") cap = Backend::kScalar;
-  if (v == "avx2") cap = Backend::kAvx2;
-  if (v == "avx512") cap = Backend::kAvx512;
-  return static_cast<int>(cap) < static_cast<int>(best) ? cap : best;
+  if (env != nullptr && std::string(env) == "scalar") return Backend::kScalar;
+  return best;
 }
 
 struct Dispatch {
@@ -318,14 +310,7 @@ Backend set_backend(Backend backend) {
 }
 
 const char* backend_name(Backend backend) {
-  switch (backend) {
-    case Backend::kAvx2:
-      return "avx2";
-    case Backend::kAvx512:
-      return "avx512";
-    default:
-      return "scalar";
-  }
+  return backend == Backend::kAvx2 ? "avx2" : "scalar";
 }
 
 void distance_row(const double* xs, const double* ys, std::size_t n,

@@ -9,8 +9,8 @@
 // replaced). That holds because each kernel performs exactly the same
 // per-element IEEE-754 double operations as the scalar code — per-element
 // dx*dx + dy*dy, one correctly-rounded sqrt, one divide by speed — only
-// on 4 or 8 lanes at a time. No FMA contraction (the vector TUs compile
-// with -ffp-contract=off), no reassociation across elements, and argmin
+// on 4 lanes at a time. No FMA contraction (the vector TU compiles with
+// -ffp-contract=off), no reassociation across elements, and argmin
 // ties break to the lowest index exactly like a sequential strict-<
 // scan. Tests in tests/simd_test.cpp enforce lane-for-lane equality
 // against the scalar backend; the byte-compare regressions enforce it
@@ -18,12 +18,12 @@
 //
 // Dispatch
 // --------
-// Backends: scalar (always), AVX2 (4 x double) and AVX-512F (8 x double)
-// on x86-64 GNU-compatible compilers. The best supported backend is
-// chosen at runtime via CPU detection on first use; MCHARGE_SIMD=scalar|
-// avx2|avx512 in the environment overrides downward, and building with
-// -DMCHARGE_NO_SIMD=ON compiles the scalar backend only. set_backend()
-// lets tests pin a backend explicitly.
+// Backends: scalar (always) and AVX2 (4 x double) on x86-64
+// GNU-compatible compilers. AVX2 is chosen at runtime when the CPU has it;
+// MCHARGE_SIMD=scalar in the environment overrides downward, and building
+// with -DMCHARGE_NO_SIMD=ON compiles the scalar backend only.
+// set_backend() lets tests pin a backend explicitly. There is no AVX-512
+// backend on purpose: measured, 8 lanes never beat 4 here (DESIGN.md).
 #pragma once
 
 #include <cstddef>
@@ -33,7 +33,7 @@ namespace mcharge::simd {
 
 inline constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
-enum class Backend { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
+enum class Backend { kScalar = 0, kAvx2 = 1 };
 
 /// Best backend supported by this build + CPU (respects MCHARGE_SIMD).
 Backend best_backend();

@@ -1,8 +1,8 @@
 // Internal kernel table shared between the simd dispatch layer and the
 // per-ISA translation units. Not part of the public API.
 //
-// The per-ISA TUs (simd_avx2.cpp, simd_avx512.cpp) are compiled with
-// -mavx2 / -mavx512f and -ffp-contract=off. They must include ONLY this
+// The per-ISA TU (simd_avx2.cpp) is compiled with -mavx2 and
+// -ffp-contract=off. It must include ONLY this
 // header and freestanding system headers: pulling repo headers with
 // inline FP functions (e.g. geom::distance) into a TU built with wider
 // ISA flags would let the linker pick an ISA-specialized weak definition
@@ -77,8 +77,7 @@ struct KernelTable {
 
 extern const KernelTable kScalarKernels;
 #if MCHARGE_SIMD_X86
-extern const KernelTable kAvx2Kernels;    // defined in simd_avx2.cpp
-extern const KernelTable kAvx512Kernels;  // defined in simd_avx512.cpp
+extern const KernelTable kAvx2Kernels;  // defined in simd_avx2.cpp
 #endif
 
 }  // namespace mcharge::simd::detail

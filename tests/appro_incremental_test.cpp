@@ -1,18 +1,18 @@
 // Differential tests for the incremental planner hot path.
 //
 // Two independent reference implementations are frozen in this file:
-//  * ApproOptions::legacy_insertion — the O(|P|^2 * deg) insertion phase
-//    (full f_N rescans, whole-tour finish recomputation, mid-vector
-//    erase), kept alive in src/core/appro.cpp behind the flag;
+//  * reference::appro_plan — Appro with the original O(|P|^2 * deg)
+//    insertion phase (full f_N rescans, whole-tour finish recomputation,
+//    mid-vector erase) and uncached travel times;
 //  * reference::two_opt / or_opt / improve_tour — the pre-cache restart
 //    loops, copied verbatim from the original src/tsp/improve.cpp.
 //
 // The claim under test is BITWISE identity, the repo-wide determinism
 // contract: the incremental insertion, the exact-replay local-search
-// caches, and every jobs / SIMD-backend setting must reproduce the
-// reference plans and tours bit for bit — same tours, same stats, same
-// gains — across problem sizes, insertion rules and seeds. memcmp on a
-// flat serialization keeps the comparison honest (no epsilon anywhere).
+// caches, and every SIMD-backend setting must reproduce the reference
+// plans and tours bit for bit — same tours, same stats, same gains —
+// across problem sizes, insertion rules and seeds. memcmp on a flat
+// serialization keeps the comparison honest (no epsilon anywhere).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,41 +20,23 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "core/appro.h"
+#include "core/overlap_graph.h"
+#include "graph/mis.h"
 #include "model/charging_problem.h"
 #include "tsp/improve.h"
+#include "tsp/split.h"
 #include "tsp/tour_problem.h"
 #include "util/rng.h"
 #include "util/simd.h"
 
+#include "simd_backends.h"
+
 namespace mcharge {
 namespace {
-
-/// Pins a backend for a scope; restores the previous one on exit.
-class BackendGuard {
- public:
-  explicit BackendGuard(simd::Backend b) : prev_(simd::active_backend()) {
-    active_ = simd::set_backend(b);
-  }
-  ~BackendGuard() { simd::set_backend(prev_); }
-  simd::Backend active() const { return active_; }
-
- private:
-  simd::Backend prev_;
-  simd::Backend active_;
-};
-
-/// All backends this build + CPU can actually run.
-std::vector<simd::Backend> supported_backends() {
-  std::vector<simd::Backend> out{simd::Backend::kScalar};
-  for (simd::Backend b : {simd::Backend::kAvx2, simd::Backend::kAvx512}) {
-    BackendGuard guard(b);
-    if (guard.active() == b) out.push_back(b);
-  }
-  return out;
-}
 
 /// One fresh charging round, the bench generator's shape (uniform field,
 /// deficits within the paper's battery range).
@@ -283,6 +265,178 @@ double improve_tour(const tsp::TourProblem& problem, tsp::Tour& tour,
   return saved;
 }
 
+// ---------------------------------------------------------------------------
+// Reference Appro: steps 1-5 as the planner runs them under default
+// options, then step 6 through the original insertion loop — every round
+// rescans f_N over all pending nodes, recomputes the whole mutated tour's
+// finish times and erases the pick from the middle of the pending list,
+// with travel times read straight from the problem (no memo).
+
+struct RefTour {
+  std::vector<std::uint32_t> seq;
+  std::vector<double> tau_prime;
+  std::vector<double> finish;
+};
+
+sched::ChargingPlan appro_plan(const model::ChargingProblem& problem,
+                               core::InsertionRule rule,
+                               core::ApproStats* stats) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::size_t n = problem.size();
+  const std::size_t k = problem.num_chargers();
+  sched::ChargingPlan plan;
+  plan.mode = sched::ChargeMode::kMultiNode;
+  plan.tours.assign(k, {});
+  *stats = core::ApproStats{};
+  if (n == 0) return plan;
+
+  // Steps 1-5.
+  const graph::Graph gc = core::charging_graph(problem);
+  std::vector<double> tau_key(n);
+  for (std::uint32_t v = 0; v < n; ++v) tau_key[v] = problem.tau(v);
+  const std::vector<graph::Vertex> s_i = graph::maximal_independent_set(
+      gc, graph::MisOrder::kIndex, &tau_key, nullptr);
+  const graph::Graph h = core::overlap_graph(problem, s_i);
+  std::vector<double> tau_key_h(s_i.size());
+  for (std::size_t i = 0; i < s_i.size(); ++i) tau_key_h[i] = tau_key[s_i[i]];
+  const std::vector<graph::Vertex> vh_local = graph::maximal_independent_set(
+      h, graph::MisOrder::kIndex, &tau_key_h, nullptr);
+  tsp::TourProblem tour_problem;
+  tour_problem.depot = problem.depot();
+  tour_problem.speed = problem.speed();
+  for (graph::Vertex i : vh_local) {
+    tour_problem.sites.push_back(problem.position(s_i[i]));
+    tour_problem.service.push_back(problem.tau(s_i[i]));
+  }
+  const tsp::SplitResult split = tsp::min_max_k_tours(tour_problem, k);
+
+  // Step 6.
+  const auto recompute_finish = [&](RefTour& tour) {
+    double clock = 0.0;
+    for (std::size_t l = 0; l < tour.seq.size(); ++l) {
+      clock += l == 0 ? problem.travel_depot(tour.seq[l])
+                      : problem.travel(tour.seq[l - 1], tour.seq[l]);
+      clock += tour.tau_prime[l];
+      tour.finish[l] = clock;
+    }
+  };
+  std::vector<RefTour> tours(k);
+  std::vector<char> covered(n, 0);
+  for (std::size_t t = 0; t < k; ++t) {
+    for (tsp::SiteId site : split.tours[t]) {
+      const std::uint32_t sensor = s_i[vh_local[site]];
+      tours[t].seq.push_back(sensor);
+      tours[t].tau_prime.push_back(problem.tau(sensor));
+      for (std::uint32_t u : problem.coverage(sensor)) covered[u] = 1;
+    }
+    tours[t].finish.resize(tours[t].seq.size());
+    recompute_finish(tours[t]);
+  }
+  std::vector<std::int32_t> tour_of(n, -1);
+  std::vector<std::size_t> pos_of(n, 0);
+  const auto index_tour = [&](std::size_t t) {
+    for (std::size_t l = 0; l < tours[t].seq.size(); ++l) {
+      tour_of[tours[t].seq[l]] = static_cast<std::int32_t>(t);
+      pos_of[tours[t].seq[l]] = l;
+    }
+  };
+  for (std::size_t t = 0; t < k; ++t) index_tour(t);
+  stats->v_s = n;
+  stats->s_i = s_i.size();
+  stats->v_h = vh_local.size();
+  stats->h_max_degree = h.max_degree();
+
+  std::vector<char> in_vh(s_i.size(), 0);
+  for (graph::Vertex i : vh_local) in_vh[i] = 1;
+  std::vector<std::uint32_t> pending;  // indices into s_i
+  for (std::uint32_t i = 0; i < s_i.size(); ++i) {
+    if (!in_vh[i]) pending.push_back(i);
+  }
+  while (!pending.empty()) {
+    // Smallest latest-neighbor finish time f_N (Algorithm 1, line 9).
+    std::size_t pick = 0;
+    double pick_fn = kInf;
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      double fn = -kInf;
+      for (graph::Vertex nb : h.neighbors(pending[i])) {
+        const std::uint32_t sensor = s_i[nb];
+        if (tour_of[sensor] >= 0) {
+          fn = std::max(fn, tours[static_cast<std::size_t>(tour_of[sensor])]
+                                .finish[pos_of[sensor]]);
+        }
+      }
+      if (fn < pick_fn) {
+        pick_fn = fn;
+        pick = i;
+      }
+    }
+    const std::uint32_t hi = pending[pick];
+    pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pick));
+    const std::uint32_t u = s_i[hi];
+
+    // Line 10: drop u when everything it would charge is covered.
+    bool fully_covered = true;
+    double tau_prime_u = 0.0;
+    for (std::uint32_t w : problem.coverage(u)) {
+      if (!covered[w]) {
+        fully_covered = false;
+        tau_prime_u = std::max(tau_prime_u, problem.charge_seconds(w));
+      }
+    }
+    if (fully_covered) {
+      ++stats->dropped_covered;
+      continue;
+    }
+
+    // Placement after the placed H-neighbor the rule prefers.
+    std::int32_t best_tour = -1;
+    std::size_t best_pos = 0;
+    double best_key = -kInf;
+    std::vector<std::int32_t> seen_tours;
+    for (graph::Vertex nb : h.neighbors(hi)) {
+      const std::uint32_t sensor = s_i[nb];
+      const std::int32_t t = tour_of[sensor];
+      if (t < 0) continue;
+      if (std::find(seen_tours.begin(), seen_tours.end(), t) ==
+          seen_tours.end()) {
+        seen_tours.push_back(t);
+      }
+      const RefTour& wt = tours[static_cast<std::size_t>(t)];
+      const std::size_t pos = pos_of[sensor];
+      double key = wt.finish[pos];
+      if (rule == core::InsertionRule::kCheapestNeighborDetour) {
+        const std::uint32_t at = wt.seq[pos];
+        key = pos + 1 < wt.seq.size()
+                  ? problem.travel(at, u) + problem.travel(u, wt.seq[pos + 1]) -
+                        problem.travel(at, wt.seq[pos + 1])
+                  : problem.travel(at, u) + problem.travel_depot(u) -
+                        problem.travel_depot(at);
+        key = -key;
+      }
+      if (key > best_key) {
+        best_key = key;
+        best_tour = t;
+        best_pos = pos;
+      }
+    }
+    if (seen_tours.size() <= 1) {
+      ++stats->inserted_case_one;
+    } else {
+      ++stats->inserted_case_two;
+    }
+    RefTour& tour = tours[static_cast<std::size_t>(best_tour)];
+    const auto at = static_cast<std::ptrdiff_t>(best_pos + 1);
+    tour.seq.insert(tour.seq.begin() + at, u);
+    tour.tau_prime.insert(tour.tau_prime.begin() + at, tau_prime_u);
+    tour.finish.insert(tour.finish.begin() + at, 0.0);
+    recompute_finish(tour);
+    index_tour(static_cast<std::size_t>(best_tour));
+    for (std::uint32_t w : problem.coverage(u)) covered[w] = 1;
+  }
+  for (std::size_t t = 0; t < k; ++t) plan.tours[t] = std::move(tours[t].seq);
+  return plan;
+}
+
 }  // namespace reference
 
 tsp::TourProblem random_tour_problem(std::size_t m, std::uint64_t seed) {
@@ -420,9 +574,9 @@ struct RoundCase {
   std::vector<std::uint64_t> seeds;
 };
 
-// The acceptance matrix: {legacy, incremental} x insertion rules x jobs
-// {0, 1, 4, 8} x every supported SIMD backend, memcmp'd plan + stats.
-// The larger sizes keep one seed each to bound runtime.
+// The acceptance matrix: reference vs incremental x insertion rules x
+// every supported SIMD backend, memcmp'd plan + stats. The larger sizes
+// keep one seed each to bound runtime.
 TEST(ApproIncremental, PlansMatchLegacyByteForByte) {
   const std::vector<RoundCase> cases = {
       {50, {1, 2, 3, 4}}, {200, {1, 2}}, {1200, {9}}};
@@ -432,72 +586,38 @@ TEST(ApproIncremental, PlansMatchLegacyByteForByte) {
       for (core::InsertionRule rule :
            {core::InsertionRule::kAfterMaxFinishNeighbor,
             core::InsertionRule::kCheapestNeighborDetour}) {
+        core::ApproStats want_stats;
+        const std::vector<unsigned char> want =
+            serialize(reference::appro_plan(problem, rule, &want_stats));
         for (simd::Backend b : supported_backends()) {
           BackendGuard guard(b);
-          core::ApproOptions legacy;
-          legacy.insertion = rule;
-          legacy.legacy_insertion = true;
-          core::ApproStats legacy_stats;
-          const std::vector<unsigned char> want =
-              serialize(core::ApproScheduler(legacy).plan_with_stats(
-                  problem, &legacy_stats));
-          for (std::size_t jobs : {std::size_t{0}, std::size_t{1},
-                                   std::size_t{4}, std::size_t{8}}) {
-            core::ApproOptions incremental;
-            incremental.insertion = rule;
-            incremental.jobs = jobs;
-            core::ApproStats stats;
-            const std::vector<unsigned char> got =
-                serialize(core::ApproScheduler(incremental).plan_with_stats(
-                    problem, &stats));
-            EXPECT_TRUE(bytes_equal(want, got))
-                << "n=" << c.n << " seed=" << seed << " jobs=" << jobs
-                << " rule=" << static_cast<int>(rule)
-                << " backend=" << static_cast<int>(b);
-            expect_stats_equal(legacy_stats, stats);
-          }
+          core::ApproOptions options;
+          options.insertion = rule;
+          core::ApproStats stats;
+          const std::vector<unsigned char> got = serialize(
+              core::ApproScheduler(options).plan_with_stats(problem, &stats));
+          EXPECT_TRUE(bytes_equal(want, got))
+              << "n=" << c.n << " seed=" << seed
+              << " rule=" << static_cast<int>(rule)
+              << " backend=" << static_cast<int>(b);
+          expect_stats_equal(want_stats, stats);
         }
       }
     }
   }
 }
 
-// plan_with_jobs is a pure thread-count override: every hint must return
-// the bits of plan(), and a hint equal to the configured jobs must not
-// re-instantiate the scheduler path differently either.
+// plan_with_jobs is deprecated and ignores its hint: every hint must
+// return the bits of plan().
 TEST(ApproIncremental, PlanWithJobsIsByteIdenticalToPlan) {
   const model::ChargingProblem problem = random_round(300, 3, 11);
   const core::ApproScheduler scheduler;
   const std::vector<unsigned char> want = serialize(scheduler.plan(problem));
-  for (std::size_t jobs : {std::size_t{0}, std::size_t{1}, std::size_t{2},
-                           std::size_t{4}, std::size_t{8}}) {
-    EXPECT_TRUE(bytes_equal(want,
-                            serialize(scheduler.plan_with_jobs(problem, jobs))))
-        << "jobs=" << jobs;
-  }
-  // Via the Scheduler base interface, as the simulator calls it.
+  // Via the Scheduler base interface, the only place it is declared.
   const sched::Scheduler& base = scheduler;
-  EXPECT_TRUE(bytes_equal(want, serialize(base.plan_with_jobs(problem, 4))));
-}
-
-// A scheduler configured parallel must equal the serial default, and the
-// legacy path must ignore the jobs knob the same way.
-TEST(ApproIncremental, ConfiguredJobsMatchSerialDefault) {
-  for (std::uint64_t seed : {21, 22}) {
-    const model::ChargingProblem problem = random_round(400, 4, seed);
-    const std::vector<unsigned char> want =
-        serialize(core::ApproScheduler().plan(problem));
-    for (std::size_t jobs : {std::size_t{2}, std::size_t{8}}) {
-      core::ApproOptions options;
-      options.jobs = jobs;
-      EXPECT_TRUE(bytes_equal(
-          want, serialize(core::ApproScheduler(options).plan(problem))))
-          << "jobs=" << jobs << " seed=" << seed;
-      options.legacy_insertion = true;
-      EXPECT_TRUE(bytes_equal(
-          want, serialize(core::ApproScheduler(options).plan(problem))))
-          << "legacy jobs=" << jobs << " seed=" << seed;
-    }
+  for (std::size_t jobs : {std::size_t{0}, std::size_t{1}, std::size_t{4}}) {
+    const auto got = serialize(base.plan_with_jobs(problem, jobs));
+    EXPECT_TRUE(bytes_equal(want, got)) << "jobs=" << jobs;
   }
 }
 
@@ -519,11 +639,9 @@ TEST(ApproIncremental, DenseOverlapStressesCompaction) {
   }
   const model::ChargingProblem problem(std::move(pts), std::move(deficits),
                                        {50.0, 50.0}, 2.7, 1.0, 2);
-  core::ApproOptions legacy;
-  legacy.legacy_insertion = true;
   core::ApproStats legacy_stats, stats;
-  const auto want = serialize(
-      core::ApproScheduler(legacy).plan_with_stats(problem, &legacy_stats));
+  const auto want = serialize(reference::appro_plan(
+      problem, core::InsertionRule::kAfterMaxFinishNeighbor, &legacy_stats));
   const auto got =
       serialize(core::ApproScheduler().plan_with_stats(problem, &stats));
   EXPECT_TRUE(bytes_equal(want, got));

@@ -27,6 +27,8 @@
 #include "util/rng.h"
 #include "util/simd.h"
 
+#include "simd_backends.h"
+
 namespace mcharge::matching {
 namespace {
 
@@ -253,29 +255,6 @@ TEST_P(EnginesWarmStart, ManyPricingRoundsStayExact) {
 INSTANTIATE_TEST_SUITE_P(Seeds, EnginesWarmStart, ::testing::Range(0, 8));
 
 // ---------- full-plan byte identity ----------
-
-/// Pins a backend for a scope; restores the previous one on exit.
-class BackendGuard {
- public:
-  explicit BackendGuard(simd::Backend b) : prev_(simd::active_backend()) {
-    active_ = simd::set_backend(b);
-  }
-  ~BackendGuard() { simd::set_backend(prev_); }
-  simd::Backend active() const { return active_; }
-
- private:
-  simd::Backend prev_;
-  simd::Backend active_;
-};
-
-std::vector<simd::Backend> supported_backends() {
-  std::vector<simd::Backend> out{simd::Backend::kScalar};
-  for (simd::Backend b : {simd::Backend::kAvx2, simd::Backend::kAvx512}) {
-    BackendGuard guard(b);
-    if (guard.active() == b) out.push_back(b);
-  }
-  return out;
-}
 
 /// Flat byte image of a plan (tour sites length-prefixed per tour).
 std::vector<std::uint64_t> serialize(const sched::ChargingPlan& plan) {

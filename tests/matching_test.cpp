@@ -1,8 +1,11 @@
-// Tests for minimum-weight perfect matching: exact DP vs brute force, and
-// local-search quality vs the exact optimum on small instances.
+// Tests for minimum-weight perfect matching: exact DP vs brute force,
+// local-search quality vs the exact optimum on small instances, and the
+// dense blossom core on arbitrary weights.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <vector>
@@ -10,11 +13,52 @@
 #include "geometry/field.h"
 #include "geometry/point.h"
 #include "matching/blossom.h"
+#include "matching/blossom_core.h"
 #include "matching/matching.h"
 #include "util/rng.h"
 
 namespace mcharge::matching {
 namespace {
+
+/// The dense blossom core on an arbitrary complete weighted graph (the
+/// library only feeds it Euclidean weights). Costs are quantized onto
+/// [1, kBlossomResolution + 1] and negated into strictly positive
+/// "profits", so the maximum-profit matching is a minimum-cost perfect
+/// one. Requires even n.
+Matching blossom_min_weight_matching(std::size_t n, const WeightFn& weight) {
+  if (n == 0) return {};
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+  for (std::uint32_t u = 0; u < n; ++u) {
+    for (std::uint32_t v = u + 1; v < n; ++v) {
+      lo = std::min(lo, weight(u, v));
+      hi = std::max(hi, weight(u, v));
+    }
+  }
+  const double scale =
+      static_cast<double>(kBlossomResolution) / (hi > lo ? hi - lo : 1.0);
+  detail::BlossomArena& arena = detail::thread_arena();
+  detail::DenseStore store(static_cast<int>(n), arena);
+  for (std::uint32_t u = 0; u < n; ++u) {
+    for (std::uint32_t v = u + 1; v < n; ++v) {
+      const auto cost =
+          static_cast<std::int64_t>(std::llround((weight(u, v) - lo) * scale));
+      store.set2(static_cast<int>(u) + 1, static_cast<int>(v) + 1,
+                 2 * (kBlossomResolution + 1 - cost));
+    }
+  }
+  detail::BlossomCore<detail::DenseStore> core(static_cast<int>(n), store,
+                                              arena);
+  core.solve();
+  Matching result;
+  for (std::uint32_t v = 0; v < n; ++v) {
+    const int mate = core.partner(static_cast<int>(v) + 1);
+    if (mate >= 1 && v < static_cast<std::uint32_t>(mate - 1)) {
+      result.emplace_back(v, static_cast<std::uint32_t>(mate - 1));
+    }
+  }
+  return result;
+}
 
 /// Reference: minimum-weight perfect matching by recursive enumeration.
 double brute_force_weight(std::size_t n, const WeightFn& w) {
@@ -89,7 +133,7 @@ TEST_P(LocalSearchQuality, PerfectAndNearOptimal) {
   const std::size_t n = 2 * (2 + rng.below(6));  // 4..14
   const auto pts = geom::uniform_field(n, 100.0, 100.0, rng);
   const auto w = euclidean(pts);
-  const auto m = local_search_matching(n, w);
+  const auto m = local_search_matching(pts);
   ASSERT_TRUE(is_perfect_matching(n, m));
   const double opt = brute_force_weight(n, w);
   // 2-exchange local optimum on Euclidean inputs is empirically within a
@@ -103,7 +147,7 @@ TEST(LocalSearchMatching, LargeInstanceIsPerfect) {
   Rng rng(5);
   const std::size_t n = 300;
   const auto pts = geom::uniform_field(n, 100.0, 100.0, rng);
-  const auto m = local_search_matching(n, euclidean(pts));
+  const auto m = local_search_matching(pts);
   EXPECT_TRUE(is_perfect_matching(n, m));
 }
 
@@ -112,7 +156,7 @@ TEST(Dispatch, UsesExactBelowLimit) {
   const std::size_t n = kExactLimit;
   const auto pts = geom::uniform_field(n, 50.0, 50.0, rng);
   const auto w = euclidean(pts);
-  const auto dispatched = min_weight_perfect_matching(n, w);
+  const auto dispatched = min_weight_euclidean_matching(pts);
   const auto exact = exact_min_weight_matching(n, w);
   EXPECT_NEAR(matching_weight(dispatched, w), matching_weight(exact, w), 1e-9);
 }
@@ -188,7 +232,7 @@ TEST(Blossom, LargeGeometricInstanceBeatsLocalSearchOrTies) {
   const auto w = euclidean(pts);
   const auto exact = blossom_min_weight_matching(n, w);
   ASSERT_TRUE(is_perfect_matching(n, exact));
-  const auto heuristic = local_search_matching(n, w);
+  const auto heuristic = local_search_matching(pts);
   EXPECT_LE(matching_weight(exact, w),
             matching_weight(heuristic, w) + 1e-3);
 }

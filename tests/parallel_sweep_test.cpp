@@ -61,96 +61,6 @@ TEST(ParallelSweep, RepeatedParallelRunsAreStable) {
   expect_identical(first, second);
 }
 
-TEST(ShardedSweep, ShardUnionMatchesUnshardedBitwise) {
-  // Run one sweep point unsharded, then as three --shard=i/3 slices.
-  // Every work item must land in exactly one shard with the same bits,
-  // and reducing the union must reproduce the unsharded PointResult.
-  const auto algorithms = bench::paper_algorithms();
-  model::NetworkConfig config;
-  config.num_chargers = 2;
-  const auto make = [&](Rng& rng) {
-    return model::make_instance(config, 100, rng);
-  };
-  const auto settings = small_settings(2);
-  const auto full =
-      bench::run_point_samples(settings, algorithms, make, /*point_idx=*/1);
-
-  std::vector<bench::ItemSample> merged(full.size());
-  for (std::size_t shard = 0; shard < 3; ++shard) {
-    auto sharded = settings;
-    sharded.shard_index = shard;
-    sharded.shard_count = 3;
-    const auto part =
-        bench::run_point_samples(sharded, algorithms, make, /*point_idx=*/1);
-    ASSERT_EQ(part.size(), full.size());
-    for (std::size_t idx = 0; idx < part.size(); ++idx) {
-      if (!part[idx].present) continue;
-      EXPECT_FALSE(merged[idx].present) << "item " << idx << " in two shards";
-      merged[idx] = part[idx];
-    }
-  }
-  for (std::size_t idx = 0; idx < full.size(); ++idx) {
-    ASSERT_TRUE(full[idx].present);
-    ASSERT_TRUE(merged[idx].present) << "item " << idx << " in no shard";
-    EXPECT_EQ(full[idx].tour, merged[idx].tour);  // bitwise
-    EXPECT_EQ(full[idx].dead, merged[idx].dead);
-    EXPECT_EQ(full[idx].violations, merged[idx].violations);
-  }
-  expect_identical(
-      bench::reduce_point(settings, algorithms.size(), full),
-      bench::reduce_point(settings, algorithms.size(), merged));
-}
-
-TEST(ShardedSweep, ChunkFileRoundTripsBitsExactly) {
-  bench::ChunkFile chunk;
-  chunk.kind = "ablation_policy";
-  chunk.figure = "Fig. 3";
-  chunk.knob = "n";
-  chunk.seed = 123456789012345ull;
-  chunk.instances = 4;
-  chunk.months = 1.0 / 3.0;  // not representable in short decimal
-  chunk.shard_index = 2;
-  chunk.shard_count = 5;
-  chunk.params = {{"n", "1000"}, {"chargers", "2"}};
-  chunk.algo_names = {"Appro", "K-EDF"};
-  chunk.labels = {"200", "400"};
-  // Values vectors of differing length, incl. a denormal and an empty one.
-  chunk.items.push_back({0, 1, 0, 3, {0.1 + 0.2, 4.9e-324}});
-  chunk.items.push_back({1, 3, 1, 0, {123.456789012345678, 0.0, -1.5}});
-  chunk.items.push_back({0, 0, 1, 0, {}});
-
-  const std::string path = ::testing::TempDir() + "/mcharge_chunk_test.txt";
-  ASSERT_TRUE(bench::write_chunk(path, chunk));
-  bench::ChunkFile back;
-  std::string error;
-  ASSERT_TRUE(bench::read_chunk(path, &back, &error)) << error;
-  EXPECT_EQ(back.kind, chunk.kind);
-  EXPECT_EQ(back.figure, chunk.figure);
-  EXPECT_EQ(back.knob, chunk.knob);
-  EXPECT_EQ(back.seed, chunk.seed);
-  EXPECT_EQ(back.instances, chunk.instances);
-  EXPECT_EQ(back.months, chunk.months);  // bitwise via %a round-trip
-  EXPECT_EQ(back.shard_index, chunk.shard_index);
-  EXPECT_EQ(back.shard_count, chunk.shard_count);
-  EXPECT_EQ(back.params, chunk.params);
-  EXPECT_EQ(back.param("chargers"), "2");
-  EXPECT_EQ(back.param("absent"), "");
-  EXPECT_EQ(back.algo_names, chunk.algo_names);
-  EXPECT_EQ(back.labels, chunk.labels);
-  ASSERT_EQ(back.items.size(), chunk.items.size());
-  for (std::size_t i = 0; i < chunk.items.size(); ++i) {
-    EXPECT_EQ(back.items[i].point, chunk.items[i].point);
-    EXPECT_EQ(back.items[i].inst, chunk.items[i].inst);
-    EXPECT_EQ(back.items[i].algo, chunk.items[i].algo);
-    EXPECT_EQ(back.items[i].violations, chunk.items[i].violations);
-    ASSERT_EQ(back.items[i].values.size(), chunk.items[i].values.size());
-    for (std::size_t v = 0; v < chunk.items[i].values.size(); ++v) {
-      EXPECT_EQ(back.items[i].values[v], chunk.items[i].values[v]);
-    }
-  }
-  std::remove(path.c_str());
-}
-
 TEST(ParallelSweep, ProducesNonDegenerateStatistics) {
   // Guard against the determinism tests passing vacuously on all-zero
   // output: the simulated tours must have positive duration.

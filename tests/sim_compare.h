@@ -1,8 +1,8 @@
 // Shared helpers for memcmp-grade SimResult comparison across SIMD
-// backends and worker counts. Used by sim_determinism_test.cpp (fault-free
-// contract) and sim_fault_test.cpp (fault-stream contract): the two suites
-// must agree on what "bit-identical" means, including the fault and
-// truncation fields.
+// backends and sweep worker counts. Used by sim_determinism_test.cpp
+// (fault-free contract) and sim_fault_test.cpp (fault-stream contract):
+// the two suites must agree on what "bit-identical" means, including the
+// fault and truncation fields.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -14,30 +14,9 @@
 #include "util/simd.h"
 #include "util/stats.h"
 
+#include "simd_backends.h"
+
 namespace mcharge::sim {
-
-/// Pins a backend for a scope; restores the previous one on exit.
-class BackendGuard {
- public:
-  explicit BackendGuard(simd::Backend b) : prev_(simd::active_backend()) {
-    active_ = simd::set_backend(b);
-  }
-  ~BackendGuard() { simd::set_backend(prev_); }
-  simd::Backend active() const { return active_; }
-
- private:
-  simd::Backend prev_;
-  simd::Backend active_;
-};
-
-inline std::vector<simd::Backend> supported_backends() {
-  std::vector<simd::Backend> out{simd::Backend::kScalar};
-  for (simd::Backend b : {simd::Backend::kAvx2, simd::Backend::kAvx512}) {
-    BackendGuard guard(b);
-    if (guard.active() == b) out.push_back(b);
-  }
-  return out;
-}
 
 /// Bitwise equality for doubles (EXPECT_EQ would treat -0.0 == 0.0 and
 /// could be fooled by NaN; the contract is stronger).

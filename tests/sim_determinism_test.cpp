@@ -1,20 +1,21 @@
-// Bitwise determinism of sim::simulate across worker counts and SIMD
+// Bitwise determinism of sim::simulate across sweep worker counts and SIMD
 // backends.
 //
-// The contract under test (SimConfig::jobs): for a fixed instance and
-// config, the full SimResult — every scalar, every per-sensor vector,
-// every RunningStats moment, every RoundLog entry — is bit-identical no
-// matter how many worker threads shard the per-sensor scans and no
-// matter which SIMD backend serves the kernels. shard_grain is lowered
-// so that jobs > 1 really splits the scans at test-sized n instead of
-// falling back to the serial path.
+// The contract under test: for a fixed instance and config, the full
+// SimResult — every scalar, every per-sensor vector, every RunningStats
+// moment, every RoundLog entry — is bit-identical no matter which SIMD
+// backend serves the kernels and no matter how many parallel_for workers
+// run the simulations side by side (the one grain of parallelism: each
+// simulation is an independent sweep item writing its own slot).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/appro.h"
 #include "sim/simulation.h"
 #include "sim_compare.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/simd.h"
 
@@ -40,33 +41,42 @@ TEST(SimDeterminism, ByteIdenticalAcrossJobsAndBackends) {
       {86400.0, 1.0, "epoch/full"},
       {0.0, 0.6, "on-demand/partial"},
   };
+  std::vector<SimConfig> configs;
   for (const Variant& variant : variants) {
     SimConfig config;
     config.monitoring_period_s = 60.0 * 86400.0;
     config.record_rounds = true;
     config.dispatch_epoch_s = variant.dispatch_epoch_s;
     config.charge_target_fraction = variant.charge_target_fraction;
-    config.shard_grain = 32;  // force real sharding at n = 300
+    configs.push_back(config);
+  }
 
-    // Reference: serial scan, scalar kernels.
-    SimResult reference;
-    {
-      BackendGuard guard(simd::Backend::kScalar);
-      config.jobs = 1;
-      reference = simulate(instance, appro, config);
+  // Reference: one simulation at a time, scalar kernels.
+  std::vector<SimResult> reference;
+  {
+    BackendGuard guard(simd::Backend::kScalar);
+    for (const SimConfig& config : configs) {
+      reference.push_back(simulate(instance, appro, config));
+      ASSERT_GT(reference.back().rounds, 0u);
     }
-    ASSERT_GT(reference.rounds, 0u) << variant.tag;
+  }
 
-    for (simd::Backend b : supported_backends()) {
-      BackendGuard guard(b);
-      for (std::size_t jobs : {std::size_t{1}, std::size_t{2},
-                               std::size_t{8}}) {
-        config.jobs = jobs;
-        const SimResult got = simulate(instance, appro, config);
-        SCOPED_TRACE(std::string(variant.tag) + " jobs=" +
+  for (simd::Backend b : supported_backends()) {
+    BackendGuard guard(b);
+    for (std::size_t jobs : {std::size_t{1}, std::size_t{2},
+                             std::size_t{8}}) {
+      std::vector<SimResult> got(configs.size());
+      parallel_for(
+          configs.size(),
+          [&](std::size_t i) {
+            got[i] = simulate(instance, appro, configs[i]);
+          },
+          jobs);
+      for (std::size_t i = 0; i < configs.size(); ++i) {
+        SCOPED_TRACE(std::string(variants[i].tag) + " jobs=" +
                      std::to_string(jobs) + " backend=" +
                      simd::backend_name(b));
-        expect_results_identical(reference, got);
+        expect_results_identical(reference[i], got[i]);
       }
     }
   }
@@ -80,12 +90,16 @@ TEST(SimDeterminism, JobsZeroUsesDefaultAndStaysIdentical) {
   SimConfig config;
   config.monitoring_period_s = 45.0 * 86400.0;
   config.record_rounds = true;
-  config.shard_grain = 16;
-  config.jobs = 1;
   const SimResult reference = simulate(instance, appro, config);
-  config.jobs = 0;  // default_jobs()
-  const SimResult got = simulate(instance, appro, config);
-  expect_results_identical(reference, got);
+  // The same simulation as four concurrent sweep items on default_jobs().
+  std::vector<SimResult> got(4);
+  parallel_for(
+      got.size(),
+      [&](std::size_t i) { got[i] = simulate(instance, appro, config); },
+      0);
+  for (const SimResult& result : got) {
+    expect_results_identical(reference, result);
+  }
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 //
 // The contracts under test:
 //  * for a fixed fault seed, the full SimResult is bit-identical across
-//    worker counts, SIMD backends, and is so for every recovery policy
+//    sweep worker counts, SIMD backends, and is so for every recovery policy
 //    (the policies differ from each other, but each is deterministic);
 //  * a FaultConfig with all rates at zero takes exactly the fault-free
 //    code path — byte-identical to a default-constructed config;
@@ -29,6 +29,7 @@
 #include "sim/simulation.h"
 #include "sim/validate.h"
 #include "sim_compare.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/simd.h"
 
@@ -71,38 +72,48 @@ constexpr core::RecoveryPolicy kPolicies[] = {core::RecoveryPolicy::kDefer,
 TEST(SimFaults, ByteIdenticalAcrossJobsBackendsAndSeeds) {
   const auto instance = hot_instance(91, 250, 3.0);
   core::ApproScheduler appro;
+  std::vector<SimConfig> configs;
+  std::vector<std::string> tags;
   for (const std::uint64_t fault_seed : {1ULL, 42ULL}) {
     for (const core::RecoveryPolicy policy : kPolicies) {
       SimConfig config;
       config.monitoring_period_s = 45.0 * 86400.0;
       config.record_rounds = true;
-      config.shard_grain = 32;  // force real sharding at n = 250
       config.faults = harsh_faults(fault_seed);
       config.recovery = policy;
+      configs.push_back(config);
+      tags.push_back(std::string(policy_name(policy)) + " seed=" +
+                     std::to_string(fault_seed));
+    }
+  }
 
-      SimResult reference;
-      {
-        BackendGuard guard(simd::Backend::kScalar);
-        config.jobs = 1;
-        reference = simulate(instance, appro, config);
-      }
-      ASSERT_GT(reference.rounds, 0u);
-      ASSERT_GT(reference.mcv_breakdowns, 0u);
-      ASSERT_EQ(reference.verify_violations, 0u)
-          << policy_name(policy) << " seed=" << fault_seed;
+  // Reference: one simulation at a time, scalar kernels.
+  std::vector<SimResult> reference;
+  {
+    BackendGuard guard(simd::Backend::kScalar);
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      reference.push_back(simulate(instance, appro, configs[i]));
+      ASSERT_GT(reference.back().rounds, 0u);
+      ASSERT_GT(reference.back().mcv_breakdowns, 0u);
+      ASSERT_EQ(reference.back().verify_violations, 0u) << tags[i];
+    }
+  }
 
-      for (simd::Backend b : supported_backends()) {
-        BackendGuard guard(b);
-        for (std::size_t jobs :
-             {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
-          config.jobs = jobs;
-          const SimResult got = simulate(instance, appro, config);
-          SCOPED_TRACE(std::string(policy_name(policy)) + " seed=" +
-                       std::to_string(fault_seed) + " jobs=" +
-                       std::to_string(jobs) + " backend=" +
-                       simd::backend_name(b));
-          expect_results_identical(reference, got);
-        }
+  // The same simulations as concurrent sweep items.
+  for (simd::Backend b : supported_backends()) {
+    BackendGuard guard(b);
+    for (std::size_t jobs : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+      std::vector<SimResult> got(configs.size());
+      parallel_for(
+          configs.size(),
+          [&](std::size_t i) {
+            got[i] = simulate(instance, appro, configs[i]);
+          },
+          jobs);
+      for (std::size_t i = 0; i < configs.size(); ++i) {
+        SCOPED_TRACE(tags[i] + " jobs=" + std::to_string(jobs) +
+                     " backend=" + simd::backend_name(b));
+        expect_results_identical(reference[i], got[i]);
       }
     }
   }
@@ -385,9 +396,9 @@ TEST(SimEnergy, BudgetedRunsBitIdenticalAcrossJobsBackendsAndPolicies) {
   SimConfig base;
   base.monitoring_period_s = 45.0 * 86400.0;
   base.record_rounds = true;
-  base.shard_grain = 32;  // force real sharding at n = 250
   const double mean_j = mean_mcv_round_energy(instance, appro, base, 0.9);
 
+  std::vector<SimConfig> configs;
   for (const core::RecoveryPolicy policy : kPolicies) {
     SimConfig config = base;
     config.recovery = policy;
@@ -396,26 +407,39 @@ TEST(SimEnergy, BudgetedRunsBitIdenticalAcrossJobsBackendsAndPolicies) {
     // Budget on top of the full fault soup: exhaustion and coin-flip
     // breakdowns must coexist deterministically.
     config.faults = harsh_faults(5);
+    configs.push_back(config);
+  }
 
-    SimResult reference;
-    {
-      BackendGuard guard(simd::Backend::kScalar);
-      config.jobs = 1;
-      reference = simulate(instance, appro, config);
+  // Reference: one simulation at a time, scalar kernels.
+  std::vector<SimResult> reference;
+  {
+    BackendGuard guard(simd::Backend::kScalar);
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      reference.push_back(simulate(instance, appro, configs[i]));
+      ASSERT_GT(reference.back().rounds, 0u);
+      ASSERT_GT(reference.back().mcv_energy_exhausted, 0u)
+          << policy_name(kPolicies[i]);
+      ASSERT_EQ(reference.back().verify_violations, 0u)
+          << policy_name(kPolicies[i]);
     }
-    ASSERT_GT(reference.rounds, 0u);
-    ASSERT_GT(reference.mcv_energy_exhausted, 0u) << policy_name(policy);
-    ASSERT_EQ(reference.verify_violations, 0u) << policy_name(policy);
+  }
 
-    for (simd::Backend b : supported_backends()) {
-      BackendGuard guard(b);
-      for (std::size_t jobs : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
-        config.jobs = jobs;
-        const SimResult got = simulate(instance, appro, config);
-        SCOPED_TRACE(std::string(policy_name(policy)) + " jobs=" +
+  // The same simulations as concurrent sweep items.
+  for (simd::Backend b : supported_backends()) {
+    BackendGuard guard(b);
+    for (std::size_t jobs : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+      std::vector<SimResult> got(configs.size());
+      parallel_for(
+          configs.size(),
+          [&](std::size_t i) {
+            got[i] = simulate(instance, appro, configs[i]);
+          },
+          jobs);
+      for (std::size_t i = 0; i < configs.size(); ++i) {
+        SCOPED_TRACE(std::string(policy_name(kPolicies[i])) + " jobs=" +
                      std::to_string(jobs) + " backend=" +
                      simd::backend_name(b));
-        expect_results_identical(reference, got);
+        expect_results_identical(reference[i], got[i]);
       }
     }
   }
