@@ -4,8 +4,9 @@
 #   1. Runs a tiny fig3 sweep with --trace-out and checks the emitted
 #      JSON against the "mcharge.trace.v1" schema (python3 when
 #      available, a grep fallback otherwise), including presence and
-#      non-zero counts of the load-bearing spans (planner phases,
-#      executor, simulator round loop, matching engine).
+#      non-zero counts of the load-bearing spans (planner phases, the
+#      tour substrate's stages inside tsp::min_max_k_tours, executor,
+#      simulator round loop).
 #   2. Runs the BM_ObsOverhead micro-bench pair and asserts the
 #      tracing-enabled run stays within a noise margin of the disabled
 #      run (the layer's contract is < 1% overhead on instrumented
@@ -63,7 +64,9 @@ assert names == [m["name"] for m in metrics], "metrics not sorted by name"
 # blossom.* spans only fire when auto-dispatch picks the sparse engine,
 # which depends on instance scale — so they are not required here.
 for required in ("appro.plan", "appro.k_tours", "appro.insertion",
-                 "exec.multinode", "sim.round", "sim.select_scan"):
+                 "exec.multinode", "sim.round", "sim.select_scan",
+                 "tsp.construct", "tsp.improve_tour", "tsp.split",
+                 "tsp.segment_improve"):
     assert required in by_name, f"missing span: {required}"
     assert by_name[required]["count"] > 0, f"zero count: {required}"
 print("trace schema: OK (%d metrics)" % len(metrics))
@@ -71,7 +74,8 @@ EOF
 else
   # Grep fallback: schema tag plus the load-bearing span names.
   grep -q '"schema": "mcharge.trace.v1"' "$TMP/trace.json"
-  for required in appro.plan appro.k_tours exec.multinode sim.round; do
+  for required in appro.plan appro.k_tours exec.multinode sim.round \
+      tsp.construct tsp.improve_tour tsp.split tsp.segment_improve; do
     grep -q "\"$required\"" "$TMP/trace.json" || {
       echo "FAIL: missing span $required" >&2; exit 1; }
   done

@@ -1,46 +1,10 @@
 #include "graph/mst.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "graph/dsu.h"
-#include "util/assert.h"
 
 namespace mcharge::graph {
-
-std::vector<WeightedEdge> prim_mst(
-    std::size_t n,
-    const std::function<double(std::uint32_t, std::uint32_t)>& weight) {
-  std::vector<WeightedEdge> tree;
-  if (n <= 1) return tree;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> best(n, kInf);
-  std::vector<std::uint32_t> parent(n, 0);
-  std::vector<char> in_tree(n, 0);
-  best[0] = 0.0;
-  for (std::size_t iter = 0; iter < n; ++iter) {
-    std::uint32_t next = 0;
-    double next_cost = kInf;
-    for (std::uint32_t v = 0; v < n; ++v) {
-      if (!in_tree[v] && best[v] < next_cost) {
-        next_cost = best[v];
-        next = v;
-      }
-    }
-    MCHARGE_ASSERT(next_cost < kInf, "prim: graph must be complete");
-    in_tree[next] = 1;
-    if (next != 0) tree.push_back({parent[next], next, best[next]});
-    for (std::uint32_t v = 0; v < n; ++v) {
-      if (in_tree[v]) continue;
-      const double w = weight(next, v);
-      if (w < best[v]) {
-        best[v] = w;
-        parent[v] = next;
-      }
-    }
-  }
-  return tree;
-}
 
 std::vector<WeightedEdge> euclidean_mst(
     const std::vector<geom::Point>& points) {

@@ -23,6 +23,23 @@ double vertex_distance(const TourProblem& p, std::uint32_t a, std::uint32_t b) {
   return p.distance(a - 1, b - 1);
 }
 
+/// Prim over the vertex graph, relaxing straight from the cached rows:
+/// the same weights as vertex_distance (the cache holds its exact bits),
+/// without its per-call cache-presence checks. Requires m >= 2, so the
+/// cache tables exist.
+std::vector<graph::WeightedEdge> vertex_mst(const TourProblem& p) {
+  const std::size_t m = p.size();
+  const double* depot = p.depot_distance_ptr();
+  const double* matrix = p.distance_row_ptr(0);
+  MCHARGE_ASSERT(m >= 2 && depot != nullptr && matrix != nullptr,
+                 "vertex_mst needs the distance cache");
+  return graph::prim_mst(m + 1, [=](std::uint32_t a, std::uint32_t b) {
+    if (a == 0) return b == 0 ? 0.0 : depot[b - 1];
+    if (b == 0) return depot[a - 1];
+    return matrix[std::size_t{a - 1} * m + (b - 1)];
+  });
+}
+
 /// Converts a vertex cycle (containing vertex 0 exactly once after
 /// shortcutting) into a site tour starting after the depot.
 Tour cycle_to_tour(const std::vector<std::uint32_t>& cycle) {
@@ -139,10 +156,10 @@ Tour greedy_edge_tour(const TourProblem& problem) {
 Tour double_tree_tour(const TourProblem& problem) {
   const std::size_t n = problem.size() + 1;
   if (problem.size() == 0) return {};
+  // One site: the doubled tree 0-1-0 shortcuts to the tour {0}.
+  if (problem.size() == 1) return {0};
   problem.ensure_distance_cache();
-  auto mst = graph::prim_mst(n, [&](std::uint32_t a, std::uint32_t b) {
-    return vertex_distance(problem, a, b);
-  });
+  const auto mst = vertex_mst(problem);
   std::vector<std::pair<std::uint32_t, std::uint32_t>> doubled;
   doubled.reserve(mst.size() * 2);
   for (const auto& e : mst) {
@@ -160,9 +177,7 @@ Tour christofides_tour(const TourProblem& problem,
   if (problem.size() == 1) return {0};
   problem.ensure_distance_cache();
 
-  auto mst = graph::prim_mst(n, [&](std::uint32_t a, std::uint32_t b) {
-    return vertex_distance(problem, a, b);
-  });
+  const auto mst = vertex_mst(problem);
 
   std::vector<std::size_t> degree(n, 0);
   for (const auto& e : mst) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <numeric>
 #include <vector>
 
 #include "util/assert.h"
@@ -164,26 +165,36 @@ double two_opt_impl(const TourProblem& problem, Tour& tour,
 // from the beginning, so every candidate before the next improving one is
 // re-evaluated against an unchanged tour and reaches the same conclusion
 // it reached last time, bit for bit. This implementation records those
-// conclusions instead of recomputing them. A recorded fact describes the
-// *current* tour:
+// conclusions instead of recomputing them:
 //   kRemovalFail — removal_gain <= min_gain, so no insertion slot was
 //                  even scanned; only the removal legs matter.
 //   kScanClean   — removal_gain > min_gain but no insertion slot beats
 //                  the threshold (cached in `thr`).
-// A move relocates segment [i, i+len) to slot k. Positions outside the
-// contiguous window W = [k+1, i+len) (move left, k < i) or W = [i, k+1)
-// (move right, k >= i+len) keep their points, so after each move:
-//   * facts whose removal legs touch W (start position in
-//     [W.lo - len', W.hi]) are discarded;
-//   * surviving kRemovalFail facts need nothing else;
-//   * surviving kScanClean facts re-check only the insertion slots whose
-//     inputs changed (k in [W.lo - 1, W.hi), plus the depot slot when
-//     W.lo == 0); an improving re-check demotes the fact to kUnknown and
-//     the main walk re-evaluates that candidate in order.
+// Legs are ordered point pairs: the m + 1 legs of the closed tour are
+// slot k = (P[k], P[k+1]) for k in [-1, m), with P[-1] = P[m] = depot. A
+// candidate (len, i) owns the len + 1 legs k in [i-1, i+len): they fix its
+// removal gain, its threshold and its front and end points. It scans every
+// other leg as an insertion slot, and a slot's cost is a pure function of
+// the slot's ordered pair and those candidate values. A move removes
+// exactly 3 legs, (i-1, i), (i+len-1, i+len) and (k, k+1), and adds 3;
+// every other leg survives as the same ordered pair (Or-opt never reverses
+// a segment). So facts are keyed by the candidate's identity, not its
+// position: ids[p] names the point at position p and is permuted with the
+// tour, and a fact lives at (len, id of the candidate's front point).
+// After each move:
+//   * facts whose candidate owns a removed leg are discarded (at most
+//     2 + 3 + 4 per removed leg, 27 per move);
+//   * every surviving candidate owns the same legs as before, so its
+//     kRemovalFail fact needs nothing else, and its kScanClean fact stays
+//     true for every surviving slot; it re-checks only the 3 added legs.
+//     An improving re-check demotes the fact to kUnknown and the main
+//     walk re-evaluates that candidate in order.
 // Each conclusion the walk skips is exactly the conclusion the restart
-// loop would recompute, so the sequence of applied moves — and the final
-// tour and total gain — keep identical bits while the per-move cost drops
-// from a full O(m^2) rescan to O(m + m * |W|).
+// loop would recompute, so the sequence of applied moves, and the final
+// tour and total gain, keep identical bits. The move itself is a rotation
+// of the window it changes on tour/px/py/tc/ids: legs inside the window
+// keep their ordered pairs, so only the 3 added legs' times are recomputed
+// (their bits are a pure function of the mirrored coordinates).
 double or_opt_impl(const TourProblem& problem, Tour& tour,
                    const ImproveOptions& options, bool* converged) {
   if (converged) *converged = true;
@@ -192,103 +203,89 @@ double or_opt_impl(const TourProblem& problem, Tour& tour,
   std::vector<double> px, py, tc;
   mirror_tour(problem, tour, px, py);
   fill_leg_times(px, py, problem.speed, tc);
+  const double speed = problem.speed;
 
   enum : unsigned char { kUnknown = 0, kRemovalFail = 1, kScanClean = 2 };
   const auto mu = static_cast<std::size_t>(m);
+  const std::ptrdiff_t max_len = std::min<std::ptrdiff_t>(3, m - 1);
+  std::vector<std::size_t> ids(mu);
+  std::iota(ids.begin(), ids.end(), std::size_t{0});
   std::vector<unsigned char> fact(3 * mu, kUnknown);
   std::vector<double> thr(3 * mu, 0.0);  // threshold, valid under kScanClean
-  const auto slot = [mu](std::ptrdiff_t len, std::ptrdiff_t i) {
-    return static_cast<std::size_t>(len - 1) * mu + static_cast<std::size_t>(i);
+  const auto key = [&](std::ptrdiff_t len, std::ptrdiff_t i) {
+    return static_cast<std::size_t>(len - 1) * mu +
+           ids[static_cast<std::size_t>(i)];
   };
 
-  // "Does any slot in [a, b) beat the threshold?" — the kernels promise
-  // the scalar comparison sequence bit for bit, so short windows may skip
-  // the dispatch and run the same sequence inline; the length cutoff can
-  // steer only where the identical verdict is computed, never what it is.
-  const auto any_improving = [&](std::size_t a, std::size_t b, double ix,
-                                 double iy, double ex, double ey,
-                                 double threshold) {
-    if (b - a < 24) {
-      for (std::size_t kk = a; kk < b; ++kk) {
-        const double dax = px[kk] - ix;
-        const double day = py[kk] - iy;
-        const double da = std::sqrt(dax * dax + day * day);
-        const double dbx = ex - px[kk + 1];
-        const double dby = ey - py[kk + 1];
-        const double db = std::sqrt(dbx * dbx + dby * dby);
-        if (da / problem.speed + db / problem.speed - tc[kk] < threshold) {
-          return true;
-        }
-      }
-      return false;
+  // Cost of the depot-front slot (depot, P[0]) for candidate (len, i > 0).
+  const auto depot_cost = [&](std::ptrdiff_t len, std::ptrdiff_t i) {
+    return leg(problem, tour, -1, i) + leg(problem, tour, i + len - 1, 0) -
+           leg(problem, tour, -1, 0);
+  };
+  // Discards the facts of every candidate owning leg q (old positions).
+  const auto drop_owners = [&](std::ptrdiff_t q) {
+    for (std::ptrdiff_t len = 1; len <= max_len; ++len) {
+      const std::ptrdiff_t lo = std::max<std::ptrdiff_t>(0, q - len + 1);
+      const std::ptrdiff_t hi = std::min(m - len, q + 1);
+      for (std::ptrdiff_t i = lo; i <= hi; ++i) fact[key(len, i)] = kUnknown;
     }
-    return simd::or_opt_scan(px.data(), py.data(), tc.data(), a, b, ix, iy,
-                             ex, ey, problem.speed,
-                             threshold) != simd::kNpos;
   };
 
-  // Repairs recorded facts after a move changed positions [lo, hi).
-  const auto refresh_facts = [&](std::ptrdiff_t lo, std::ptrdiff_t hi) {
-    const auto ka =
-        static_cast<std::size_t>(std::max<std::ptrdiff_t>(0, lo - 1));
-    const auto kb = static_cast<std::size_t>(hi);  // changed slots: [ka, kb)
-    for (std::ptrdiff_t len = 1; len <= 3 && len < m; ++len) {
+  // Re-checks every surviving kScanClean fact against the added legs
+  // (one-element kernel scans; the depot-front slot by its formula).
+  const auto recheck = [&](const std::ptrdiff_t (&added)[3]) {
+    for (std::ptrdiff_t len = 1; len <= max_len; ++len) {
       for (std::ptrdiff_t i = 0; i + len <= m; ++i) {
-        unsigned char& f = fact[slot(len, i)];
-        if (f == kUnknown) continue;
-        if (i >= lo - len && i <= hi) {  // removal legs touch W
-          f = kUnknown;
-          continue;
-        }
-        if (f == kRemovalFail) continue;
-        // kScanClean: the removal legs are untouched, so the cached
-        // threshold keeps its bits; re-check the changed slots only.
-        const double threshold = thr[slot(len, i)];
+        const std::size_t at = key(len, i);
+        if (fact[at] != kScanClean) continue;
+        const double threshold = thr[at];
         const double ix = px[static_cast<std::size_t>(i)];
         const double iy = py[static_cast<std::size_t>(i)];
         const double ex = px[static_cast<std::size_t>(i + len - 1)];
         const double ey = py[static_cast<std::size_t>(i + len - 1)];
-        bool improving = false;
-        if (lo == 0 && i > 0) {  // depot slot reads position 0
-          const double depot_cost = leg(problem, tour, -1, i) +
-                                    leg(problem, tour, i + len - 1, 0) -
-                                    leg(problem, tour, -1, 0);
-          if (depot_cost < threshold) improving = true;
-        }
-        if (!improving && i >= 2) {
-          const std::size_t b =
-              std::min<std::size_t>(kb, static_cast<std::size_t>(i - 1));
-          if (ka < b && any_improving(ka, b, ix, iy, ex, ey, threshold)) {
-            improving = true;
+        for (const std::ptrdiff_t a : added) {
+          MCHARGE_DASSERT(a < i - 1 || a > i + len - 1,
+                          "a surviving candidate owns no added leg");
+          const auto au = static_cast<std::size_t>(a);
+          const bool improving =
+              a < 0 ? depot_cost(len, i) < threshold
+                    : simd::or_opt_scan(px.data(), py.data(), tc.data(), au,
+                                        au + 1, ix, iy, ex, ey, speed,
+                                        threshold) != simd::kNpos;
+          if (improving) {
+            fact[at] = kUnknown;
+            break;
           }
         }
-        if (!improving) {
-          const std::size_t a =
-              std::max<std::size_t>(ka, static_cast<std::size_t>(i + len));
-          const std::size_t b = std::min<std::size_t>(kb, mu);
-          if (a < b && any_improving(a, b, ix, iy, ex, ey, threshold)) {
-            improving = true;
-          }
-        }
-        if (improving) f = kUnknown;
       }
     }
+  };
+
+  // Rotates [lo, hi) so position mid comes first, on every per-position
+  // array alike.
+  const auto rotate_window = [&](std::ptrdiff_t lo, std::ptrdiff_t mid,
+                                 std::ptrdiff_t hi) {
+    std::rotate(tour.begin() + lo, tour.begin() + mid, tour.begin() + hi);
+    std::rotate(px.begin() + lo, px.begin() + mid, px.begin() + hi);
+    std::rotate(py.begin() + lo, py.begin() + mid, py.begin() + hi);
+    std::rotate(tc.begin() + lo, tc.begin() + mid, tc.begin() + hi);
+    std::rotate(ids.begin() + lo, ids.begin() + mid, ids.begin() + hi);
   };
 
   double saved = 0.0;
   bool applied = true;
   for (std::size_t moves = 0; applied && moves < options.max_passes;) {
     applied = false;
-    for (std::ptrdiff_t len = 1; len <= 3 && len < m; ++len) {
+    for (std::ptrdiff_t len = 1; len <= max_len; ++len) {
       for (std::ptrdiff_t i = 0; i + len <= m && !applied; ++i) {
-        if (fact[slot(len, i)] != kUnknown) continue;
+        if (fact[key(len, i)] != kUnknown) continue;
         // Segment [i, i+len); try inserting after position k (k outside the
         // segment), i.e. between k and k+1.
         const double removal_gain = leg(problem, tour, i - 1, i) +
                                     leg(problem, tour, i + len - 1, i + len) -
                                     leg(problem, tour, i - 1, i + len);
         if (removal_gain <= options.min_gain) {
-          fact[slot(len, i)] = kRemovalFail;
+          fact[key(len, i)] = kRemovalFail;
           continue;
         }
         const double threshold = removal_gain - options.min_gain;
@@ -301,16 +298,11 @@ double or_opt_impl(const TourProblem& problem, Tour& tour,
         // scalar-style; the window swallows it when i == 0), then the
         // kernel scans [0, i-1) and [i+len, m).
         std::ptrdiff_t k = -2;  // -2: no improving position found
-        if (i > 0) {
-          const double depot_cost = leg(problem, tour, -1, i) +
-                                    leg(problem, tour, i + len - 1, 0) -
-                                    leg(problem, tour, -1, 0);
-          if (depot_cost < threshold) k = -1;
-        }
+        if (i > 0 && depot_cost(len, i) < threshold) k = -1;
         if (k == -2 && i >= 2) {
           const std::size_t hit = simd::or_opt_scan(
               px.data(), py.data(), tc.data(), 0,
-              static_cast<std::size_t>(i - 1), ix, iy, ex, ey, problem.speed,
+              static_cast<std::size_t>(i - 1), ix, iy, ex, ey, speed,
               threshold);
           if (hit != simd::kNpos) k = static_cast<std::ptrdiff_t>(hit);
         }
@@ -318,30 +310,44 @@ double or_opt_impl(const TourProblem& problem, Tour& tour,
           const std::size_t hit = simd::or_opt_scan(
               px.data(), py.data(), tc.data(),
               static_cast<std::size_t>(i + len), static_cast<std::size_t>(m),
-              ix, iy, ex, ey, problem.speed, threshold);
+              ix, iy, ex, ey, speed, threshold);
           if (hit != simd::kNpos) k = static_cast<std::ptrdiff_t>(hit);
         }
         if (k == -2) {
-          fact[slot(len, i)] = kScanClean;
-          thr[slot(len, i)] = threshold;
+          fact[key(len, i)] = kScanClean;
+          thr[key(len, i)] = threshold;
           continue;
         }
         const double insert_cost = leg(problem, tour, k, i) +
                                    leg(problem, tour, i + len - 1, k + 1) -
                                    leg(problem, tour, k, k + 1);
-        // Perform the move on a copy of the segment.
-        Tour segment(tour.begin() + i, tour.begin() + i + len);
-        tour.erase(tour.begin() + i, tour.begin() + i + len);
-        const std::ptrdiff_t dest = k < i ? k + 1 : k + 1 - len;
-        tour.insert(tour.begin() + dest, segment.begin(), segment.end());
         saved += removal_gain - insert_cost;
         ++moves;
         applied = true;  // positions shifted; restart the walk
-        // Re-mirror (pure function of the tour — identical bits to the
-        // per-pass rebuild of the restart loop), then repair the facts.
-        mirror_tour(problem, tour, px, py);
-        fill_leg_times(px, py, problem.speed, tc);
-        refresh_facts(k < i ? k + 1 : i, k < i ? i + len : k + 1);
+        drop_owners(i - 1);
+        drop_owners(i + len - 1);
+        drop_owners(k);
+        // Relocate the segment by rotating the window between it and slot
+        // k, then time the 3 added legs (slot -1 has no tc entry).
+        std::ptrdiff_t added[3];
+        if (k < i) {  // segment moves left, in front of [k+1, i)
+          rotate_window(k + 1, i, i + len);
+          added[0] = k;
+          added[1] = k + len;
+          added[2] = i + len - 1;
+        } else {  // segment moves right, behind [i+len, k+1)
+          rotate_window(i, i + len, k + 1);
+          added[0] = i - 1;
+          added[1] = k - len;
+          added[2] = k;
+        }
+        for (const std::ptrdiff_t a : added) {
+          if (a >= 0) {
+            tc[static_cast<std::size_t>(a)] =
+                leg_time(px, py, speed, static_cast<std::size_t>(a));
+          }
+        }
+        recheck(added);
       }
       if (applied) break;
     }

@@ -12,7 +12,13 @@ namespace mcharge::tsp {
 struct ImproveOptions {
   bool use_two_opt = true;
   bool use_or_opt = true;
-  std::size_t max_passes = 64;   ///< safety bound on improvement sweeps
+  /// Safety bound, counted per operator: two_opt stops after this many
+  /// full sweeps over the left edges, or_opt after this many applied
+  /// moves (each move restarts its candidate walk), and improve_tour
+  /// after this many two_opt-then-or_opt rounds, each of which passes the
+  /// same bound on to both operators. A truncated run returns the tour
+  /// as it stood when the budget ran out.
+  std::size_t max_passes = 64;
   double min_gain = 1e-9;        ///< ignore numerically-zero improvements
 };
 

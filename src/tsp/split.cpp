@@ -4,6 +4,7 @@
 #include <limits>
 #include <vector>
 
+#include "obs/obs.h"
 #include "util/assert.h"
 #include "util/simd.h"
 
@@ -151,10 +152,23 @@ SplitResult min_max_k_tours(const TourProblem& problem, std::size_t k,
   // One O(m^2) distance build serves construction, improvement, and
   // splitting below; every travel() call after this is a table read.
   problem.ensure_distance_cache();
-  Tour tour = build_tour(problem, options.builder, options.matching);
-  improve_tour(problem, tour, options.improve);
-  SplitResult result = split_min_max(problem, tour, k, options.energy);
+  // One span per stage; tracing never changes a result.
+  Tour tour;
+  {
+    OBS_SPAN("tsp.construct");
+    tour = build_tour(problem, options.builder, options.matching);
+  }
+  {
+    OBS_SPAN("tsp.improve_tour");
+    improve_tour(problem, tour, options.improve);
+  }
+  SplitResult result;
+  {
+    OBS_SPAN("tsp.split");
+    result = split_min_max(problem, tour, k, options.energy);
+  }
   if (options.improve_segments) {
+    OBS_SPAN("tsp.segment_improve");
     for (Tour& segment : result.tours) {
       two_opt(problem, segment, options.improve);
     }

@@ -75,21 +75,42 @@ double scalar_max_reduce(const double* values, std::size_t n) {
   return best;
 }
 
+// Squared-distance prefilter floor for `speed` (simd_kernels.h): +inf
+// turns the filter off outside the speed range its proof covers.
+double prefilter_floor(double speed) {
+  return speed >= detail::kPrefilterMinSpeed &&
+                 speed <= detail::kPrefilterMaxSpeed
+             ? detail::kPrefilterFloor
+             : kInf;
+}
+
+// Prefilter bound B for right-hand side r (simd_kernels.h): an element
+// with fl(qa + qb) > B is provably not a hit.
+double prefilter_bound(double r, double speed, double floor) {
+  const double t = r * speed;
+  const double b = t * t * detail::kPrefilterWiden;
+  return b > floor ? b : floor;
+}
+
 std::size_t scalar_two_opt_scan(const double* px, const double* py,
                                 const double* tc, std::size_t j_begin,
                                 std::size_t j_end, double ax, double ay,
                                 double bx, double by, double speed,
                                 double base, double min_gain) {
+  const double floor = prefilter_floor(speed);
   for (std::size_t j = j_begin; j < j_end; ++j) {
     const double dax = ax - px[j];
     const double day = ay - py[j];
-    const double da = std::sqrt(dax * dax + day * day);
+    const double qa = dax * dax + day * day;
     const double dbx = bx - px[j + 1];
     const double dby = by - py[j + 1];
-    const double db = std::sqrt(dbx * dbx + dby * dby);
-    const double after = da / speed + db / speed;
+    const double qb = dbx * dbx + dby * dby;
     const double before = base + tc[j];
-    if (after < before - min_gain) return j;
+    const double rhs = before - min_gain;
+    // Not a hit (prefilter proof in simd_kernels.h): skip sqrt and divides.
+    if (qa + qb > prefilter_bound(rhs, speed, floor)) continue;
+    const double after = std::sqrt(qa) / speed + std::sqrt(qb) / speed;
+    if (after < rhs) return j;
   }
   return kNpos;
 }
@@ -99,14 +120,17 @@ std::size_t scalar_or_opt_scan(const double* px, const double* py,
                                std::size_t k_end, double ix, double iy,
                                double ex, double ey, double speed,
                                double threshold) {
+  const double floor = prefilter_floor(speed);
   for (std::size_t k = k_begin; k < k_end; ++k) {
     const double dax = px[k] - ix;
     const double day = py[k] - iy;
-    const double da = std::sqrt(dax * dax + day * day);
+    const double qa = dax * dax + day * day;
     const double dbx = ex - px[k + 1];
     const double dby = ey - py[k + 1];
-    const double db = std::sqrt(dbx * dbx + dby * dby);
-    const double cost = da / speed + db / speed - tc[k];
+    const double qb = dbx * dbx + dby * dby;
+    // Not a hit (prefilter proof in simd_kernels.h): skip sqrt and divides.
+    if (qa + qb > prefilter_bound(threshold + tc[k], speed, floor)) continue;
+    const double cost = std::sqrt(qa) / speed + std::sqrt(qb) / speed - tc[k];
     if (cost < threshold) return k;
   }
   return kNpos;

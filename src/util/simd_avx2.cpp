@@ -189,28 +189,67 @@ double avx2_max_reduce(const double* values, std::size_t n) {
   return best;
 }
 
+// Squared-distance prefilter (proof in simd_kernels.h): per lane,
+// B = max(fl(fl(t*t) * widen), floor) with t = fl(r*speed). Lanes with
+// fl(qa + qb) > B are provably not hits.
+inline __m256d prefilter_bound4(__m256d r, __m256d vspeed, __m256d vwiden,
+                                __m256d vfloor) {
+  const __m256d t = _mm256_mul_pd(r, vspeed);
+  return _mm256_max_pd(_mm256_mul_pd(_mm256_mul_pd(t, t), vwiden), vfloor);
+}
+
+inline double prefilter_floor(double speed) {
+  return speed >= kPrefilterMinSpeed && speed <= kPrefilterMaxSpeed
+             ? kPrefilterFloor
+             : kInf;
+}
+
+// Scalar-tail form of prefilter_bound4 (no std::max: this TU must not
+// instantiate shared inline templates, see simd_kernels.h).
+inline double prefilter_bound(double r, double speed, double floor) {
+  const double t = r * speed;
+  const double b = t * t * kPrefilterWiden;
+  return b > floor ? b : floor;
+}
+
+inline __m256d sq4(__m256d dx, __m256d dy) {
+  return _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy));
+}
+
+// Soundness: a block whose four lanes all fail the prefilter holds no
+// hit, so skipping it leaves the first hit where it was; a block with any
+// passing lane runs the exact expression on all four lanes.
 std::size_t avx2_two_opt_scan(const double* px, const double* py,
                               const double* tc, std::size_t j_begin,
                               std::size_t j_end, double ax, double ay,
                               double bx, double by, double speed, double base,
                               double min_gain) {
+  const double floor = prefilter_floor(speed);
   const __m256d vax = _mm256_set1_pd(ax), vay = _mm256_set1_pd(ay);
   const __m256d vbx = _mm256_set1_pd(bx), vby = _mm256_set1_pd(by);
   const __m256d vspeed = _mm256_set1_pd(speed);
   const __m256d vbase = _mm256_set1_pd(base);
   const __m256d vgain = _mm256_set1_pd(min_gain);
+  const __m256d vwiden = _mm256_set1_pd(kPrefilterWiden);
+  const __m256d vfloor = _mm256_set1_pd(floor);
   std::size_t j = j_begin;
   for (; j + 4 <= j_end; j += 4) {
-    const __m256d jx = _mm256_loadu_pd(px + j);
-    const __m256d jy = _mm256_loadu_pd(py + j);
-    const __m256d j1x = _mm256_loadu_pd(px + j + 1);
-    const __m256d j1y = _mm256_loadu_pd(py + j + 1);
-    const __m256d da = dist4(jx, jy, vax, vay);
-    const __m256d db = dist4(j1x, j1y, vbx, vby);
-    const __m256d after =
-        _mm256_add_pd(_mm256_div_pd(da, vspeed), _mm256_div_pd(db, vspeed));
+    // dist4's operand order: dx = a - P[j], dy = b - P[j+1].
+    const __m256d qa = sq4(_mm256_sub_pd(vax, _mm256_loadu_pd(px + j)),
+                           _mm256_sub_pd(vay, _mm256_loadu_pd(py + j)));
+    const __m256d qb =
+        sq4(_mm256_sub_pd(vbx, _mm256_loadu_pd(px + j + 1)),
+            _mm256_sub_pd(vby, _mm256_loadu_pd(py + j + 1)));
     const __m256d before = _mm256_add_pd(vbase, _mm256_loadu_pd(tc + j));
     const __m256d rhs = _mm256_sub_pd(before, vgain);
+    const __m256d bound = prefilter_bound4(rhs, vspeed, vwiden, vfloor);
+    if (_mm256_movemask_pd(_mm256_cmp_pd(_mm256_add_pd(qa, qb), bound,
+                                         _CMP_GT_OQ)) == 0xF) {
+      continue;
+    }
+    const __m256d after =
+        _mm256_add_pd(_mm256_div_pd(_mm256_sqrt_pd(qa), vspeed),
+                      _mm256_div_pd(_mm256_sqrt_pd(qb), vspeed));
     const int mask =
         _mm256_movemask_pd(_mm256_cmp_pd(after, rhs, _CMP_LT_OQ));
     if (mask != 0) return j + static_cast<std::size_t>(__builtin_ctz(mask));
@@ -218,41 +257,50 @@ std::size_t avx2_two_opt_scan(const double* px, const double* py,
   for (; j < j_end; ++j) {
     const double dax = ax - px[j];
     const double day = ay - py[j];
-    const double da = std::sqrt(dax * dax + day * day);
+    const double qa = dax * dax + day * day;
     const double dbx = bx - px[j + 1];
     const double dby = by - py[j + 1];
-    const double db = std::sqrt(dbx * dbx + dby * dby);
-    const double after = da / speed + db / speed;
-    const double before = base + tc[j];
-    if (after < before - min_gain) return j;
+    const double qb = dbx * dbx + dby * dby;
+    const double rhs = (base + tc[j]) - min_gain;
+    if (qa + qb > prefilter_bound(rhs, speed, floor)) continue;
+    const double after = std::sqrt(qa) / speed + std::sqrt(qb) / speed;
+    if (after < rhs) return j;
   }
   return kNpos;
 }
 
+// Soundness: as avx2_two_opt_scan, with r = fl(threshold + tc[k]).
 std::size_t avx2_or_opt_scan(const double* px, const double* py,
                              const double* tc, std::size_t k_begin,
                              std::size_t k_end, double ix, double iy,
                              double ex, double ey, double speed,
                              double threshold) {
+  const double floor = prefilter_floor(speed);
   const __m256d vix = _mm256_set1_pd(ix), viy = _mm256_set1_pd(iy);
   const __m256d vex = _mm256_set1_pd(ex), vey = _mm256_set1_pd(ey);
   const __m256d vspeed = _mm256_set1_pd(speed);
   const __m256d vthresh = _mm256_set1_pd(threshold);
+  const __m256d vwiden = _mm256_set1_pd(kPrefilterWiden);
+  const __m256d vfloor = _mm256_set1_pd(floor);
   std::size_t k = k_begin;
   for (; k + 4 <= k_end; k += 4) {
-    const __m256d kx = _mm256_loadu_pd(px + k);
-    const __m256d ky = _mm256_loadu_pd(py + k);
-    const __m256d k1x = _mm256_loadu_pd(px + k + 1);
-    const __m256d k1y = _mm256_loadu_pd(py + k + 1);
-    // dist(P[k], seg front): dx = px[k] - ix.
-    const __m256d dax = _mm256_sub_pd(kx, vix);
-    const __m256d day = _mm256_sub_pd(ky, viy);
-    const __m256d da = _mm256_sqrt_pd(
-        _mm256_add_pd(_mm256_mul_pd(dax, dax), _mm256_mul_pd(day, day)));
-    const __m256d db = dist4(k1x, k1y, vex, vey);
+    // dist(P[k], seg front): dx = px[k] - ix; dist4's order for the rest.
+    const __m256d qa = sq4(_mm256_sub_pd(_mm256_loadu_pd(px + k), vix),
+                           _mm256_sub_pd(_mm256_loadu_pd(py + k), viy));
+    const __m256d qb =
+        sq4(_mm256_sub_pd(vex, _mm256_loadu_pd(px + k + 1)),
+            _mm256_sub_pd(vey, _mm256_loadu_pd(py + k + 1)));
+    const __m256d vtc = _mm256_loadu_pd(tc + k);
+    const __m256d bound = prefilter_bound4(_mm256_add_pd(vthresh, vtc),
+                                           vspeed, vwiden, vfloor);
+    if (_mm256_movemask_pd(_mm256_cmp_pd(_mm256_add_pd(qa, qb), bound,
+                                         _CMP_GT_OQ)) == 0xF) {
+      continue;
+    }
     const __m256d cost = _mm256_sub_pd(
-        _mm256_add_pd(_mm256_div_pd(da, vspeed), _mm256_div_pd(db, vspeed)),
-        _mm256_loadu_pd(tc + k));
+        _mm256_add_pd(_mm256_div_pd(_mm256_sqrt_pd(qa), vspeed),
+                      _mm256_div_pd(_mm256_sqrt_pd(qb), vspeed)),
+        vtc);
     const int mask =
         _mm256_movemask_pd(_mm256_cmp_pd(cost, vthresh, _CMP_LT_OQ));
     if (mask != 0) return k + static_cast<std::size_t>(__builtin_ctz(mask));
@@ -260,11 +308,12 @@ std::size_t avx2_or_opt_scan(const double* px, const double* py,
   for (; k < k_end; ++k) {
     const double dax = px[k] - ix;
     const double day = py[k] - iy;
-    const double da = std::sqrt(dax * dax + day * day);
+    const double qa = dax * dax + day * day;
     const double dbx = ex - px[k + 1];
     const double dby = ey - py[k + 1];
-    const double db = std::sqrt(dbx * dbx + dby * dby);
-    const double cost = da / speed + db / speed - tc[k];
+    const double qb = dbx * dbx + dby * dby;
+    if (qa + qb > prefilter_bound(threshold + tc[k], speed, floor)) continue;
+    const double cost = std::sqrt(qa) / speed + std::sqrt(qb) / speed - tc[k];
     if (cost < threshold) return k;
   }
   return kNpos;

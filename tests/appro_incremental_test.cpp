@@ -21,12 +21,14 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/appro.h"
 #include "core/overlap_graph.h"
 #include "graph/mis.h"
 #include "model/charging_problem.h"
+#include "tsp/construct.h"
 #include "tsp/improve.h"
 #include "tsp/split.h"
 #include "tsp/tour_problem.h"
@@ -187,8 +189,20 @@ double two_opt(const tsp::TourProblem& problem, tsp::Tour& tour,
   return saved;
 }
 
+// Where the applied Or-opt moves touched the tour ends: the depot-front
+// slot (k = -1), the end slot (k = m-1), and segments taken from either
+// end. The oracle corpora assert each is exercised.
+struct OrOptTally {
+  std::size_t moves = 0;
+  std::size_t depot_slot = 0;
+  std::size_t end_slot = 0;
+  std::size_t front_segment = 0;
+  std::size_t back_segment = 0;
+};
+
 double or_opt(const tsp::TourProblem& problem, tsp::Tour& tour,
-              const tsp::ImproveOptions& options) {
+              const tsp::ImproveOptions& options,
+              OrOptTally* tally = nullptr) {
   const auto m = static_cast<std::ptrdiff_t>(tour.size());
   if (m < 3) return 0.0;
   std::vector<double> px, py, tc;
@@ -230,6 +244,13 @@ double or_opt(const tsp::TourProblem& problem, tsp::Tour& tour,
           if (hit != simd::kNpos) k = static_cast<std::ptrdiff_t>(hit);
         }
         if (k == -2) continue;
+        if (tally != nullptr) {
+          ++tally->moves;
+          if (k == -1) ++tally->depot_slot;
+          if (k == m - 1) ++tally->end_slot;
+          if (i == 0) ++tally->front_segment;
+          if (i + len == m) ++tally->back_segment;
+        }
         const double insert_cost = leg(problem, tour, k, i) +
                                    leg(problem, tour, i + len - 1, k + 1) -
                                    leg(problem, tour, k, k + 1);
@@ -248,7 +269,8 @@ double or_opt(const tsp::TourProblem& problem, tsp::Tour& tour,
 }
 
 double improve_tour(const tsp::TourProblem& problem, tsp::Tour& tour,
-                    const tsp::ImproveOptions& options) {
+                    const tsp::ImproveOptions& options,
+                    OrOptTally* tally = nullptr) {
   double saved = 0.0;
   for (std::size_t round = 0; round < options.max_passes; ++round) {
     double round_gain = 0.0;
@@ -257,7 +279,7 @@ double improve_tour(const tsp::TourProblem& problem, tsp::Tour& tour,
       round_gain += reference::two_opt(problem, tour, options);
     }
     if (options.use_or_opt) {
-      round_gain += reference::or_opt(problem, tour, options);
+      round_gain += reference::or_opt(problem, tour, options, tally);
     }
     saved += round_gain;
     if (round_gain <= options.min_gain) break;
@@ -565,6 +587,189 @@ TEST(ImproveCache, ImproveTourOperatorSubsetsMatchReference) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Oracle corpora: layouts that stress the adjacency-keyed Or-opt facts and
+// the squared-distance prefilter (exact ties, zero-length legs, sites on
+// the depot), from both random and Christofides start tours. A
+// Christofides start leaves most facts clean and relocates segments far,
+// so the cached walk replays long runs of skipped candidates.
+
+enum class Layout { kUniform, kClustered, kDuplicates, kCollinear, kOnDepot };
+
+constexpr Layout kLayouts[] = {Layout::kUniform, Layout::kClustered,
+                               Layout::kDuplicates, Layout::kCollinear,
+                               Layout::kOnDepot};
+
+const char* layout_name(Layout layout) {
+  switch (layout) {
+    case Layout::kUniform: return "uniform";
+    case Layout::kClustered: return "clustered";
+    case Layout::kDuplicates: return "duplicates";
+    case Layout::kCollinear: return "collinear";
+    case Layout::kOnDepot: return "on-depot";
+  }
+  return "?";
+}
+
+tsp::TourProblem layout_problem(Layout layout, std::size_t m,
+                                std::uint64_t seed) {
+  Rng rng(seed);
+  tsp::TourProblem problem;
+  problem.depot = {50.0, 50.0};
+  problem.speed = 2.7;
+  std::vector<geom::Point> anchors;  // cluster centres / duplicate spots
+  const std::size_t num_anchors = layout == Layout::kClustered ? 5 : 9;
+  for (std::size_t c = 0; c < num_anchors; ++c) {
+    anchors.push_back({rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)});
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    geom::Point p{rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)};
+    switch (layout) {
+      case Layout::kUniform:
+        break;
+      case Layout::kClustered: {
+        const geom::Point& c = anchors[rng.below(anchors.size())];
+        p = {c.x + rng.uniform(-4.0, 4.0), c.y + rng.uniform(-4.0, 4.0)};
+        break;
+      }
+      case Layout::kDuplicates:
+        p = anchors[rng.below(anchors.size())];
+        break;
+      case Layout::kCollinear:
+        // Integer abscissae on the depot's row: exact collinearity, many
+        // equal leg lengths and zero-gain moves.
+        p = {static_cast<double>(rng.below(101)), problem.depot.y};
+        break;
+      case Layout::kOnDepot:
+        if (rng.below(4) == 0) p = problem.depot;
+        break;
+    }
+    problem.sites.push_back(p);
+    problem.service.push_back(rng.uniform(100.0, 4000.0));
+  }
+  return problem;
+}
+
+enum class Start { kIdentity, kChristofides };
+
+tsp::Tour start_tour(const tsp::TourProblem& problem, Start start) {
+  if (start == Start::kIdentity) return identity_tour(problem.size());
+  return tsp::christofides_tour(problem);
+}
+
+// One corpus case: two_opt, or_opt and improve_tour against the frozen
+// restart loops on every supported backend, tallying the reference's
+// Or-opt moves (the production walk applies the same sequence).
+void expect_corpus_case(const tsp::TourProblem& problem, Start start,
+                        const tsp::ImproveOptions& options,
+                        reference::OrOptTally& tally,
+                        const std::string& label) {
+  problem.ensure_distance_cache();
+  const tsp::Tour initial = start_tour(problem, start);
+  for (simd::Backend b : supported_backends()) {
+    BackendGuard guard(b);
+    SCOPED_TRACE(label + " backend=" + simd::backend_name(b));
+    {
+      tsp::Tour expected = initial;
+      const double ref_gain = reference::two_opt(problem, expected, options);
+      tsp::Tour actual = initial;
+      const double gain = tsp::two_opt(problem, actual, options);
+      EXPECT_EQ(expected, actual) << "two_opt";
+      EXPECT_EQ(ref_gain, gain) << "two_opt";
+    }
+    {
+      tsp::Tour expected = initial;
+      const double ref_gain =
+          reference::or_opt(problem, expected, options, &tally);
+      tsp::Tour actual = initial;
+      const double gain = tsp::or_opt(problem, actual, options);
+      EXPECT_EQ(expected, actual) << "or_opt";
+      EXPECT_EQ(ref_gain, gain) << "or_opt";
+    }
+    {
+      tsp::Tour expected = initial;
+      const double ref_gain =
+          reference::improve_tour(problem, expected, options, &tally);
+      tsp::Tour actual = initial;
+      const double gain = tsp::improve_tour(problem, actual, options);
+      EXPECT_EQ(expected, actual) << "improve_tour";
+      EXPECT_EQ(ref_gain, gain) << "improve_tour";
+    }
+  }
+}
+
+void expect_tour_ends_exercised(const reference::OrOptTally& tally) {
+  EXPECT_GT(tally.moves, 0u);
+  EXPECT_GT(tally.depot_slot, 0u) << "no relocation into slot k = -1";
+  EXPECT_GT(tally.end_slot, 0u) << "no relocation into slot k = m-1";
+  EXPECT_GT(tally.front_segment, 0u) << "no segment taken from the front";
+  EXPECT_GT(tally.back_segment, 0u) << "no segment taken from the back";
+}
+
+// Every size 3..59 with many seeds, then two larger sizes. A stale fact
+// only shows when the candidate it hides has become improving and the
+// walk reaches it first, which is rare per move: a dense sweep over small
+// tours is what catches an off-by-one in the invalidation ranges.
+TEST(ImproveCache, LayoutCorpusMatchesReference) {
+  std::vector<std::size_t> sizes;
+  for (std::size_t m = 3; m < 60; ++m) sizes.push_back(m);
+  sizes.push_back(75);
+  sizes.push_back(150);
+  reference::OrOptTally tally;
+  for (Layout layout : kLayouts) {
+    for (std::size_t m : sizes) {
+      const std::uint64_t seeds = m < 60 ? 20 : 3;
+      for (std::uint64_t seed = 0; seed < seeds; ++seed) {
+        const auto layout_id = static_cast<std::uint64_t>(layout);
+        const tsp::TourProblem problem = layout_problem(
+            layout, m, 6000 + 1000 * seed + 100 * layout_id + m);
+        for (Start start : {Start::kIdentity, Start::kChristofides}) {
+          expect_corpus_case(
+              problem, start, {}, tally,
+              std::string(layout_name(layout)) + " m=" + std::to_string(m) +
+                  " seed=" + std::to_string(seed) +
+                  (start == Start::kIdentity ? " identity" : " christofides"));
+        }
+      }
+    }
+  }
+  expect_tour_ends_exercised(tally);
+}
+
+// Paper-scale instances from Christofides starts, as min_max_k_tours runs
+// them: K-minMax plans ~500 requesting sensors a round on the daily
+// workload and the fig. 3 sweep reaches n = 1200.
+TEST(ImproveCache, ChristofidesStartsAtScaleMatchReference) {
+  reference::OrOptTally tally;
+  for (std::size_t m : {std::size_t{505}, std::size_t{1200}}) {
+    for (Layout layout : {Layout::kUniform, Layout::kClustered}) {
+      const tsp::TourProblem problem = layout_problem(layout, m, 7000 + m);
+      expect_corpus_case(problem, Start::kChristofides, {}, tally,
+                         std::string(layout_name(layout)) +
+                             " m=" + std::to_string(m));
+    }
+  }
+  EXPECT_GT(tally.moves, 0u);
+}
+
+TEST(ImproveCache, TruncatedBudgetsAtScaleMatchReference) {
+  reference::OrOptTally tally;
+  const tsp::TourProblem problem = layout_problem(Layout::kOnDepot, 505, 8505);
+  for (std::size_t max_passes : {std::size_t{1}, std::size_t{2},
+                                 std::size_t{3}, std::size_t{7},
+                                 std::size_t{40}}) {
+    tsp::ImproveOptions options;
+    options.max_passes = max_passes;
+    for (Start start : {Start::kIdentity, Start::kChristofides}) {
+      expect_corpus_case(
+          problem, start, options, tally,
+          "passes=" + std::to_string(max_passes) +
+              (start == Start::kIdentity ? " identity" : " christofides"));
+    }
+  }
+  EXPECT_GT(tally.moves, 0u);
 }
 
 // ---------------------------------------------------------------------------

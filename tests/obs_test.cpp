@@ -14,9 +14,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "baselines/kminmax.h"
 #include "core/appro.h"
 #include "geometry/point.h"
 #include "model/charging_problem.h"
@@ -25,6 +27,7 @@
 #include "sim/faults.h"
 #include "sim/simulation.h"
 #include "sim_compare.h"
+#include "tsp/split.h"
 #include "util/rng.h"
 #include "util/simd.h"
 
@@ -140,7 +143,8 @@ TEST(ObsReport, JsonCarriesSchemaAndSortedMetrics) {
 
 TEST(ObsReport, SimulatorPopulatesCoreSpans) {
   // A traced simulation must light up the instrumented subsystems
-  // end-to-end: planner phases, executor, and the simulator scans.
+  // end-to-end: planner phases, the tour substrate's stages, executor,
+  // and the simulator scans.
   obs::reset();
   Rng rng(5);
   const auto instance = model::make_instance(model::NetworkConfig{}, 60, rng);
@@ -151,7 +155,9 @@ TEST(ObsReport, SimulatorPopulatesCoreSpans) {
   const SimResult result = simulate(instance, appro, config);
   ASSERT_GT(result.rounds, 0u);
   const obs::TraceReport report = obs::capture();
-  for (const char* name : {"appro.plan", "exec.multinode", "sim.round"}) {
+  for (const char* name :
+       {"appro.plan", "exec.multinode", "sim.round", "tsp.construct",
+        "tsp.improve_tour", "tsp.split", "tsp.segment_improve"}) {
     const auto* m = find_metric(report, name);
     ASSERT_NE(m, nullptr) << name;
     EXPECT_GT(m->count, 0u) << name;
@@ -230,6 +236,53 @@ TEST(ObsIdentity, PlansIdenticalTracedVsUntraced) {
   EXPECT_EQ(untraced.mode, traced.mode);
   EXPECT_EQ(untraced.tours, traced.tours);
   EXPECT_EQ(untraced.starts, traced.starts);
+}
+
+// The tour substrate's spans (tsp.construct / improve_tour / split /
+// segment_improve) sit inside tsp::min_max_k_tours, which both Appro and
+// K-minMax plan through: its tours and max delay, and whole K-minMax
+// plans, must keep their bits with tracing on.
+TEST(ObsIdentity, TourSubstrateIdenticalTracedVsUntraced) {
+  for (const std::size_t m : {std::size_t{1}, std::size_t{40},
+                              std::size_t{300}}) {
+    Rng rng(31 + m);
+    tsp::TourProblem tour_problem;
+    std::vector<geom::Point> pts;
+    std::vector<double> deficits;
+    for (std::size_t i = 0; i < m; ++i) {
+      const geom::Point p{rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)};
+      tour_problem.sites.push_back(p);
+      tour_problem.service.push_back(rng.uniform(100.0, 4000.0));
+      pts.push_back(p);
+      deficits.push_back(rng.uniform(3456.0, 5400.0));
+    }
+    tour_problem.depot = {50.0, 50.0};
+    tour_problem.speed = 2.7;
+    const model::ChargingProblem problem(std::move(pts), std::move(deficits),
+                                         {50.0, 50.0}, 2.7, 1.0, 3);
+    for (const simd::Backend b : supported_backends()) {
+      BackendGuard guard(b);
+      SCOPED_TRACE("m=" + std::to_string(m) + " backend=" +
+                   simd::backend_name(b));
+      const tsp::SplitResult untraced = tsp::min_max_k_tours(tour_problem, 3);
+      const sched::ChargingPlan plan_untraced =
+          baselines::KMinMaxScheduler().plan(problem);
+      tsp::SplitResult traced;
+      sched::ChargingPlan plan_traced;
+      {
+        const obs::EnabledScope scope(true);
+        traced = tsp::min_max_k_tours(tour_problem, 3);
+        plan_traced = baselines::KMinMaxScheduler().plan(problem);
+      }
+      EXPECT_EQ(untraced.tours, traced.tours);
+      EXPECT_EQ(std::memcmp(&untraced.max_delay, &traced.max_delay,
+                            sizeof(double)),
+                0);
+      EXPECT_EQ(plan_untraced.mode, plan_traced.mode);
+      EXPECT_EQ(plan_untraced.tours, plan_traced.tours);
+      EXPECT_EQ(plan_untraced.starts, plan_traced.starts);
+    }
+  }
 }
 
 }  // namespace

@@ -314,6 +314,193 @@ TEST(Simd, OrOptScanMatchesScalarLoop) {
   }
 }
 
+// ---- adversarial gain scans -------------------------------------------
+// The 2-opt / Or-opt kernels skip lanes by an exact squared-distance
+// prefilter (util/simd_kernels.h). These cases aim at its margin: lanes
+// a few ulps either side of the threshold, zero-length legs (the filter
+// bound is tight exactly when one distance is zero), large coordinates,
+// min_gain = 0, non-positive right-hand sides, and every range length
+// 0..100 from every start, so each vector body / tail split runs. Every
+// backend must agree with the unfiltered loops frozen here.
+
+std::size_t frozen_two_opt_scan(const std::vector<double>& xs,
+                                const std::vector<double>& ys,
+                                const std::vector<double>& tc,
+                                std::size_t j_begin, std::size_t j_end,
+                                double ax, double ay, double bx, double by,
+                                double speed, double base, double min_gain) {
+  for (std::size_t j = j_begin; j < j_end; ++j) {
+    const double dax = ax - xs[j];
+    const double day = ay - ys[j];
+    const double da = std::sqrt(dax * dax + day * day);
+    const double dbx = bx - xs[j + 1];
+    const double dby = by - ys[j + 1];
+    const double db = std::sqrt(dbx * dbx + dby * dby);
+    const double after = da / speed + db / speed;
+    const double before = base + tc[j];
+    if (after < before - min_gain) return j;
+  }
+  return simd::kNpos;
+}
+
+std::size_t frozen_or_opt_scan(const std::vector<double>& xs,
+                               const std::vector<double>& ys,
+                               const std::vector<double>& tc,
+                               std::size_t k_begin, std::size_t k_end,
+                               double ix, double iy, double ex, double ey,
+                               double speed, double threshold) {
+  for (std::size_t k = k_begin; k < k_end; ++k) {
+    const double dax = xs[k] - ix;
+    const double day = ys[k] - iy;
+    const double da = std::sqrt(dax * dax + day * day);
+    const double dbx = ex - xs[k + 1];
+    const double dby = ey - ys[k + 1];
+    const double db = std::sqrt(dbx * dbx + dby * dby);
+    const double cost = da / speed + db / speed - tc[k];
+    if (cost < threshold) return k;
+  }
+  return simd::kNpos;
+}
+
+double step_ulps(double x, int ulps) {
+  for (; ulps > 0; --ulps) x = std::nextafter(x, kInf);
+  for (; ulps < 0; ++ulps) x = std::nextafter(x, -kInf);
+  return x;
+}
+
+constexpr double kAdversarialSpeeds[] = {0.3, 1.0, 5.0, 7.3};
+constexpr double kAdversarialScales[] = {100.0, 1e7};
+
+/// Points for an n-element scan (n + 1 positions). Each position is, with
+/// probability 1/4 each, snapped onto `a` or onto `b`, so zero-length legs
+/// appear on both the da and the db side.
+Soa adversarial_points(std::size_t n, double scale, double ax, double ay,
+                       double bx, double by, Rng& rng) {
+  Soa p;
+  for (std::size_t i = 0; i <= n; ++i) {
+    double x = rng.uniform(0.0, scale);
+    double y = rng.uniform(0.0, scale);
+    const std::uint64_t snap = rng.below(4);
+    if (snap == 0) {
+      x = ax;
+      y = ay;
+    } else if (snap == 1) {
+      x = bx;
+      y = by;
+    }
+    p.xs.push_back(x);
+    p.ys.push_back(y);
+  }
+  return p;
+}
+
+TEST(Simd, TwoOptScanAdversarialMatchesFrozenLoop) {
+  std::uint64_t seed = 0;
+  for (const double speed : kAdversarialSpeeds) {
+    for (const double scale : kAdversarialScales) {
+      for (std::size_t n = 0; n <= 100; ++n) {
+        Rng rng(11000 + ++seed);
+        const double ax = rng.uniform(0.0, scale);
+        const double ay = rng.uniform(0.0, scale);
+        const double bx = rng.uniform(0.0, scale);
+        const double by = rng.uniform(0.0, scale);
+        const Soa p = adversarial_points(n, scale, ax, ay, bx, by, rng);
+        const double min_gain = n % 2 == 0 ? 0.0 : 1e-9;
+        const double base = rng.uniform(0.0, scale / speed);
+        std::vector<double> tc(n);
+        for (std::size_t j = 0; j < n; ++j) {
+          const double da = dist(ax, ay, p.xs[j], p.ys[j]);
+          const double db = dist(bx, by, p.xs[j + 1], p.ys[j + 1]);
+          const double after = da / speed + db / speed;
+          switch (rng.below(4)) {
+            case 0:  // anywhere
+              tc[j] = rng.uniform(0.0, 2.0 * scale / speed);
+              break;
+            case 1:  // rhs = (base + tc) - min_gain <= 0
+              tc[j] = -base - rng.uniform(0.0, 1.0);
+              break;
+            default:  // rhs within a few ulps of `after`
+              tc[j] = step_ulps(after + min_gain - base,
+                                static_cast<int>(rng.below(9)) - 4);
+              break;
+          }
+        }
+        for (std::size_t j_begin = 0; j_begin <= n; ++j_begin) {
+          const std::size_t want =
+              frozen_two_opt_scan(p.xs, p.ys, tc, j_begin, n, ax, ay, bx, by,
+                                  speed, base, min_gain);
+          for (simd::Backend b : supported_backends()) {
+            BackendGuard guard(b);
+            ASSERT_EQ(want, simd::two_opt_scan(p.xs.data(), p.ys.data(),
+                                               tc.data(), j_begin, n, ax, ay,
+                                               bx, by, speed, base, min_gain))
+                << "speed=" << speed << " scale=" << scale << " n=" << n
+                << " j_begin=" << j_begin
+                << " backend=" << simd::backend_name(b);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Simd, OrOptScanAdversarialMatchesFrozenLoop) {
+  std::uint64_t seed = 0;
+  for (const double speed : kAdversarialSpeeds) {
+    for (const double scale : kAdversarialScales) {
+      for (std::size_t n = 0; n <= 100; ++n) {
+        Rng rng(12000 + ++seed);
+        const double ix = rng.uniform(0.0, scale);
+        const double iy = rng.uniform(0.0, scale);
+        const double ex = rng.uniform(0.0, scale);
+        const double ey = rng.uniform(0.0, scale);
+        // P[k] snapped onto the segment front zeroes da; P[k+1] onto its
+        // end zeroes db.
+        const Soa p = adversarial_points(n, scale, ix, iy, ex, ey, rng);
+        double threshold = 0.0;
+        switch (n % 3) {
+          case 0: threshold = rng.uniform(0.0, scale / speed); break;
+          case 1: threshold = 0.0; break;
+          default: threshold = -rng.uniform(0.0, scale / speed); break;
+        }
+        std::vector<double> tc(n);
+        for (std::size_t k = 0; k < n; ++k) {
+          const double da = dist(p.xs[k], p.ys[k], ix, iy);
+          const double db = dist(ex, ey, p.xs[k + 1], p.ys[k + 1]);
+          const double sum = da / speed + db / speed;
+          switch (rng.below(4)) {
+            case 0:  // anywhere
+              tc[k] = rng.uniform(0.0, 2.0 * scale / speed);
+              break;
+            case 1:  // threshold + tc <= 0
+              tc[k] = -threshold - rng.uniform(0.0, 1.0);
+              break;
+            default:  // cost within a few ulps of the threshold
+              tc[k] = step_ulps(sum - threshold,
+                                static_cast<int>(rng.below(9)) - 4);
+              break;
+          }
+        }
+        for (std::size_t k_begin = 0; k_begin <= n; ++k_begin) {
+          const std::size_t want =
+              frozen_or_opt_scan(p.xs, p.ys, tc, k_begin, n, ix, iy, ex, ey,
+                                 speed, threshold);
+          for (simd::Backend b : supported_backends()) {
+            BackendGuard guard(b);
+            ASSERT_EQ(want,
+                      simd::or_opt_scan(p.xs.data(), p.ys.data(), tc.data(),
+                                        k_begin, n, ix, iy, ex, ey, speed,
+                                        threshold))
+                << "speed=" << speed << " scale=" << scale << " n=" << n
+                << " k_begin=" << k_begin
+                << " backend=" << simd::backend_name(b);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Simd, SelectWithinMatchesScalarFilter) {
   for (std::size_t n : kLengths) {
     const Soa p = random_points(n, 1100 + n);
