@@ -136,7 +136,8 @@ void BM_Blossom(benchmark::State& state) {
   // Engine shoot-out on uniform fields: arg0 = n, arg1 = engine
   // (0 = dense blossom, 1 = sparse price-and-repair, 2 = local search).
   // Dense is exact but O(n^2) memory / O(n^3) time, so its series stops
-  // at 256; sparse and local search run through n = 4096.
+  // at 256; sparse and local search run through n = 4096. The 128..256
+  // pairs bracket the dense/sparse crossover kSparseCrossover.
   Rng rng(19);
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto pts = geom::uniform_field(n, 100.0, 100.0, rng);
@@ -149,6 +150,10 @@ BENCHMARK(BM_Blossom)
     ->Args({64, 0})
     ->Args({64, 1})
     ->Args({64, 2})
+    ->Args({128, 0})
+    ->Args({128, 1})
+    ->Args({192, 0})
+    ->Args({192, 1})
     ->Args({256, 0})
     ->Args({256, 1})
     ->Args({256, 2})

@@ -6,7 +6,8 @@
 #      available, a grep fallback otherwise), including presence and
 #      non-zero counts of the load-bearing spans (planner phases, the
 #      tour substrate's stages inside tsp::min_max_k_tours, executor,
-#      simulator round loop).
+#      simulator round loop); one ablation_design round adds the dense
+#      blossom's solve span.
 #   2. Runs the BM_ObsOverhead micro-bench pair and asserts the
 #      tracing-enabled run stays within a noise margin of the disabled
 #      run (the layer's contract is < 1% overhead on instrumented
@@ -27,7 +28,7 @@ set -eu
 cd "$(dirname "$0")/.."
 BUILD_DIR="${BUILD_DIR:-build}"
 
-for bin in bench/fig3_vary_n bench/micro_algorithms; do
+for bin in bench/fig3_vary_n bench/ablation_design bench/micro_algorithms; do
   if [ ! -x "$BUILD_DIR/$bin" ]; then
     echo "building $bin ..." >&2
     cmake -B "$BUILD_DIR" -S . >/dev/null
@@ -42,34 +43,52 @@ trap 'rm -rf "$TMP"' EXIT
 "$BUILD_DIR/bench/fig3_vary_n" --nmin=200 --nmax=200 --instances=2 \
   --months=0.5 --trace-out="$TMP/trace.json" >/dev/null
 [ -s "$TMP/trace.json" ] || { echo "FAIL: trace.json not written" >&2; exit 1; }
+# fig3's small per-round batches never reach a blossom engine (their odd
+# sets stay within the exact DP); one ablation_design round plans 1000
+# sensors at once, so its Christofides odd sets run the dense blossom.
+"$BUILD_DIR/bench/ablation_design" --rounds=1 \
+  --trace-out="$TMP/trace_matching.json" >/dev/null
+[ -s "$TMP/trace_matching.json" ] || {
+  echo "FAIL: trace_matching.json not written" >&2; exit 1; }
 
 if command -v python3 >/dev/null 2>&1; then
-  python3 - "$TMP/trace.json" <<'EOF'
+  python3 - "$TMP/trace.json" "$TMP/trace_matching.json" <<'EOF'
 import json, sys
 
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-assert doc.get("schema") == "mcharge.trace.v1", doc.get("schema")
-metrics = doc["metrics"]
-assert isinstance(metrics, list) and metrics, "empty metrics"
-by_name = {}
-for m in metrics:
-    assert set(m) >= {"name", "kind", "count"}, m
-    assert m["kind"] in ("span", "counter", "gauge"), m
-    if m["kind"] == "span":
-        assert "total_s" in m and m["total_s"] >= 0.0, m
-    by_name[m["name"]] = m
-names = sorted(by_name)
-assert names == [m["name"] for m in metrics], "metrics not sorted by name"
-# blossom.* spans only fire when auto-dispatch picks the sparse engine,
-# which depends on instance scale — so they are not required here.
-for required in ("appro.plan", "appro.k_tours", "appro.insertion",
-                 "exec.multinode", "sim.round", "sim.select_scan",
-                 "tsp.construct", "tsp.improve_tour", "tsp.split",
-                 "tsp.segment_improve"):
-    assert required in by_name, f"missing span: {required}"
-    assert by_name[required]["count"] > 0, f"zero count: {required}"
-print("trace schema: OK (%d metrics)" % len(metrics))
+
+def load(path):
+    with open(path) as f:
+        doc = json.load(f)
+    assert doc.get("schema") == "mcharge.trace.v1", doc.get("schema")
+    metrics = doc["metrics"]
+    assert isinstance(metrics, list) and metrics, "empty metrics"
+    by_name = {}
+    for m in metrics:
+        assert set(m) >= {"name", "kind", "count"}, m
+        assert m["kind"] in ("span", "counter", "gauge"), m
+        if m["kind"] == "span":
+            assert "total_s" in m and m["total_s"] >= 0.0, m
+        by_name[m["name"]] = m
+    names = sorted(by_name)
+    assert names == [m["name"] for m in metrics], "metrics not sorted by name"
+    return by_name
+
+
+def require(by_name, names):
+    for required in names:
+        assert required in by_name, f"missing span: {required}"
+        assert by_name[required]["count"] > 0, f"zero count: {required}"
+
+
+sim = load(sys.argv[1])
+require(sim, ("appro.plan", "appro.k_tours", "appro.insertion",
+              "exec.multinode", "sim.round", "sim.select_scan",
+              "tsp.construct", "tsp.improve_tour", "tsp.split",
+              "tsp.segment_improve"))
+# The sparse engine's blossom.* spans fire only when auto-dispatch picks
+# it, which depends on odd-set size, so only the dense span is required.
+require(load(sys.argv[2]), ("appro.k_tours", "blossom.dense_solve"))
+print("trace schema: OK (%d metrics)" % len(sim))
 EOF
 else
   # Grep fallback: schema tag plus the load-bearing span names.
@@ -79,6 +98,8 @@ else
     grep -q "\"$required\"" "$TMP/trace.json" || {
       echo "FAIL: missing span $required" >&2; exit 1; }
   done
+  grep -q '"blossom.dense_solve"' "$TMP/trace_matching.json" || {
+    echo "FAIL: missing span blossom.dense_solve" >&2; exit 1; }
   echo "trace schema: OK (grep fallback)"
 fi
 

@@ -5,6 +5,7 @@
 
 #include "matching/blossom_core.h"
 #include "matching/quantize.h"
+#include "obs/obs.h"
 #include "util/assert.h"
 
 namespace mcharge::matching {
@@ -54,7 +55,10 @@ Matching dense_blossom_euclidean_matching(const std::vector<geom::Point>& pts) {
   }
   detail::BlossomCore<detail::DenseStore> core(static_cast<int>(n), store,
                                               arena);
-  core.solve();
+  {
+    OBS_SPAN("blossom.dense_solve");
+    core.solve();
+  }
   return extract_matching(n, core);
 }
 

@@ -29,6 +29,14 @@
 //    min-slack reduction and the label update into branch-free scans with
 //    bitwise-identical scalar semantics (util/simd.h).
 //
+//  * Solves start from a jump start (tight per-vertex duals plus a
+//    greedy tight matching, see jump_start) or a warm start, not from
+//    uniform labels and an empty matching, and the phases run until the
+//    matching is PERFECT rather than stopping at the max-weight optimum.
+//    Vertex duals are therefore unrestricted in sign (blossom z stays
+//    >= 0); quantize.h budgets the int64 headroom, and a solve that would
+//    cross the floor restarts cold.
+//
 // All vertex ids are 1-based; ids in (n, 2n] are contracted blossoms.
 // Edge weights are doubled so every dual value stays integral.
 #pragma once
@@ -41,6 +49,8 @@
 #include <utility>
 #include <vector>
 
+#include "matching/quantize.h"
+#include "obs/obs.h"
 #include "util/assert.h"
 #include "util/simd.h"
 
@@ -82,12 +92,6 @@ class DenseStore {
   }
 
   std::int64_t weight(int u, int v) const { return w_[idx(u, v)]; }
-
-  std::int64_t max_weight() const {
-    std::int64_t best = 0;
-    for (const std::int64_t w : w_) best = std::max(best, w);
-    return best;
-  }
 
   /// Calls f(v, w2) for v in ascending order with weight(u, v) > 0; stops
   /// early (returning false) when f does.
@@ -145,12 +149,6 @@ class SparseStore {
     return w_[it - nbr_.data()];
   }
 
-  std::int64_t max_weight() const {
-    std::int64_t best = 0;
-    for (const std::int64_t w : w_) best = std::max(best, w);
-    return best;
-  }
-
   template <class F>
   bool for_neighbors(int u, F&& f) const {
     for (std::int32_t k = head_[u]; k < head_[u + 1]; ++k) {
@@ -197,42 +195,77 @@ class BlossomCore {
     su_ = a_.su.data();
   }
 
-  /// Runs the solver; afterwards partner(v) gives v's mate (1-based, 0 if
-  /// unmatched) and dual2(v) the final doubled dual label.
+  /// Runs the solver from the jump start; afterwards partner(v) gives v's
+  /// mate (1-based) and dual2(v) the final doubled dual label. The store
+  /// must admit a perfect matching (a complete graph does; the sparse
+  /// engine's backbone guarantees one), and the result is a maximum-weight
+  /// PERFECT matching — on a complete graph with positive weights that is
+  /// also the maximum-weight matching.
   void solve() {
-    n_x_ = n_;
-    for (int u = 1; u <= n_; ++u) st_[u] = u;
-    const std::int64_t w_max = store_.max_weight();
-    for (int u = 1; u <= n_; ++u) lab_[u] = w_max;
-    while (matching_phase()) {
-    }
+    jump_start();
+    finish();
   }
 
-  /// Warm-start entry: seeds labels and matching from a previous solve
-  /// over a subset of this store's edges, then runs the same phases as
-  /// solve(). Preconditions (the caller's bump/round/unmatch passes
-  /// establish all three): labels are nonnegative, EVEN, and
-  /// dual-feasible on EVERY store edge (lab2[u] + lab2[v] >= w2(u, v)),
-  /// and every matched pair is tight (equality) with mate[] involutive.
-  /// The parity requirement matters for termination, not feasibility:
-  /// i64_slack_bound halves outer-target slacks and the post-adjustment
-  /// rescan only fires at slack exactly 0, so an ODD outer-outer slack
-  /// pins d at floor(1/2) = 0 forever. An all-even entry has the same
-  /// shape as solve()'s own entry (w_max of doubled weights is even), so
-  /// the phases see nothing a cold start could not have produced — only
-  /// the amount of remaining work differs. `lab2` and `mate` are
-  /// 0-indexed by vertex; mate values are 1-based partners (0 =
-  /// unmatched).
+  /// Warm entry: seeds labels and matching from an earlier solve over a
+  /// subset of this store's edges (`lab2` 0-indexed by vertex, `mate`
+  /// 1-based partners, 0 = unmatched, involutive, every matched pair a
+  /// store edge), restores the phase-entry invariants with the same
+  /// repair passes the jump start uses, then runs the phases. Labels may
+  /// be odd, negative, or infeasible on edges the earlier solve did not
+  /// have.
   void solve_from(const std::vector<std::int64_t>& lab2,
                   const std::vector<std::int32_t>& mate) {
-    n_x_ = n_;
+    reset_blossoms();
     for (int u = 1; u <= n_; ++u) {
-      st_[u] = u;
       lab_[u] = lab2[u - 1];
       match_[u] = mate[u - 1];
     }
-    while (matching_phase()) {
+    repair();
+    finish();
+  }
+
+  /// Seeds labels and matching without running any phase (solve() runs
+  /// the phases afterwards). Every vertex first takes its tightest dual,
+  /// lab_u = max_v w2(u, v) / 2, which is feasible on every edge; a
+  /// second ascending pass lowers each label to max_v (w2(u, v) - lab_v),
+  /// the least value that keeps u's edges feasible against the current
+  /// labels. Tight edges are then matched greedily in ascending id, and
+  /// repair() establishes the phase-entry invariants: every label EVEN,
+  /// every store edge feasible (lab_u + lab_v >= w2(u, v)), every matched
+  /// pair tight and mate[] involutive. The parity requirement matters for
+  /// termination, not feasibility: i64_slack_bound halves outer-target
+  /// slacks and the post-adjustment rescan only fires at slack exactly 0,
+  /// so an ODD outer-outer slack pins d at floor(1/2) = 0 forever. Labels
+  /// may be negative: nothing in the perfect-matching phases needs a sign.
+  void jump_start() {
+    reset_blossoms();
+    for (int u = 1; u <= n_; ++u) {
+      std::int64_t best = 0;
+      store_.for_neighbors(u, [&](int, std::int64_t w) {
+        best = std::max(best, w);
+        return true;
+      });
+      lab_[u] = best / 2;
+      match_[u] = 0;
     }
+    for (int u = 1; u <= n_; ++u) {
+      std::int64_t need = kI64Min;
+      store_.for_neighbors(u, [&](int v, std::int64_t w) {
+        need = std::max(need, w - lab_[v]);
+        return true;
+      });
+      if (need != kI64Min) lab_[u] = need;
+    }
+    for (int u = 1; u <= n_; ++u) {
+      if (match_[u]) continue;
+      store_.for_neighbors(u, [&](int v, std::int64_t w) {
+        if (match_[v] || lab_[u] + lab_[v] != w) return true;
+        match_[u] = v;
+        match_[v] = u;
+        return false;
+      });
+    }
+    repair();
   }
 
   int partner(int v) const { return match_[v]; }
@@ -258,6 +291,89 @@ class BlossomCore {
  private:
   static constexpr std::int64_t kI64Max =
       std::numeric_limits<std::int64_t>::max();
+  static constexpr std::int64_t kI64Min =
+      std::numeric_limits<std::int64_t>::min();
+
+  enum class Phase { kAugmented, kPerfect, kBelowFloor };
+
+  void reset_blossoms() {
+    n_x_ = n_;
+    for (int u = 1; u <= n_; ++u) st_[u] = u;
+  }
+
+  /// Restores the phase-entry invariants (see jump_start) on arbitrary
+  /// labels and an involutive matching over store edges, breaking as few
+  /// matched pairs as possible:
+  ///  1. Parity. A tight pair's label sum is even (weights are even), so
+  ///     its labels are odd together; +1 / -1 across the pair evens both
+  ///     without breaking tightness. Free vertices round up. The -1 can
+  ///     dent a neighboring edge by one unit; pass 2 repairs it.
+  ///  2. Feasibility bump, each store edge once in ascending (u, v)
+  ///     order: raising the lower endpoint by the (even) deficit restores
+  ///     lab_u + lab_v >= w2 and cannot break any other edge (labels only
+  ///     ever increase).
+  ///  3. Unmatch every pair whose edge is no longer tight.
+  void repair() {
+    for (int u = 1; u <= n_; ++u) {
+      if ((lab_[u] & 1) == 0) continue;
+      const int m = match_[u];
+      lab_[u] += 1;  // a free vertex, or a pair already evened from m
+      if (m > u) lab_[m] -= 1;
+    }
+    w_max_ = 0;
+    for (int u = 1; u <= n_; ++u) {
+      store_.for_neighbors(u, [&](int v, std::int64_t w) {
+        w_max_ = std::max(w_max_, w);
+        if (v > u) lab_[u] += std::max<std::int64_t>(0, w - lab_[u] - lab_[v]);
+        return true;
+      });
+    }
+    for (int u = 1; u <= n_; ++u) {
+      const int m = match_[u];
+      if (m > u && lab_[u] + lab_[m] != store_.weight(u, m)) {
+        match_[u] = 0;
+        match_[m] = 0;
+      }
+    }
+  }
+
+  /// Runs phases to a perfect matching. A jump or warm start can drive a
+  /// label below w_max - kLabelSpan2 (quantize.h), the least value the
+  /// int64 budget covers; the solve then restarts cold — every label at
+  /// w_max, nothing matched — which keeps all labels positive on a
+  /// complete graph: every free vertex holds the common minimum label,
+  /// and it could reach 0 only once the matching were maximum-weight,
+  /// i.e. already perfect.
+  void finish() {
+    if (run_phases()) return;
+    OBS_COUNT("blossom.cold_restarts", 1);
+    reset_blossoms();
+    for (int u = 1; u <= n_; ++u) {
+      lab_[u] = w_max_;
+      match_[u] = 0;
+    }
+    MCHARGE_ASSERT(run_phases(), "blossom: vertex dual below the int64 floor");
+  }
+
+  std::int64_t min_label() const {
+    return n_ == 0 ? 0 : *std::min_element(lab_ + 1, lab_ + n_ + 1);
+  }
+
+  bool run_phases() {
+    lab_floor_ = w_max_ - kLabelSpan2;
+    lab_lb_ = min_label();
+    if (lab_lb_ < lab_floor_) return false;
+    for (;;) {
+      switch (matching_phase()) {
+        case Phase::kAugmented:
+          break;
+        case Phase::kPerfect:
+          return true;
+        case Phase::kBelowFloor:
+          return false;
+      }
+    }
+  }
 
   static BlossomEdge flip(BlossomEdge e) { return {e.v, e.u}; }
   int slot(int b) const { return b - n_ - 1; }
@@ -451,19 +567,33 @@ class BlossomCore {
     }
     auto& fr = a_.from[slot(b)];
     std::fill(fr.begin(), fr.begin() + n_ + 1, 0);
-    for (const int xs : fl) {
-      for (int x = 1; x <= n_x_; ++x) {
-        const BlossomEdge e = rec(xs, x);
-        const std::int64_t w = weight(xs, x);
-        if (bw[x] == 0 || e_delta2(e, w) < e_delta2(be[x], bw[x])) {
-          be[x] = e;
-          bw[x] = w;
-          if (x > n_ && x != b) {
-            a_.brow_e[slot(x)][b] = flip(e);
-            a_.brow_w[slot(x)][b] = w;
-          }
+    // b's row keeps, per target x, the member edge of least reduced cost.
+    // A weight-0 slot is a non-edge and never displaces a real record: a
+    // (u, x) slack candidate must name a real edge, and with negative
+    // labels a non-edge's label sum can undercut a real edge's reduced
+    // cost.
+    const auto offer = [&](int x, BlossomEdge e, std::int64_t w) {
+      if (w == 0) return;
+      if (bw[x] == 0 || e_delta2(e, w) < e_delta2(be[x], bw[x])) {
+        be[x] = e;
+        bw[x] = w;
+        if (x > n_ && x != b) {
+          a_.brow_e[slot(x)][b] = flip(e);
+          a_.brow_w[slot(x)][b] = w;
         }
       }
+    };
+    for (const int xs : fl) {
+      int first = 1;
+      if (xs <= n_) {
+        // A real member's real targets are exactly its store neighbors.
+        store_.for_neighbors(xs, [&](int x, std::int64_t w) {
+          offer(x, BlossomEdge{xs, x}, w);
+          return true;
+        });
+        first = n_ + 1;
+      }
+      for (int x = first; x <= n_x_; ++x) offer(x, rec(xs, x), weight(xs, x));
       if (xs <= n_) {
         fr[xs] = xs;
       } else {
@@ -530,7 +660,7 @@ class BlossomCore {
     return false;
   }
 
-  bool matching_phase() {
+  Phase matching_phase() {
     std::fill(s_, s_ + n_x_ + 1, -1);
     std::fill(slack_, slack_ + n_x_ + 1, 0);
     std::fill(su_ + 1, su_ + n_ + 1, -1);
@@ -545,7 +675,7 @@ class BlossomCore {
         any_free = true;
       }
     }
-    if (!any_free) return false;
+    if (!any_free) return Phase::kPerfect;
 
     // Safety: a correct run needs O(n^2) dual adjustments per phase; a
     // runaway loop means a bug, so fail loudly instead of hanging.
@@ -580,7 +710,7 @@ class BlossomCore {
           }
           return true;
         });
-        if (augmented) return true;
+        if (augmented) return Phase::kAugmented;
       }
 
       std::int64_t d = kI64Max;
@@ -591,10 +721,17 @@ class BlossomCore {
                                             n_x_ + 1));
       MCHARGE_ASSERT(d != kI64Max, "blossom: no dual adjustment available");
 
-      // Dual exhausted -> no augmenting path. Checked BEFORE applying so
-      // the duals stay a consistent feasible solution (the pricing pass
-      // reads them after the solver stops).
-      if (simd::i64_min_where(lab_, su_, 0, 1, n_ + 1) <= d) return false;
+      // No max-weight stop: the phases run until the matching is perfect,
+      // so vertex labels may go negative (blossom z stays >= 0). Each
+      // adjustment lowers any label by at most d, so lab_lb_ - d bounds
+      // every label afterwards; only when that bound crosses the floor is
+      // the exact minimum taken, and a real crossing aborts BEFORE
+      // applying, with the duals still consistent.
+      if (d > lab_lb_ - lab_floor_) {
+        lab_lb_ = min_label();
+        if (d > lab_lb_ - lab_floor_) return Phase::kBelowFloor;
+      }
+      lab_lb_ -= d;
       simd::i64_dual_apply(lab_, su_, 1, n_ + 1, d);
       for (int b = n_ + 1; b <= n_x_; ++b) {
         if (st_[b] == b) {
@@ -611,14 +748,14 @@ class BlossomCore {
       for (int x = 1; x <= n_x_; ++x) {
         if (st_[x] == x && slack_[x] && st_[slack_[x]] != x &&
             slack_val_[x] == 0) {
-          if (on_found_edge(rec(slack_[x], x))) return true;
+          if (on_found_edge(rec(slack_[x], x))) return Phase::kAugmented;
         }
       }
       for (int b = n_ + 1; b <= n_x_; ++b) {
         if (st_[b] == b && s_[b] == 1 && lab_[b] == 0) expand_blossom(b);
       }
     }
-    return false;  // unreachable: the guard asserts first
+    return Phase::kPerfect;  // unreachable: the guard asserts first
   }
 
   int n_;
@@ -636,6 +773,9 @@ class BlossomCore {
   std::int32_t* vis_ = nullptr;
   std::int32_t* su_ = nullptr;
   int timestamp_ = 0;
+  std::int64_t w_max_ = 0;      ///< largest store weight (set by repair)
+  std::int64_t lab_floor_ = 0;  ///< w_max_ - kLabelSpan2
+  std::int64_t lab_lb_ = 0;     ///< lower bound on every real vertex label
 };
 
 }  // namespace mcharge::matching::detail

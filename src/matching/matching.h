@@ -50,11 +50,11 @@ inline constexpr std::size_t kBlossomLimit = 4096;
 
 /// Below this size kAuto prefers the dense engine over the sparse one:
 /// the sparse engine's candidate-build + multi-round pricing overhead
-/// only amortizes once the (n+1)^2 dense solve is expensive enough
-/// (measured crossover ~128-256 on uniform fields; see EXPERIMENTS.md).
-/// Both engines return the identical matching, so this is purely a
-/// latency knob.
-inline constexpr std::size_t kSparseCrossover = 128;
+/// only amortizes once the (n+1)^2 dense solve is expensive enough. With
+/// the jump-started core, dense wins every measured size in [128, 172]
+/// by 1.3-1.6x and 192..256 is mixed (see EXPERIMENTS.md). Both engines
+/// return the identical matching, so this is purely a latency knob.
+inline constexpr std::size_t kSparseCrossover = 192;
 
 /// Which matching engine to run on geometric instances.
 enum class MatchingEngine : std::uint8_t {

@@ -22,6 +22,20 @@
 //    work: any vertex-separable term sums to the same constant over
 //    every perfect matching.
 //
+//  * Dual headroom. resolution * tie_scale < 2^59 (and tie_scale < 2^39)
+//    keeps every doubled weight W = 2 * profit below 2^60 + 2^41. The
+//    blossom core runs perfect-matching phases from a jump start, so
+//    vertex labels are unrestricted in sign; it keeps them at or above
+//    the floor F = w2_max - kLabelSpan2 (a solve that would cross it
+//    restarts cold, see blossom_core.h), which the budget above puts at
+//    least 2.75 W below zero. Every label is then at most
+//    W - F + 1 = kLabelSpan2 + 1 (a matched label is a weight minus its
+//    mate's label minus z >= 0; a repaired entry label gains at most a
+//    parity unit), every blossom z and every chain sum of z at most
+//    W - 2F, and every label sum, reduced cost and pricing left-hand side
+//    lies in [2F - W, 2 * kLabelSpan2 + 2] — inside int64, with 2^59 to
+//    spare at the top.
+//
 // The bounding-box diagonal upper-bounds every pairwise distance in
 // floating point too (each of sub/mul/add/sqrt is correctly rounded and
 // monotone), so quantized costs never exceed the resolution by more than
@@ -54,6 +68,11 @@ inline std::int64_t tie_hash(std::uint32_t u, std::uint32_t v) {
   const std::uint64_t key = (std::uint64_t{u} << 32) | v;
   return static_cast<std::int64_t>(splitmix64(key) >> (64 - kTieBits));
 }
+
+/// How far below the largest doubled weight the blossom core lets a
+/// doubled vertex label fall (see the dual headroom note above).
+inline constexpr std::int64_t kLabelSpan2 =
+    (std::int64_t{1} << 62) - (std::int64_t{1} << 58);
 
 struct BlossomQuantizer {
   double scale = 1.0;            ///< cost -> primary quantization steps

@@ -170,70 +170,23 @@ Matching sparse_blossom_euclidean_matching(const std::vector<geom::Point>& pts,
         core.solve();
       } else {
         // Warm start from the previous round's duals and matching instead
-        // of re-deriving everything from lab = w_max. Four passes restore
-        // the solver's entry invariants (even labels, feasibility on the
-        // grown edge set, matched edges tight) while breaking as few
-        // matched pairs as possible:
-        //  1. Fold blossom duals into the labels: lab2_v += Z2(v) / 2,
-        //     Z2(v) = sum of z over v's nesting chain. solve_from starts
-        //     blossom-free, so the z mass must live in the labels. The
-        //     fold keeps every matched pair with IDENTICAL chains exactly
-        //     tight (their full constraint held with equality and both
-        //     sides gain the same amount) and preserves feasibility
-        //     everywhere: a pair's two chain sums each dominate the
-        //     common-prefix sum its constraint carries, so the average
-        //     does too. Before this fold, dropping z broke tightness of
-        //     nearly every intra-blossom matched edge, and the bump pass
-        //     below cascaded that into unmatching 50-90% of all vertices
-        //     — a "warm" start that was doing cold work.
-        //  2. Parity: the phases only terminate from an all-even entry
-        //     (see solve_from). A matched pair's label sum is even
-        //     (weights are even, as are the folded z's), so its labels
-        //     are odd together; shifting +1 / -1 across the pair evens
-        //     both WITHOUT breaking tightness. Free vertices round up.
-        //     The -1 can dent feasibility of a neighboring edge by one
-        //     unit; pass 3 repairs it.
-        //  3. Feasibility bump: newly added edges were by construction
-        //     violated, and pass 2 can leave unit deficits. Raising the
-        //     lower endpoint by the (even) deficit restores
-        //     lab_u + lab_v >= w for that edge and cannot break any
-        //     other (labels only ever increase).
-        //  4. Unmatch pairs whose edge is no longer tight: pairs whose
-        //     chains differed (their fold overshoots), pairs dented by
-        //     pass 3, and pairs adjacent to genuinely new structure.
-        // The re-solve then only repairs the damage near the new edges
-        // rather than rebuilding the whole matching.
+        // of from the jump start. solve_from starts blossom-free, so the
+        // surviving blossoms' z mass must first move into the labels:
+        // lab2_v += Z2(v) / 2, Z2(v) = sum of z over v's nesting chain.
+        // The fold keeps every matched pair with IDENTICAL chains exactly
+        // tight (their full constraint held with equality and both sides
+        // gain the same amount) and preserves feasibility everywhere: a
+        // pair's two chain sums each dominate the common-prefix sum its
+        // constraint carries, so the average does too. Without it,
+        // dropping z broke tightness of nearly every intra-blossom
+        // matched edge and unmatched 50-90% of all vertices. The core's
+        // repair passes (parity, feasibility bump over the grown edge
+        // set, unmatching non-tight pairs) then break only the pairs
+        // near the new edges, and the re-solve repairs just that damage.
         for (std::size_t v = 0; v < n; ++v) {
           std::int64_t zsum2 = 0;
           for (const auto& [b, z2] : chains[v]) zsum2 += z2;
           lab2[v] += zsum2 / 2;
-        }
-        for (std::size_t u = 0; u < n; ++u) {
-          if ((lab2[u] & 1) == 0) continue;
-          const std::int32_t m = mate[u];
-          const auto v = static_cast<std::size_t>(m) - 1;
-          if (m == 0 || v < u) {
-            lab2[u] += 1;  // free vertex, or pair already evened from v
-          } else {
-            lab2[u] += 1;
-            lab2[v] -= 1;
-          }
-        }
-        for (std::size_t k = 0; k < edges0.size(); ++k) {
-          const auto u = static_cast<std::size_t>(edges0[k].first);
-          const auto v = static_cast<std::size_t>(edges0[k].second);
-          const std::int64_t need = w2[k] - lab2[u] - lab2[v];
-          if (need > 0) lab2[u] += need;
-        }
-        for (std::size_t u = 0; u < n; ++u) {
-          const std::int32_t m = mate[u];
-          if (m == 0) continue;
-          const auto v = static_cast<std::size_t>(m) - 1;
-          if (v < u) continue;  // each pair once, from its lower endpoint
-          if (lab2[u] + lab2[v] != store.weight(static_cast<int>(u) + 1, m)) {
-            mate[u] = 0;
-            mate[v] = 0;
-          }
         }
         core.solve_from(lab2, mate);
       }
@@ -297,60 +250,21 @@ Matching sparse_blossom_euclidean_matching(const std::vector<geom::Point>& pts,
     }
     OBS_COUNT("blossom.edges_added", static_cast<std::int64_t>(added));
     if (added == 0) {
-      bool perfect = true;
-      for (std::size_t v = 0; v < n && perfect; ++v) {
-        perfect = core.partner(static_cast<int>(v) + 1) != 0;
+      // Clean pricing + a perfect candidate-graph solve (the backbone
+      // guarantees one exists): labels plus the surviving blossom duals
+      // are feasible on the complete graph (the solver's blossoms are
+      // valid odd sets of the complete graph, and z_B > 0 only on
+      // blossoms its matching keeps full), and complementary slackness
+      // holds, so this matching is the complete-graph optimum.
+      Matching result;
+      result.reserve(n / 2);
+      for (std::uint32_t v = 0; v < n; ++v) {
+        const auto m = static_cast<std::uint32_t>(mate[v] - 1);
+        if (v < m) result.emplace_back(v, m);
       }
-      if (perfect) {
-        // Clean pricing + clean solver termination: labels plus the
-        // surviving blossom duals are feasible on the complete graph
-        // (the solver's blossoms are valid odd sets of the complete
-        // graph, and z_B > 0 only on blossoms its matching keeps full),
-        // and complementary slackness holds, so this matching is the
-        // complete-graph optimum.
-        Matching result;
-        result.reserve(n / 2);
-        for (std::uint32_t v = 0; v < n; ++v) {
-          const int mate = core.partner(static_cast<int>(v) + 1);
-          const auto m = static_cast<std::uint32_t>(mate - 1);
-          if (v < m) result.emplace_back(v, m);
-        }
-        MCHARGE_ASSERT(is_perfect_matching(n, result),
-                       "sparse blossom produced a non-perfect matching");
-        return result;
-      }
-      // The candidate-graph MAX-WEIGHT matching can legitimately leave
-      // vertices free (two free vertices whose connecting paths all run
-      // through heavier edges than any augmentation gains), and at dual
-      // exhaustion complementary slackness fails, so clean pricing does
-      // not certify anything yet. Repair: complete the edge rows of the
-      // free vertices — on their (now locally complete) neighborhoods an
-      // uncovered pair is always directly augmentable, and the edge set
-      // strictly grows, so the loop terminates.
-      const std::size_t before = edges0.size();
-      {
-        OBS_SPAN("blossom.repair");
-        for (std::size_t u = 0; u < n; ++u) {
-          if (core.partner(static_cast<int>(u) + 1) != 0) continue;
-          for (std::size_t v = 0; v < n; ++v) {
-            if (v == u || store.weight(static_cast<int>(u) + 1,
-                                       static_cast<int>(v) + 1) != 0) {
-              continue;
-            }
-            edges0.emplace_back(static_cast<int>(std::min(u, v)),
-                                static_cast<int>(std::max(u, v)));
-          }
-        }
-        std::sort(edges0.begin(), edges0.end());
-        edges0.erase(std::unique(edges0.begin(), edges0.end()), edges0.end());
-      }
-      if (edges0.size() == before) {
-        // Free vertices already have complete rows — cannot repair
-        // further sparsely; the dense engine solves the identical
-        // objective, so the answer (and its bits) are unchanged.
-        return dense_blossom_euclidean_matching(pts);
-      }
-      continue;
+      MCHARGE_ASSERT(is_perfect_matching(n, result),
+                     "sparse blossom produced a non-perfect matching");
+      return result;
     }
     std::sort(edges0.begin(), edges0.end());
   }

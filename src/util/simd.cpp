@@ -179,17 +179,6 @@ std::size_t scalar_advance_select_below(double* level, double* as_of,
   return count;
 }
 
-std::int64_t scalar_i64_min_where(const std::int64_t* lab,
-                                  const std::int32_t* state,
-                                  std::int32_t want, std::size_t lo,
-                                  std::size_t hi) {
-  std::int64_t best = kI64Max;
-  for (std::size_t i = lo; i < hi; ++i) {
-    if (state[i] == want && lab[i] < best) best = lab[i];
-  }
-  return best;
-}
-
 void scalar_i64_dual_apply(std::int64_t* lab, const std::int32_t* state,
                            std::size_t lo, std::size_t hi, std::int64_t d) {
   for (std::size_t i = lo; i < hi; ++i) {
@@ -315,8 +304,8 @@ const KernelTable kScalarKernels = {
     scalar_min_reduce,    scalar_max_reduce,    scalar_two_opt_scan,
     scalar_or_opt_scan,   scalar_select_within, scalar_crossing_min,
     scalar_advance_select_below,
-    scalar_i64_min_where, scalar_i64_dual_apply, scalar_i64_slack_bound,
-    scalar_i64_slack_shift, scalar_price_scan,
+    scalar_i64_dual_apply, scalar_i64_slack_bound, scalar_i64_slack_shift,
+    scalar_price_scan,
 };
 }  // namespace detail
 
@@ -413,11 +402,6 @@ std::size_t advance_select_below(double* level, double* as_of,
   return dispatch().table->advance_select_below(level, as_of, dead_since,
                                                 draw, n, t, threshold, ids,
                                                 out);
-}
-
-std::int64_t i64_min_where(const std::int64_t* lab, const std::int32_t* state,
-                           std::int32_t want, std::size_t lo, std::size_t hi) {
-  return dispatch().table->i64_min_where(lab, state, want, lo, hi);
 }
 
 void i64_dual_apply(std::int64_t* lab, const std::int32_t* state,

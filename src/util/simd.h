@@ -152,11 +152,6 @@ std::size_t advance_select_below(double* level, double* as_of,
 
 inline constexpr std::int64_t kI64Max = INT64_MAX;
 
-/// Min of lab[i] over i in [lo, hi) with state[i] == want; kI64Max if the
-/// range is empty or no element matches.
-std::int64_t i64_min_where(const std::int64_t* lab, const std::int32_t* state,
-                           std::int32_t want, std::size_t lo, std::size_t hi);
-
 /// Batched dual-delta: lab[i] -= d where state[i] == 0 (outer),
 /// lab[i] += d where state[i] == 1 (inner); other states untouched.
 void i64_dual_apply(std::int64_t* lab, const std::int32_t* state,

@@ -474,33 +474,6 @@ inline __m256i min_epi64(__m256i a, __m256i b) {
   return _mm256_blendv_epi8(a, b, _mm256_cmpgt_epi64(a, b));
 }
 
-std::int64_t avx2_i64_min_where(const std::int64_t* lab,
-                                const std::int32_t* state, std::int32_t want,
-                                std::size_t lo, std::size_t hi) {
-  std::int64_t best = kI64MaxLocal;
-  std::size_t i = lo;
-  if (i + 4 <= hi) {
-    const __m256i vmax = _mm256_set1_epi64x(kI64MaxLocal);
-    const __m256i vwant = _mm256_set1_epi64x(want);
-    __m256i acc = vmax;
-    for (; i + 4 <= hi; i += 4) {
-      const __m256i eq = _mm256_cmpeq_epi64(load_i32x4(state, i), vwant);
-      const __m256i val =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lab + i));
-      acc = min_epi64(acc, _mm256_blendv_epi8(vmax, val, eq));
-    }
-    alignas(32) std::int64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-    for (std::int64_t v : lanes) {
-      if (v < best) best = v;
-    }
-  }
-  for (; i < hi; ++i) {
-    if (state[i] == want && lab[i] < best) best = lab[i];
-  }
-  return best;
-}
-
 void avx2_i64_dual_apply(std::int64_t* lab, const std::int32_t* state,
                          std::size_t lo, std::size_t hi, std::int64_t d) {
   const __m256i zero = _mm256_setzero_si256();
@@ -650,8 +623,8 @@ const KernelTable kAvx2Kernels = {
     avx2_min_reduce,    avx2_max_reduce,    avx2_two_opt_scan,
     avx2_or_opt_scan,   avx2_select_within, avx2_crossing_min,
     avx2_advance_select_below,
-    avx2_i64_min_where, avx2_i64_dual_apply, avx2_i64_slack_bound,
-    avx2_i64_slack_shift, avx2_price_scan,
+    avx2_i64_dual_apply, avx2_i64_slack_bound, avx2_i64_slack_shift,
+    avx2_price_scan,
 };
 
 }  // namespace mcharge::simd::detail

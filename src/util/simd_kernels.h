@@ -93,9 +93,6 @@ struct KernelTable {
                                       double threshold,
                                       const std::uint32_t* ids,
                                       std::uint32_t* out);
-  std::int64_t (*i64_min_where)(const std::int64_t* lab,
-                                const std::int32_t* state, std::int32_t want,
-                                std::size_t lo, std::size_t hi);
   void (*i64_dual_apply)(std::int64_t* lab, const std::int32_t* state,
                          std::size_t lo, std::size_t hi, std::int64_t d);
   std::int64_t (*i64_slack_bound)(const std::int64_t* val,

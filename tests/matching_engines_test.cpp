@@ -7,11 +7,13 @@
 // random geometric, clustered, collinear, duplicate-point, and the real
 // odd-vertex sets Christofides produces at paper scales. Where the
 // instance is small enough, both are also cross-checked against the
-// exact bitmask DP on the real-valued objective. Finally, full Appro
+// exact bitmask DP on the real-valued objective, including a layout whose
+// final vertex duals go negative. Finally, full Appro
 // plans must be byte-identical under engine = dense vs sparse, across
 // every SIMD backend this machine supports.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -21,7 +23,9 @@
 #include "geometry/point.h"
 #include "graph/mst.h"
 #include "matching/blossom.h"
+#include "matching/blossom_core.h"
 #include "matching/matching.h"
+#include "matching/quantize.h"
 #include "model/charging_problem.h"
 #include "schedule/scheduler.h"
 #include "util/rng.h"
@@ -252,7 +256,55 @@ TEST_P(EnginesWarmStart, ManyPricingRoundsStayExact) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, EnginesWarmStart, ::testing::Range(0, 8));
+INSTANTIATE_TEST_SUITE_P(Seeds, EnginesWarmStart, ::testing::Range(0, 32));
+
+TEST(EnginesNegativeDuals, OutliersDriveLabelsBelowZero) {
+  // Vertex duals are unrestricted in sign under perfect-matching
+  // termination. Two tight clusters of odd and even size sit at the
+  // bottom corners and one outlier at the top: the outlier must match
+  // into the odd cluster over a light edge while that cluster's labels
+  // sit near half the heaviest weight, so the jump start's second pass
+  // already puts its label below zero and the optimum keeps it there.
+  // Dense, sparse and the DP must still agree.
+  Rng rng(613);
+  std::vector<geom::Point> pts;
+  for (int i = 0; i < 8; ++i) {
+    pts.push_back({rng.uniform(0.0, 0.5), rng.uniform(0.0, 0.5)});
+  }
+  for (int i = 0; i < 7; ++i) {
+    pts.push_back({rng.uniform(99.5, 100.0), rng.uniform(0.0, 0.5)});
+  }
+  pts.push_back({50.0, 100.0});
+  ASSERT_LE(pts.size(), kExactLimit);
+  const int n = static_cast<int>(pts.size());
+
+  const detail::BlossomQuantizer qz = detail::make_point_quantizer(pts);
+  detail::BlossomArena& arena = detail::thread_arena();
+  detail::DenseStore store(n, arena);
+  std::int64_t w2_max = 0;
+  for (int u = 0; u < n; ++u) {
+    for (int v = u + 1; v < n; ++v) {
+      const std::int64_t w2 =
+          2 * qz.profit(geom::distance(pts[u], pts[v]),
+                        static_cast<std::uint32_t>(u),
+                        static_cast<std::uint32_t>(v));
+      store.set2(u + 1, v + 1, w2);
+      w2_max = std::max(w2_max, w2);
+    }
+  }
+  detail::BlossomCore<detail::DenseStore> core(n, store, arena);
+  core.solve();
+  std::int64_t min_dual = 0;
+  for (int v = 1; v <= n; ++v) min_dual = std::min(min_dual, core.dual2(v));
+  EXPECT_LT(min_dual, 0) << "no label went negative; the path is not run";
+  EXPECT_GE(min_dual, w2_max - detail::kLabelSpan2);
+  expect_engines_agree(pts);
+  for (const int knn : {1, 2}) {
+    EXPECT_EQ(dense_blossom_euclidean_matching(pts),
+              sparse_blossom_euclidean_matching(pts, knn))
+        << "knn=" << knn;
+  }
+}
 
 // ---------- full-plan byte identity ----------
 

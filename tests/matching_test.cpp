@@ -1,13 +1,19 @@
 // Tests for minimum-weight perfect matching: exact DP vs brute force,
 // local-search quality vs the exact optimum on small instances, and the
-// dense blossom core on arbitrary weights.
+// dense blossom core on arbitrary weights — including the tie-heavy and
+// degenerate inputs that stress its jump start (tight initial duals and a
+// greedy tight matching), the jump start's phase-entry invariants, and the
+// cold restart below the int64 label floor.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "geometry/field.h"
@@ -15,6 +21,8 @@
 #include "matching/blossom.h"
 #include "matching/blossom_core.h"
 #include "matching/matching.h"
+#include "matching/quantize.h"
+#include "obs/obs.h"
 #include "util/rng.h"
 
 namespace mcharge::matching {
@@ -275,6 +283,227 @@ TEST(Blossom, AllEqualWeights) {
   const auto m =
       blossom_min_weight_matching(10, [](auto, auto) { return 5.0; });
   EXPECT_TRUE(is_perfect_matching(10, m));
+}
+
+/// Weights of an arbitrary complete graph, indexed [u][v].
+using WeightTable = std::vector<std::vector<double>>;
+
+/// The dense blossom core against the exact DP on one weight table.
+void expect_blossom_matches_dp(const WeightTable& w) {
+  const std::size_t n = w.size();
+  const WeightFn fn = [&](std::uint32_t a, std::uint32_t b) {
+    return w[a][b];
+  };
+  double hi = 0.0;
+  for (const auto& row : w) {
+    for (const double x : row) hi = std::max(hi, x);
+  }
+  const auto blossom = blossom_min_weight_matching(n, fn);
+  ASSERT_TRUE(is_perfect_matching(n, blossom)) << "n=" << n;
+  const auto exact = exact_min_weight_matching(n, fn);
+  const double tolerance =
+      static_cast<double>(n) * hi / static_cast<double>(kBlossomResolution) +
+      1e-9;
+  EXPECT_NEAR(matching_weight(blossom, fn), matching_weight(exact, fn),
+              tolerance)
+      << "n=" << n;
+}
+
+WeightTable euclidean_table(const std::vector<geom::Point>& pts) {
+  WeightTable w(pts.size(), std::vector<double>(pts.size(), 0.0));
+  for (std::size_t u = 0; u < pts.size(); ++u) {
+    for (std::size_t v = 0; v < pts.size(); ++v) {
+      w[u][v] = geom::distance(pts[u], pts[v]);
+    }
+  }
+  return w;
+}
+
+class BlossomJumpStartTies : public ::testing::TestWithParam<int> {};
+
+TEST_P(BlossomJumpStartTies, WeightsOneToThree) {
+  // Weights in {1, 2, 3}: most labels start equal, the greedy tight
+  // matching sees long runs of tied edges, and the jump start's guesses
+  // are wrong as often as they are right.
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7433 + 5);
+  const std::size_t n = 2 * (2 + rng.below(7));  // 4..16
+  WeightTable w(n, std::vector<double>(n, 0.0));
+  for (std::size_t u = 0; u < n; ++u) {
+    for (std::size_t v = u + 1; v < n; ++v) {
+      w[u][v] = w[v][u] = static_cast<double>(1 + rng.below(3));
+    }
+  }
+  expect_blossom_matches_dp(w);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BlossomJumpStartTies, ::testing::Range(0, 40));
+
+TEST(BlossomJumpStart, AllEqualWeightsEverySize) {
+  for (std::size_t n = 2; n <= kExactLimit; n += 2) {
+    expect_blossom_matches_dp(WeightTable(n, std::vector<double>(n, 5.0)));
+  }
+}
+
+TEST(BlossomJumpStart, RegularGrids) {
+  // Unit grids: every interior point has four mutual nearest neighbors,
+  // so the tight graph after the jump start is the whole grid lattice.
+  for (const auto& [rows, cols] :
+       {std::pair{2, 2}, std::pair{2, 7}, std::pair{3, 4}, std::pair{4, 4},
+        std::pair{2, 8}, std::pair{1, 16}}) {
+    std::vector<geom::Point> pts;
+    for (int r = 0; r < rows; ++r) {
+      for (int c = 0; c < cols; ++c) {
+        pts.push_back({static_cast<double>(c), static_cast<double>(r)});
+      }
+    }
+    SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols));
+    expect_blossom_matches_dp(euclidean_table(pts));
+  }
+}
+
+TEST(BlossomJumpStart, DuplicatePoints) {
+  // Coincident points give zero-cost pairs (the heaviest profits) that
+  // tie with each other across every copy of a site.
+  Rng rng(211);
+  for (const int copies : {2, 3, 4, 5}) {
+    std::vector<geom::Point> pts;
+    while (pts.size() + static_cast<std::size_t>(copies) <= kExactLimit) {
+      const geom::Point p{rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)};
+      for (int c = 0; c < copies; ++c) pts.push_back(p);
+    }
+    if (pts.size() % 2 == 1) pts.pop_back();
+    SCOPED_TRACE("copies=" + std::to_string(copies));
+    expect_blossom_matches_dp(euclidean_table(pts));
+  }
+}
+
+/// Asserts the phase-entry invariants on the core's state right after
+/// jump_start(): even labels, every store edge feasible, every matched
+/// pair a tight store edge, mates involutive.
+template <class Store>
+void expect_jump_start_invariants(int n, const Store& store) {
+  detail::BlossomCore<Store> core(n, store, detail::thread_arena());
+  core.jump_start();
+  int matched = 0;
+  for (int u = 1; u <= n; ++u) {
+    EXPECT_EQ(core.dual2(u) % 2, 0) << "u=" << u;
+    store.for_neighbors(u, [&](int v, std::int64_t w) {
+      EXPECT_GE(core.dual2(u) + core.dual2(v), w) << u << "-" << v;
+      return true;
+    });
+    const int m = core.partner(u);
+    if (m == 0) continue;
+    ++matched;
+    ASSERT_GE(m, 1);
+    ASSERT_LE(m, n);
+    EXPECT_EQ(core.partner(m), u);
+    EXPECT_GT(store.weight(u, m), 0);
+    EXPECT_EQ(core.dual2(u) + core.dual2(m), store.weight(u, m));
+  }
+  // The greedy tight matching is what makes the start a jump start.
+  EXPECT_GT(matched, 0);
+}
+
+class BlossomJumpStartInvariants : public ::testing::TestWithParam<int> {};
+
+TEST_P(BlossomJumpStartInvariants, DenseAndSparseStores) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 3571 + 13);
+  const int n = 2 * (4 + static_cast<int>(rng.below(60)));  // 8..126
+  const auto pts = geom::uniform_field(static_cast<std::size_t>(n), 100.0,
+                                       100.0, rng);
+  const detail::BlossomQuantizer qz = detail::make_point_quantizer(pts);
+  const auto profit2 = [&](int u, int v) {
+    return 2 * qz.profit(geom::distance(pts[u], pts[v]),
+                         static_cast<std::uint32_t>(u),
+                         static_cast<std::uint32_t>(v));
+  };
+  {
+    detail::DenseStore store(n, detail::thread_arena());
+    for (int u = 0; u < n; ++u) {
+      for (int v = u + 1; v < n; ++v) store.set2(u + 1, v + 1, profit2(u, v));
+    }
+    expect_jump_start_invariants(n, store);
+  }
+  {
+    // Random sparse graph over a backbone pairing; odd degrees and
+    // missing edges exercise the bump over partial rows.
+    std::vector<std::pair<int, int>> edges;
+    std::vector<std::int64_t> w2;
+    for (int u = 0; u < n; ++u) {
+      for (int v = u + 1; v < n; ++v) {
+        if ((v == u + 1 && u % 2 == 0) || rng.below(8) == 0) {
+          edges.emplace_back(u + 1, v + 1);
+          w2.push_back(profit2(u, v));
+        }
+      }
+    }
+    const detail::SparseStore store(n, edges, w2);
+    expect_jump_start_invariants(n, store);
+  }
+  {
+    // Heavy ties: doubled weights in {2, 4, 6}.
+    detail::DenseStore store(n, detail::thread_arena());
+    for (int u = 1; u <= n; ++u) {
+      for (int v = u + 1; v <= n; ++v) {
+        store.set2(u, v, 2 * (1 + static_cast<std::int64_t>(rng.below(3))));
+      }
+    }
+    expect_jump_start_invariants(n, store);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BlossomJumpStartInvariants,
+                         ::testing::Range(0, 12));
+
+TEST(BlossomJumpStart, LabelBelowFloorRestartsCold) {
+  // A warm entry whose last vertex sits under the label floor
+  // w2_max - kLabelSpan2 (the bump pass raises only the lower endpoint of
+  // an edge, so it stays there) must abort before any phase and restart
+  // cold, with the same optimum as the jump start.
+  Rng rng(409);
+  const int n = 40;
+  const auto pts =
+      geom::uniform_field(static_cast<std::size_t>(n), 100.0, 100.0, rng);
+  const detail::BlossomQuantizer qz = detail::make_point_quantizer(pts);
+  detail::BlossomArena& arena = detail::thread_arena();
+  detail::DenseStore store(n, arena);
+  std::int64_t w2_max = 0;
+  for (int u = 0; u < n; ++u) {
+    for (int v = u + 1; v < n; ++v) {
+      const std::int64_t w2 =
+          2 * qz.profit(geom::distance(pts[u], pts[v]),
+                        static_cast<std::uint32_t>(u),
+                        static_cast<std::uint32_t>(v));
+      store.set2(u + 1, v + 1, w2);
+      w2_max = std::max(w2_max, w2);
+    }
+  }
+  std::vector<std::int32_t> reference(n);
+  {
+    detail::BlossomCore<detail::DenseStore> core(n, store, arena);
+    core.solve();
+    for (int u = 1; u <= n; ++u) reference[u - 1] = core.partner(u);
+  }
+  std::vector<std::int64_t> lab2(n, 0);
+  lab2[n - 1] = w2_max - detail::kLabelSpan2 - 2;
+  const std::vector<std::int32_t> mate(n, 0);
+#ifndef MCHARGE_NO_OBS
+  obs::reset();
+  const obs::EnabledScope scope(true);
+#endif
+  detail::BlossomCore<detail::DenseStore> core(n, store, arena);
+  core.solve_from(lab2, mate);
+  for (int u = 1; u <= n; ++u) {
+    EXPECT_EQ(core.partner(u), reference[u - 1]) << "u=" << u;
+    EXPECT_GT(core.dual2(u), 0) << "a cold start keeps labels positive";
+  }
+#ifndef MCHARGE_NO_OBS
+  std::int64_t restarts = 0;
+  for (const auto& m : obs::capture().metrics) {
+    if (m.name == "blossom.cold_restarts") restarts = m.value;
+  }
+  EXPECT_EQ(restarts, 1);
+#endif
 }
 
 TEST(IsPerfectMatching, RejectsBadShapes) {

@@ -21,6 +21,7 @@
 #include "baselines/kminmax.h"
 #include "core/appro.h"
 #include "geometry/point.h"
+#include "matching/matching.h"
 #include "model/charging_problem.h"
 #include "model/network.h"
 #include "obs/obs.h"
@@ -281,6 +282,46 @@ TEST(ObsIdentity, TourSubstrateIdenticalTracedVsUntraced) {
       EXPECT_EQ(plan_untraced.mode, plan_traced.mode);
       EXPECT_EQ(plan_untraced.tours, plan_traced.tours);
       EXPECT_EQ(plan_untraced.starts, plan_traced.starts);
+    }
+  }
+}
+
+// blossom.dense_solve wraps the dense core's solve and the sparse engine
+// times its rounds with blossom.solve: both engines' matchings must keep
+// their bits with tracing on, and the dense span must fire.
+TEST(ObsIdentity, BlossomEnginesIdenticalTracedVsUntraced) {
+  for (const std::size_t n : {std::size_t{40}, std::size_t{150},
+                              std::size_t{400}}) {
+    Rng rng(41 + n);
+    std::vector<geom::Point> pts;
+    for (std::size_t i = 0; i < n; ++i) {
+      pts.push_back({rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)});
+    }
+    for (const auto engine : {matching::MatchingEngine::kDenseBlossom,
+                              matching::MatchingEngine::kSparseBlossom}) {
+      matching::MatchingOptions opts;
+      opts.engine = engine;
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " engine=" + std::to_string(static_cast<int>(engine)));
+      const matching::Matching untraced =
+          matching::min_weight_euclidean_matching(pts, opts);
+      matching::Matching traced;
+      {
+#ifndef MCHARGE_NO_OBS
+        obs::reset();
+#endif
+        const obs::EnabledScope scope(true);
+        traced = matching::min_weight_euclidean_matching(pts, opts);
+#ifndef MCHARGE_NO_OBS
+        if (engine == matching::MatchingEngine::kDenseBlossom) {
+          const obs::TraceReport report = obs::capture();
+          const auto* span = find_metric(report, "blossom.dense_solve");
+          ASSERT_NE(span, nullptr);
+          EXPECT_EQ(span->count, 1u);
+        }
+#endif
+      }
+      EXPECT_EQ(untraced, traced);
     }
   }
 }

@@ -694,28 +694,6 @@ BlossomArrays random_blossom_arrays(std::size_t n, std::uint64_t seed) {
   return a;
 }
 
-TEST(Simd, I64MinWhereMatchesScalarOnAllBackends) {
-  for (std::size_t n : kLengths) {
-    const BlossomArrays a = random_blossom_arrays(n, 900 + n);
-    for (std::size_t lo : {std::size_t{0}, std::size_t{1}}) {
-      if (lo > n) continue;
-      for (std::int32_t want : {-1, 0, 1}) {
-        std::int64_t expected = std::numeric_limits<std::int64_t>::max();
-        for (std::size_t i = lo; i < n; ++i) {
-          if (a.state[i] == want) expected = std::min(expected, a.lab[i]);
-        }
-        for (simd::Backend b : supported_backends()) {
-          BackendGuard guard(b);
-          EXPECT_EQ(expected, simd::i64_min_where(a.lab.data(), a.state.data(),
-                                                  want, lo, n))
-              << "n=" << n << " lo=" << lo << " want=" << want
-              << " backend=" << static_cast<int>(b);
-        }
-      }
-    }
-  }
-}
-
 TEST(Simd, I64DualApplyMatchesScalarOnAllBackends) {
   for (std::size_t n : kLengths) {
     const BlossomArrays a = random_blossom_arrays(n, 1300 + n);
