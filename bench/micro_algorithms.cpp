@@ -1,7 +1,7 @@
 // google-benchmark micro benches for the algorithmic substrates and the
-// end-to-end Appro pipeline: MIS construction, overlap graph, blossom-step
-// matching, Christofides, min-max splitting, plan execution, and full
-// scheduling at the paper's instance sizes.
+// end-to-end Appro pipeline: coverage lists, G_c, MIS construction,
+// overlap graph, blossom-step matching, Christofides, min-max splitting,
+// plan execution, and full scheduling at the paper's instance sizes.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -18,7 +18,6 @@
 #include "geometry/field.h"
 #include "graph/mis.h"
 #include "graph/mst.h"
-#include "graph/unit_disk.h"
 #include "matching/blossom.h"
 #include "matching/matching.h"
 #include "model/charging_problem.h"
@@ -59,23 +58,36 @@ tsp::TourProblem make_tour_problem(std::size_t m, std::uint64_t seed) {
   return p;
 }
 
-void BM_UnitDiskGraph(benchmark::State& state) {
+void BM_ChargingProblem(benchmark::State& state) {
+  // The round's one gamma-disk query: coverage lists N_c+ and tau.
   Rng rng(1);
-  const auto pts =
-      geom::uniform_field(static_cast<std::size_t>(state.range(0)), 100.0,
-                          100.0, rng);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto pts = geom::uniform_field(n, 100.0, 100.0, rng);
+  const std::vector<double> deficits(n, 5400.0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::unit_disk_graph(pts, 2.7));
+    benchmark::DoNotOptimize(model::ChargingProblem(
+        pts, deficits, {50.0, 50.0}, 2.7, 1.0, 2));
   }
 }
-BENCHMARK(BM_UnitDiskGraph)->Arg(200)->Arg(600)->Arg(1200);
+BENCHMARK(BM_ChargingProblem)->Arg(200)->Arg(600)->Arg(1200);
+
+void BM_ChargingGraph(benchmark::State& state) {
+  const auto problem =
+      make_round(static_cast<std::size_t>(state.range(0)), 2, 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::charging_graph(problem));
+  }
+}
+BENCHMARK(BM_ChargingGraph)->Arg(200)->Arg(600)->Arg(1200);
 
 void BM_MaximalIndependentSet(benchmark::State& state) {
   Rng rng(2);
-  const auto pts =
-      geom::uniform_field(static_cast<std::size_t>(state.range(0)), 100.0,
-                          100.0, rng);
-  const auto g = graph::unit_disk_graph(pts, 2.7);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const model::ChargingProblem problem(geom::uniform_field(n, 100.0, 100.0,
+                                                           rng),
+                                       std::vector<double>(n, 0.0),
+                                       {50.0, 50.0}, 2.7, 1.0, 1);
+  const auto g = core::charging_graph(problem);
   for (auto _ : state) {
     benchmark::DoNotOptimize(graph::maximal_independent_set(g));
   }
@@ -290,27 +302,6 @@ void BM_SimdDistanceMatrix(benchmark::State& state) {
   state.SetLabel(simd::backend_name(simd::active_backend()));
 }
 BENCHMARK(BM_SimdDistanceMatrix)->Arg(350)->Arg(1200);
-
-void BM_SimdArgminScan(benchmark::State& state) {
-  // Fused distance + lowest-index argmin against a fixed query point, the
-  // inner step of nearest_neighbor_tour and the assignment sweeps.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(8);
-  std::vector<double> xs(n), ys(n);
-  std::vector<unsigned char> skip(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    xs[i] = rng.uniform(0.0, 100.0);
-    ys[i] = rng.uniform(0.0, 100.0);
-    skip[i] = rng.uniform(0.0, 1.0) < 0.5 ? 1 : 0;
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        simd::argmin_distance_masked(xs.data(), ys.data(), n, 50.0, 50.0,
-                                     skip.data()));
-  }
-  state.SetLabel(simd::backend_name(simd::active_backend()));
-}
-BENCHMARK(BM_SimdArgminScan)->Arg(350)->Arg(1200);
 
 void BM_MinMaxKTours(benchmark::State& state) {
   const auto p = make_tour_problem(300, 8);

@@ -6,14 +6,14 @@
 #      available, a grep fallback otherwise), including presence and
 #      non-zero counts of the load-bearing spans (planner phases, the
 #      tour substrate's stages inside tsp::min_max_k_tours, executor,
-#      simulator round loop); one ablation_design round adds the dense
-#      blossom's solve span.
+#      simulator round loop and its problem build); one ablation_design
+#      round adds the dense blossom's solve span.
 #   2. Runs the BM_ObsOverhead micro-bench pair and asserts the
 #      tracing-enabled run stays within a noise margin of the disabled
 #      run (the layer's contract is < 1% overhead on instrumented
 #      workloads; the CI gate allows 25% to absorb shared-runner noise).
-#   3. Regression-diffs traced phase timings against the checked-in
-#      BENCH_micro.json: BM_ApproPlan/200 is re-run with
+#   3. Regression-diffs traced phase timings against the median rows of
+#      the checked-in BENCH_micro.json: BM_ApproPlan/200 is re-run with
 #      MCHARGE_TRACE_OUT set, so its appro.plan span times the exact
 #      workload the baseline bench measured, and the per-call seconds
 #      must agree with the baseline within loose bounds ([1/20x, 20x]).
@@ -83,7 +83,7 @@ def require(by_name, names):
 sim = load(sys.argv[1])
 require(sim, ("appro.plan", "appro.k_tours", "appro.insertion",
               "exec.multinode", "sim.round", "sim.select_scan",
-              "tsp.construct", "tsp.improve_tour", "tsp.split",
+              "sim.problem", "tsp.construct", "tsp.improve_tour", "tsp.split",
               "tsp.segment_improve"))
 # The sparse engine's blossom.* spans fire only when auto-dispatch picks
 # it, which depends on odd-set size, so only the dense span is required.
@@ -94,7 +94,7 @@ else
   # Grep fallback: schema tag plus the load-bearing span names.
   grep -q '"schema": "mcharge.trace.v1"' "$TMP/trace.json"
   for required in appro.plan appro.k_tours exec.multinode sim.round \
-      tsp.construct tsp.improve_tour tsp.split tsp.segment_improve; do
+      sim.problem tsp.construct tsp.improve_tour tsp.split tsp.segment_improve; do
     grep -q "\"$required\"" "$TMP/trace.json" || {
       echo "FAIL: missing span $required" >&2; exit 1; }
   done
@@ -144,9 +144,9 @@ with open(sys.argv[2]) as f:
     bench = json.load(f)
 plan = next(m for m in trace["metrics"] if m["name"] == "appro.plan")
 per_call_s = plan["total_s"] / plan["count"]
-ref = [b for b in bench["benchmarks"] if b["name"] == "BM_ApproPlan/200"]
+ref = [b for b in bench["benchmarks"] if b["name"] == "BM_ApproPlan/200_median"]
 if not ref:
-    print("phase regression: SKIPPED (no BM_ApproPlan/200 in baseline)")
+    print("phase regression: SKIPPED (no BM_ApproPlan/200 median in baseline)")
     sys.exit(0)
 unit = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}[ref[0]["time_unit"]]
 ref_s = ref[0]["real_time"] * unit
@@ -180,9 +180,9 @@ with open(sys.argv[1]) as f:
 with open(sys.argv[2]) as f:
     bench = json.load(f)
 cur = next(b for b in run["benchmarks"] if b["name"] == "BM_Blossom/1024/1")
-ref = [b for b in bench["benchmarks"] if b["name"] == "BM_Blossom/1024/1"]
+ref = [b for b in bench["benchmarks"] if b["name"] == "BM_Blossom/1024/1_median"]
 if not ref:
-    print("blossom gate: SKIPPED (no BM_Blossom/1024/1 in baseline)")
+    print("blossom gate: SKIPPED (no BM_Blossom/1024/1 median in baseline)")
     sys.exit(0)
 unit = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
 cur_s = cur["real_time"] * unit[cur["time_unit"]]

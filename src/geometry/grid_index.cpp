@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/assert.h"
-#include "util/simd.h"
 
 namespace mcharge::geom {
 
@@ -40,12 +39,6 @@ GridIndex::GridIndex(std::vector<Point> points, double cell_size)
   for (std::size_t i = 0; i < points_.size(); ++i) {
     cell_points_[cursor[point_bucket[i]]++] = static_cast<std::uint32_t>(i);
   }
-  sx_.resize(points_.size());
-  sy_.resize(points_.size());
-  for (std::size_t i = 0; i < cell_points_.size(); ++i) {
-    sx_[i] = points_[cell_points_[i]].x;
-    sy_[i] = points_[cell_points_[i]].y;
-  }
 }
 
 std::int64_t GridIndex::cell_of(double coord) const {
@@ -57,40 +50,13 @@ std::size_t GridIndex::bucket(std::int64_t cx, std::int64_t cy) const {
          static_cast<std::size_t>(cy - min_cy_);
 }
 
-void GridIndex::collect_disk(Point center, double radius,
-                             std::vector<std::uint32_t>& out) const {
-  if (points_.empty()) return;
-  // Same cell walk as visit_disk, but each bucket goes through the disk
-  // kernel over the CSR-ordered SoA coordinates. The kernel evaluates
-  // exactly distance_sq(point, center) <= radius^2, so the surviving id
-  // set matches the scalar visitor's.
-  const double r2 = radius * radius;
-  const std::int64_t cx_lo = cell_of(center.x - radius);
-  const std::int64_t cx_hi = cell_of(center.x + radius);
-  const std::int64_t cy_lo = cell_of(center.y - radius);
-  const std::int64_t cy_hi = cell_of(center.y + radius);
-  for (std::int64_t cx = cx_lo; cx <= cx_hi; ++cx) {
-    if (cx < min_cx_ || cx >= min_cx_ + num_cx_) continue;
-    for (std::int64_t cy = cy_lo; cy <= cy_hi; ++cy) {
-      if (cy < min_cy_ || cy >= min_cy_ + num_cy_) continue;
-      const std::size_t b = bucket(cx, cy);
-      const std::size_t begin = cell_start_[b];
-      const std::size_t count = cell_start_[b + 1] - begin;
-      if (count == 0) continue;
-      const std::size_t old = out.size();
-      out.resize(old + count);
-      const std::size_t kept = simd::select_within(
-          sx_.data() + begin, sy_.data() + begin, count, center.x, center.y,
-          r2, cell_points_.data() + begin, out.data() + old);
-      out.resize(old + kept);
-    }
-  }
-}
-
 std::vector<std::uint32_t> GridIndex::query_disk(Point center,
                                                  double radius) const {
   std::vector<std::uint32_t> out;
-  collect_disk(center, radius, out);
+  visit_disk(center, radius, [&](std::uint32_t id) {
+    out.push_back(id);
+    return true;
+  });
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -98,8 +64,10 @@ std::vector<std::uint32_t> GridIndex::query_disk(Point center,
 std::vector<std::uint32_t> GridIndex::query_disk_excluding(
     Point center, double radius, std::uint32_t self) const {
   std::vector<std::uint32_t> out;
-  collect_disk(center, radius, out);
-  out.erase(std::remove(out.begin(), out.end(), self), out.end());
+  visit_disk(center, radius, [&](std::uint32_t id) {
+    if (id != self) out.push_back(id);
+    return true;
+  });
   std::sort(out.begin(), out.end());
   return out;
 }

@@ -1,8 +1,9 @@
 // Uniform-grid spatial index over a static point set.
 //
 // Supports disk queries in O(points in neighborhood) expected time; this is
-// what makes building the charging graph G_c over 1,200 sensors cheap
-// (radius gamma = 2.7 m in a 100 x 100 m field).
+// what makes a round's coverage lists N_c+ (and from them the charging
+// graph G_c) over 1,200 sensors cheap (radius gamma = 2.7 m in a
+// 100 x 100 m field).
 #pragma once
 
 #include <cstdint>
@@ -19,10 +20,8 @@ class GridIndex {
   /// referenced by index; the caller keeps ownership of coordinates.
   GridIndex(std::vector<Point> points, double cell_size);
 
-  /// All point indices within distance `radius` of `center` (inclusive).
-  /// Materializing queries filter each candidate bucket with the
-  /// simd::select_within kernel over an SoA coordinate mirror laid out in
-  /// CSR order; results are identical to the scalar visit_disk filter.
+  /// All point indices within distance `radius` of `center` (inclusive),
+  /// sorted: visit_disk's hits in ascending id.
   std::vector<std::uint32_t> query_disk(Point center, double radius) const;
 
   /// As query_disk, but excludes the point with index `self` from results.
@@ -40,10 +39,6 @@ class GridIndex {
  private:
   std::int64_t cell_of(double coord) const;
   std::size_t bucket(std::int64_t cx, std::int64_t cy) const;
-  /// Unsorted ids within `radius` of `center`, appended to `out` via the
-  /// per-bucket simd filter.
-  void collect_disk(Point center, double radius,
-                    std::vector<std::uint32_t>& out) const;
 
   std::vector<Point> points_;
   double cell_size_;
@@ -53,9 +48,6 @@ class GridIndex {
   // cell_start_[b+1]).
   std::vector<std::uint32_t> cell_start_;
   std::vector<std::uint32_t> cell_points_;
-  // SoA coordinates permuted into cell_points_ order (sx_[i] is the x of
-  // point cell_points_[i]); gives the disk kernel contiguous lanes.
-  std::vector<double> sx_, sy_;
 };
 
 template <typename Visitor>

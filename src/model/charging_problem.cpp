@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "geometry/grid_index.h"
 #include "util/assert.h"
 
 namespace mcharge::model {

@@ -4,13 +4,13 @@
 // sensors, it freezes a ChargingProblem: the positions of those sensors,
 // the charging duration t_v = (C_v - RE_v) / eta needed to fill each one
 // (Eq. (1)), the depot, the charging radius gamma, the MCV speed, and K.
-// Coverage sets N_c+(v) (Section III-B) are precomputed.
+// Coverage sets N_c+(v) (Section III-B) are precomputed; they are the
+// round's only gamma-disk query (Appro's G_c and H are read off them).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "geometry/grid_index.h"
 #include "geometry/point.h"
 
 namespace mcharge::model {

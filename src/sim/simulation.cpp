@@ -220,37 +220,43 @@ SimResult simulate(const model::WrsnInstance& instance,
     }
     MCHARGE_ASSERT(!batch.empty(), "dispatch with an empty request set");
 
-    for (std::uint32_t v : batch) {
-      if (pending_since[v] == kInf) {
-        // Reconstruct the actual crossing instant from the linear draw.
-        // A sensor that *started* below the threshold never crossed it —
-        // the reconstruction would land before t = 0 — so the request is
-        // pending from the start of the period, never earlier.
-        pending_since[v] =
-            draw[v] > 0.0
-                ? std::max(0.0, dispatch -
-                                    (threshold_j - state.level[v]) / draw[v])
-                : dispatch;
+    // The batch's request instants and the round's ChargingProblem (its
+    // coverage lists are the round's one gamma-disk query).
+    model::ChargingProblem problem;
+    {
+      OBS_SPAN("sim.problem");
+      for (std::uint32_t v : batch) {
+        if (pending_since[v] == kInf) {
+          // Reconstruct the actual crossing instant from the linear draw.
+          // A sensor that *started* below the threshold never crossed it —
+          // the reconstruction would land before t = 0 — so the request is
+          // pending from the start of the period, never earlier.
+          pending_since[v] =
+              draw[v] > 0.0
+                  ? std::max(0.0, dispatch - (threshold_j - state.level[v]) /
+                                                 draw[v])
+                  : dispatch;
+        }
       }
-    }
 
-    std::vector<geom::Point> positions;
-    std::vector<double> charge_seconds;
-    std::vector<double> lifetimes;
-    positions.reserve(batch.size());
-    charge_seconds.reserve(batch.size());
-    lifetimes.reserve(batch.size());
-    for (std::uint32_t v : batch) {
-      positions.push_back(instance.positions[v]);
-      charge_seconds.push_back(
-          net.charge_seconds(std::max(0.0, target_j - state.level[v])));
-      lifetimes.push_back(draw[v] > 0.0 ? state.level[v] / draw[v] : kInf);
+      std::vector<geom::Point> positions;
+      std::vector<double> charge_seconds;
+      std::vector<double> lifetimes;
+      positions.reserve(batch.size());
+      charge_seconds.reserve(batch.size());
+      lifetimes.reserve(batch.size());
+      for (std::uint32_t v : batch) {
+        positions.push_back(instance.positions[v]);
+        charge_seconds.push_back(
+            net.charge_seconds(std::max(0.0, target_j - state.level[v])));
+        lifetimes.push_back(draw[v] > 0.0 ? state.level[v] / draw[v] : kInf);
+      }
+      problem = model::ChargingProblem(
+          std::move(positions), std::move(charge_seconds), net.depot,
+          net.charging_radius, net.mcv_speed, net.num_chargers);
+      problem.set_residual_lifetimes(std::move(lifetimes));
+      problem.set_charging_rate(net.charging_rate_w);
     }
-    model::ChargingProblem problem(
-        std::move(positions), std::move(charge_seconds), net.depot,
-        net.charging_radius, net.mcv_speed, net.num_chargers);
-    problem.set_residual_lifetimes(std::move(lifetimes));
-    problem.set_charging_rate(net.charging_rate_w);
 
     sched::ChargingPlan plan;
     {
@@ -280,23 +286,32 @@ SimResult simulate(const model::WrsnInstance& instance,
       // (possibly partial) schedule is verified against the same fault
       // bundle; a recovery wave is verified as a normal full-coverage
       // schedule of its own sub-problem.
-      core::RecoveryOutcome outcome =
-          core::recover_round(problem, plan, round_fault, config.recovery);
+      core::RecoveryOutcome outcome;
+      {
+        OBS_SPAN("sim.execute");
+        outcome =
+            core::recover_round(problem, plan, round_fault, config.recovery);
+      }
       OBS_COUNT("sim.faulty_rounds", 1);
-      sched::VerifyOptions verify_options;
-      verify_options.require_full_coverage = false;
-      verify_options.allow_partial = true;
-      verify_options.faults = &round_fault;
-      result.verify_violations +=
-          sched::verify_schedule(problem, outcome.primary, verify_options)
-              .size();
+      {
+        OBS_SPAN("sim.verify");
+        sched::VerifyOptions verify_options;
+        verify_options.require_full_coverage = false;
+        verify_options.allow_partial = true;
+        verify_options.faults = &round_fault;
+        result.verify_violations +=
+            sched::verify_schedule(problem, outcome.primary, verify_options)
+                .size();
+        if (outcome.has_recovery) {
+          result.verify_violations +=
+              sched::verify_schedule(outcome.replan.subproblem,
+                                     outcome.recovery)
+                  .size();
+        }
+      }
       round_wait = outcome.primary.total_wait();
       merged_charged_at = outcome.primary.charged_at;
       if (outcome.has_recovery) {
-        result.verify_violations +=
-            sched::verify_schedule(outcome.replan.subproblem,
-                                   outcome.recovery)
-                .size();
         round_wait += outcome.recovery.total_wait();
         for (std::size_t i = 0; i < outcome.replan.original_index.size();
              ++i) {
@@ -341,14 +356,19 @@ SimResult simulate(const model::WrsnInstance& instance,
         OBS_COUNT("sim.energy_spent", std::llround(spent_j));
       }
     } else {
-      schedule = sched::execute_plan(problem, plan);
-
-      // One-to-one baselines may legitimately skip sensors (AA's profit
-      // pruning); do not demand full coverage, only internal consistency.
-      sched::VerifyOptions verify_options;
-      verify_options.require_full_coverage = false;
-      result.verify_violations +=
-          sched::verify_schedule(problem, schedule, verify_options).size();
+      {
+        OBS_SPAN("sim.execute");
+        schedule = sched::execute_plan(problem, plan);
+      }
+      {
+        // One-to-one baselines may legitimately skip sensors (AA's profit
+        // pruning); do not demand full coverage, only internal consistency.
+        OBS_SPAN("sim.verify");
+        sched::VerifyOptions verify_options;
+        verify_options.require_full_coverage = false;
+        result.verify_violations +=
+            sched::verify_schedule(problem, schedule, verify_options).size();
+      }
       charged_at = &schedule.charged_at;
       round_delay = schedule.longest_delay();
       round_wait = schedule.total_wait();

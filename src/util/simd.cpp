@@ -42,31 +42,6 @@ ArgMin scalar_argmin_masked(const double* values, const unsigned char* skip,
   return best;
 }
 
-ArgMin scalar_argmin_distance_masked(const double* xs, const double* ys,
-                                     std::size_t n, double px, double py,
-                                     const unsigned char* skip) {
-  ArgMin best{kNpos, kInf};
-  for (std::size_t i = 0; i < n; ++i) {
-    if (skip != nullptr && skip[i]) continue;
-    const double dx = px - xs[i];
-    const double dy = py - ys[i];
-    const double d = std::sqrt(dx * dx + dy * dy);
-    if (d < best.value) {
-      best.value = d;
-      best.index = i;
-    }
-  }
-  return best;
-}
-
-double scalar_min_reduce(const double* values, std::size_t n) {
-  double best = kInf;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (values[i] < best) best = values[i];
-  }
-  return best;
-}
-
 double scalar_max_reduce(const double* values, std::size_t n) {
   double best = -kInf;
   for (std::size_t i = 0; i < n; ++i) {
@@ -238,19 +213,6 @@ std::size_t scalar_price_scan(const double* xs, const double* ys,
   return count;
 }
 
-std::size_t scalar_select_within(const double* xs, const double* ys,
-                                 std::size_t n, double cx, double cy,
-                                 double r2, const std::uint32_t* ids,
-                                 std::uint32_t* out) {
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double dx = xs[i] - cx;
-    const double dy = ys[i] - cy;
-    if (dx * dx + dy * dy <= r2) out[count++] = ids[i];
-  }
-  return count;
-}
-
 // --- Dispatch ------------------------------------------------------------
 
 const detail::KernelTable* table_for(Backend backend) {
@@ -300,9 +262,8 @@ Dispatch& dispatch() {
 
 namespace detail {
 const KernelTable kScalarKernels = {
-    scalar_distance_row,  scalar_argmin_masked, scalar_argmin_distance_masked,
-    scalar_min_reduce,    scalar_max_reduce,    scalar_two_opt_scan,
-    scalar_or_opt_scan,   scalar_select_within, scalar_crossing_min,
+    scalar_distance_row, scalar_argmin_masked, scalar_max_reduce,
+    scalar_two_opt_scan, scalar_or_opt_scan,   scalar_crossing_min,
     scalar_advance_select_below,
     scalar_i64_dual_apply, scalar_i64_slack_bound, scalar_i64_slack_shift,
     scalar_price_scan,
@@ -351,16 +312,6 @@ ArgMin argmin_masked(const double* values, const unsigned char* skip,
   return dispatch().table->argmin_masked(values, skip, n);
 }
 
-ArgMin argmin_distance_masked(const double* xs, const double* ys,
-                              std::size_t n, double px, double py,
-                              const unsigned char* skip) {
-  return dispatch().table->argmin_distance_masked(xs, ys, n, px, py, skip);
-}
-
-double min_reduce(const double* values, std::size_t n) {
-  return dispatch().table->min_reduce(values, n);
-}
-
 double max_reduce(const double* values, std::size_t n) {
   return dispatch().table->max_reduce(values, n);
 }
@@ -379,12 +330,6 @@ std::size_t or_opt_scan(const double* px, const double* py, const double* tc,
                         double threshold) {
   return dispatch().table->or_opt_scan(px, py, tc, k_begin, k_end, ix, iy, ex,
                                        ey, speed, threshold);
-}
-
-std::size_t select_within(const double* xs, const double* ys, std::size_t n,
-                          double cx, double cy, double r2,
-                          const std::uint32_t* ids, std::uint32_t* out) {
-  return dispatch().table->select_within(xs, ys, n, cx, cy, r2, ids, out);
 }
 
 double crossing_min(const double* level, const double* as_of,

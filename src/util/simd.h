@@ -1,6 +1,6 @@
 // Portable SIMD kernels for the dense geometry hot paths: SoA distance
-// rows / matrices, fused distance+argmin scans, min/max reductions, and
-// the 2-opt / Or-opt first-improvement gain scans.
+// rows / matrices, masked argmin scans, max reductions, and the
+// 2-opt / Or-opt first-improvement gain scans.
 //
 // Bitwise-identity contract
 // -------------------------
@@ -65,16 +65,8 @@ struct ArgMin {
 ArgMin argmin_masked(const double* values, const unsigned char* skip,
                      std::size_t n);
 
-/// Fused distance + argmin: lowest-index minimum of
-/// sqrt((px - xs[i])^2 + (py - ys[i])^2) over i with skip[i] == 0.
-/// skip may be nullptr (no mask).
-ArgMin argmin_distance_masked(const double* xs, const double* ys,
-                              std::size_t n, double px, double py,
-                              const unsigned char* skip);
-
-/// Exact min/max reductions (order-independent for non-NaN input).
-/// Return +inf / -inf respectively for n == 0.
-double min_reduce(const double* values, std::size_t n);
+/// Exact max reduction (order-independent for non-NaN input). Returns
+/// -inf for n == 0.
 double max_reduce(const double* values, std::size_t n);
 
 /// First-improvement scan of the 2-opt move set for a fixed left edge.
@@ -110,13 +102,6 @@ std::size_t or_opt_scan(const double* px, const double* py, const double* tc,
                         std::size_t k_begin, std::size_t k_end, double ix,
                         double iy, double ex, double ey, double speed,
                         double threshold);
-
-/// Disk filter: appends ids[i] to out for every i in [0, n) with
-/// (xs[i] - cx)^2 + (ys[i] - cy)^2 <= r2, preserving order. Returns the
-/// number of ids written; out must have room for n entries.
-std::size_t select_within(const double* xs, const double* ys, std::size_t n,
-                          double cx, double cy, double r2,
-                          const std::uint32_t* ids, std::uint32_t* out);
 
 /// Simulator drain kernels (sim::simulate's SoA per-sensor state). Both
 /// follow the same bitwise-identity contract as the geometry kernels:

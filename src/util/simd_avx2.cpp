@@ -93,46 +93,6 @@ ArgMin avx2_argmin_masked(const double* values, const unsigned char* skip,
   return best;
 }
 
-ArgMin avx2_argmin_distance_masked(const double* xs, const double* ys,
-                                   std::size_t n, double px, double py,
-                                   const unsigned char* skip) {
-  ArgMin best{kNpos, kInf};
-  std::size_t i = 0;
-  if (n >= 4) {
-    const __m256d inf = _mm256_set1_pd(kInf);
-    const __m256d vpx = _mm256_set1_pd(px);
-    const __m256d vpy = _mm256_set1_pd(py);
-    __m256d bestv = inf;
-    __m256i besti = _mm256_set1_epi64x(-1);
-    __m256i idx = _mm256_setr_epi64x(0, 1, 2, 3);
-    const __m256i step = _mm256_set1_epi64x(4);
-    for (; i + 4 <= n; i += 4) {
-      __m256d val = dist4(_mm256_loadu_pd(xs + i), _mm256_loadu_pd(ys + i),
-                          vpx, vpy);
-      if (skip != nullptr) {
-        val = _mm256_blendv_pd(inf, val, live_mask4(skip, i));
-      }
-      const __m256d lt = _mm256_cmp_pd(val, bestv, _CMP_LT_OQ);
-      bestv = _mm256_blendv_pd(bestv, val, lt);
-      besti = _mm256_castpd_si256(_mm256_blendv_pd(
-          _mm256_castsi256_pd(besti), _mm256_castsi256_pd(idx), lt));
-      idx = _mm256_add_epi64(idx, step);
-    }
-    reduce_argmin4(bestv, besti, best);
-  }
-  for (; i < n; ++i) {
-    if (skip != nullptr && skip[i]) continue;
-    const double dx = px - xs[i];
-    const double dy = py - ys[i];
-    const double d = std::sqrt(dx * dx + dy * dy);
-    if (d < best.value) {
-      best.value = d;
-      best.index = i;
-    }
-  }
-  return best;
-}
-
 void avx2_distance_row(const double* xs, const double* ys, std::size_t n,
                        double px, double py, double* out) {
   const __m256d vpx = _mm256_set1_pd(px);
@@ -147,26 +107,6 @@ void avx2_distance_row(const double* xs, const double* ys, std::size_t n,
     const double dy = py - ys[i];
     out[i] = std::sqrt(dx * dx + dy * dy);
   }
-}
-
-double avx2_min_reduce(const double* values, std::size_t n) {
-  double best = kInf;
-  std::size_t i = 0;
-  if (n >= 4) {
-    __m256d acc = _mm256_set1_pd(kInf);
-    for (; i + 4 <= n; i += 4) {
-      acc = _mm256_min_pd(acc, _mm256_loadu_pd(values + i));
-    }
-    alignas(32) double lanes[4];
-    _mm256_store_pd(lanes, acc);
-    for (double v : lanes) {
-      if (v < best) best = v;
-    }
-  }
-  for (; i < n; ++i) {
-    if (values[i] < best) best = values[i];
-  }
-  return best;
 }
 
 double avx2_max_reduce(const double* values, std::size_t n) {
@@ -317,34 +257,6 @@ std::size_t avx2_or_opt_scan(const double* px, const double* py,
     if (cost < threshold) return k;
   }
   return kNpos;
-}
-
-std::size_t avx2_select_within(const double* xs, const double* ys,
-                               std::size_t n, double cx, double cy, double r2,
-                               const std::uint32_t* ids, std::uint32_t* out) {
-  const __m256d vcx = _mm256_set1_pd(cx);
-  const __m256d vcy = _mm256_set1_pd(cy);
-  const __m256d vr2 = _mm256_set1_pd(r2);
-  std::size_t count = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d dx = _mm256_sub_pd(_mm256_loadu_pd(xs + i), vcx);
-    const __m256d dy = _mm256_sub_pd(_mm256_loadu_pd(ys + i), vcy);
-    const __m256d d2 =
-        _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy));
-    int mask = _mm256_movemask_pd(_mm256_cmp_pd(d2, vr2, _CMP_LE_OQ));
-    while (mask != 0) {
-      const int lane = __builtin_ctz(mask);
-      out[count++] = ids[i + static_cast<std::size_t>(lane)];
-      mask &= mask - 1;
-    }
-  }
-  for (; i < n; ++i) {
-    const double dx = xs[i] - cx;
-    const double dy = ys[i] - cy;
-    if (dx * dx + dy * dy <= r2) out[count++] = ids[i];
-  }
-  return count;
 }
 
 double avx2_crossing_min(const double* level, const double* as_of,
@@ -619,9 +531,8 @@ std::size_t avx2_price_scan(const double* xs, const double* ys, std::size_t n,
 }  // namespace
 
 const KernelTable kAvx2Kernels = {
-    avx2_distance_row,  avx2_argmin_masked, avx2_argmin_distance_masked,
-    avx2_min_reduce,    avx2_max_reduce,    avx2_two_opt_scan,
-    avx2_or_opt_scan,   avx2_select_within, avx2_crossing_min,
+    avx2_distance_row, avx2_argmin_masked, avx2_max_reduce,
+    avx2_two_opt_scan, avx2_or_opt_scan,   avx2_crossing_min,
     avx2_advance_select_below,
     avx2_i64_dual_apply, avx2_i64_slack_bound, avx2_i64_slack_shift,
     avx2_price_scan,

@@ -66,10 +66,6 @@ struct KernelTable {
                        double px, double py, double* out);
   ArgMin (*argmin_masked)(const double* values, const unsigned char* skip,
                           std::size_t n);
-  ArgMin (*argmin_distance_masked)(const double* xs, const double* ys,
-                                   std::size_t n, double px, double py,
-                                   const unsigned char* skip);
-  double (*min_reduce)(const double* values, std::size_t n);
   double (*max_reduce)(const double* values, std::size_t n);
   std::size_t (*two_opt_scan)(const double* px, const double* py,
                               const double* tc, std::size_t j_begin,
@@ -81,9 +77,6 @@ struct KernelTable {
                              std::size_t k_end, double ix, double iy,
                              double ex, double ey, double speed,
                              double threshold);
-  std::size_t (*select_within)(const double* xs, const double* ys,
-                               std::size_t n, double cx, double cy, double r2,
-                               const std::uint32_t* ids, std::uint32_t* out);
   double (*crossing_min)(const double* level, const double* as_of,
                          const double* draw, std::size_t n, double threshold,
                          double eps);

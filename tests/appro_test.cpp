@@ -59,16 +59,99 @@ TEST(OverlapGraph, EmptySubset) {
   EXPECT_EQ(h.num_vertices(), 0u);
 }
 
-TEST(OverlapGraph, MatchesBruteForcePredicate) {
-  Rng rng(5);
-  auto p = random_problem(150, 2, rng, 60.0);
-  std::vector<std::uint32_t> subset;
-  for (std::uint32_t v = 0; v < p.size(); v += 3) subset.push_back(v);
+TEST(OverlapGraph, ChargingGraphMatchesBruteForce) {
+  Rng rng(10);
+  const auto pts = geom::uniform_field(150, 50.0, 50.0, rng);
+  const double gamma = 4.0;
+  const ChargingProblem p(pts, std::vector<double>(pts.size(), 1.0), {0, 0},
+                          gamma, 1.0, 1);
+  const auto gc = charging_graph(p);
+  for (std::uint32_t u = 0; u < pts.size(); ++u) {
+    for (std::uint32_t v = u + 1; v < pts.size(); ++v) {
+      EXPECT_EQ(gc.has_edge(u, v), geom::within(pts[u], pts[v], gamma))
+          << u << "," << v;
+    }
+  }
+}
+
+TEST(OverlapGraph, ChargingGraphZeroRadiusOnlyCoincident) {
+  // Coincident sensors are distinct vertices at distance 0: at gamma = 0
+  // they are joined, and nothing else is.
+  const ChargingProblem p({{0, 0}, {0, 0}, {1, 0}}, {1, 1, 1}, {0, 0}, 0.0,
+                          1.0, 1);
+  const auto gc = charging_graph(p);
+  EXPECT_TRUE(gc.has_edge(0, 1));
+  EXPECT_FALSE(gc.has_edge(0, 2));
+  EXPECT_FALSE(gc.has_edge(1, 2));
+  EXPECT_EQ(gc.num_edges(), 1u);
+}
+
+/// Checks every pair of overlap_graph(p, subset) against the exact
+/// coverage-intersection predicate.
+void expect_overlap_matches_predicate(const ChargingProblem& p,
+                                      const std::vector<std::uint32_t>& subset,
+                                      const char* what) {
   const auto h = overlap_graph(p, subset);
+  ASSERT_EQ(h.num_vertices(), subset.size()) << what;
   for (std::uint32_t i = 0; i < subset.size(); ++i) {
     for (std::uint32_t j = i + 1; j < subset.size(); ++j) {
-      EXPECT_EQ(h.has_edge(i, j), p.overlapping(subset[i], subset[j]));
+      EXPECT_EQ(h.has_edge(i, j), p.overlapping(subset[i], subset[j]))
+          << what << ": " << subset[i] << "," << subset[j];
     }
+  }
+}
+
+ChargingProblem problem_at(std::vector<geom::Point> pts, double gamma) {
+  std::vector<double> deficits(pts.size(), 1.0);
+  return ChargingProblem(std::move(pts), std::move(deficits), {0, 0}, gamma,
+                         1.0, 1);
+}
+
+TEST(OverlapGraph, MatchesBruteForcePredicate) {
+  Rng rng(5);
+  {
+    auto p = random_problem(150, 2, rng, 60.0);
+    std::vector<std::uint32_t> subset;
+    for (std::uint32_t v = 0; v < p.size(); v += 3) subset.push_back(v);
+    expect_overlap_matches_predicate(p, subset, "uniform, every third");
+  }
+  {
+    // Collinear chain 0, gamma, 2*gamma (all exactly representable): the
+    // ends share only the middle sensor, at distance exactly gamma from
+    // both, so the closed-disk predicate joins them.
+    const auto p = problem_at({{0, 0}, {2.5, 0}, {5, 0}, {10, 0}}, 2.5);
+    const std::vector<std::uint32_t> subset{0, 2, 3};
+    const auto h = overlap_graph(p, subset);
+    EXPECT_TRUE(h.has_edge(0, 1));
+    EXPECT_FALSE(h.has_edge(1, 2));
+    expect_overlap_matches_predicate(p, subset, "collinear chain");
+  }
+  {
+    // Duplicate points: coincident sensors cover each other.
+    const auto p = problem_at(
+        {{1, 1}, {1, 1}, {1, 1}, {3, 1}, {3, 1}, {6, 1}, {9, 1}}, 2.5);
+    const std::vector<std::uint32_t> subset{0, 1, 2, 3, 4, 5, 6};
+    EXPECT_TRUE(overlap_graph(p, subset).has_edge(0, 2));
+    expect_overlap_matches_predicate(p, subset, "duplicate points");
+  }
+  {
+    // Clustered field: dense hotspots give long coverage lists.
+    auto p = problem_at(geom::clustered_field(200, 60.0, 60.0, 4, 3.0, rng),
+                        2.7);
+    std::vector<std::uint32_t> subset;
+    for (std::uint32_t v = 1; v < p.size(); v += 2) subset.push_back(v);
+    expect_overlap_matches_predicate(p, subset, "clustered");
+  }
+  {
+    // A subset that is not independent in G_c, in descending id order.
+    auto p = random_problem(120, 2, rng, 25.0);
+    std::vector<std::uint32_t> subset;
+    for (std::uint32_t v = static_cast<std::uint32_t>(p.size()); v-- > 0;) {
+      subset.push_back(v);
+    }
+    const auto gc = charging_graph(p);
+    EXPECT_GT(gc.num_edges(), 0u);
+    expect_overlap_matches_predicate(p, subset, "dependent subset");
   }
 }
 

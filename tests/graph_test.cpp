@@ -1,5 +1,5 @@
-// Unit and property tests for the graph module: adjacency graph, unit-disk
-// builder, MIS, DSU, MST, Euler circuits, traversal.
+// Unit and property tests for the graph module: adjacency graph, MIS, DSU,
+// MST, Euler circuits, traversal.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 #include "graph/mis.h"
 #include "graph/mst.h"
 #include "graph/traversal.h"
-#include "graph/unit_disk.h"
 #include "util/rng.h"
 
 namespace mcharge::graph {
@@ -71,29 +70,19 @@ TEST(Graph, MaxDegree) {
   EXPECT_EQ(g.max_degree(), 3u);
 }
 
-TEST(UnitDisk, MatchesBruteForce) {
-  Rng rng(10);
-  const auto pts = geom::uniform_field(150, 50.0, 50.0, rng);
-  const double radius = 4.0;
-  const Graph g = unit_disk_graph(pts, radius);
+// ---------- MIS ----------
+
+/// Brute-force O(n^2) disk graph: an edge wherever two points lie within
+/// `radius` (the shape of the paper's G_c).
+Graph disk_graph(const std::vector<geom::Point>& pts, double radius) {
+  Graph g(pts.size());
   for (Vertex u = 0; u < pts.size(); ++u) {
     for (Vertex v = u + 1; v < pts.size(); ++v) {
-      const bool expect = geom::within(pts[u], pts[v], radius);
-      EXPECT_EQ(g.has_edge(u, v), expect) << u << "," << v;
+      if (geom::within(pts[u], pts[v], radius)) g.add_edge(u, v);
     }
   }
+  return g;
 }
-
-TEST(UnitDisk, ZeroRadiusOnlyCoincident) {
-  const std::vector<geom::Point> pts{{0, 0}, {0, 0}, {1, 0}};
-  // Coincident points would be self-distinct vertices at distance 0; the
-  // builder must connect them and nothing else.
-  const Graph g = unit_disk_graph(pts, 0.0);
-  EXPECT_TRUE(g.has_edge(0, 1));
-  EXPECT_FALSE(g.has_edge(0, 2));
-}
-
-// ---------- MIS ----------
 
 class MisProperty
     : public ::testing::TestWithParam<std::tuple<int, MisOrder>> {};
@@ -102,7 +91,7 @@ TEST_P(MisProperty, IndependentAndMaximal) {
   const auto [seed, order] = GetParam();
   Rng rng(static_cast<std::uint64_t>(seed));
   const auto pts = geom::uniform_field(120, 40.0, 40.0, rng);
-  const Graph g = unit_disk_graph(pts, 3.0);
+  const Graph g = disk_graph(pts, 3.0);
   std::vector<double> priority(g.num_vertices());
   for (auto& p : priority) p = rng.uniform();
   const auto set = maximal_independent_set(g, order, &priority, &rng);

@@ -145,7 +145,7 @@ TEST(ObsReport, JsonCarriesSchemaAndSortedMetrics) {
 TEST(ObsReport, SimulatorPopulatesCoreSpans) {
   // A traced simulation must light up the instrumented subsystems
   // end-to-end: planner phases, the tour substrate's stages, executor,
-  // and the simulator scans.
+  // and the simulator's round phases.
   obs::reset();
   Rng rng(5);
   const auto instance = model::make_instance(model::NetworkConfig{}, 60, rng);
@@ -157,8 +157,9 @@ TEST(ObsReport, SimulatorPopulatesCoreSpans) {
   ASSERT_GT(result.rounds, 0u);
   const obs::TraceReport report = obs::capture();
   for (const char* name :
-       {"appro.plan", "exec.multinode", "sim.round", "tsp.construct",
-        "tsp.improve_tour", "tsp.split", "tsp.segment_improve"}) {
+       {"appro.plan", "exec.multinode", "sim.round", "sim.problem",
+        "sim.execute", "sim.verify", "tsp.construct", "tsp.improve_tour",
+        "tsp.split", "tsp.segment_improve"}) {
     const auto* m = find_metric(report, name);
     ASSERT_NE(m, nullptr) << name;
     EXPECT_GT(m->count, 0u) << name;
