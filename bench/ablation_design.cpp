@@ -60,11 +60,11 @@ struct DesignItem {
 int main(int argc, char** argv) {
   const CliFlags flags(argc, argv);
   const bench::TraceOutput trace(flags);
-  const auto n = static_cast<std::size_t>(flags.get_int("n", 1000));
-  const auto k = static_cast<std::size_t>(flags.get_int("chargers", 2));
-  const auto rounds = static_cast<std::size_t>(flags.get_int("rounds", 10));
+  const auto n = flags.get_size("n", 1000);
+  const auto k = flags.get_size("chargers", 2);
+  const auto rounds = flags.get_size("rounds", 10);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const auto jobs = static_cast<std::size_t>(flags.get_int("jobs", 0));
+  const auto jobs = flags.get_size("jobs", 0);
 
   std::vector<Variant> variants;
   {

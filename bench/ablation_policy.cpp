@@ -44,13 +44,12 @@ int main(int argc, char** argv) {
   using namespace mcharge;
   const CliFlags flags(argc, argv);
   const bench::TraceOutput trace(flags);
-  const auto n = static_cast<std::size_t>(flags.get_int("n", 1000));
-  const auto k = static_cast<std::size_t>(flags.get_int("chargers", 2));
-  const auto instances =
-      static_cast<std::size_t>(flags.get_int("instances", 5));
+  const auto n = flags.get_size("n", 1000);
+  const auto k = flags.get_size("chargers", 2);
+  const auto instances = flags.get_size("instances", 5);
   const double months = flags.get_double("months", 12.0);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const auto jobs = static_cast<std::size_t>(flags.get_int("jobs", 0));
+  const auto jobs = flags.get_size("jobs", 0);
 
   struct Policy {
     const char* name;

@@ -42,13 +42,11 @@ model::ChargingProblem random_round(std::size_t n, std::size_t k, Rng& rng,
 
 int main(int argc, char** argv) {
   const CliFlags flags(argc, argv);
-  const auto tiny_instances =
-      static_cast<std::size_t>(flags.get_int("tiny_instances", 200));
-  const auto tiny_n = static_cast<std::size_t>(flags.get_int("tiny_n", 5));
-  const auto big_instances =
-      static_cast<std::size_t>(flags.get_int("big_instances", 20));
-  const auto big_n = static_cast<std::size_t>(flags.get_int("big_n", 1000));
-  const auto k = static_cast<std::size_t>(flags.get_int("chargers", 2));
+  const auto tiny_instances = flags.get_size("tiny_instances", 200);
+  const auto tiny_n = flags.get_size("tiny_n", 5);
+  const auto big_instances = flags.get_size("big_instances", 20);
+  const auto big_n = flags.get_size("big_n", 1000);
+  const auto k = flags.get_size("chargers", 2);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
 
   core::ApproScheduler appro;

@@ -47,15 +47,14 @@ int main(int argc, char** argv) {
   using namespace mcharge;
   const CliFlags flags(argc, argv);
   const bench::TraceOutput trace(flags);
-  const auto n = static_cast<std::size_t>(flags.get_int("n", 400));
-  const auto k = static_cast<std::size_t>(flags.get_int("chargers", 3));
-  const auto instances =
-      static_cast<std::size_t>(flags.get_int("instances", 5));
+  const auto n = flags.get_size("n", 400);
+  const auto k = flags.get_size("chargers", 3);
+  const auto instances = flags.get_size("instances", 5);
   const double months = flags.get_double("months", 6.0);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const auto fault_seed =
       static_cast<std::uint64_t>(flags.get_int("fault-seed", 1));
-  const auto jobs = static_cast<std::size_t>(flags.get_int("jobs", 0));
+  const auto jobs = flags.get_size("jobs", 0);
   const double mcv_budget_j = flags.get_double("mcv-budget", 0.0);
   const bool budget_sweep = flags.get_int("budget-sweep", 1) != 0;
   const std::string csv = flags.get("csv", "");

@@ -11,10 +11,10 @@ int main(int argc, char** argv) {
   const CliFlags flags(argc, argv);
   const bench::TraceOutput trace(flags);
   const auto settings = bench::SweepSettings::from_flags(flags);
-  const auto n_min = static_cast<std::size_t>(flags.get_int("nmin", 200));
-  const auto n_max = static_cast<std::size_t>(flags.get_int("nmax", 1200));
-  const auto n_step = static_cast<std::size_t>(flags.get_int("nstep", 200));
-  const auto k = static_cast<std::size_t>(flags.get_int("chargers", 2));
+  const auto n_min = flags.get_size("nmin", 200);
+  const auto n_max = flags.get_size("nmax", 1200);
+  const auto n_step = flags.get_size("nstep", 200);
+  const auto k = flags.get_size("chargers", 2);
 
   bench::FigureSweep sweep("Fig. 3", "n", settings);
   for (std::size_t n = n_min; n <= n_max; n += n_step) {

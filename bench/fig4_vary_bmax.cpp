@@ -12,8 +12,8 @@ int main(int argc, char** argv) {
   const CliFlags flags(argc, argv);
   const bench::TraceOutput trace(flags);
   const auto settings = bench::SweepSettings::from_flags(flags);
-  const auto n = static_cast<std::size_t>(flags.get_int("n", 1000));
-  const auto k = static_cast<std::size_t>(flags.get_int("chargers", 2));
+  const auto n = flags.get_size("n", 1000);
+  const auto k = flags.get_size("chargers", 2);
 
   bench::FigureSweep sweep("Fig. 4", "b_max_kbps", settings);
   for (int bmax_kbps = 10; bmax_kbps <= 50; bmax_kbps += 10) {

@@ -11,8 +11,8 @@ int main(int argc, char** argv) {
   const CliFlags flags(argc, argv);
   const bench::TraceOutput trace(flags);
   const auto settings = bench::SweepSettings::from_flags(flags);
-  const auto n = static_cast<std::size_t>(flags.get_int("n", 1000));
-  const auto k_max = static_cast<std::size_t>(flags.get_int("kmax", 5));
+  const auto n = flags.get_size("n", 1000);
+  const auto k_max = flags.get_size("kmax", 5);
 
   bench::FigureSweep sweep("Fig. 5", "K", settings);
   for (std::size_t k = 1; k <= k_max; ++k) {

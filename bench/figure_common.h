@@ -73,10 +73,10 @@ struct SweepSettings {
 
   static SweepSettings from_flags(const CliFlags& flags) {
     SweepSettings s;
-    s.instances = static_cast<std::size_t>(flags.get_int("instances", 10));
+    s.instances = flags.get_size("instances", 10);
     s.months = flags.get_double("months", 12.0);
     s.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-    s.jobs = static_cast<std::size_t>(flags.get_int("jobs", 0));
+    s.jobs = flags.get_size("jobs", 0);
     s.mcv_budget_j = flags.get_double("mcv-budget", 0.0);
     s.csv_prefix = flags.get("csv", "");
     const std::string layout = flags.get("layout", "uniform");

@@ -19,7 +19,7 @@
 int main(int argc, char** argv) {
   using namespace mcharge;
   const CliFlags flags(argc, argv);
-  const auto n = static_cast<std::size_t>(flags.get_int("sensors", 400));
+  const auto n = flags.get_size("sensors", 400);
   const double days = flags.get_double("days", 120.0);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
 

@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
   model::ChargingProblem problem = round.to_problem(
       {flags.get_double("depot_x", 50.0), flags.get_double("depot_y", 50.0)},
       flags.get_double("gamma", 2.7), flags.get_double("speed", 1.0),
-      static_cast<std::size_t>(flags.get_int("chargers", 2)), eta);
+      flags.get_size("chargers", 2), eta);
 
   const auto plan = scheduler->plan(problem);
   const auto schedule = sched::execute_plan(problem, plan);

@@ -14,8 +14,8 @@
 int main(int argc, char** argv) {
   using namespace mcharge;
   const CliFlags flags(argc, argv);
-  const auto n = static_cast<std::size_t>(flags.get_int("sensors", 300));
-  const auto k = static_cast<std::size_t>(flags.get_int("chargers", 2));
+  const auto n = flags.get_size("sensors", 300);
+  const auto k = flags.get_size("chargers", 2);
   Rng rng(static_cast<std::uint64_t>(flags.get_int("seed", 1)));
 
   // --- 1. A charging round: n sensors that requested charging, each with a

@@ -73,8 +73,7 @@ int main(int argc, char** argv) {
     instance = *loaded;
   } else {
     model::NetworkConfig config;
-    config.num_chargers =
-        static_cast<std::size_t>(flags.get_int("chargers", 2));
+    config.num_chargers = flags.get_size("chargers", 2);
     config.request_threshold = flags.get_double("threshold", 0.2);
     config.rate_max_bps = flags.get_double("bmax_kbps", 50.0) * 1e3;
     if (flags.get("routing", "minhop") == "minenergy") {
@@ -82,7 +81,7 @@ int main(int argc, char** argv) {
     }
     Rng rng(static_cast<std::uint64_t>(flags.get_int("seed", 1)));
     instance = model::make_instance(
-        config, static_cast<std::size_t>(flags.get_int("n", 1000)), rng,
+        config, flags.get_size("n", 1000), rng,
         parse_layout(flags.get("layout", "uniform")));
   }
   if (flags.has("save_instance")) {

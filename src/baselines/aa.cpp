@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "cluster/kmeans.h"
+#include "obs/obs.h"
 #include "util/assert.h"
 
 namespace mcharge::baselines {
@@ -14,6 +15,7 @@ AaScheduler::AaScheduler(Options options) : options_(options) {}
 
 sched::ChargingPlan AaScheduler::plan(
     const model::ChargingProblem& problem) const {
+  OBS_SPAN("aa.plan");
   const std::size_t n = problem.size();
   const std::size_t k = problem.num_chargers();
   sched::ChargingPlan plan;

@@ -4,12 +4,14 @@
 #include <numeric>
 
 #include "assignment/hungarian.h"
+#include "obs/obs.h"
 #include "util/assert.h"
 
 namespace mcharge::baselines {
 
 sched::ChargingPlan KEdfScheduler::plan(
     const model::ChargingProblem& problem) const {
+  OBS_SPAN("kedf.plan");
   const std::size_t n = problem.size();
   const std::size_t k = problem.num_chargers();
   sched::ChargingPlan plan;

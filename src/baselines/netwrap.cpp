@@ -4,6 +4,7 @@
 #include <limits>
 #include <queue>
 
+#include "obs/obs.h"
 #include "util/assert.h"
 
 namespace mcharge::baselines {
@@ -16,6 +17,7 @@ NetwrapScheduler::NetwrapScheduler(double travel_weight)
 
 sched::ChargingPlan NetwrapScheduler::plan(
     const model::ChargingProblem& problem) const {
+  OBS_SPAN("netwrap.plan");
   const std::size_t n = problem.size();
   const std::size_t k = problem.num_chargers();
   sched::ChargingPlan plan;

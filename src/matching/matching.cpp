@@ -151,7 +151,7 @@ Matching min_weight_euclidean_matching(const std::vector<geom::Point>& pts,
     case MatchingEngine::kDenseBlossom:
       return dense_blossom_euclidean_matching(pts);
     case MatchingEngine::kSparseBlossom:
-      return sparse_blossom_euclidean_matching(pts, opts.knn);
+      return sparse_blossom_euclidean_matching(pts);
     case MatchingEngine::kLocalSearch:
       return local_search_matching(pts);
     case MatchingEngine::kAuto:
@@ -159,7 +159,7 @@ Matching min_weight_euclidean_matching(const std::vector<geom::Point>& pts,
   }
   if (n <= kExactLimit) return exact_min_weight_matching(n, euclid);
   if (n < kSparseCrossover) return dense_blossom_euclidean_matching(pts);
-  if (n <= kBlossomLimit) return sparse_blossom_euclidean_matching(pts, opts.knn);
+  if (n <= kBlossomLimit) return sparse_blossom_euclidean_matching(pts);
   return local_search_matching(pts);
 }
 

@@ -67,8 +67,6 @@ enum class MatchingEngine : std::uint8_t {
 
 struct MatchingOptions {
   MatchingEngine engine = MatchingEngine::kAuto;
-  /// Candidate-graph neighbor count for the sparse engine (>= 1).
-  int knn = 8;
 };
 
 /// Exact minimum-weight perfect matching by bitmask DP. Requires even n,

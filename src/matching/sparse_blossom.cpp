@@ -26,14 +26,13 @@
 //    the quantizer's tie perturbation makes the optimum generically
 //    unique, so the dense/sparse identical-matching invariant holds.
 //
-// The pricing scan is the only O(n^2) part and runs through the
-// simd::price_scan kernel: the int64 dual test is relaxed to a
-// conservative double-precision distance bound
+// The pricing scan is the only O(n^2) part. Its prefilter relaxes the
+// int64 dual test to a conservative double-precision distance bound
 //     dist(u, v) < base - a_u - a_v      (a_x = lab2_x / (2 S scale))
 // with a safety margin of several quantization steps (covering llround,
-// the resolution clamp, and double rounding), so the kernel can reject
-// almost all pairs with one fused coordinate sweep; survivors are
-// re-checked exactly in int64.
+// the resolution clamp, and double rounding), so one distance and compare
+// per pair rejects almost all pairs; survivors are re-checked exactly in
+// int64.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -48,7 +47,6 @@
 #include "matching/quantize.h"
 #include "obs/obs.h"
 #include "util/assert.h"
-#include "util/simd.h"
 
 namespace mcharge::matching {
 
@@ -110,14 +108,8 @@ Matching sparse_blossom_euclidean_matching(const std::vector<geom::Point>& pts,
   const detail::BlossomQuantizer qz = detail::make_point_quantizer(pts);
   std::vector<std::pair<int, int>> edges0 = candidate_edges(pts, knn);
 
-  // SoA coordinates + per-vertex pricing terms for the kernel sweep.
-  std::vector<double> xs(n), ys(n), av(n);
-  std::vector<std::uint32_t> ids(n), flagged(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    xs[v] = pts[v].x;
-    ys[v] = pts[v].y;
-    ids[v] = static_cast<std::uint32_t>(v);
-  }
+  // Per-vertex pricing terms a_v for the prefilter sweep.
+  std::vector<double> av(n);
   const double two_s_scale =
       2.0 * static_cast<double>(qz.tie_scale) * qz.scale;
   const double inv = 1.0 / two_s_scale;
@@ -206,20 +198,16 @@ Matching sparse_blossom_euclidean_matching(const std::vector<geom::Point>& pts,
     {
       OBS_SPAN("blossom.price_scan");
       for (std::size_t u = 0; u + 1 < n; ++u) {
-        const std::size_t m = n - u - 1;
-        const std::size_t hits =
-            simd::price_scan(xs.data() + u + 1, ys.data() + u + 1, m, xs[u],
-                             ys[u], scan_base - av[u], av.data() + u + 1,
-                             ids.data() + u + 1, flagged.data());
-        for (std::size_t k = 0; k < hits; ++k) {
-          const auto v = flagged[k];
+        const double bound = scan_base - av[u];
+        for (auto v = static_cast<std::uint32_t>(u + 1); v < n; ++v) {
+          const double d = geom::distance(pts[u], pts[v]);
+          if (!(d < bound - av[v])) continue;
           if (store.weight(static_cast<int>(u) + 1, static_cast<int>(v) + 1) !=
               0) {
             continue;  // already a candidate; its constraint is enforced
           }
           const std::int64_t p2 =
-              2 * qz.profit(geom::distance(pts[u], pts[v]),
-                            static_cast<std::uint32_t>(u), v);
+              2 * qz.profit(d, static_cast<std::uint32_t>(u), v);
           // Full dual test. A pair inside a surviving blossom carries
           // every shared blossom's z on the left side of its
           // complete-graph constraint; pricing on labels alone spuriously

@@ -8,7 +8,6 @@
 #include "graph/mst.h"
 #include "matching/matching.h"
 #include "util/assert.h"
-#include "util/simd.h"
 
 namespace mcharge::tsp {
 
@@ -83,15 +82,23 @@ Tour nearest_neighbor_tour(const TourProblem& problem) {
   if (m <= 1) return m == 0 ? Tour{} : Tour{0};
   Tour tour;
   tour.reserve(m);
-  // Each step is a masked lowest-index argmin over a contiguous cache row
-  // (the depot vector for the first hop) — the simd kernel reproduces the
-  // scalar strict-< scan bit for bit, ties included.
+  // Each step is a lowest-index strict-< argmin over the unvisited
+  // entries of a contiguous cache row (the depot vector for the first
+  // hop), so ties go to the lowest site id.
   std::vector<unsigned char> visited(m, 0);
   const double* row = problem.depot_distance_ptr();
   for (std::size_t step = 0; step < m; ++step) {
-    const simd::ArgMin pick = simd::argmin_masked(row, visited.data(), m);
-    MCHARGE_ASSERT(pick.index != simd::kNpos, "unvisited site must exist");
-    const auto best_v = static_cast<SiteId>(pick.index);
+    std::size_t pick = m;
+    double best = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < m; ++i) {
+      if (visited[i]) continue;
+      if (row[i] < best) {
+        best = row[i];
+        pick = i;
+      }
+    }
+    MCHARGE_ASSERT(pick != m, "unvisited site must exist");
+    const auto best_v = static_cast<SiteId>(pick);
     visited[best_v] = 1;
     tour.push_back(best_v);
     row = problem.distance_row_ptr(best_v);

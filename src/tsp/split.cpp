@@ -6,7 +6,6 @@
 
 #include "obs/obs.h"
 #include "util/assert.h"
-#include "util/simd.h"
 
 namespace mcharge::tsp {
 
@@ -98,14 +97,11 @@ SplitResult split_min_max(const TourProblem& problem, const Tour& tour,
   // Lower bound: the hardest single site. Upper bound: whole tour as one.
   // The upper bound gets a relative nudge so that accumulation-order
   // floating-point noise cannot make the whole-tour budget "infeasible".
-  // Solo delays go through the simd max reduction — max is exact (no
-  // rounding), so any reduction order gives the scalar loop's bits.
-  std::vector<double> solo(tour.size());
-  for (std::size_t idx = 0; idx < tour.size(); ++idx) {
-    const SiteId v = tour[idx];
-    solo[idx] = 2.0 * problem.travel_depot(v) + problem.service[v];
+  double lo0 = -std::numeric_limits<double>::infinity();
+  for (const SiteId v : tour) {
+    const double solo = 2.0 * problem.travel_depot(v) + problem.service[v];
+    if (solo > lo0) lo0 = solo;
   }
-  const double lo0 = simd::max_reduce(solo.data(), solo.size());
   double lo = std::max(0.0, lo0);
   double hi = std::max(lo, tour_delay(problem, tour));
   hi += 1e-9 * std::max(1.0, hi);

@@ -1,9 +1,31 @@
 #include "util/cli.h"
 
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
 #include <string_view>
+#include <system_error>
 
 namespace mcharge {
+
+namespace {
+
+/// Parses all of `value` as a T, or reports the flag and exits with 2.
+template <typename T>
+T parse_whole(const std::string& key, const std::string& value,
+              const char* what) {
+  T out{};
+  const char* const end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (ec != std::errc{} || ptr != end) {
+    std::fprintf(stderr, "error: --%s=%s is not %s\n", key.c_str(),
+                 value.c_str(), what);
+    std::exit(2);
+  }
+  return out;
+}
+
+}  // namespace
 
 CliFlags::CliFlags(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -31,12 +53,23 @@ std::string CliFlags::get(const std::string& key,
 
 long long CliFlags::get_int(const std::string& key, long long fallback) const {
   auto it = flags_.find(key);
-  return it == flags_.end() ? fallback : std::atoll(it->second.c_str());
+  return it == flags_.end()
+             ? fallback
+             : parse_whole<long long>(key, it->second, "an integer");
+}
+
+std::size_t CliFlags::get_size(const std::string& key,
+                               std::size_t fallback) const {
+  auto it = flags_.find(key);
+  return it == flags_.end() ? fallback
+                            : parse_whole<std::size_t>(
+                                  key, it->second, "a non-negative integer");
 }
 
 double CliFlags::get_double(const std::string& key, double fallback) const {
   auto it = flags_.find(key);
-  return it == flags_.end() ? fallback : std::atof(it->second.c_str());
+  return it == flags_.end() ? fallback
+                            : parse_whole<double>(key, it->second, "a number");
 }
 
 bool CliFlags::get_bool(const std::string& key, bool fallback) const {

@@ -1,13 +1,18 @@
 // Minimal --key=value command-line parsing for bench and example binaries.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <string>
 
 namespace mcharge {
 
 /// Parses flags of the form --key=value (or bare --key, value "true").
-/// Unrecognized positional arguments are collected separately.
+/// Arguments that do not start with "--" are ignored.
+///
+/// The numeric getters must consume the whole value: a malformed number
+/// (`--instances=1O0`, `--jobs=abc`, or a negative count for get_size)
+/// prints the flag and its value to stderr and exits with status 2.
 class CliFlags {
  public:
   CliFlags(int argc, const char* const* argv);
@@ -15,6 +20,8 @@ class CliFlags {
   bool has(const std::string& key) const;
   std::string get(const std::string& key, const std::string& fallback) const;
   long long get_int(const std::string& key, long long fallback) const;
+  /// Non-negative integer (counts, sizes, job numbers).
+  std::size_t get_size(const std::string& key, std::size_t fallback) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
 

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
 
@@ -17,8 +16,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // --- Scalar reference kernels -------------------------------------------
 // These ARE the determinism contract: every vector backend must reproduce
 // them bit for bit. Each loop body performs the exact operation sequence
-// of the code the kernel replaced (see the call sites in tsp/ and
-// geometry/).
+// of the code the kernel replaced (see the call sites in tsp/, sim/ and
+// matching/blossom_core.h).
 
 void scalar_distance_row(const double* xs, const double* ys, std::size_t n,
                          double px, double py, double* out) {
@@ -27,27 +26,6 @@ void scalar_distance_row(const double* xs, const double* ys, std::size_t n,
     const double dy = py - ys[i];
     out[i] = std::sqrt(dx * dx + dy * dy);
   }
-}
-
-ArgMin scalar_argmin_masked(const double* values, const unsigned char* skip,
-                            std::size_t n) {
-  ArgMin best{kNpos, kInf};
-  for (std::size_t i = 0; i < n; ++i) {
-    if (skip != nullptr && skip[i]) continue;
-    if (values[i] < best.value) {
-      best.value = values[i];
-      best.index = i;
-    }
-  }
-  return best;
-}
-
-double scalar_max_reduce(const double* values, std::size_t n) {
-  double best = -kInf;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (values[i] > best) best = values[i];
-  }
-  return best;
 }
 
 // Squared-distance prefilter floor for `speed` (simd_kernels.h): +inf
@@ -199,20 +177,6 @@ void scalar_i64_slack_shift(std::int64_t* val, const std::int32_t* slack,
   }
 }
 
-std::size_t scalar_price_scan(const double* xs, const double* ys,
-                              std::size_t n, double px, double py,
-                              double bound, const double* adj,
-                              const std::uint32_t* ids, std::uint32_t* out) {
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double dx = px - xs[i];
-    const double dy = py - ys[i];
-    const double d = std::sqrt(dx * dx + dy * dy);
-    if (d < bound - adj[i]) out[count++] = ids[i];
-  }
-  return count;
-}
-
 // --- Dispatch ------------------------------------------------------------
 
 const detail::KernelTable* table_for(Backend backend) {
@@ -262,11 +226,9 @@ Dispatch& dispatch() {
 
 namespace detail {
 const KernelTable kScalarKernels = {
-    scalar_distance_row, scalar_argmin_masked, scalar_max_reduce,
-    scalar_two_opt_scan, scalar_or_opt_scan,   scalar_crossing_min,
-    scalar_advance_select_below,
+    scalar_distance_row,   scalar_two_opt_scan,    scalar_or_opt_scan,
+    scalar_crossing_min,   scalar_advance_select_below,
     scalar_i64_dual_apply, scalar_i64_slack_bound, scalar_i64_slack_shift,
-    scalar_price_scan,
 };
 }  // namespace detail
 
@@ -305,15 +267,6 @@ void distance_matrix(const double* xs, const double* ys, std::size_t m,
       out[b * m + a] = row[b];
     }
   }
-}
-
-ArgMin argmin_masked(const double* values, const unsigned char* skip,
-                     std::size_t n) {
-  return dispatch().table->argmin_masked(values, skip, n);
-}
-
-double max_reduce(const double* values, std::size_t n) {
-  return dispatch().table->max_reduce(values, n);
 }
 
 std::size_t two_opt_scan(const double* px, const double* py, const double* tc,
@@ -364,12 +317,6 @@ void i64_slack_shift(std::int64_t* val, const std::int32_t* slack,
                      const std::int32_t* st, const std::int32_t* s,
                      std::size_t lo, std::size_t hi, std::int64_t d) {
   dispatch().table->i64_slack_shift(val, slack, st, s, lo, hi, d);
-}
-
-std::size_t price_scan(const double* xs, const double* ys, std::size_t n,
-                       double px, double py, double bound, const double* adj,
-                       const std::uint32_t* ids, std::uint32_t* out) {
-  return dispatch().table->price_scan(xs, ys, n, px, py, bound, adj, ids, out);
 }
 
 }  // namespace mcharge::simd

@@ -1,6 +1,12 @@
-// Portable SIMD kernels for the dense geometry hot paths: SoA distance
-// rows / matrices, masked argmin scans, max reductions, and the
-// 2-opt / Or-opt first-improvement gain scans.
+// Portable SIMD kernels for the hot loops that measurably pay for a
+// vector backend: the SoA distance row (and the distance matrix built
+// from it), the 2-opt / Or-opt first-improvement gain scans, the
+// simulator's two drain scans, and the blossom core's three int64
+// dual-adjustment loops. A kernel stays on the dispatch table only while
+// a benchmark workload measurably slows with its scalar twin; the loops
+// that did not pay (the nearest-neighbour argmin, the split lower-bound
+// max and the sparse engine's pricing prefilter) live as plain scalar
+// loops at their one caller each (DESIGN.md, EXPERIMENTS.md).
 //
 // Bitwise-identity contract
 // -------------------------
@@ -10,8 +16,8 @@
 // per-element IEEE-754 double operations as the scalar code — per-element
 // dx*dx + dy*dy, one correctly-rounded sqrt, one divide by speed — only
 // on 4 lanes at a time. No FMA contraction (the vector TU compiles with
-// -ffp-contract=off), no reassociation across elements, and argmin
-// ties break to the lowest index exactly like a sequential strict-<
+// -ffp-contract=off), no reassociation across elements, and the
+// first-hit scans return the lowest hit index exactly like a sequential
 // scan. Tests in tests/simd_test.cpp enforce lane-for-lane equality
 // against the scalar backend; the byte-compare regressions enforce it
 // end to end.
@@ -53,21 +59,6 @@ void distance_row(const double* xs, const double* ys, std::size_t n,
 /// for the SoA point set (xs, ys). Diagonal is +0.0.
 void distance_matrix(const double* xs, const double* ys, std::size_t m,
                      double* out);
-
-struct ArgMin {
-  std::size_t index = kNpos;
-  double value = 0.0;
-};
-
-/// Lowest-index minimum of values[i] over i with skip[i] == 0. Equivalent
-/// to the sequential scan `if (v < best) ...`; returns kNpos if every
-/// element is skipped or n == 0. skip may be nullptr (no mask).
-ArgMin argmin_masked(const double* values, const unsigned char* skip,
-                     std::size_t n);
-
-/// Exact max reduction (order-independent for non-NaN input). Returns
-/// -inf for n == 0.
-double max_reduce(const double* values, std::size_t n);
 
 /// First-improvement scan of the 2-opt move set for a fixed left edge.
 ///
@@ -159,14 +150,5 @@ std::int64_t i64_slack_bound(const std::int64_t* val, const std::int32_t* slack,
 void i64_slack_shift(std::int64_t* val, const std::int32_t* slack,
                      const std::int32_t* st, const std::int32_t* s,
                      std::size_t lo, std::size_t hi, std::int64_t d);
-
-/// Pricing prefilter for the sparse blossom engine: appends ids[i] to out
-/// for every i in [0, n) with
-///   sqrt((px - xs[i])^2 + (py - ys[i])^2) < bound - adj[i]
-/// preserving order (same operation sequence as geom::distance). Returns
-/// the number of ids written; out must have room for n entries.
-std::size_t price_scan(const double* xs, const double* ys, std::size_t n,
-                       double px, double py, double bound, const double* adj,
-                       const std::uint32_t* ids, std::uint32_t* out);
 
 }  // namespace mcharge::simd

@@ -3,8 +3,9 @@
 //
 // Bitwise identity with the scalar backend: every lane performs the same
 // mul / add / div / sqrt sequence as the scalar loop (all IEEE-754
-// correctly rounded, no FMA), and every reduction breaks ties toward the
-// lowest index exactly like a sequential strict-< scan.
+// correctly rounded, no FMA), every min reduction returns a value only
+// (order-independent for non-NaN input), and the first-hit scans return
+// the lowest hit index exactly like a sequential scan.
 #include "util/simd_kernels.h"
 
 #if MCHARGE_SIMD_X86
@@ -12,7 +13,6 @@
 #include <immintrin.h>
 
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 namespace mcharge::simd::detail {
@@ -26,71 +26,6 @@ inline __m256d dist4(__m256d xs, __m256d ys, __m256d px, __m256d py) {
   const __m256d dy = _mm256_sub_pd(py, ys);
   return _mm256_sqrt_pd(
       _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)));
-}
-
-/// 0xFF.. lanes where the skip byte is zero (i.e. the lane is live).
-inline __m256d live_mask4(const unsigned char* skip, std::size_t i) {
-  std::uint32_t packed;
-  std::memcpy(&packed, skip + i, sizeof(packed));
-  const __m256i bytes =
-      _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(static_cast<int>(packed)));
-  return _mm256_castsi256_pd(
-      _mm256_cmpeq_epi64(bytes, _mm256_setzero_si256()));
-}
-
-/// Sequential-equivalent argmin update over 4 lanes plus scalar state.
-/// Lane l of block i holds element i + l, so within a lane strict-<
-/// keeps the lowest index; across lanes/tail the (value, index) compare
-/// below restores the global lowest-index rule.
-inline void reduce_argmin4(__m256d bestv, __m256i besti, ArgMin& best) {
-  alignas(32) double vals[4];
-  alignas(32) std::int64_t idx[4];
-  _mm256_store_pd(vals, bestv);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(idx), besti);
-  for (int l = 0; l < 4; ++l) {
-    // Skip lanes that never saw a live element, and +inf lanes: the
-    // scalar strict-< scan can never select an infinite value either.
-    if (idx[l] < 0 || vals[l] == kInf) continue;
-    const auto index = static_cast<std::size_t>(idx[l]);
-    if (vals[l] < best.value ||
-        (vals[l] == best.value && index < best.index)) {
-      best.value = vals[l];
-      best.index = index;
-    }
-  }
-}
-
-ArgMin avx2_argmin_masked(const double* values, const unsigned char* skip,
-                          std::size_t n) {
-  ArgMin best{kNpos, kInf};
-  std::size_t i = 0;
-  if (n >= 4) {
-    const __m256d inf = _mm256_set1_pd(kInf);
-    __m256d bestv = inf;
-    __m256i besti = _mm256_set1_epi64x(-1);
-    __m256i idx = _mm256_setr_epi64x(0, 1, 2, 3);
-    const __m256i step = _mm256_set1_epi64x(4);
-    for (; i + 4 <= n; i += 4) {
-      __m256d val = _mm256_loadu_pd(values + i);
-      if (skip != nullptr) {
-        val = _mm256_blendv_pd(inf, val, live_mask4(skip, i));
-      }
-      const __m256d lt = _mm256_cmp_pd(val, bestv, _CMP_LT_OQ);
-      bestv = _mm256_blendv_pd(bestv, val, lt);
-      besti = _mm256_castpd_si256(_mm256_blendv_pd(
-          _mm256_castsi256_pd(besti), _mm256_castsi256_pd(idx), lt));
-      idx = _mm256_add_epi64(idx, step);
-    }
-    reduce_argmin4(bestv, besti, best);
-  }
-  for (; i < n; ++i) {
-    if (skip != nullptr && skip[i]) continue;
-    if (values[i] < best.value) {
-      best.value = values[i];
-      best.index = i;
-    }
-  }
-  return best;
 }
 
 void avx2_distance_row(const double* xs, const double* ys, std::size_t n,
@@ -107,26 +42,6 @@ void avx2_distance_row(const double* xs, const double* ys, std::size_t n,
     const double dy = py - ys[i];
     out[i] = std::sqrt(dx * dx + dy * dy);
   }
-}
-
-double avx2_max_reduce(const double* values, std::size_t n) {
-  double best = -kInf;
-  std::size_t i = 0;
-  if (n >= 4) {
-    __m256d acc = _mm256_set1_pd(-kInf);
-    for (; i + 4 <= n; i += 4) {
-      acc = _mm256_max_pd(acc, _mm256_loadu_pd(values + i));
-    }
-    alignas(32) double lanes[4];
-    _mm256_store_pd(lanes, acc);
-    for (double v : lanes) {
-      if (v > best) best = v;
-    }
-  }
-  for (; i < n; ++i) {
-    if (values[i] > best) best = values[i];
-  }
-  return best;
 }
 
 // Squared-distance prefilter (proof in simd_kernels.h): per lane,
@@ -499,43 +414,12 @@ void avx2_i64_slack_shift(std::int64_t* val, const std::int32_t* slack,
   }
 }
 
-std::size_t avx2_price_scan(const double* xs, const double* ys, std::size_t n,
-                            double px, double py, double bound,
-                            const double* adj, const std::uint32_t* ids,
-                            std::uint32_t* out) {
-  const __m256d vpx = _mm256_set1_pd(px);
-  const __m256d vpy = _mm256_set1_pd(py);
-  const __m256d vbound = _mm256_set1_pd(bound);
-  std::size_t count = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d d = dist4(_mm256_loadu_pd(xs + i), _mm256_loadu_pd(ys + i),
-                            vpx, vpy);
-    const __m256d rhs = _mm256_sub_pd(vbound, _mm256_loadu_pd(adj + i));
-    int mask = _mm256_movemask_pd(_mm256_cmp_pd(d, rhs, _CMP_LT_OQ));
-    while (mask != 0) {
-      const int lane = __builtin_ctz(mask);
-      out[count++] = ids[i + static_cast<std::size_t>(lane)];
-      mask &= mask - 1;
-    }
-  }
-  for (; i < n; ++i) {
-    const double dx = px - xs[i];
-    const double dy = py - ys[i];
-    const double d = std::sqrt(dx * dx + dy * dy);
-    if (d < bound - adj[i]) out[count++] = ids[i];
-  }
-  return count;
-}
-
 }  // namespace
 
 const KernelTable kAvx2Kernels = {
-    avx2_distance_row, avx2_argmin_masked, avx2_max_reduce,
-    avx2_two_opt_scan, avx2_or_opt_scan,   avx2_crossing_min,
-    avx2_advance_select_below,
-    avx2_i64_dual_apply, avx2_i64_slack_bound, avx2_i64_slack_shift,
-    avx2_price_scan,
+    avx2_distance_row,     avx2_two_opt_scan,    avx2_or_opt_scan,
+    avx2_crossing_min,     avx2_advance_select_below,
+    avx2_i64_dual_apply,   avx2_i64_slack_bound, avx2_i64_slack_shift,
 };
 
 }  // namespace mcharge::simd::detail

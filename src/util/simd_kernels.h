@@ -64,9 +64,6 @@ inline constexpr double kPrefilterMaxSpeed = 0x1p100;
 struct KernelTable {
   void (*distance_row)(const double* xs, const double* ys, std::size_t n,
                        double px, double py, double* out);
-  ArgMin (*argmin_masked)(const double* values, const unsigned char* skip,
-                          std::size_t n);
-  double (*max_reduce)(const double* values, std::size_t n);
   std::size_t (*two_opt_scan)(const double* px, const double* py,
                               const double* tc, std::size_t j_begin,
                               std::size_t j_end, double ax, double ay,
@@ -96,10 +93,6 @@ struct KernelTable {
   void (*i64_slack_shift)(std::int64_t* val, const std::int32_t* slack,
                           const std::int32_t* st, const std::int32_t* s,
                           std::size_t lo, std::size_t hi, std::int64_t d);
-  std::size_t (*price_scan)(const double* xs, const double* ys, std::size_t n,
-                            double px, double py, double bound,
-                            const double* adj, const std::uint32_t* ids,
-                            std::uint32_t* out);
 };
 
 extern const KernelTable kScalarKernels;

@@ -72,14 +72,11 @@ double SampleSet::quantile(double q) const {
   MCHARGE_ASSERT(q >= 0.0 && q <= 1.0, "quantile q must be in [0,1]");
   MCHARGE_ASSERT(!samples_.empty(), "quantile of empty sample set");
   ensure_sorted();
-  sorted_ = false;  // add() may follow; simplest correct policy
   const double pos = q * static_cast<double>(samples_.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
   const double frac = pos - static_cast<double>(lo);
   if (lo + 1 >= samples_.size()) return samples_.back();
-  const double result = samples_[lo] * (1.0 - frac) + samples_[lo + 1] * frac;
-  sorted_ = true;
-  return result;
+  return samples_[lo] * (1.0 - frac) + samples_[lo + 1] * frac;
 }
 
 }  // namespace mcharge

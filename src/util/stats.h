@@ -36,7 +36,10 @@ class RunningStats {
 /// (benchmark replications), memory is not a concern.
 class SampleSet {
  public:
-  void add(double x) { samples_.push_back(x); }
+  void add(double x) {
+    samples_.push_back(x);
+    sorted_ = false;
+  }
   std::size_t count() const { return samples_.size(); }
   double mean() const;
   double stddev() const;

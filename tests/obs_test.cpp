@@ -16,9 +16,13 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "baselines/aa.h"
+#include "baselines/kedf.h"
 #include "baselines/kminmax.h"
+#include "baselines/netwrap.h"
 #include "core/appro.h"
 #include "geometry/point.h"
 #include "matching/matching.h"
@@ -166,6 +170,30 @@ TEST(ObsReport, SimulatorPopulatesCoreSpans) {
   }
 }
 
+TEST(ObsReport, BaselinePlannersPopulatePlanSpans) {
+  // Each baseline's plan() carries its own span, so a traced run explains
+  // the baselines' planning time from inside the library.
+  Rng rng(5);
+  const auto instance = model::make_instance(model::NetworkConfig{}, 60, rng);
+  const baselines::KEdfScheduler kedf;
+  const baselines::NetwrapScheduler netwrap;
+  const baselines::AaScheduler aa;
+  const std::pair<const sched::Scheduler*, const char*> cases[] = {
+      {&kedf, "kedf.plan"}, {&netwrap, "netwrap.plan"}, {&aa, "aa.plan"}};
+  for (const auto& [scheduler, span] : cases) {
+    obs::reset();
+    SimConfig config;
+    config.monitoring_period_s = 20.0 * 86400.0;
+    config.trace = true;
+    const SimResult result = simulate(instance, *scheduler, config);
+    ASSERT_GT(result.rounds, 0u) << span;
+    const obs::TraceReport report = obs::capture();
+    const auto* m = find_metric(report, span);
+    ASSERT_NE(m, nullptr) << span;
+    EXPECT_GT(m->count, 0u) << span;
+  }
+}
+
 #endif  // MCHARGE_NO_OBS
 
 // ---------- byte-identity: tracing must never change results ----------
@@ -229,15 +257,24 @@ TEST(ObsIdentity, PlansIdenticalTracedVsUntraced) {
   const model::ChargingProblem problem(std::move(pts), std::move(deficits),
                                        {50.0, 50.0}, 2.7, 1.0, 3);
 
-  const sched::ChargingPlan untraced = core::ApproScheduler().plan(problem);
-  sched::ChargingPlan traced;
-  {
-    const obs::EnabledScope scope(true);
-    traced = core::ApproScheduler().plan(problem);
+  const core::ApproScheduler appro;
+  const baselines::KEdfScheduler kedf;
+  const baselines::NetwrapScheduler netwrap;
+  const baselines::AaScheduler aa;
+  const sched::Scheduler* const schedulers[] = {&appro, &kedf, &netwrap,
+                                                &aa};
+  for (const sched::Scheduler* scheduler : schedulers) {
+    SCOPED_TRACE(scheduler->name());
+    const sched::ChargingPlan untraced = scheduler->plan(problem);
+    sched::ChargingPlan traced;
+    {
+      const obs::EnabledScope scope(true);
+      traced = scheduler->plan(problem);
+    }
+    EXPECT_EQ(untraced.mode, traced.mode);
+    EXPECT_EQ(untraced.tours, traced.tours);
+    EXPECT_EQ(untraced.starts, traced.starts);
   }
-  EXPECT_EQ(untraced.mode, traced.mode);
-  EXPECT_EQ(untraced.tours, traced.tours);
-  EXPECT_EQ(untraced.starts, traced.starts);
 }
 
 // The tour substrate's spans (tsp.construct / improve_tour / split /

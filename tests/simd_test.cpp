@@ -4,7 +4,7 @@
 // supports (scalar always; AVX2 when the CPU has it), each
 // kernel must return exactly the bits of a naive scalar loop written
 // against the documented operation sequence — including lowest-index
-// tie-breaking, odd tail lengths, masked lanes, and empty inputs. The
+// first hits, odd tail lengths, and empty inputs. The
 // final test closes the loop end to end: a full Appro plan must be
 // identical under every backend.
 #include <gtest/gtest.h>
@@ -109,88 +109,6 @@ TEST(Simd, DistanceMatrixSymmetricZeroDiagonalAndScalarIdentical) {
       EXPECT_EQ(0, std::memcmp(scalar.data(), out.data(),
                                m * m * sizeof(double)))
           << "m=" << m << " backend=" << static_cast<int>(b);
-    }
-  }
-}
-
-TEST(Simd, ArgminMaskedMatchesSequentialScan) {
-  for (std::size_t n : kLengths) {
-    Rng rng(300 + n);
-    std::vector<double> values(n);
-    std::vector<unsigned char> skip(n);
-    // Quantized values force plenty of exact duplicates (tie-breaks).
-    for (std::size_t i = 0; i < n; ++i) {
-      values[i] = std::floor(rng.uniform(0.0, 8.0));
-      skip[i] = rng.uniform(0.0, 1.0) < 0.3 ? 1 : 0;
-    }
-    std::size_t want = simd::kNpos;
-    double want_v = kInf;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (skip[i]) continue;
-      if (values[i] < want_v) {
-        want_v = values[i];
-        want = i;
-      }
-    }
-    for (simd::Backend b : supported_backends()) {
-      BackendGuard guard(b);
-      const simd::ArgMin got =
-          simd::argmin_masked(values.data(), skip.data(), n);
-      EXPECT_EQ(want, got.index)
-          << "n=" << n << " backend=" << static_cast<int>(b);
-      if (want != simd::kNpos) {
-        EXPECT_EQ(want_v, got.value);
-      }
-    }
-  }
-}
-
-TEST(Simd, ArgminMaskedAllSkippedReturnsNpos) {
-  const std::vector<double> values(20, 1.0);
-  const std::vector<unsigned char> skip(20, 1);
-  for (simd::Backend b : supported_backends()) {
-    BackendGuard guard(b);
-    EXPECT_EQ(simd::kNpos,
-              simd::argmin_masked(values.data(), skip.data(), 20).index);
-    EXPECT_EQ(simd::kNpos, simd::argmin_masked(values.data(), skip.data(), 0)
-                               .index);
-  }
-}
-
-TEST(Simd, ArgminTieBreaksToLowestIndexAcrossLaneBoundaries) {
-  // Duplicated minima placed across 4- and 8-lane boundaries: a reduction
-  // that prefers a later lane (or the wrong half) would return the wrong
-  // index while still returning the right value.
-  for (std::size_t first : {std::size_t{1}, std::size_t{3}, std::size_t{8},
-                            std::size_t{11}}) {
-    for (std::size_t second : {std::size_t{16}, std::size_t{19},
-                               std::size_t{24}}) {
-      std::vector<double> values(33, 5.0);
-      values[first] = 1.0;
-      values[second] = 1.0;
-      for (simd::Backend b : supported_backends()) {
-        BackendGuard guard(b);
-        const simd::ArgMin got =
-            simd::argmin_masked(values.data(), nullptr, values.size());
-        EXPECT_EQ(first, got.index) << "backend=" << static_cast<int>(b);
-        EXPECT_EQ(1.0, got.value);
-      }
-    }
-  }
-}
-
-TEST(Simd, MinMaxReduceMatchScalar) {
-  for (std::size_t n : kLengths) {
-    Rng rng(600 + n);
-    std::vector<double> values(n);
-    for (auto& v : values) v = rng.uniform(-50.0, 50.0);
-    double want_max = -kInf;
-    for (double v : values) {
-      if (v > want_max) want_max = v;
-    }
-    for (simd::Backend b : supported_backends()) {
-      BackendGuard guard(b);
-      EXPECT_EQ(want_max, simd::max_reduce(values.data(), n)) << "n=" << n;
     }
   }
 }
@@ -599,7 +517,7 @@ TEST(Simd, ApproPlanIsByteIdenticalAcrossBackends) {
   }
 }
 
-// ---------- blossom dual / pricing kernels ----------
+// ---------- blossom dual-adjustment kernels ----------
 
 struct BlossomArrays {
   std::vector<std::int64_t> lab, val;
@@ -692,39 +610,6 @@ TEST(Simd, I64SlackShiftMatchesScalarOnAllBackends) {
                             a.s.data(), 0, n, d);
       EXPECT_EQ(expected, val) << "n=" << n
                                << " backend=" << static_cast<int>(b);
-    }
-  }
-}
-
-TEST(Simd, PriceScanMatchesScalarOnAllBackends) {
-  for (std::size_t n : kLengths) {
-    const Soa p = random_points(n, 2500 + n);
-    Rng rng(2600 + n);
-    std::vector<double> adj(n);
-    std::vector<std::uint32_t> ids(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      adj[i] = rng.uniform(0.0, 80.0);
-      ids[i] = static_cast<std::uint32_t>(1000 + i);
-    }
-    const double px = 48.0, py = 52.0, bound = 90.0;
-    std::vector<std::uint32_t> expected;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (dist(px, py, p.xs[i], p.ys[i]) < bound - adj[i]) {
-        expected.push_back(ids[i]);
-      }
-    }
-    for (simd::Backend b : supported_backends()) {
-      BackendGuard guard(b);
-      std::vector<std::uint32_t> out(n + 1, 0xdeadbeef);
-      const std::size_t count =
-          simd::price_scan(p.xs.data(), p.ys.data(), n, px, py, bound,
-                           adj.data(), ids.data(), out.data());
-      ASSERT_EQ(expected.size(), count)
-          << "n=" << n << " backend=" << static_cast<int>(b);
-      for (std::size_t i = 0; i < count; ++i) {
-        EXPECT_EQ(expected[i], out[i])
-            << "n=" << n << " i=" << i << " backend=" << static_cast<int>(b);
-      }
     }
   }
 }

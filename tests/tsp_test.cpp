@@ -120,6 +120,39 @@ TEST(Builders, EmptyAndSingleSite) {
   }
 }
 
+TEST(Builders, NearestNeighborTiesGoToLowestIndex) {
+  // Two equidistant nearest sites at (3, 4) and (4, 3) — both exactly 5
+  // from the depot — placed on either side of index 4, 8 and 16
+  // boundaries; every other site sits farther out. The first hop must
+  // take the lower index, the second hop the other tie.
+  for (const SiteId first : {1u, 3u, 8u, 11u}) {
+    for (const SiteId second : {16u, 19u, 24u}) {
+      TourProblem p;
+      p.depot = {0.0, 0.0};
+      for (SiteId i = 0; i < 33; ++i) {
+        p.sites.push_back({30.0 + i, 0.0});
+        p.service.push_back(1.0);
+      }
+      p.sites[first] = {3.0, 4.0};
+      p.sites[second] = {4.0, 3.0};
+      const Tour tour = nearest_neighbor_tour(p);
+      ASSERT_EQ(tour.size(), 33u);
+      EXPECT_EQ(tour[0], first) << "first=" << first << " second=" << second;
+      EXPECT_EQ(tour[1], second) << "first=" << first << " second=" << second;
+    }
+  }
+  // All sites coincide: every hop is a full tie, so the tour is the
+  // identity order.
+  TourProblem p;
+  p.depot = {0.0, 0.0};
+  p.sites.assign(21, geom::Point{2.0, 2.0});
+  p.service.assign(21, 1.0);
+  const Tour tour = nearest_neighbor_tour(p);
+  Tour identity(21);
+  std::iota(identity.begin(), identity.end(), SiteId{0});
+  EXPECT_EQ(tour, identity);
+}
+
 class ChristofidesQuality : public ::testing::TestWithParam<int> {};
 
 TEST_P(ChristofidesQuality, Within1point5OfExactOnTinyInstances) {
@@ -357,6 +390,28 @@ TEST(Split, LowerBoundRespected) {
   }
   const auto result = split_min_max(p, tour, 4);
   EXPECT_GE(result.max_delay, hardest - 1e-9);
+}
+
+TEST(Split, ChargerPerSiteGivesHardestSoloRoundTrip) {
+  // With k >= m every site can ride alone, so the optimum is the split's
+  // lower bound: the largest solo round trip 2 * travel_depot + service.
+  // All depot distances are exactly 10 and every merged segment's delay
+  // stays far from the bound, so the result is exact.
+  TourProblem p;
+  p.depot = {0.0, 0.0};
+  p.sites = {{10.0, 0.0}, {6.0, 8.0}, {0.0, 10.0}, {-8.0, 6.0}, {-10.0, 0.0}};
+  p.service = {100.0, 300.0, 200.0, 50.0, 150.0};
+  const Tour tour{0, 1, 2, 3, 4};
+  for (const std::size_t k : {std::size_t{5}, std::size_t{7}}) {
+    const auto result = split_min_max(p, tour, k);
+    ASSERT_EQ(result.tours.size(), k);
+    EXPECT_EQ(result.max_delay, 320.0) << "k=" << k;
+    for (const auto& seg : result.tours) {
+      if (std::find(seg.begin(), seg.end(), SiteId{1}) != seg.end()) {
+        EXPECT_EQ(seg, Tour{1}) << "k=" << k;
+      }
+    }
+  }
 }
 
 // Energy of a depot-rooted segment under a SegmentEnergyCap's cost model.

@@ -180,6 +180,18 @@ TEST(SampleSet, AddAfterQuantileStillCorrect) {
   EXPECT_DOUBLE_EQ(s.median(), 2.0);
   s.add(100.0);
   EXPECT_DOUBLE_EQ(s.quantile(1.0), 100.0);
+  // A value below every earlier sample must still be sorted in, whichever
+  // quantile() path (interior or q = 1) ran before the add().
+  SampleSet t;
+  t.add(3.0);
+  t.add(1.0);
+  EXPECT_DOUBLE_EQ(t.median(), 2.0);
+  t.add(0.0);
+  EXPECT_DOUBLE_EQ(t.median(), 1.0);
+  EXPECT_DOUBLE_EQ(t.quantile(1.0), 3.0);
+  t.add(-1.0);
+  EXPECT_DOUBLE_EQ(t.quantile(0.0), -1.0);
+  EXPECT_DOUBLE_EQ(t.median(), 0.5);
 }
 
 // ---------- Table ----------
@@ -236,6 +248,57 @@ TEST(CliFlags, FallbacksWhenMissing) {
   EXPECT_EQ(flags.get("name", "x"), "x");
   EXPECT_FALSE(flags.get_bool("flag", false));
   EXPECT_TRUE(flags.get_bool("flag", true));
+}
+
+TEST(CliFlags, NumbersMustConsumeTheWholeValue) {
+  const char* argv[] = {"prog", "--n=-12", "--size=40", "--rate=-2.5e3",
+                        "--tiny=1e-300"};
+  CliFlags flags(5, argv);
+  EXPECT_EQ(flags.get_int("n", 0), -12);
+  EXPECT_EQ(flags.get_size("size", 0), 40u);
+  EXPECT_EQ(flags.get_size("missing", 7), 7u);
+  EXPECT_DOUBLE_EQ(flags.get_double("rate", 0.0), -2500.0);
+  EXPECT_DOUBLE_EQ(flags.get_double("tiny", 0.0), 1e-300);
+}
+
+using CliFlagsDeathTest = ::testing::Test;
+
+TEST_F(CliFlagsDeathTest, MalformedIntegerExitsWithStatus2) {
+  const char* argv[] = {"prog", "--instances=1O0", "--jobs=abc", "--seed=",
+                        "--verbose", "--big=99999999999999999999"};
+  CliFlags flags(6, argv);
+  EXPECT_EXIT(flags.get_int("instances", 1), ::testing::ExitedWithCode(2),
+              "--instances=1O0");
+  EXPECT_EXIT(flags.get_int("jobs", 1), ::testing::ExitedWithCode(2),
+              "--jobs=abc");
+  EXPECT_EXIT(flags.get_int("seed", 1), ::testing::ExitedWithCode(2),
+              "--seed=");
+  EXPECT_EXIT(flags.get_int("verbose", 1), ::testing::ExitedWithCode(2),
+              "--verbose=true");
+  EXPECT_EXIT(flags.get_int("big", 1), ::testing::ExitedWithCode(2),
+              "--big=99999999999999999999");
+}
+
+TEST_F(CliFlagsDeathTest, NegativeOrMalformedSizeExitsWithStatus2) {
+  const char* argv[] = {"prog", "--jobs=-1", "--instances=1O0", "--n=+5"};
+  CliFlags flags(4, argv);
+  EXPECT_EXIT(flags.get_size("jobs", 0), ::testing::ExitedWithCode(2),
+              "--jobs=-1");
+  EXPECT_EXIT(flags.get_size("instances", 1), ::testing::ExitedWithCode(2),
+              "--instances=1O0");
+  EXPECT_EXIT(flags.get_size("n", 1), ::testing::ExitedWithCode(2),
+              "--n=\\+5");
+}
+
+TEST_F(CliFlagsDeathTest, MalformedDoubleExitsWithStatus2) {
+  const char* argv[] = {"prog", "--months=1.5x", "--rate=", "--gamma=2,7"};
+  CliFlags flags(4, argv);
+  EXPECT_EXIT(flags.get_double("months", 1.0), ::testing::ExitedWithCode(2),
+              "--months=1.5x");
+  EXPECT_EXIT(flags.get_double("rate", 1.0), ::testing::ExitedWithCode(2),
+              "--rate=");
+  EXPECT_EXIT(flags.get_double("gamma", 1.0), ::testing::ExitedWithCode(2),
+              "--gamma=2,7");
 }
 
 TEST(CliFlags, ExplicitBoolValues) {
