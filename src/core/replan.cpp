@@ -30,16 +30,18 @@ geom::Point mcv_position_at(const model::ChargingProblem& problem,
   if (mcv.sojourns.empty()) return start;
   // Before reaching the first stop: on the start -> first leg.
   const geom::Point first = problem.position(mcv.sojourns.front().location);
-  if (t <= mcv.sojourns.front().arrival) {
+  if (t < mcv.sojourns.front().arrival) {
     const double leg = mcv.sojourns.front().arrival;
     return leg > 0.0 ? interpolate(start, first, std::max(0.0, t) / leg)
                      : first;
   }
   for (std::size_t i = 0; i < mcv.sojourns.size(); ++i) {
     const auto& s = mcv.sojourns[i];
-    if (t <= s.finish) return problem.position(s.location);
     const geom::Point here = problem.position(s.location);
+    if (t <= s.finish) return here;
     const bool last = i + 1 == mcv.sojourns.size();
+    // An aborted tour ended in the field: no depot leg was ever driven.
+    if (last && mcv.aborted) return here;
     const geom::Point next =
         last ? problem.depot() : problem.position(mcv.sojourns[i + 1].location);
     const double depart = s.finish;
@@ -50,6 +52,17 @@ geom::Point mcv_position_at(const model::ChargingProblem& problem,
     }
   }
   return problem.depot();  // tour completed
+}
+
+/// Rebuilds a schedule's charged_at from its sojourns' charge sets.
+void rebuild_charged_at(std::size_t num_sensors,
+                        sched::ChargingSchedule* schedule) {
+  schedule->charged_at.assign(num_sensors, sched::kNeverCharged);
+  for (const auto& mcv : schedule->mcvs) {
+    for (const auto& s : mcv.sojourns) {
+      for (std::uint32_t u : s.charged) schedule->charged_at[u] = s.finish;
+    }
+  }
 }
 
 }  // namespace
@@ -81,6 +94,16 @@ double RecoveryOutcome::longest_delay() const {
     worst = std::max(worst, recovery_offset_s + recovery.longest_delay());
   }
   return worst;
+}
+
+std::vector<double> RecoveryOutcome::charged_at() const {
+  std::vector<double> at = primary.charged_at;
+  if (!has_recovery) return at;
+  for (std::size_t i = 0; i < replan.original_index.size(); ++i) {
+    if (recovery.charged_at[i] == sched::kNeverCharged) continue;
+    at[replan.original_index[i]] = recovery_offset_s + recovery.charged_at[i];
+  }
+  return at;
 }
 
 ReplanResult replan_from(const model::ChargingProblem& problem,
@@ -360,7 +383,6 @@ RecoveryOutcome recover_round(const model::ChargingProblem& problem,
     merged.mode = sched::ChargeMode::kMultiNode;
     merged.starts = out.primary.starts;
     merged.mcvs.resize(plan.tours.size());
-    merged.charged_at.assign(problem.size(), sched::kNeverCharged);
     for (std::size_t k = 0; k < plan.tours.size(); ++k) {
       const auto& orig = out.primary.mcvs[k];
       auto& m = merged.mcvs[k];
@@ -395,11 +417,7 @@ RecoveryOutcome recover_round(const model::ChargingProblem& problem,
         m.skipped = res.skipped;
       }
     }
-    for (const auto& mcv : merged.mcvs) {
-      for (const auto& s : mcv.sojourns) {
-        for (std::uint32_t u : s.charged) merged.charged_at[u] = s.finish;
-      }
-    }
+    rebuild_charged_at(problem.size(), &merged);
     out.primary = std::move(merged);
     // A grafted detour can exhaust a survivor's battery, so the suffix
     // may have added failures the pre-graft count missed. Without a
@@ -432,12 +450,7 @@ RecoveryOutcome recover_round(const model::ChargingProblem& problem,
       mcv.aborted = true;
       mcv.return_time = keep == 0 ? 0.0 : mcv.sojourns.back().finish;
     }
-    kept.charged_at.assign(problem.size(), sched::kNeverCharged);
-    for (const auto& mcv : kept.mcvs) {
-      for (const auto& s : mcv.sojourns) {
-        for (std::uint32_t u : s.charged) kept.charged_at[u] = s.finish;
-      }
-    }
+    rebuild_charged_at(problem.size(), &kept);
     if (faults.budget.enabled()) {
       // A recalled survivor's tour was truncated above, so its energy
       // account must be re-settled to the recall point (the primary
@@ -464,26 +477,17 @@ RecoveryOutcome recover_round(const model::ChargingProblem& problem,
       }
       if (!mcv.aborted) t_base = std::max(t_base, mcv.return_time);
     }
-    FleetState state;
-    state.time = t_base;
-    state.charged.assign(problem.size(), 0);
-    for (std::uint32_t v = 0; v < problem.size(); ++v) {
-      if (kept.charged_at[v] != sched::kNeverCharged) state.charged[v] = 1;
-    }
+    // The second wave's fleet is every MCV the primary wave did not lose,
+    // where it stands at t_base: a recalled survivor at its last kept
+    // stop, a finished one at the depot, an idle one at its start.
+    FleetState state = fleet_state_at(problem, kept, t_base);
+    std::vector<geom::Point> survivors;
     for (std::size_t k = 0; k < kept.mcvs.size(); ++k) {
-      if (out.primary.mcvs[k].aborted) continue;  // vehicle lost this round
-      const auto& mcv = kept.mcvs[k];
-      if (mcv.aborted) {  // recalled mid-tour: parked at its last stop
-        state.mcv_positions.push_back(
-            mcv.sojourns.empty()
-                ? plan.start_of(k, problem.depot())
-                : problem.position(mcv.sojourns.back().location));
-      } else {
-        state.mcv_positions.push_back(mcv.sojourns.empty()
-                                          ? plan.start_of(k, problem.depot())
-                                          : problem.depot());
+      if (!out.primary.mcvs[k].aborted) {
+        survivors.push_back(state.mcv_positions[k]);
       }
     }
+    state.mcv_positions = std::move(survivors);
     out.primary = std::move(kept);
     out.replan = replan_from(problem, state);
     out.recovery = sched::execute_plan(out.replan.subproblem, out.replan.plan);
@@ -493,24 +497,13 @@ RecoveryOutcome recover_round(const model::ChargingProblem& problem,
 
   // Stats: compare what the round finally charged against the broken
   // execution (recovered) and the intended one (deferred).
-  std::vector<char> final_charged(problem.size(), 0);
-  for (std::uint32_t v = 0; v < problem.size(); ++v) {
-    if (out.primary.charged_at[v] != sched::kNeverCharged) {
-      final_charged[v] = 1;
-    }
-  }
-  if (out.has_recovery) {
-    for (std::size_t i = 0; i < out.replan.original_index.size(); ++i) {
-      if (out.recovery.charged_at[i] != sched::kNeverCharged) {
-        final_charged[out.replan.original_index[i]] = 1;
-      }
-    }
-  }
+  const std::vector<double> final_at = out.charged_at();
   for (std::uint32_t v : orphans) {
-    if (final_charged[v]) ++out.stats.recovered_sensors;
+    if (final_at[v] != sched::kNeverCharged) ++out.stats.recovered_sensors;
   }
   for (std::uint32_t v = 0; v < problem.size(); ++v) {
-    if (intended.charged_at[v] != sched::kNeverCharged && !final_charged[v]) {
+    if (intended.charged_at[v] != sched::kNeverCharged &&
+        final_at[v] == sched::kNeverCharged) {
       ++out.stats.deferred_sensors;
     }
   }

@@ -35,6 +35,9 @@ struct FleetState {
 /// Reconstructs where each MCV is at time `t` of an executed schedule
 /// (interpolating along travel legs; parked during sojourns; back at the
 /// depot after its return time) and which sensors are charged by then.
+/// An MCV whose tour was aborted (breakdown, energy exhaustion or recall)
+/// stays at its last completed stop once it finished there, and at its
+/// start if it never reached one: an aborted tour drives no depot leg.
 FleetState fleet_state_at(const model::ChargingProblem& problem,
                           const sched::ChargingSchedule& schedule, double t);
 
@@ -87,6 +90,9 @@ struct RecoveryOutcome {
 
   /// The round's realized longest charge delay across both waves.
   double longest_delay() const;
+  /// Per sensor of the original problem: when it reached full charge,
+  /// from the round start, in either wave (kNeverCharged if in neither).
+  std::vector<double> charged_at() const;
 };
 
 /// Executes `plan` under `faults` and applies `policy` to whatever the

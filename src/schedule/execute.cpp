@@ -29,44 +29,16 @@ struct ActiveSojourn {
   double finish;
 };
 
-/// Travel time from MCV k's start position to location `loc`. `leg` is the
-/// fault index of this leg: 0 for a fresh execution, the resume leg offset
-/// when the "start" position is really a mid-tour field position.
-double start_leg(const model::ChargingProblem& problem,
-                 const ChargingPlan& plan, const ExecutionFaults& faults,
-                 std::uint32_t mcv, std::uint32_t loc, std::size_t leg) {
-  const geom::Point start = plan.start_of(mcv, problem.depot());
-  double t = geom::distance(start, problem.position(loc)) / problem.speed();
+/// Travel time of leg `leg` of MCV `mcv`, driven from `from` to `to`. Leg
+/// i arrives at sojourn i (leg 0 leaves the start position, leg == tour
+/// length is the depot return); a resumed execution offsets the index by
+/// the frozen prefix length. A null travel multiplier multiplies nothing.
+double leg_seconds(const model::ChargingProblem& problem,
+                   const ExecutionFaults& faults, std::uint32_t mcv,
+                   std::size_t leg, geom::Point from, geom::Point to) {
+  double t = geom::distance(from, to) / problem.speed();
   if (faults.travel_multiplier) t *= faults.travel_multiplier(mcv, leg);
   return t;
-}
-
-/// Travel time of the leg arriving at sojourn `leg` of MCV k's tour.
-double leg_time(const model::ChargingProblem& problem,
-                const ExecutionFaults& faults, std::uint32_t mcv,
-                std::size_t leg, std::uint32_t from, std::uint32_t to) {
-  double t = problem.travel(from, to);
-  if (faults.travel_multiplier) t *= faults.travel_multiplier(mcv, leg);
-  return t;
-}
-
-/// Depot-return leg (leg index = tour length).
-double return_leg(const model::ChargingProblem& problem,
-                  const ExecutionFaults& faults, std::uint32_t mcv,
-                  std::size_t tour_len, std::uint32_t from) {
-  double t = problem.travel_depot(from);
-  if (faults.travel_multiplier) {
-    t *= faults.travel_multiplier(mcv, tour_len);
-  }
-  return t;
-}
-
-void resolve_starts(const model::ChargingProblem& problem,
-                    const ChargingPlan& plan, ChargingSchedule* schedule) {
-  schedule->starts.clear();
-  for (std::size_t k = 0; k < plan.tours.size(); ++k) {
-    schedule->starts.push_back(plan.start_of(k, problem.depot()));
-  }
 }
 
 /// Marks MCV `k` broken before performing sojourn `pos`: the tour ends at
@@ -113,16 +85,22 @@ std::vector<energy::McvBattery> make_batteries(const ChargingPlan& plan,
   return batteries;
 }
 
-ChargingSchedule execute_multinode(const model::ChargingProblem& problem,
-                                   const ChargingPlan& plan,
-                                   const ExecutionFaults& faults,
-                                   const ResumeState& resume) {
-  OBS_SPAN("exec.multinode");
+/// The one event loop for both charge modes. They differ in two places:
+/// the charge set of a stop (every uncommitted sensor of N_c+(loc) for
+/// multi-node, just `loc` if uncommitted for one-to-one) and the
+/// no-overlap conflict wait, which only multi-node sojourns observe.
+ChargingSchedule execute_tours(const model::ChargingProblem& problem,
+                               const ChargingPlan& plan,
+                               const ExecutionFaults& faults,
+                               const ResumeState& resume) {
+  const bool multinode = plan.mode == ChargeMode::kMultiNode;
   ChargingSchedule schedule;
-  schedule.mode = ChargeMode::kMultiNode;
+  schedule.mode = plan.mode;
   schedule.mcvs.resize(plan.tours.size());
   schedule.charged_at.assign(problem.size(), kNeverCharged);
-  resolve_starts(problem, plan, &schedule);
+  for (std::size_t k = 0; k < plan.tours.size(); ++k) {
+    schedule.starts.push_back(plan.start_of(k, problem.depot()));
+  }
 
   // A default-constructed ResumeState is a fresh execution: departure 0,
   // leg offset 0, nothing charged, nothing busy.
@@ -133,6 +111,11 @@ ChargingSchedule execute_multinode(const model::ChargingProblem& problem,
     return k < resume.leg_offset.size()
                ? static_cast<std::size_t>(resume.leg_offset[k])
                : std::size_t{0};
+  };
+  // Where MCV k stands before driving to stop `pos` of its tour.
+  const auto origin = [&](std::uint32_t k, std::size_t pos) {
+    return pos == 0 ? schedule.starts[k]
+                    : problem.position(plan.tours[k][pos - 1]);
   };
 
   // `committed` marks sensors that are (or will be) fully charged by an
@@ -154,6 +137,9 @@ ChargingSchedule execute_multinode(const model::ChargingProblem& problem,
   std::vector<energy::McvBattery> battery =
       make_batteries(plan, faults, resume);
 
+  // Events run in global time order (ties by MCV id), so a sensor two
+  // MCVs could charge goes to the earlier one and the result is
+  // deterministic.
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events;
   for (std::uint32_t k = 0; k < plan.tours.size(); ++k) {
     if (plan.tours[k].empty()) {
@@ -162,8 +148,9 @@ ChargingSchedule execute_multinode(const model::ChargingProblem& problem,
       // Broke down at dispatch: never leaves the depot area.
       abort_tour(plan, k, 0, &schedule.mcvs[k]);
     } else {
-      events.push({depart(k) + start_leg(problem, plan, faults, k,
-                                         plan.tours[k][0], offset(k)),
+      events.push({depart(k) + leg_seconds(problem, faults, k, offset(k),
+                                           origin(k, 0),
+                                           problem.position(plan.tours[k][0])),
                    k, 0});
     }
   }
@@ -176,8 +163,12 @@ ChargingSchedule execute_multinode(const model::ChargingProblem& problem,
 
     // Sensors this sojourn would charge.
     std::vector<std::uint32_t> to_charge;
-    for (std::uint32_t u : problem.coverage(loc)) {
-      if (!committed[u]) to_charge.push_back(u);
+    if (multinode) {
+      for (std::uint32_t u : problem.coverage(loc)) {
+        if (!committed[u]) to_charge.push_back(u);
+      }
+    } else if (!committed[loc]) {
+      to_charge.push_back(loc);
     }
     double duration = 0.0;
     for (std::uint32_t u : to_charge) {
@@ -185,8 +176,8 @@ ChargingSchedule execute_multinode(const model::ChargingProblem& problem,
     }
     if (faults.charge_multiplier) duration *= faults.charge_multiplier(loc);
 
-    double start = ev.time;
-    if (duration > 0.0) {
+    const double start = ev.time;
+    if (multinode && duration > 0.0) {
       // Wait out any committed conflicting interval still active at/after
       // `start`: another MCV whose charging disk shares a sensor with ours.
       double wait_until = start;
@@ -215,11 +206,9 @@ ChargingSchedule execute_multinode(const model::ChargingProblem& problem,
     // wait resolved: waiting draws nothing, so a re-queued event must not
     // debit twice.
     if (budget_on) {
-      const geom::Point from =
-          ev.tour_pos == 0 ? plan.start_of(ev.mcv, problem.depot())
-                           : problem.position(tour[ev.tour_pos - 1]);
-      const double need = sojourn_energy_j(problem, faults.budget, from, loc,
-                                           (start + duration) - start);
+      const double need =
+          sojourn_energy_j(problem, faults.budget, origin(ev.mcv, ev.tour_pos),
+                           loc, (start + duration) - start);
       if (!battery[ev.mcv].draw(need)) {
         OBS_COUNT("exec.energy_aborts", 1);
         abort_tour(plan, ev.mcv, ev.tour_pos, &schedule.mcvs[ev.mcv],
@@ -234,12 +223,12 @@ ChargingSchedule execute_multinode(const model::ChargingProblem& problem,
     sojourn.arrival = ev.time;  // refined below via arrival tracking
     sojourn.start = start;
     sojourn.finish = start + duration;
-    sojourn.charged = to_charge;
     for (std::uint32_t u : to_charge) {
       committed[u] = 1;
       schedule.charged_at[u] = sojourn.finish;
     }
-    if (duration > 0.0) {
+    sojourn.charged = std::move(to_charge);
+    if (multinode && duration > 0.0) {
       log.push_back({ev.mcv, loc, sojourn.start, sojourn.finish});
     }
     schedule.mcvs[ev.mcv].sojourns.push_back(std::move(sojourn));
@@ -252,10 +241,11 @@ ChargingSchedule execute_multinode(const model::ChargingProblem& problem,
     }
 
     // Next leg.
+    const std::size_t leg = offset(ev.mcv) + ev.tour_pos + 1;
     if (ev.tour_pos + 1 < tour.size()) {
       const double travel =
-          leg_time(problem, faults, ev.mcv, offset(ev.mcv) + ev.tour_pos + 1,
-                   loc, tour[ev.tour_pos + 1]);
+          leg_seconds(problem, faults, ev.mcv, leg, problem.position(loc),
+                      problem.position(tour[ev.tour_pos + 1]));
       events.push({start + duration + travel, ev.mcv, ev.tour_pos + 1});
     } else {
       if (budget_on &&
@@ -269,9 +259,9 @@ ChargingSchedule execute_multinode(const model::ChargingProblem& problem,
         continue;
       }
       schedule.mcvs[ev.mcv].return_time =
-          start + duration +
-          return_leg(problem, faults, ev.mcv, offset(ev.mcv) + tour.size(),
-                     loc);
+          start + duration + leg_seconds(problem, faults, ev.mcv, leg,
+                                         problem.position(loc),
+                                         problem.depot());
     }
   }
 
@@ -283,145 +273,46 @@ ChargingSchedule execute_multinode(const model::ChargingProblem& problem,
 
   // Fix up arrival times: an event re-queued by waiting loses its original
   // arrival; recompute arrivals from travel legs so wait() is meaningful.
+  // Sojourn i stands at tour stop i (tours only ever truncate).
   for (std::uint32_t k = 0; k < schedule.mcvs.size(); ++k) {
-    auto& mcv = schedule.mcvs[k];
+    auto& sojourns = schedule.mcvs[k].sojourns;
     double clock = depart(k);
-    std::uint32_t prev = 0;
-    std::size_t leg = offset(k);
-    bool first = true;
-    for (auto& s : mcv.sojourns) {
-      clock += first ? start_leg(problem, plan, faults, k, s.location, leg)
-                     : leg_time(problem, faults, k, leg, prev, s.location);
+    for (std::size_t i = 0; i < sojourns.size(); ++i) {
+      Sojourn& s = sojourns[i];
+      clock += leg_seconds(problem, faults, k, offset(k) + i, origin(k, i),
+                           problem.position(s.location));
       s.arrival = clock;
       MCHARGE_DASSERT(s.start >= s.arrival - 1e-9,
                       "sojourn starts before arrival");
       clock = s.finish;
-      prev = s.location;
-      ++leg;
-      first = false;
     }
   }
   return schedule;
 }
 
-ChargingSchedule execute_one_to_one(const model::ChargingProblem& problem,
-                                    const ChargingPlan& plan,
-                                    const ExecutionFaults& faults) {
+/// Opens the span of the plan's charge mode around the event loop.
+ChargingSchedule execute_traced(const model::ChargingProblem& problem,
+                                const ChargingPlan& plan,
+                                const ExecutionFaults& faults,
+                                const ResumeState& resume) {
+  if (plan.mode == ChargeMode::kMultiNode) {
+    OBS_SPAN("exec.multinode");
+    return execute_tours(problem, plan, faults, resume);
+  }
   OBS_SPAN("exec.one_to_one");
-  ChargingSchedule schedule;
-  schedule.mode = ChargeMode::kOneToOne;
-  schedule.mcvs.resize(plan.tours.size());
-  schedule.charged_at.assign(problem.size(), kNeverCharged);
-  resolve_starts(problem, plan, &schedule);
-
-  // Process in global time order so that if two MCVs target the same
-  // sensor, the earlier one charges it and the later one skips (zero
-  // duration stop), mirroring the baselines' tie handling.
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events;
-  for (std::uint32_t k = 0; k < plan.tours.size(); ++k) {
-    if (plan.tours[k].empty()) continue;
-    if (faults.breakdown_of(k) == 0) {
-      abort_tour(plan, k, 0, &schedule.mcvs[k]);
-    } else {
-      events.push(
-          {start_leg(problem, plan, faults, k, plan.tours[k][0], 0), k, 0});
-    }
-  }
-  const bool budget_on = faults.budget.enabled();
-  std::vector<energy::McvBattery> battery =
-      make_batteries(plan, faults, ResumeState{});
-
-  std::vector<char> committed(problem.size(), 0);
-  while (!events.empty()) {
-    const Event ev = events.top();
-    events.pop();
-    const auto& tour = plan.tours[ev.mcv];
-    const std::uint32_t loc = tour[ev.tour_pos];
-
-    const bool fresh = !committed[loc];
-    double duration = 0.0;
-    if (fresh) {
-      duration = problem.charge_seconds(loc);
-      if (faults.charge_multiplier) {
-        duration *= faults.charge_multiplier(loc);
-      }
-    }
-
-    // Energy gate — same all-or-nothing debit as the multi-node executor.
-    if (budget_on) {
-      const geom::Point from =
-          ev.tour_pos == 0 ? plan.start_of(ev.mcv, problem.depot())
-                           : problem.position(tour[ev.tour_pos - 1]);
-      const double need = sojourn_energy_j(problem, faults.budget, from, loc,
-                                           (ev.time + duration) - ev.time);
-      if (!battery[ev.mcv].draw(need)) {
-        OBS_COUNT("exec.energy_aborts", 1);
-        abort_tour(plan, ev.mcv, ev.tour_pos, &schedule.mcvs[ev.mcv],
-                   BreakdownCause::kEnergyExhausted);
-        continue;
-      }
-    }
-
-    Sojourn sojourn;
-    sojourn.location = loc;
-    sojourn.arrival = ev.time;
-    sojourn.start = ev.time;
-    if (fresh) {
-      committed[loc] = 1;
-      sojourn.charged = {loc};
-      schedule.charged_at[loc] = ev.time + duration;
-    }
-    sojourn.finish = ev.time + duration;
-    schedule.mcvs[ev.mcv].sojourns.push_back(std::move(sojourn));
-
-    if (ev.tour_pos + 1 >= faults.breakdown_of(ev.mcv)) {
-      abort_tour(plan, ev.mcv, ev.tour_pos + 1, &schedule.mcvs[ev.mcv]);
-      continue;
-    }
-
-    if (ev.tour_pos + 1 < tour.size()) {
-      const double travel = leg_time(problem, faults, ev.mcv, ev.tour_pos + 1,
-                                     loc, tour[ev.tour_pos + 1]);
-      events.push({ev.time + duration + travel, ev.mcv, ev.tour_pos + 1});
-    } else {
-      if (budget_on &&
-          !battery[ev.mcv].draw(faults.budget.travel_cost_j(
-              geom::distance(problem.position(loc), problem.depot())))) {
-        OBS_COUNT("exec.energy_aborts", 1);
-        abort_tour(plan, ev.mcv, tour.size(), &schedule.mcvs[ev.mcv],
-                   BreakdownCause::kEnergyExhausted);
-        continue;
-      }
-      schedule.mcvs[ev.mcv].return_time =
-          ev.time + duration +
-          return_leg(problem, faults, ev.mcv, tour.size(), loc);
-    }
-  }
-  if (budget_on) {
-    for (std::size_t k = 0; k < schedule.mcvs.size(); ++k) {
-      schedule.mcvs[k].energy_spent_j = battery[k].spent();
-    }
-  }
-  return schedule;
+  return execute_tours(problem, plan, faults, resume);
 }
 
-}  // namespace
-
-ChargingSchedule execute_plan(const model::ChargingProblem& problem,
-                              const ChargingPlan& plan) {
-  return execute_plan(problem, plan, ExecutionFaults{});
-}
-
-ChargingSchedule execute_plan(const model::ChargingProblem& problem,
-                              const ChargingPlan& plan,
-                              const ExecutionFaults& faults) {
+/// Shape and node-disjointness checks shared by both entries: plans must
+/// not reuse a location across or within tours (node-disjoint closed tours
+/// per Definition 1).
+void check_plan(const model::ChargingProblem& problem,
+                const ChargingPlan& plan, const ExecutionFaults& faults) {
   MCHARGE_ASSERT(plan.starts.empty() || plan.starts.size() == plan.tours.size(),
                  "plan.starts must be empty or one per tour");
   MCHARGE_ASSERT(faults.breakdown_after.empty() ||
                      faults.breakdown_after.size() == plan.tours.size(),
                  "breakdown_after must be empty or one entry per tour");
-  // Plans must not reuse a location across or within tours (node-disjoint
-  // closed tours per Definition 1).
   std::vector<char> used(problem.size(), 0);
   for (const auto& tour : plan.tours) {
     for (std::uint32_t loc : tour) {
@@ -430,9 +321,15 @@ ChargingSchedule execute_plan(const model::ChargingProblem& problem,
       used[loc] = 1;
     }
   }
-  return plan.mode == ChargeMode::kMultiNode
-             ? execute_multinode(problem, plan, faults, ResumeState{})
-             : execute_one_to_one(problem, plan, faults);
+}
+
+}  // namespace
+
+ChargingSchedule execute_plan(const model::ChargingProblem& problem,
+                              const ChargingPlan& plan,
+                              const ExecutionFaults& faults) {
+  check_plan(problem, plan, faults);
+  return execute_traced(problem, plan, faults, ResumeState{});
 }
 
 ChargingSchedule execute_plan(const model::ChargingProblem& problem,
@@ -443,18 +340,8 @@ ChargingSchedule execute_plan(const model::ChargingProblem& problem,
                  "resume execution is defined for multi-node plans only");
   MCHARGE_ASSERT(plan.starts.size() == plan.tours.size(),
                  "resume plans must carry every MCV's current position");
-  MCHARGE_ASSERT(faults.breakdown_after.empty() ||
-                     faults.breakdown_after.size() == plan.tours.size(),
-                 "breakdown_after must be empty or one entry per tour");
-  std::vector<char> used(problem.size(), 0);
-  for (const auto& tour : plan.tours) {
-    for (std::uint32_t loc : tour) {
-      MCHARGE_ASSERT(loc < problem.size(), "plan references unknown location");
-      MCHARGE_ASSERT(!used[loc], "plans must visit each location at most once");
-      used[loc] = 1;
-    }
-  }
-  return execute_multinode(problem, plan, faults, resume);
+  check_plan(problem, plan, faults);
+  return execute_traced(problem, plan, faults, resume);
 }
 
 std::vector<double> prefix_energy_left(

@@ -1,26 +1,25 @@
 // Plan execution: turns a ChargingPlan into a timed ChargingSchedule.
 //
-// Multi-node mode implements the paper's semantics:
-//  * an MCV parked at v charges every not-yet-charged sensor in N_c+(v);
-//    the sojourn's duration is tau'(v) = max t_u over that set (Eq. (3)) —
-//    zero if everything in range was already charged;
-//  * the no-overlap constraint is enforced: if starting to charge would
-//    energize a sensor inside another MCV's active charging disk, the MCV
-//    waits at the location until the conflicting sojourn finishes. Events
-//    are processed in global time order (ties by MCV id), so the result is
-//    deterministic and pairwise conflict-free by construction. A plan from
+// One event loop serves both charge modes; the plan's mode decides only
+// which sensors a stop charges and whether the MCV waits for conflicts.
+//  * Multi-node (the paper's scheme): an MCV parked at v charges every
+//    not-yet-charged sensor in N_c+(v) for tau'(v) = max t_u over that set
+//    (Eq. (3)) — zero if everything in range was already charged — and
+//    waits at v while starting would energize a sensor inside another
+//    MCV's active charging disk (the no-overlap constraint). A plan from
 //    algorithm Appro incurs (near-)zero waiting; the executor makes any
 //    plan feasible and measurable.
+//  * One-to-one (the baselines' scheme): the MCV charges only the sensor
+//    it parks at, for t_v seconds, and never waits (no cross-charger
+//    interference by assumption).
+// Events run in global time order (ties by MCV id), so the result is
+// deterministic and, for multi-node, pairwise conflict-free.
 //
-// One-to-one mode implements the baselines' scheme: the MCV charges only
-// the sensor it parks at, for t_v seconds (skipping sensors someone already
-// charged), with no cross-charger interference by assumption.
-//
-// Failure-aware execution: an ExecutionFaults bundle injects per-MCV
-// mid-tour breakdowns (the tour truncates; remaining stops are recorded as
-// skipped and their sensors stay uncharged) and multiplicative travel /
-// charging-time jitter. With a default-constructed bundle the executor is
-// bit-identical to the fault-free path — no multiplier is ever applied.
+// Failure-aware execution, in both modes: an ExecutionFaults bundle
+// injects per-MCV mid-tour breakdowns (the tour truncates; remaining stops
+// are recorded as skipped and their sensors stay uncharged), travel /
+// charging-time jitter and an energy budget. The default empty bundle
+// applies no multiplier and meters no energy.
 #pragma once
 
 #include <cstdint>
@@ -34,10 +33,13 @@
 
 namespace mcharge::sched {
 
-/// Deterministic per-round fault inputs for one plan execution. The
-/// multiplier callbacks MUST be pure functions of their arguments (the
-/// repo-wide determinism contract): sim::FaultModel derives them from
-/// splitmix64 streams keyed by (seed, round, entity).
+/// Deterministic per-round fault inputs for one plan execution, in either
+/// charge mode. The multiplier callbacks MUST be pure functions of their
+/// arguments (the repo-wide determinism contract): sim::FaultModel derives
+/// them from splitmix64 streams keyed by (seed, round, entity). The
+/// executor may call a multiplier more than once for the same argument
+/// (an arrival is re-derived after the event loop; a stop that charges
+/// nothing still draws its charge multiplier).
 struct ExecutionFaults {
   static constexpr std::uint32_t kNoBreakdown =
       std::numeric_limits<std::uint32_t>::max();
@@ -126,17 +128,14 @@ struct ResumeState {
   std::vector<double> energy_left;
 };
 
-/// Executes `plan` against `problem`. The plan may reference each sensor
-/// location at most once across all tours (asserted).
-ChargingSchedule execute_plan(const model::ChargingProblem& problem,
-                              const ChargingPlan& plan);
-
-/// Failure-aware overload: breakdowns truncate tours (the schedule is then
-/// partial()), jitter rescales travel legs and charging durations. With an
-/// empty `faults` this is exactly execute_plan(problem, plan).
+/// Executes `plan` against `problem` under `faults`. The plan may
+/// reference each sensor location at most once across all tours
+/// (asserted). Breakdowns and energy exhaustion truncate tours (the
+/// schedule is then partial()), jitter rescales travel legs and charging
+/// durations; the default empty bundle is the fault-free execution.
 ChargingSchedule execute_plan(const model::ChargingProblem& problem,
                               const ChargingPlan& plan,
-                              const ExecutionFaults& faults);
+                              const ExecutionFaults& faults = {});
 
 /// Resume overload (multi-node only): executes just the suffix tours in
 /// `plan` on top of the partially executed round described by `resume`.

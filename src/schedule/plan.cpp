@@ -29,26 +29,6 @@ double ChargingSchedule::total_wait() const {
   return total;
 }
 
-double ChargingSchedule::total_travel(
-    const model::ChargingProblem& problem) const {
-  double total = 0.0;
-  for (std::size_t k = 0; k < mcvs.size(); ++k) {
-    const auto& mcv = mcvs[k];
-    if (mcv.sojourns.empty()) continue;
-    const geom::Point start =
-        k < starts.size() ? starts[k] : problem.depot();
-    total += geom::distance(start,
-                            problem.position(mcv.sojourns.front().location)) /
-             problem.speed();
-    for (std::size_t i = 0; i + 1 < mcv.sojourns.size(); ++i) {
-      total += problem.travel(mcv.sojourns[i].location,
-                              mcv.sojourns[i + 1].location);
-    }
-    total += problem.travel_depot(mcv.sojourns.back().location);
-  }
-  return total;
-}
-
 std::size_t ChargingSchedule::num_stops() const {
   std::size_t total = 0;
   for (const auto& mcv : mcvs) total += mcv.sojourns.size();
@@ -87,8 +67,11 @@ std::vector<ChargingSchedule::EnergyUse> ChargingSchedule::energy_use(
             problem.position(mcv.sojourns[i].location),
             problem.position(mcv.sojourns[i + 1].location));
       }
-      meters += geom::distance(
-          problem.position(mcv.sojourns.back().location), problem.depot());
+      // An aborted tour ended in the field: it never drove home.
+      if (!mcv.aborted) {
+        meters += geom::distance(
+            problem.position(mcv.sojourns.back().location), problem.depot());
+      }
     }
     use[k].locomotion_j = move_cost_j_per_m * meters;
     for (const auto& s : mcv.sojourns) {

@@ -107,8 +107,6 @@ struct ChargingSchedule {
   double longest_delay() const;
   /// Total waiting injected to satisfy the no-overlap constraint.
   double total_wait() const;
-  /// Travel time summed over all MCVs.
-  double total_travel(const model::ChargingProblem& problem) const;
   std::size_t num_stops() const;
   /// True iff every sensor got charged.
   bool all_charged() const;
@@ -121,7 +119,8 @@ struct ChargingSchedule {
   /// Per-MCV energy budget of the executed round: energy radiated while
   /// charging (active duration * the problem's charging rate — the
   /// transmitter runs for the whole sojourn regardless of how many sensors
-  /// absorb it) plus locomotion energy at `move_cost_j_per_m`.
+  /// absorb it) plus locomotion energy at `move_cost_j_per_m` over the
+  /// legs actually driven (no depot return for an aborted tour).
   std::vector<EnergyUse> energy_use(const model::ChargingProblem& problem,
                                     double move_cost_j_per_m = 50.0) const;
 };

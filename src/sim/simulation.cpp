@@ -273,105 +273,79 @@ SimResult simulate(const model::WrsnInstance& instance,
     // MCVs recharge at the depot between rounds, so each round's bundle
     // carries the full budget.
     if (config.mcv_budget.enabled()) round_fault.budget = config.mcv_budget;
+    const bool faulty = round_fault.any();
 
-    sched::ChargingSchedule schedule;
-    std::vector<double> merged_charged_at;
-    const std::vector<double>* charged_at = nullptr;
-    double round_delay = 0.0;
-    double round_wait = 0.0;
-    RoundLog round_log;
-    if (round_fault.any()) {
-      // Faulty round: execute under the fault bundle and let the recovery
-      // policy deal with whatever the breakdowns orphaned. The primary
-      // (possibly partial) schedule is verified against the same fault
-      // bundle; a recovery wave is verified as a normal full-coverage
-      // schedule of its own sub-problem.
-      core::RecoveryOutcome outcome;
-      {
-        OBS_SPAN("sim.execute");
+    // Every round yields one RecoveryOutcome. A faulty round executes
+    // under its fault bundle and lets the recovery policy deal with
+    // whatever the breakdowns orphaned; a fault-free round is its plain
+    // execution with no recovery wave.
+    core::RecoveryOutcome outcome;
+    {
+      OBS_SPAN("sim.execute");
+      if (faulty) {
         outcome =
             core::recover_round(problem, plan, round_fault, config.recovery);
+      } else {
+        outcome.primary = sched::execute_plan(problem, plan);
       }
-      OBS_COUNT("sim.faulty_rounds", 1);
-      {
-        OBS_SPAN("sim.verify");
-        sched::VerifyOptions verify_options;
-        verify_options.require_full_coverage = false;
-        verify_options.allow_partial = true;
-        verify_options.faults = &round_fault;
-        result.verify_violations +=
-            sched::verify_schedule(problem, outcome.primary, verify_options)
-                .size();
-        if (outcome.has_recovery) {
-          result.verify_violations +=
-              sched::verify_schedule(outcome.replan.subproblem,
-                                     outcome.recovery)
-                  .size();
-        }
-      }
-      round_wait = outcome.primary.total_wait();
-      merged_charged_at = outcome.primary.charged_at;
+    }
+    if (faulty) OBS_COUNT("sim.faulty_rounds", 1);
+    {
+      // The primary schedule is verified against the round's fault bundle
+      // and may be partial only when faults could truncate it; one-to-one
+      // baselines may legitimately skip sensors (AA's profit pruning), so
+      // full coverage is not demanded. A recovery wave is verified as a
+      // normal full-coverage schedule of its own sub-problem.
+      OBS_SPAN("sim.verify");
+      sched::VerifyOptions verify_options;
+      verify_options.require_full_coverage = false;
+      verify_options.allow_partial = faulty;
+      verify_options.faults = &round_fault;
+      result.verify_violations +=
+          sched::verify_schedule(problem, outcome.primary, verify_options)
+              .size();
       if (outcome.has_recovery) {
-        round_wait += outcome.recovery.total_wait();
-        for (std::size_t i = 0; i < outcome.replan.original_index.size();
-             ++i) {
-          if (outcome.recovery.charged_at[i] == sched::kNeverCharged) {
-            continue;
-          }
-          merged_charged_at[outcome.replan.original_index[i]] =
-              outcome.recovery_offset_s + outcome.recovery.charged_at[i];
-        }
-      }
-      charged_at = &merged_charged_at;
-      round_delay = outcome.longest_delay();
-      result.mcv_breakdowns += outcome.stats.breakdowns;
-      result.recovered_sensors += outcome.stats.recovered_sensors;
-      result.deferred_sensors += outcome.stats.deferred_sensors;
-      result.extra_recovery_delay_s += outcome.stats.extra_delay_s;
-      round_log.breakdowns = outcome.stats.breakdowns;
-      round_log.recovered = outcome.stats.recovered_sensors;
-      round_log.deferred = outcome.stats.deferred_sensors;
-      round_log.extra_delay_s = outcome.stats.extra_delay_s;
-      if (config.mcv_budget.enabled()) {
-        std::size_t exhausted = 0;
-        double spent_j = 0.0;
-        double max_tour_j = 0.0;
-        for (const auto& m : outcome.primary.mcvs) {
-          if (m.abort_cause == sched::BreakdownCause::kEnergyExhausted) {
-            ++exhausted;
-          }
-          spent_j += m.energy_spent_j;
-          max_tour_j = std::max(max_tour_j, m.energy_spent_j);
-          if (config.record_tour_energy) {
-            result.mcv_tour_energy_j.push_back(m.energy_spent_j);
-          }
-        }
-        result.mcv_energy_exhausted += exhausted;
-        result.mcv_energy_spent_j += spent_j;
-        result.mcv_energy_max_tour_j =
-            std::max(result.mcv_energy_max_tour_j, max_tour_j);
-        round_log.energy_aborts = exhausted;
-        round_log.energy_spent_j = spent_j;
-        round_log.energy_max_tour_j = max_tour_j;
-        OBS_COUNT("sim.energy_spent", std::llround(spent_j));
-      }
-    } else {
-      {
-        OBS_SPAN("sim.execute");
-        schedule = sched::execute_plan(problem, plan);
-      }
-      {
-        // One-to-one baselines may legitimately skip sensors (AA's profit
-        // pruning); do not demand full coverage, only internal consistency.
-        OBS_SPAN("sim.verify");
-        sched::VerifyOptions verify_options;
-        verify_options.require_full_coverage = false;
         result.verify_violations +=
-            sched::verify_schedule(problem, schedule, verify_options).size();
+            sched::verify_schedule(outcome.replan.subproblem, outcome.recovery)
+                .size();
       }
-      charged_at = &schedule.charged_at;
-      round_delay = schedule.longest_delay();
-      round_wait = schedule.total_wait();
+    }
+    const std::vector<double> charged_at = outcome.charged_at();
+    const double round_delay = outcome.longest_delay();
+    double round_wait = outcome.primary.total_wait();
+    if (outcome.has_recovery) round_wait += outcome.recovery.total_wait();
+
+    RoundLog round_log;
+    result.mcv_breakdowns += outcome.stats.breakdowns;
+    result.recovered_sensors += outcome.stats.recovered_sensors;
+    result.deferred_sensors += outcome.stats.deferred_sensors;
+    result.extra_recovery_delay_s += outcome.stats.extra_delay_s;
+    round_log.breakdowns = outcome.stats.breakdowns;
+    round_log.recovered = outcome.stats.recovered_sensors;
+    round_log.deferred = outcome.stats.deferred_sensors;
+    round_log.extra_delay_s = outcome.stats.extra_delay_s;
+    if (config.mcv_budget.enabled()) {
+      std::size_t exhausted = 0;
+      double spent_j = 0.0;
+      double max_tour_j = 0.0;
+      for (const auto& m : outcome.primary.mcvs) {
+        if (m.abort_cause == sched::BreakdownCause::kEnergyExhausted) {
+          ++exhausted;
+        }
+        spent_j += m.energy_spent_j;
+        max_tour_j = std::max(max_tour_j, m.energy_spent_j);
+        if (config.record_tour_energy) {
+          result.mcv_tour_energy_j.push_back(m.energy_spent_j);
+        }
+      }
+      result.mcv_energy_exhausted += exhausted;
+      result.mcv_energy_spent_j += spent_j;
+      result.mcv_energy_max_tour_j =
+          std::max(result.mcv_energy_max_tour_j, max_tour_j);
+      round_log.energy_aborts = exhausted;
+      round_log.energy_spent_j = spent_j;
+      round_log.energy_max_tour_j = max_tour_j;
+      OBS_COUNT("sim.energy_spent", std::llround(spent_j));
     }
 
     ++result.rounds;
@@ -382,9 +356,9 @@ SimResult simulate(const model::WrsnInstance& instance,
     // Apply charge completions.
     std::size_t charged_count = 0;
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      if ((*charged_at)[i] == sched::kNeverCharged) continue;
+      if (charged_at[i] == sched::kNeverCharged) continue;
       const std::uint32_t v = batch[i];
-      const double done = dispatch + (*charged_at)[i];
+      const double done = dispatch + charged_at[i];
       // Dead-time accounting up to the charge completion (or horizon).
       advance_one(v, std::min(done, horizon));
       if (state.dead_since[v] != kInf) {

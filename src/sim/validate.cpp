@@ -123,6 +123,12 @@ std::optional<ConfigError> validate_sim_inputs(
     return err(ConfigErrorCode::kNonFiniteSensorData,
                "depot position must be finite");
   }
+  if (instance.consumption_w.size() != instance.num_sensors()) {
+    std::ostringstream os;
+    os << "consumption_w has " << instance.consumption_w.size()
+       << " entries but positions has " << instance.num_sensors();
+    return err(ConfigErrorCode::kNonFiniteSensorData, os.str());
+  }
   for (std::size_t v = 0; v < instance.num_sensors(); ++v) {
     const geom::Point p = instance.positions[v];
     if (!std::isfinite(p.x) || !std::isfinite(p.y)) {

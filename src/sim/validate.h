@@ -32,7 +32,7 @@ enum class ConfigErrorCode {
   kBadEpoch,             ///< dispatch epoch negative or non-finite
   kBadMaxRounds,         ///< max_rounds == 0
   kBadFaultConfig,       ///< fault probability/jitter out of range
-  kNonFiniteSensorData,  ///< NaN/Inf position or bad consumption
+  kNonFiniteSensorData,  ///< NaN/Inf position, bad or missing consumption
   kBadMcvBudget,         ///< MCV energy budget spec out of range
 };
 

@@ -94,6 +94,27 @@ TEST(FleetState, IdleMcvStaysAtStart) {
   EXPECT_EQ(state.mcv_positions[1], p.depot());
 }
 
+TEST(FleetState, AbortedMcvStaysAtItsLastStop) {
+  // MCV 0 breaks down after its first stop (80,0): it finishes charging
+  // at 80 + 100 = 180 s and stays there. MCV 1 breaks down at dispatch
+  // and stays at its start.
+  ChargingProblem p({{80, 0}, {90, 0}, {30, 0}}, {100.0, 100.0, 100.0},
+                    {0, 0}, 2.7, 1.0, 2);
+  sched::ChargingPlan plan;
+  plan.tours = {{0, 1}, {2}};
+  plan.starts = {{0, 0}, {30, 5}};
+  sched::ExecutionFaults faults;
+  faults.breakdown_after = {1, 0};
+  const auto schedule = sched::execute_plan(p, plan, faults);
+  ASSERT_TRUE(schedule.mcvs[0].aborted);
+  ASSERT_TRUE(schedule.mcvs[1].aborted);
+  for (double t : {180.0, 181.0, 1e6}) {
+    const auto state = fleet_state_at(p, schedule, t);
+    EXPECT_EQ(state.mcv_positions[0], (geom::Point{80, 0})) << "t = " << t;
+    EXPECT_EQ(state.mcv_positions[1], (geom::Point{30, 5})) << "t = " << t;
+  }
+}
+
 // ---------- replanning ----------
 
 TEST(Replan, EmptyWhenEverythingCharged) {

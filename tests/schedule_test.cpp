@@ -181,6 +181,124 @@ TEST(ExecuteOneToOne, DuplicateTargetChargedOnce) {
   EXPECT_TRUE(verify_schedule(p, schedule).empty());
 }
 
+// One-to-one execution under faults. Hand-computed timelines on line3
+// (sensors at x = 10, 12, 14, deficits 100 / 50 / 200 s, speed 1 m/s,
+// depot at the origin): the oracle for the executor's one-to-one mode.
+
+VerifyOptions partial_options(const ExecutionFaults& faults) {
+  VerifyOptions options;
+  options.require_full_coverage = false;
+  options.allow_partial = true;
+  options.faults = &faults;
+  return options;
+}
+
+TEST(ExecuteOneToOne, BreakdownAfterFirstStopKeepsOnlyIt) {
+  const auto p = line3(1);
+  ChargingPlan plan;
+  plan.mode = ChargeMode::kOneToOne;
+  plan.tours = {{0, 1, 2}};
+  ExecutionFaults faults;
+  faults.breakdown_after = {1};
+  const auto schedule = execute_plan(p, plan, faults);
+  const auto& mcv = schedule.mcvs[0];
+  ASSERT_TRUE(mcv.aborted);
+  EXPECT_EQ(mcv.abort_cause, BreakdownCause::kFault);
+  ASSERT_EQ(mcv.sojourns.size(), 1u);
+  EXPECT_EQ(mcv.sojourns[0].charged, std::vector<std::uint32_t>{0});
+  EXPECT_DOUBLE_EQ(mcv.sojourns[0].arrival, 10.0);
+  EXPECT_DOUBLE_EQ(mcv.sojourns[0].finish, 110.0);
+  // The tour ends where it stopped: no depot leg.
+  EXPECT_DOUBLE_EQ(mcv.return_time, 110.0);
+  EXPECT_EQ(mcv.skipped, (std::vector<std::uint32_t>{1, 2}));
+  EXPECT_DOUBLE_EQ(schedule.charged_at[0], 110.0);
+  EXPECT_EQ(schedule.charged_at[1], kNeverCharged);
+  EXPECT_EQ(schedule.charged_at[2], kNeverCharged);
+  const auto violations = verify_schedule(p, schedule, partial_options(faults));
+  EXPECT_TRUE(violations.empty()) << (violations.empty() ? "" : violations[0]);
+}
+
+TEST(ExecuteOneToOne, ConstantMultipliersRescaleEveryLegAndStop) {
+  const auto p = line3(1);
+  ChargingPlan plan;
+  plan.mode = ChargeMode::kOneToOne;
+  plan.tours = {{0, 1, 2}};
+  ExecutionFaults faults;
+  faults.travel_multiplier = [](std::uint32_t, std::size_t) { return 2.0; };
+  faults.charge_multiplier = [](std::uint32_t) { return 1.5; };
+  const auto schedule = execute_plan(p, plan, faults);
+  const auto& s = schedule.mcvs[0].sojourns;
+  ASSERT_EQ(s.size(), 3u);
+  // 20 out, 150 charging; 4, 75; 4, 300; 28 home.
+  EXPECT_DOUBLE_EQ(s[0].arrival, 20.0);
+  EXPECT_DOUBLE_EQ(s[0].finish, 170.0);
+  EXPECT_DOUBLE_EQ(s[1].arrival, 174.0);
+  EXPECT_DOUBLE_EQ(s[1].finish, 249.0);
+  EXPECT_DOUBLE_EQ(s[2].arrival, 253.0);
+  EXPECT_DOUBLE_EQ(s[2].finish, 553.0);
+  EXPECT_DOUBLE_EQ(schedule.mcvs[0].return_time, 581.0);
+  EXPECT_DOUBLE_EQ(schedule.total_wait(), 0.0);
+  EXPECT_FALSE(schedule.partial());
+  VerifyOptions options;
+  options.faults = &faults;
+  EXPECT_TRUE(verify_schedule(p, schedule, options).empty());
+}
+
+TEST(ExecuteOneToOne, BudgetAbortsAtTheReturnLeg) {
+  // 14 m out (700 J at 50 J/m) plus 350 s at 2 W (700 J) fit an 1800 J
+  // battery; the 14 m home leg (700 J more) does not.
+  const auto p = line3(1);
+  ChargingPlan plan;
+  plan.mode = ChargeMode::kOneToOne;
+  plan.tours = {{0, 1, 2}};
+  ExecutionFaults faults;
+  faults.budget.capacity_j = 1800.0;
+  const auto schedule = execute_plan(p, plan, faults);
+  const auto& mcv = schedule.mcvs[0];
+  ASSERT_TRUE(mcv.aborted);
+  EXPECT_EQ(mcv.abort_cause, BreakdownCause::kEnergyExhausted);
+  ASSERT_EQ(mcv.sojourns.size(), 3u);
+  EXPECT_TRUE(mcv.skipped.empty());
+  EXPECT_TRUE(schedule.all_charged());
+  EXPECT_DOUBLE_EQ(mcv.return_time, 10 + 100 + 2 + 50 + 2 + 200);
+  EXPECT_DOUBLE_EQ(mcv.energy_spent_j, 1400.0);
+  const auto violations = verify_schedule(p, schedule, partial_options(faults));
+  EXPECT_TRUE(violations.empty()) << (violations.empty() ? "" : violations[0]);
+}
+
+TEST(ExecuteOneToOne, ZeroDeficitStopIsZeroLengthUnderChargeJitter) {
+  // A stop whose sensor needs nothing is a zero-length stop even though
+  // the charge multiplier is drawn for it.
+  ChargingProblem p({{10, 0}, {12, 0}}, {0.0, 50.0}, {0, 0}, 2.7, 1.0, 1);
+  ChargingPlan plan;
+  plan.mode = ChargeMode::kOneToOne;
+  plan.tours = {{0, 1}};
+  ExecutionFaults faults;
+  faults.charge_multiplier = [](std::uint32_t) { return 1.5; };
+  const auto schedule = execute_plan(p, plan, faults);
+  const auto& s = schedule.mcvs[0].sojourns;
+  ASSERT_EQ(s.size(), 2u);
+  EXPECT_DOUBLE_EQ(s[0].arrival, 10.0);
+  EXPECT_DOUBLE_EQ(s[0].duration(), 0.0);
+  EXPECT_DOUBLE_EQ(schedule.charged_at[0], 10.0);
+  EXPECT_DOUBLE_EQ(s[1].arrival, 12.0);
+  EXPECT_DOUBLE_EQ(s[1].finish, 12.0 + 75.0);
+  EXPECT_DOUBLE_EQ(schedule.mcvs[0].return_time, 87.0 + 12.0);
+  VerifyOptions options;
+  options.faults = &faults;
+  EXPECT_TRUE(verify_schedule(p, schedule, options).empty());
+}
+
+TEST(ExecuteOneToOneDeathTest, RepeatVisitIsRejected) {
+  // A second visit to an already-charged sensor cannot be planned: plans
+  // are node-disjoint in both modes.
+  const auto p = line3(2);
+  ChargingPlan plan;
+  plan.mode = ChargeMode::kOneToOne;
+  plan.tours = {{0, 1}, {1}};
+  EXPECT_DEATH(execute_plan(p, plan), "at most once");
+}
+
 TEST(ExecuteMultiNode, ThreeWayConflictFullySerialized) {
   // Three stops whose disks pairwise intersect only at the shared sensor
   // 3; each stop also owns a private sensor. The executor must serialize
@@ -352,6 +470,29 @@ TEST(EnergyUse, MultiNodeDeliversAtLeastTotalDeficitEnergy) {
   const auto schedule = execute_plan(p, plan);
   const auto use = schedule.energy_use(p);
   EXPECT_DOUBLE_EQ(use[0].delivered_j, 200.0 * 2.0);  // tau' = 200 s at 2 W
+}
+
+TEST(EnergyUse, AbortedTourDrivesNoDepotLeg) {
+  // One MCV breaks down after (80,0), its first of two stops: 80 m driven
+  // (4000 J at 50 J/m) and 100 s radiated at 2 W. The fleet-sizing account
+  // must match the executor's metered draw, which never pays for a depot
+  // leg the stranded vehicle did not drive.
+  ChargingProblem p({{80, 0}, {90, 0}}, {100.0, 100.0}, {0, 0}, 2.7, 1.0, 1);
+  ChargingPlan plan;
+  plan.tours = {{0, 1}};
+  ExecutionFaults faults;
+  faults.breakdown_after = {1};
+  faults.budget.capacity_j = 1e9;
+  faults.budget.transfer_efficiency = 0.8;
+  const auto schedule = execute_plan(p, plan, faults);
+  ASSERT_TRUE(schedule.mcvs[0].aborted);
+  const auto use = schedule.energy_use(p, faults.budget.move_cost_j_per_m);
+  EXPECT_DOUBLE_EQ(use[0].locomotion_j, 4000.0);
+  EXPECT_DOUBLE_EQ(use[0].delivered_j, 200.0);
+  EXPECT_DOUBLE_EQ(
+      use[0].locomotion_j +
+          use[0].delivered_j / faults.budget.transfer_efficiency,
+      schedule.mcvs[0].energy_spent_j);
 }
 
 // Estimator (Eq. (5)) ------------------------------------------------------

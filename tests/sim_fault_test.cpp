@@ -604,6 +604,19 @@ TEST(Validation, RejectsBadConfigsWithTheRightCode) {
   EXPECT_EQ(err->code, ConfigErrorCode::kNonFiniteSensorData);
 }
 
+TEST(Validation, RejectsMismatchedPerSensorArrays) {
+  // Three positions but one consumption entry: the validator must not
+  // read past the consumption array (nor let simulate() do so).
+  Rng rng(6);
+  auto instance = model::make_instance(model::NetworkConfig{}, 3, rng);
+  instance.consumption_w.resize(1);
+  const auto err = validate_sim_inputs(instance, SimConfig{});
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(err->code, ConfigErrorCode::kNonFiniteSensorData);
+  EXPECT_NE(err->message.find("consumption_w"), std::string::npos)
+      << err->message;
+}
+
 TEST(Validation, RejectsZeroOrNegativeSensorCapacity) {
   // Battery::fraction() reads a zero-capacity battery as permanently
   // empty (0.0) rather than erroring — the simulator must therefore never
