@@ -21,6 +21,7 @@
 #include "core/appro.h"
 #include "io/instance_io.h"
 #include "sim/simulation.h"
+#include "sim/validate.h"
 #include "util/cli.h"
 #include "util/rng.h"
 #include "viz/render.h"
@@ -99,7 +100,12 @@ int main(int argc, char** argv) {
   sim_config.record_rounds =
       flags.has("rounds_csv") || flags.get_bool("verbose", false);
 
-  const auto result = sim::simulate(instance, *scheduler, sim_config);
+  const auto checked = sim::simulate_checked(instance, *scheduler, sim_config);
+  if (!checked) {
+    std::fprintf(stderr, "error: %s\n", checked.error().message.c_str());
+    return 2;
+  }
+  const sim::SimResult& result = *checked;
 
   std::printf("campaign: algo=%s n=%zu K=%zu months=%.1f epoch_h=%.1f "
               "target=%.2f\n",

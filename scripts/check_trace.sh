@@ -65,7 +65,7 @@ def load(path):
     by_name = {}
     for m in metrics:
         assert set(m) >= {"name", "kind", "count"}, m
-        assert m["kind"] in ("span", "counter", "gauge"), m
+        assert m["kind"] in ("span", "counter"), m
         if m["kind"] == "span":
             assert "total_s" in m and m["total_s"] >= 0.0, m
         by_name[m["name"]] = m

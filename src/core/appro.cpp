@@ -144,10 +144,6 @@ sched::ChargingPlan ApproScheduler::plan_with_stats(
     return plan;
   }
 
-  MCHARGE_ASSERT(options_.gc_mis_order != graph::MisOrder::kRandom &&
-                     options_.h_mis_order != graph::MisOrder::kRandom,
-                 "Appro is deterministic; use kIndex/kMinDegree/kPriority");
-
   OBS_SPAN("appro.plan");
 
   // Steps 1-2: charging graph and its MIS S_I. Priority orders use the
@@ -159,8 +155,7 @@ sched::ChargingPlan ApproScheduler::plan_with_stats(
     OBS_SPAN("appro.charging_graph_mis");
     gc = charging_graph(problem);
     for (std::uint32_t v = 0; v < n; ++v) tau_key[v] = problem.tau(v);
-    s_i = graph::maximal_independent_set(gc, options_.gc_mis_order, &tau_key,
-                                         nullptr);
+    s_i = graph::maximal_independent_set(gc, options_.gc_mis_order, &tau_key);
     MCHARGE_ASSERT(graph::is_maximal_independent_set(gc, s_i),
                    "S_I must be a maximal independent set of G_c");
   }
@@ -180,8 +175,8 @@ sched::ChargingPlan ApproScheduler::plan_with_stats(
     for (std::size_t i = 0; i < s_i.size(); ++i) {
       tau_key_h[i] = tau_key[s_i[i]];
     }
-    vh_local = graph::maximal_independent_set(h, options_.h_mis_order,
-                                              &tau_key_h, nullptr);
+    vh_local =
+        graph::maximal_independent_set(h, options_.h_mis_order, &tau_key_h);
   }
 
   // Step 5: K min-max closed tours over V'_H with service times tau(v).

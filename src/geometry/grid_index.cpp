@@ -15,6 +15,18 @@ GridIndex::GridIndex(std::vector<Point> points, double cell_size)
     return;
   }
   const BoundingBox box = bounding_box(points_);
+  // One bucket per cell of the bounding box, at most max(4n, 2^16) of them:
+  // a far outlier widens the cell instead of sizing the table by the empty
+  // space around it. Queries stay exact; a wider cell only prunes less.
+  const double max_buckets =
+      std::max(4.0 * static_cast<double>(points_.size()), 65536.0);
+  const auto cells = [&](double lo, double hi) {
+    return std::floor(hi / cell_size_) - std::floor(lo / cell_size_) + 1.0;
+  };
+  while (cells(box.lo.x, box.hi.x) * cells(box.lo.y, box.hi.y) >
+         max_buckets) {
+    cell_size_ *= 2.0;
+  }
   min_cx_ = cell_of(box.lo.x);
   min_cy_ = cell_of(box.lo.y);
   num_cx_ = cell_of(box.hi.x) - min_cx_ + 1;

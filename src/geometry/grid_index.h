@@ -16,8 +16,10 @@ namespace mcharge::geom {
 class GridIndex {
  public:
   /// Builds an index over `points` with the given grid cell size. Cell size
-  /// should be on the order of the typical query radius. The point set is
-  /// referenced by index; the caller keeps ownership of coordinates.
+  /// should be on the order of the typical query radius. The cell doubles
+  /// until the bounding box needs at most max(4n, 2^16) cells, so one far
+  /// outlier cannot blow up the bucket table. The point set is referenced
+  /// by index; the caller keeps ownership of coordinates.
   GridIndex(std::vector<Point> points, double cell_size);
 
   /// All point indices within distance `radius` of `center` (inclusive),

@@ -22,16 +22,6 @@ BoundingBox bounding_box(const std::vector<Point>& pts) {
   return box;
 }
 
-double closed_tour_length(const std::vector<Point>& pts) {
-  if (pts.size() < 2) return 0.0;
-  double total = 0.0;
-  for (std::size_t i = 0; i + 1 < pts.size(); ++i) {
-    total += distance(pts[i], pts[i + 1]);
-  }
-  total += distance(pts.back(), pts.front());
-  return total;
-}
-
 Point centroid(const std::vector<Point>& pts) {
   MCHARGE_ASSERT(!pts.empty(), "centroid of empty point set");
   Point c{0.0, 0.0};

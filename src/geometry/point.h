@@ -59,10 +59,6 @@ struct BoundingBox {
 
 BoundingBox bounding_box(const std::vector<Point>& pts);
 
-/// Total length of the closed polygon visiting pts in order (last -> first
-/// edge included). Zero for fewer than two points.
-double closed_tour_length(const std::vector<Point>& pts);
-
 /// Centroid of a non-empty point set.
 Point centroid(const std::vector<Point>& pts);
 

@@ -8,8 +8,7 @@
 namespace mcharge::graph {
 
 std::vector<Vertex> maximal_independent_set(
-    const Graph& g, MisOrder order, const std::vector<double>* priority,
-    Rng* rng) {
+    const Graph& g, MisOrder order, const std::vector<double>* priority) {
   const std::size_t n = g.num_vertices();
   std::vector<Vertex> scan(n);
   std::iota(scan.begin(), scan.end(), Vertex{0});
@@ -22,21 +21,12 @@ std::vector<Vertex> maximal_independent_set(
         return g.degree(a) < g.degree(b);
       });
       break;
-    case MisOrder::kMaxDegree:
-      std::stable_sort(scan.begin(), scan.end(), [&](Vertex a, Vertex b) {
-        return g.degree(a) > g.degree(b);
-      });
-      break;
     case MisOrder::kPriority:
       MCHARGE_ASSERT(priority != nullptr && priority->size() == n,
                      "kPriority needs one key per vertex");
       std::stable_sort(scan.begin(), scan.end(), [&](Vertex a, Vertex b) {
         return (*priority)[a] < (*priority)[b];
       });
-      break;
-    case MisOrder::kRandom:
-      MCHARGE_ASSERT(rng != nullptr, "kRandom needs an Rng");
-      rng->shuffle(scan);
       break;
   }
 

@@ -9,24 +9,23 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "util/rng.h"
 
 namespace mcharge::graph {
 
+// Values are fixed: 2 and 4 belonged to retired orders (max-degree, random)
+// and are not reused, so an order keeps its number in printed parameters.
 enum class MisOrder {
-  kIndex,      ///< scan vertices 0..n-1 (deterministic baseline)
-  kMinDegree,  ///< ascending degree (tends to produce larger sets)
-  kMaxDegree,  ///< descending degree (tends to produce smaller sets)
-  kPriority,   ///< caller-supplied key, ascending (e.g. charging duration)
-  kRandom,     ///< uniformly random permutation
+  kIndex = 0,      ///< scan vertices 0..n-1 (deterministic baseline)
+  kMinDegree = 1,  ///< ascending degree (tends to produce larger sets)
+  kPriority = 3,   ///< caller-supplied key, ascending (e.g. charging duration)
 };
 
 /// Greedy maximal independent set in the given scan order. For kPriority the
-/// `priority` vector (one key per vertex, lower = earlier) is required; for
-/// kRandom an Rng is required. Returns sorted vertex ids.
+/// `priority` vector (one key per vertex, lower = earlier) is required.
+/// Returns sorted vertex ids.
 std::vector<Vertex> maximal_independent_set(
     const Graph& g, MisOrder order = MisOrder::kIndex,
-    const std::vector<double>* priority = nullptr, Rng* rng = nullptr);
+    const std::vector<double>* priority = nullptr);
 
 /// True iff `set` is an independent set of g (no two members adjacent).
 bool is_independent_set(const Graph& g, const std::vector<Vertex>& set);

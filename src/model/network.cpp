@@ -1,22 +1,10 @@
 #include "model/network.h"
 
-#include <limits>
-
 #include "energy/consumption.h"
 #include "geometry/field.h"
 #include "util/assert.h"
 
 namespace mcharge::model {
-
-double WrsnInstance::depletion_seconds(std::uint32_t v, double fraction_from,
-                                       double fraction_to) const {
-  MCHARGE_ASSERT(v < num_sensors(), "sensor index out of range");
-  MCHARGE_ASSERT(fraction_from >= fraction_to,
-                 "depletion goes from higher to lower fraction");
-  const double watts = consumption_w[v];
-  if (watts <= 0.0) return std::numeric_limits<double>::infinity();
-  return (fraction_from - fraction_to) * config.battery_capacity_j / watts;
-}
 
 WrsnInstance make_instance(const NetworkConfig& config, std::size_t n,
                            Rng& rng, FieldLayout layout) {

@@ -48,11 +48,6 @@ struct WrsnInstance {
   std::vector<double> consumption_w;   ///< steady-state draw (incl. relaying)
 
   std::size_t num_sensors() const { return positions.size(); }
-
-  /// Time for sensor v to go from `fraction_from` to `fraction_to` of
-  /// capacity under its steady-state draw. Infinite if it draws nothing.
-  double depletion_seconds(std::uint32_t v, double fraction_from,
-                           double fraction_to) const;
 };
 
 /// Field layout used by the generator.

@@ -17,8 +17,6 @@ const char* kind_name(Kind k) {
       return "span";
     case Kind::kCounter:
       return "counter";
-    case Kind::kGauge:
-      return "gauge";
   }
   return "?";
 }
@@ -62,7 +60,7 @@ Site& site(const char* name, Kind kind) {
   for (Site* s : reg.sites) {
     if (std::string_view(s->name) == name) return *s;
   }
-  Site* s = new Site{name, kind, {}, {}, {}, {}};
+  Site* s = new Site{name, kind, {}, {}, {}};
   reg.sites.push_back(s);
   return *s;
 }
@@ -81,7 +79,6 @@ TraceReport capture() {
         static_cast<double>(s->total_ns.load(std::memory_order_relaxed)) *
         1e-9;
     m.value = s->value.load(std::memory_order_relaxed);
-    m.max_value = s->max_value.load(std::memory_order_relaxed);
     report.metrics.push_back(std::move(m));
   }
   std::sort(report.metrics.begin(), report.metrics.end(),
@@ -98,7 +95,6 @@ void reset() {
     s->count.store(0, std::memory_order_relaxed);
     s->total_ns.store(0, std::memory_order_relaxed);
     s->value.store(0, std::memory_order_relaxed);
-    s->max_value.store(0, std::memory_order_relaxed);
   }
 }
 
@@ -128,10 +124,6 @@ std::string TraceReport::to_json() const {
     } else {
       std::snprintf(buf, sizeof(buf), ", \"value\": %" PRId64, m.value);
       out += buf;
-      if (m.kind == Kind::kGauge) {
-        std::snprintf(buf, sizeof(buf), ", \"max\": %" PRId64, m.max_value);
-        out += buf;
-      }
     }
     out += "}";
   }
@@ -143,18 +135,16 @@ std::string TraceReport::to_table() const {
   std::string out;
   char buf[512];
   std::snprintf(buf, sizeof(buf), "%-28s %-8s %12s %14s %14s\n", "metric",
-                "kind", "count", "total_s", "value(max)");
+                "kind", "count", "total_s", "value");
   out += buf;
   for (const MetricSnapshot& m : metrics) {
     if (m.kind == Kind::kSpan) {
       std::snprintf(buf, sizeof(buf), "%-28s %-8s %12" PRIu64 " %14.6f %14s\n",
                     m.name.c_str(), kind_name(m.kind), m.count, m.total_s, "");
     } else {
-      char val[64];
-      std::snprintf(val, sizeof(val), "%" PRId64 "(%" PRId64 ")", m.value,
-                    m.max_value);
-      std::snprintf(buf, sizeof(buf), "%-28s %-8s %12" PRIu64 " %14s %14s\n",
-                    m.name.c_str(), kind_name(m.kind), m.count, "", val);
+      std::snprintf(buf, sizeof(buf),
+                    "%-28s %-8s %12" PRIu64 " %14s %14" PRId64 "\n",
+                    m.name.c_str(), kind_name(m.kind), m.count, "", m.value);
     }
     out += buf;
   }

@@ -1,10 +1,9 @@
 // Zero-overhead tracing & metrics layer.
 //
-// Three primitives, all usable from any thread:
+// Two primitives, both usable from any thread:
 //
 //   OBS_SPAN("blossom.price_scan");      // scoped wall-clock timing span
 //   OBS_COUNT("blossom.rounds", 1);      // monotonic counter
-//   OBS_GAUGE("pool.queue_depth", n);    // last-value gauge + high-water mark
 //
 // Each macro expands to a function-local static site registration (one
 // registry lookup per call site for the whole process lifetime) plus a
@@ -37,17 +36,15 @@ namespace mcharge::obs {
 enum class Kind : std::uint8_t {
   kSpan = 0,     ///< scoped timing: count + accumulated seconds
   kCounter = 1,  ///< monotonic sum of deltas
-  kGauge = 2,    ///< last written value + high-water mark
 };
 
 /// One metric in a captured report.
 struct MetricSnapshot {
   std::string name;
   Kind kind = Kind::kSpan;
-  std::uint64_t count = 0;     ///< span entries / counter increments
-  double total_s = 0.0;        ///< spans: accumulated wall seconds
-  std::int64_t value = 0;      ///< counters: sum; gauges: last value
-  std::int64_t max_value = 0;  ///< gauges: high-water mark
+  std::uint64_t count = 0;  ///< span entries / counter increments
+  double total_s = 0.0;     ///< spans: accumulated wall seconds
+  std::int64_t value = 0;   ///< counters: sum of deltas
 };
 
 /// A point-in-time aggregation of every registered site, sorted by name.
@@ -111,7 +108,6 @@ struct Site {
   std::atomic<std::uint64_t> count{0};
   std::atomic<std::uint64_t> total_ns{0};
   std::atomic<std::int64_t> value{0};
-  std::atomic<std::int64_t> max_value{0};
 };
 
 /// Registers (once) and returns the site for `name`. Call sites cache the
@@ -150,16 +146,6 @@ inline void count_add(Site& s, std::int64_t delta) {
   s.value.fetch_add(delta, std::memory_order_relaxed);
 }
 
-inline void gauge_set(Site& s, std::int64_t v) {
-  if (!enabled()) return;
-  s.count.fetch_add(1, std::memory_order_relaxed);
-  s.value.store(v, std::memory_order_relaxed);
-  std::int64_t prev = s.max_value.load(std::memory_order_relaxed);
-  while (prev < v && !s.max_value.compare_exchange_weak(
-                         prev, v, std::memory_order_relaxed)) {
-  }
-}
-
 }  // namespace mcharge::obs
 
 #define MCHARGE_OBS_CAT_(a, b) a##b
@@ -178,17 +164,9 @@ inline void gauge_set(Site& s, std::int64_t v) {
     ::mcharge::obs::count_add(obs_site_c_, (delta));                       \
   } while (0)
 
-#define OBS_GAUGE(name_literal, v)                                         \
-  do {                                                                     \
-    static ::mcharge::obs::Site& obs_site_g_ =                             \
-        ::mcharge::obs::site(name_literal, ::mcharge::obs::Kind::kGauge);  \
-    ::mcharge::obs::gauge_set(obs_site_g_, (v));                           \
-  } while (0)
-
 #else  // MCHARGE_NO_OBS
 
 #define OBS_SPAN(name_literal) ((void)0)
 #define OBS_COUNT(name_literal, delta) ((void)0)
-#define OBS_GAUGE(name_literal, v) ((void)0)
 
 #endif  // MCHARGE_NO_OBS

@@ -1,9 +1,5 @@
 #include "schedule/estimate.h"
 
-#include <algorithm>
-
-#include "util/assert.h"
-
 namespace mcharge::sched {
 
 std::vector<double> estimate_tour_bounds(const model::ChargingProblem& problem,
@@ -30,46 +26,6 @@ std::vector<double> estimate_tour_bounds(const model::ChargingProblem& problem,
     bounds.push_back(total);
   }
   return bounds;
-}
-
-std::vector<double> estimate_tour_energy(const model::ChargingProblem& problem,
-                                         const ChargingPlan& plan,
-                                         const energy::McvBudgetSpec& spec) {
-  std::vector<double> draws;
-  draws.reserve(plan.tours.size());
-  for (std::size_t k = 0; k < plan.tours.size(); ++k) {
-    const auto& tour = plan.tours[k];
-    if (tour.empty()) {
-      draws.push_back(0.0);
-      continue;
-    }
-    const geom::Point start = plan.start_of(k, problem.depot());
-    double meters = geom::distance(start, problem.position(tour.front()));
-    double transfer_s = 0.0;
-    for (std::size_t l = 0; l < tour.size(); ++l) {
-      transfer_s += plan.mode == ChargeMode::kMultiNode
-                        ? problem.tau(tour[l])
-                        : problem.charge_seconds(tour[l]);
-      if (l + 1 < tour.size()) {
-        meters += geom::distance(problem.position(tour[l]),
-                                 problem.position(tour[l + 1]));
-      }
-    }
-    meters += geom::distance(problem.position(tour.back()), problem.depot());
-    draws.push_back(spec.travel_cost_j(meters) +
-                    spec.transfer_cost_j(transfer_s *
-                                         problem.charging_rate_w()));
-  }
-  return draws;
-}
-
-double estimate_longest_delay_bound(const model::ChargingProblem& problem,
-                                    const ChargingPlan& plan) {
-  double worst = 0.0;
-  for (double b : estimate_tour_bounds(problem, plan)) {
-    worst = std::max(worst, b);
-  }
-  return worst;
 }
 
 }  // namespace mcharge::sched

@@ -14,7 +14,6 @@
 
 #include <vector>
 
-#include "energy/mcv_battery.h"
 #include "model/charging_problem.h"
 #include "schedule/plan.h"
 
@@ -25,23 +24,5 @@ namespace mcharge::sched {
 /// upper bound.
 std::vector<double> estimate_tour_bounds(const model::ChargingProblem& problem,
                                          const ChargingPlan& plan);
-
-/// max_k T(k).
-double estimate_longest_delay_bound(const model::ChargingProblem& problem,
-                                    const ChargingPlan& plan);
-
-/// Per-MCV planned energy draw under `spec`: the tour's full driving
-/// distance (start -> stops -> depot) at move_cost_j_per_m plus the
-/// worst-case transfer energy per stop (tau(v) in multi-node mode, t_v in
-/// one-to-one mode, times the charging rate over the transfer efficiency).
-/// Like estimate_tour_bounds this upper-bounds the executed draw: tau'
-/// de-duplication can only shorten sojourns, and an execution never drives
-/// farther than its plan. A tour whose estimate fits spec.capacity_j is
-/// therefore guaranteed not to exhaust mid-round (absent charge jitter).
-/// The cost model is applied regardless of spec.enabled(); the capacity
-/// only gates the executor.
-std::vector<double> estimate_tour_energy(const model::ChargingProblem& problem,
-                                         const ChargingPlan& plan,
-                                         const energy::McvBudgetSpec& spec);
 
 }  // namespace mcharge::sched

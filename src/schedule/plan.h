@@ -38,7 +38,6 @@ struct ChargingPlan {
   /// field positions; every tour still ENDS at the depot.
   std::vector<geom::Point> starts;
 
-  std::size_t num_tours() const { return tours.size(); }
   std::size_t total_stops() const;
   /// The start position of MCV k given the problem's depot.
   geom::Point start_of(std::size_t k, geom::Point depot) const;

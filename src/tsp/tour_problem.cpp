@@ -18,28 +18,25 @@ void TourProblem::ensure_distance_cache() const {
   // recomputed than cached. Keeping this a no-op makes repeated
   // ensure/drop cycles on tiny subproblems allocation-free.
   if (m <= 1) return;
-  xs_.resize(m);
-  ys_.resize(m);
+  std::vector<double> xs(m), ys(m);
   for (std::size_t a = 0; a < m; ++a) {
-    xs_[a] = sites[a].x;
-    ys_[a] = sites[a].y;
+    xs[a] = sites[a].x;
+    ys[a] = sites[a].y;
   }
   depot_dist_.resize(m);
-  simd::distance_row(xs_.data(), ys_.data(), m, depot.x, depot.y,
+  simd::distance_row(xs.data(), ys.data(), m, depot.x, depot.y,
                      depot_dist_.data());
   site_dist_.resize(m * m);
   // Row-wise kernel fill of the upper triangle (diagonal included: the
   // kernel yields +0.0 there), mirrored into the lower triangle so the
   // matrix stays structurally symmetric. Every entry carries exactly the
   // bits geom::distance would produce.
-  simd::distance_matrix(xs_.data(), ys_.data(), m, site_dist_.data());
+  simd::distance_matrix(xs.data(), ys.data(), m, site_dist_.data());
 }
 
 void TourProblem::drop_distance_cache() const {
   site_dist_.clear();
   depot_dist_.clear();
-  xs_.clear();
-  ys_.clear();
   cache_built_ = false;
   cached_m_ = 0;
 }

@@ -44,9 +44,9 @@ struct TourProblem {
   /// Travel time between the depot and a site.
   double travel_depot(SiteId a) const { return distance_depot(a) / speed; }
 
-  /// Builds the O(m^2) symmetric site-distance matrix, the depot distance
-  /// vector and an SoA (x[], y[]) mirror of `sites` if absent (or stale in
-  /// size after sites changed). The matrix is filled row-wise with the
+  /// Builds the O(m^2) symmetric site-distance matrix and the depot
+  /// distance vector if absent (or stale in size after sites changed).
+  /// The matrix is filled row-wise from an SoA copy of `sites` with the
   /// simd::distance_row kernel; every entry is bitwise identical to
   /// geom::distance. For m <= 1 the build is a cheap no-op (no
   /// allocation): there are no site pairs to cache and distance queries
@@ -75,9 +75,6 @@ struct TourProblem {
   const double* depot_distance_ptr() const {
     return depot_dist_.empty() ? nullptr : depot_dist_.data();
   }
-  /// SoA coordinate mirror (x[], y[]); nullptr under the same conditions.
-  const double* soa_x() const { return xs_.empty() ? nullptr : xs_.data(); }
-  const double* soa_y() const { return ys_.empty() ? nullptr : ys_.data(); }
 
   /// Validates invariants (matching vector sizes, positive speed,
   /// non-negative service). Aborts on violation.
@@ -86,7 +83,6 @@ struct TourProblem {
  private:
   mutable std::vector<double> site_dist_;   ///< m*m, row-major, symmetric
   mutable std::vector<double> depot_dist_;  ///< m
-  mutable std::vector<double> xs_, ys_;     ///< SoA mirror of `sites`
   mutable bool cache_built_ = false;
   mutable std::size_t cached_m_ = 0;        ///< site count at build time
 };

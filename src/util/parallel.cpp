@@ -2,76 +2,15 @@
 
 #include <atomic>
 #include <exception>
-
-#include "obs/obs.h"
-#include "util/assert.h"
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace mcharge {
 
 std::size_t default_jobs() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
-}
-
-ThreadPool::ThreadPool(std::size_t threads) {
-  const std::size_t count = threads == 0 ? 1 : threads;
-  workers_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (auto& worker : workers_) worker.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  MCHARGE_ASSERT(task != nullptr, "ThreadPool::submit requires a task");
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    MCHARGE_ASSERT(!stop_, "ThreadPool::submit after shutdown");
-    queue_.push_back(std::move(task));
-    // The pool has no work stealing — a task runs on whichever worker
-    // pops it — so backlog is the one congestion signal worth watching:
-    // the queue depth at submit time (its `max` is the high-water mark).
-    OBS_GAUGE("pool.queue_depth",
-              static_cast<std::int64_t>(queue_.size()));
-  }
-  OBS_COUNT("pool.tasks_submitted", 1);
-  work_cv_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      // Drain remaining tasks even when stopping, so the destructor's
-      // contract (queue fully drained) holds.
-      if (queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++active_;
-    }
-    task();
-    OBS_COUNT("pool.tasks_executed", 1);
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
-    }
-  }
 }
 
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
@@ -88,24 +27,25 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
   std::atomic<bool> failed{false};
   std::exception_ptr first_error;
   std::mutex error_mutex;
-
-  ThreadPool pool(jobs);
-  for (std::size_t w = 0; w < jobs; ++w) {
-    pool.submit([&] {
-      while (!failed.load(std::memory_order_relaxed)) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        try {
-          fn(i);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-          failed.store(true, std::memory_order_relaxed);
-        }
+  const auto claim_loop = [&] {
+    while (!failed.load(std::memory_order_relaxed)) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      try {
+        fn(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mutex);
+        if (!first_error) first_error = std::current_exception();
+        failed.store(true, std::memory_order_relaxed);
       }
-    });
-  }
-  pool.wait_idle();
+    }
+  };
+
+  {
+    std::vector<std::jthread> workers;
+    workers.reserve(jobs);
+    for (std::size_t w = 0; w < jobs; ++w) workers.emplace_back(claim_loop);
+  }  // the jthreads join here
   if (first_error) std::rethrow_exception(first_error);
 }
 

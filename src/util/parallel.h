@@ -1,5 +1,6 @@
-// Fixed-size thread pool and a parallel_for primitive for embarrassingly
-// parallel work (independent simulations, benchmark sweeps).
+// A parallel_for primitive for embarrassingly parallel work (independent
+// simulations, benchmark sweeps). Each call spawns its own workers and
+// joins them before returning; nothing outlives the call.
 //
 // Design rules that keep parallel runs bit-identical to serial runs:
 //  * callers decompose work into independent items indexed 0..n-1 and
@@ -13,12 +14,7 @@
 #pragma once
 
 #include <cstddef>
-#include <condition_variable>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace mcharge {
 
@@ -26,49 +22,11 @@ namespace mcharge {
 /// concurrency, with a floor of 1 (hardware_concurrency may report 0).
 std::size_t default_jobs();
 
-/// A fixed-size pool of worker threads draining a FIFO task queue.
-/// Tasks must not throw; wrap throwing work (parallel_for does this and
-/// rethrows the first exception on the caller).
-///
-/// When tracing is enabled (obs/obs.h) the pool reports
-/// `pool.tasks_submitted` / `pool.tasks_executed` counters and a
-/// `pool.queue_depth` gauge (depth at submit time; `max` = high-water
-/// mark). There is no work stealing to count: tasks are popped FIFO by
-/// whichever worker wakes first, so queue depth is the congestion signal.
-class ThreadPool {
- public:
-  /// Spawns `threads` workers (at least 1).
-  explicit ThreadPool(std::size_t threads);
-  /// Drains the queue, then joins all workers.
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  std::size_t size() const { return workers_.size(); }
-
-  /// Enqueues a task. Must not be called after the destructor has begun.
-  void submit(std::function<void()> task);
-
-  /// Blocks until the queue is empty and no task is executing.
-  void wait_idle();
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
-  std::mutex mutex_;
-  std::condition_variable work_cv_;   ///< signals workers: queue or stop
-  std::condition_variable idle_cv_;   ///< signals wait_idle: all drained
-  std::size_t active_ = 0;            ///< tasks currently executing
-  bool stop_ = false;
-};
-
-/// Runs fn(i) for every i in [0, n) exactly once, across up to `jobs`
-/// worker threads (jobs = 0 means default_jobs()). With jobs <= 1 the
-/// loop runs inline on the calling thread — no pool, no synchronization —
-/// which is the reference serial behavior.
+/// Runs fn(i) for every i in [0, n) exactly once (jobs = 0 means
+/// default_jobs(); jobs is clamped to n). With jobs <= 1 the loop runs
+/// inline on the calling thread — no threads, no synchronization — which
+/// is the reference serial behavior. Otherwise exactly `jobs` worker
+/// threads run the items while the caller only waits for them.
 ///
 /// Items are claimed dynamically (an atomic counter), so the mapping of
 /// items to threads is nondeterministic; see the header comment for the

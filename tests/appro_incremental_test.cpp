@@ -317,12 +317,12 @@ sched::ChargingPlan appro_plan(const model::ChargingProblem& problem,
   std::vector<double> tau_key(n);
   for (std::uint32_t v = 0; v < n; ++v) tau_key[v] = problem.tau(v);
   const std::vector<graph::Vertex> s_i = graph::maximal_independent_set(
-      gc, graph::MisOrder::kIndex, &tau_key, nullptr);
+      gc, graph::MisOrder::kIndex, &tau_key);
   const graph::Graph h = core::overlap_graph(problem, s_i);
   std::vector<double> tau_key_h(s_i.size());
   for (std::size_t i = 0; i < s_i.size(); ++i) tau_key_h[i] = tau_key[s_i[i]];
   const std::vector<graph::Vertex> vh_local = graph::maximal_independent_set(
-      h, graph::MisOrder::kIndex, &tau_key_h, nullptr);
+      h, graph::MisOrder::kIndex, &tau_key_h);
   tsp::TourProblem tour_problem;
   tour_problem.depot = problem.depot();
   tour_problem.speed = problem.speed();

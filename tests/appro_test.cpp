@@ -349,7 +349,7 @@ TEST(Appro, MisOrderOptionsAllFeasible) {
   Rng rng(31);
   const auto p = random_problem(300, 2, rng);
   for (auto order : {graph::MisOrder::kIndex, graph::MisOrder::kMinDegree,
-                     graph::MisOrder::kMaxDegree, graph::MisOrder::kPriority}) {
+                     graph::MisOrder::kPriority}) {
     ApproOptions options;
     options.gc_mis_order = order;
     options.h_mis_order = order;

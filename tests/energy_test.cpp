@@ -1,12 +1,10 @@
-// Tests for the energy module: battery, radio model, routing tree,
+// Tests for the energy module: MCV battery, radio model, routing tree,
 // consumption rates.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
-#include "energy/battery.h"
 #include "energy/consumption.h"
 #include "energy/mcv_battery.h"
 #include "energy/radio.h"
@@ -16,83 +14,6 @@
 
 namespace mcharge::energy {
 namespace {
-
-// ---------- Battery ----------
-
-TEST(Battery, InitialStateClamped) {
-  Battery b(100.0, 150.0);
-  EXPECT_DOUBLE_EQ(b.level(), 100.0);
-  EXPECT_TRUE(b.full());
-  Battery c(100.0, -5.0);
-  EXPECT_DOUBLE_EQ(c.level(), 0.0);
-  EXPECT_TRUE(c.empty());
-}
-
-TEST(Battery, DrainSaturatesAtZero) {
-  Battery b(100.0, 30.0);
-  EXPECT_DOUBLE_EQ(b.drain(20.0), 20.0);
-  EXPECT_DOUBLE_EQ(b.level(), 10.0);
-  EXPECT_DOUBLE_EQ(b.drain(50.0), 10.0);
-  EXPECT_TRUE(b.empty());
-}
-
-TEST(Battery, ChargeSaturatesAtCapacity) {
-  Battery b(100.0, 90.0);
-  EXPECT_DOUBLE_EQ(b.charge(5.0), 5.0);
-  EXPECT_DOUBLE_EQ(b.charge(50.0), 5.0);
-  EXPECT_TRUE(b.full());
-  EXPECT_DOUBLE_EQ(b.deficit(), 0.0);
-}
-
-TEST(Battery, FractionAndDeficit) {
-  Battery b(200.0, 50.0);
-  EXPECT_DOUBLE_EQ(b.fraction(), 0.25);
-  EXPECT_DOUBLE_EQ(b.deficit(), 150.0);
-}
-
-TEST(Battery, ZeroCapacity) {
-  Battery b(0.0, 0.0);
-  EXPECT_TRUE(b.empty());
-  EXPECT_TRUE(b.full());
-  EXPECT_DOUBLE_EQ(b.fraction(), 0.0);
-  EXPECT_DOUBLE_EQ(b.charge(10.0), 0.0);
-}
-
-// ---------- Battery hardening: bad joule amounts must abort ----------
-// std::clamp passes NaN through both comparisons, so before the explicit
-// isfinite asserts a NaN capacity or level silently poisoned every later
-// drain/charge. These death tests pin the asserts in place.
-
-TEST(BatteryDeathTest, NanCapacityAborts) {
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_DEATH(Battery(nan, 0.0), "mcharge assertion failed");
-}
-
-TEST(BatteryDeathTest, NegativeCapacityAborts) {
-  EXPECT_DEATH(Battery(-1.0, 0.0), "mcharge assertion failed");
-}
-
-TEST(BatteryDeathTest, NanSetLevelAborts) {
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  Battery b(100.0, 50.0);
-  EXPECT_DEATH(b.set_level(nan), "mcharge assertion failed");
-}
-
-TEST(BatteryDeathTest, BadDrainAborts) {
-  Battery b(100.0, 50.0);
-  EXPECT_DEATH(b.drain(-1.0), "mcharge assertion failed");
-  EXPECT_DEATH(b.drain(std::numeric_limits<double>::quiet_NaN()),
-               "mcharge assertion failed");
-  EXPECT_DEATH(b.drain(std::numeric_limits<double>::infinity()),
-               "mcharge assertion failed");
-}
-
-TEST(BatteryDeathTest, BadChargeAborts) {
-  Battery b(100.0, 50.0);
-  EXPECT_DEATH(b.charge(-1.0), "mcharge assertion failed");
-  EXPECT_DEATH(b.charge(std::numeric_limits<double>::quiet_NaN()),
-               "mcharge assertion failed");
-}
 
 // ---------- MCV battery ----------
 

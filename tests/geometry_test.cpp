@@ -45,18 +45,6 @@ TEST(BoundingBox, ExpandAndContains) {
   EXPECT_DOUBLE_EQ(box.height(), 3.0);
 }
 
-TEST(ClosedTourLength, SquarePerimeter) {
-  const std::vector<Point> square{{0, 0}, {1, 0}, {1, 1}, {0, 1}};
-  EXPECT_DOUBLE_EQ(closed_tour_length(square), 4.0);
-}
-
-TEST(ClosedTourLength, DegenerateCases) {
-  EXPECT_DOUBLE_EQ(closed_tour_length({}), 0.0);
-  EXPECT_DOUBLE_EQ(closed_tour_length({{5, 5}}), 0.0);
-  // Two points: out and back.
-  EXPECT_DOUBLE_EQ(closed_tour_length({{0, 0}, {3, 4}}), 10.0);
-}
-
 TEST(Centroid, OfSquare) {
   const std::vector<Point> square{{0, 0}, {2, 0}, {2, 2}, {0, 2}};
   const Point c = centroid(square);
@@ -112,6 +100,25 @@ TEST_P(GridIndexProperty, MatchesBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GridIndexProperty, ::testing::Range(0, 8));
+
+TEST(GridIndex, FarOutlierKeepsBucketTableSmall) {
+  // A cluster plus one point ~1e12 m away: one bucket per 2.7 m cell of the
+  // bounding box would need ~1.4e23 buckets. The index must build and
+  // answer every query exactly as brute force does.
+  Rng rng(11);
+  auto pts = uniform_field(60, 20.0, 20.0, rng);
+  pts.push_back({1e12, 1e12});
+  GridIndex index(pts, 2.7);
+  for (int q = 0; q < 40; ++q) {
+    const Point c{rng.uniform(-5, 25), rng.uniform(-5, 25)};
+    const double r = rng.uniform(0.0, 6.0);
+    EXPECT_EQ(index.query_disk(c, r), brute_disk(pts, c, r))
+        << "center (" << c.x << "," << c.y << ") r " << r;
+  }
+  EXPECT_EQ(index.query_disk({1e12, 1e12}, 1.0),
+            (std::vector<std::uint32_t>{60}));
+  EXPECT_EQ(index.query_disk_excluding({1e12, 1e12}, 1.0, 60).size(), 0u);
+}
 
 TEST(GridIndex, VisitEarlyStop) {
   Rng rng(3);

@@ -49,17 +49,6 @@ TEST(MakeInstance, DeterministicGivenSeed) {
   }
 }
 
-TEST(WrsnInstance, DepletionSeconds) {
-  NetworkConfig config;
-  Rng rng(3);
-  auto instance = make_instance(config, 10, rng);
-  instance.consumption_w[0] = 2.0;  // easy arithmetic: 10.8 kJ battery
-  EXPECT_DOUBLE_EQ(instance.depletion_seconds(0, 1.0, 0.2),
-                   0.8 * 10.8e3 / 2.0);
-  instance.consumption_w[1] = 0.0;
-  EXPECT_TRUE(std::isinf(instance.depletion_seconds(1, 1.0, 0.0)));
-}
-
 TEST(NetworkConfig, ChargeSecondsMatchesPaper) {
   NetworkConfig config;
   // Full battery from empty: 10.8 kJ / 2 W = 1.5 hours (Section VI-A).
@@ -167,6 +156,16 @@ TEST(ChargingProblem, CoincidentSensorsShareCoverage) {
   ChargingProblem p(std::move(pts), {10.0, 20.0}, {0, 0}, 2.7, 1.0, 1);
   EXPECT_EQ(p.coverage(0).size(), 2u);
   EXPECT_DOUBLE_EQ(p.tau(0), 20.0);
+}
+
+TEST(ChargingProblem, FarOutlierSensorIsAccepted) {
+  // One sensor 1e12 m out used to size the coverage grid by its bounding
+  // box (~1.4e23 cells) and throw; the grid now widens its cell instead.
+  ChargingProblem p({{0, 0}, {1, 0}, {1e12, 1e12}}, {1.0, 1.0, 1.0}, {0, 0},
+                    2.7, 1.0, 2);
+  EXPECT_EQ(p.coverage(0), (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(p.coverage(1), (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(p.coverage(2), (std::vector<std::uint32_t>{2}));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests for the tracing & metrics layer (src/obs) and its central
 // contract: observation never changes behavior.
 //
-// Part 1 exercises the primitives themselves (spans, counters, gauges,
+// Part 1 exercises the primitives themselves (spans, counters,
 // enable scoping, report rendering) — compiled only when the layer is
 // built in, since -DMCHARGE_NO_OBS=ON erases the macros by design.
 //
@@ -51,7 +51,7 @@ const obs::MetricSnapshot* find_metric(const obs::TraceReport& report,
   return nullptr;
 }
 
-TEST(ObsPrimitives, SpanCounterGaugeAccumulate) {
+TEST(ObsPrimitives, SpanCounterAccumulate) {
   obs::reset();
   const obs::EnabledScope scope(true);
   for (int i = 0; i < 3; ++i) {
@@ -59,8 +59,6 @@ TEST(ObsPrimitives, SpanCounterGaugeAccumulate) {
   }
   OBS_COUNT("obs_test.unit.counter", 5);
   OBS_COUNT("obs_test.unit.counter", 7);
-  OBS_GAUGE("obs_test.unit.gauge", 9);
-  OBS_GAUGE("obs_test.unit.gauge", 4);
 
   const obs::TraceReport report = obs::capture();
   const auto* span = find_metric(report, "obs_test.unit.span");
@@ -74,13 +72,6 @@ TEST(ObsPrimitives, SpanCounterGaugeAccumulate) {
   EXPECT_EQ(counter->kind, obs::Kind::kCounter);
   EXPECT_EQ(counter->count, 2u);
   EXPECT_EQ(counter->value, 12);
-
-  const auto* gauge = find_metric(report, "obs_test.unit.gauge");
-  ASSERT_NE(gauge, nullptr);
-  EXPECT_EQ(gauge->kind, obs::Kind::kGauge);
-  EXPECT_EQ(gauge->count, 2u);
-  EXPECT_EQ(gauge->value, 4);
-  EXPECT_EQ(gauge->max_value, 9);
 }
 
 TEST(ObsPrimitives, DisabledSitesRegisterButStayZero) {

@@ -1,7 +1,8 @@
-// Unit tests for the thread pool and the parallel_for primitive.
+// Unit tests for the parallel_for primitive and per-item seeding.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -12,46 +13,6 @@
 
 namespace mcharge {
 namespace {
-
-// ---------- ThreadPool ----------
-
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&ran] { ran.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 100);
-}
-
-TEST(ThreadPool, ZeroThreadsClampsToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1u);
-  std::atomic<int> ran{0};
-  pool.submit([&ran] { ran.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(ThreadPool, DestructorDrainsQueue) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&ran] { ran.fetch_add(1); });
-    }
-    // No wait_idle: the destructor must still drain all 50 tasks.
-  }
-  EXPECT_EQ(ran.load(), 50);
-}
-
-TEST(ThreadPool, WaitIdleReturnsWithNoTasks) {
-  ThreadPool pool(3);
-  pool.wait_idle();  // must not deadlock on an empty pool
-  SUCCEED();
-}
 
 // ---------- parallel_for ----------
 
@@ -79,6 +40,25 @@ TEST(ParallelFor, SerialFallbackRunsInlineAndInOrder) {
       1);
   ASSERT_EQ(order.size(), 100u);
   for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(ParallelFor, RunsOnAtMostJobsWorkerThreads) {
+  // With jobs >= 2 the items run on at most `jobs` worker threads, and
+  // the calling thread only waits: it never runs an item itself.
+  const auto caller = std::this_thread::get_id();
+  for (const std::size_t jobs : {2u, 3u, 4u}) {
+    std::mutex mutex;
+    std::set<std::thread::id> ids;
+    parallel_for(
+        2000,
+        [&](std::size_t) {
+          std::lock_guard<std::mutex> lock(mutex);
+          ids.insert(std::this_thread::get_id());
+        },
+        jobs);
+    EXPECT_LE(ids.size(), jobs) << "jobs " << jobs;
+    EXPECT_EQ(ids.count(caller), 0u) << "jobs " << jobs;
+  }
 }
 
 TEST(ParallelFor, ZeroItemsIsANoop) {

@@ -516,8 +516,9 @@ TEST(Estimate, OneToOneEstimateIsExact) {
   plan.mode = ChargeMode::kOneToOne;
   plan.tours = {{0, 1, 2}};
   const auto schedule = execute_plan(p, plan);
-  EXPECT_DOUBLE_EQ(estimate_longest_delay_bound(p, plan),
-                   schedule.longest_delay());
+  const auto bounds = estimate_tour_bounds(p, plan);
+  ASSERT_EQ(bounds.size(), 1u);
+  EXPECT_DOUBLE_EQ(bounds[0], schedule.longest_delay());
 }
 
 TEST(Estimate, EmptyTourIsZero) {

@@ -618,9 +618,9 @@ TEST(Validation, RejectsMismatchedPerSensorArrays) {
 }
 
 TEST(Validation, RejectsZeroOrNegativeSensorCapacity) {
-  // Battery::fraction() reads a zero-capacity battery as permanently
-  // empty (0.0) rather than erroring — the simulator must therefore never
-  // accept one (a "charged" sensor would still read empty).
+  // A zero-capacity battery is permanently empty — the simulator must
+  // therefore never accept one (a "charged" sensor would still read
+  // empty).
   Rng rng(4);
   const auto instance = model::make_instance(model::NetworkConfig{}, 10, rng);
 

@@ -578,7 +578,6 @@ TEST(DistanceCache, EmptyProblemBuildIsANoOpButCounts) {
   // ensure/drop cycles on empty subproblems must stay allocation-free.
   EXPECT_TRUE(p.has_distance_cache());
   EXPECT_EQ(p.depot_distance_ptr(), nullptr);
-  EXPECT_EQ(p.soa_x(), nullptr);
   p.drop_distance_cache();
   EXPECT_FALSE(p.has_distance_cache());
 }
@@ -624,8 +623,6 @@ TEST(DistanceCache, RowPointersMatchQueries) {
     for (SiteId b = 0; b < p.size(); ++b) {
       EXPECT_EQ(row[b], p.distance(a, b));
     }
-    EXPECT_EQ(p.soa_x()[a], p.sites[a].x);
-    EXPECT_EQ(p.soa_y()[a], p.sites[a].y);
   }
 }
 
