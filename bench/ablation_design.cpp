@@ -1,8 +1,9 @@
 // Ablation bench for algorithm Appro's design choices (DESIGN.md section 4):
-//  * tour construction inside the K-optimal closed tour substrate
-//    (nearest-neighbor / greedy-edge / double-tree / Christofides);
-//  * 2-opt / Or-opt improvement on vs off;
-//  * MIS scan order for S_I and V'_H (index / min-degree / priority-by-tau).
+//  * 2-opt / Or-opt improvement on vs off inside the K-optimal closed tour
+//    substrate;
+//  * the MIS + overlap-graph machinery vs greedy max-coverage.
+// The retired tour-builder, MIS-order and insertion-rule rows are frozen in
+// EXPERIMENTS.md with the commit that measured them.
 //
 // Measures the executed longest charge delay on fresh charging rounds
 // (not the simulator loop, which would mix in request-dynamics noise).
@@ -61,22 +62,14 @@ int main(int argc, char** argv) {
   const CliFlags flags(argc, argv);
   const bench::TraceOutput trace(flags);
   const auto n = flags.get_size("n", 1000);
-  const auto k = flags.get_size("chargers", 2);
-  const auto rounds = flags.get_size("rounds", 10);
+  const auto k = flags.get_count("chargers", 2);
+  const auto rounds = flags.get_count("rounds", 10);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const auto jobs = flags.get_size("jobs", 0);
 
   std::vector<Variant> variants;
   {
     Variant v{"default (christofides+improve)", {}};
-    variants.push_back(v);
-  }
-  for (auto [label, builder] :
-       {std::pair{"builder=nearest-neighbor", tsp::TourBuilder::kNearestNeighbor},
-        std::pair{"builder=greedy-edge", tsp::TourBuilder::kGreedyEdge},
-        std::pair{"builder=double-tree", tsp::TourBuilder::kDoubleTree}}) {
-    Variant v{label, {}};
-    v.options.tour.builder = builder;
     variants.push_back(v);
   }
   {
@@ -89,23 +82,6 @@ int main(int argc, char** argv) {
   {
     Variant v{"2-opt only (no or-opt)", {}};
     v.options.tour.improve.use_or_opt = false;
-    variants.push_back(v);
-  }
-  {
-    Variant v{"mis=min-degree", {}};
-    v.options.gc_mis_order = graph::MisOrder::kMinDegree;
-    v.options.h_mis_order = graph::MisOrder::kMinDegree;
-    variants.push_back(v);
-  }
-  {
-    Variant v{"mis=priority(tau)", {}};
-    v.options.gc_mis_order = graph::MisOrder::kPriority;
-    v.options.h_mis_order = graph::MisOrder::kPriority;
-    variants.push_back(v);
-  }
-  {
-    Variant v{"insertion=cheapest-detour", {}};
-    v.options.insertion = core::InsertionRule::kCheapestNeighborDetour;
     variants.push_back(v);
   }
 

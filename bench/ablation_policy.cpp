@@ -45,8 +45,8 @@ int main(int argc, char** argv) {
   const CliFlags flags(argc, argv);
   const bench::TraceOutput trace(flags);
   const auto n = flags.get_size("n", 1000);
-  const auto k = flags.get_size("chargers", 2);
-  const auto instances = flags.get_size("instances", 5);
+  const auto k = flags.get_count("chargers", 2);
+  const auto instances = flags.get_count("instances", 5);
   const double months = flags.get_double("months", 12.0);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const auto jobs = flags.get_size("jobs", 0);

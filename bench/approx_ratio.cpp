@@ -42,11 +42,11 @@ model::ChargingProblem random_round(std::size_t n, std::size_t k, Rng& rng,
 
 int main(int argc, char** argv) {
   const CliFlags flags(argc, argv);
-  const auto tiny_instances = flags.get_size("tiny_instances", 200);
+  const auto tiny_instances = flags.get_count("tiny_instances", 200);
   const auto tiny_n = flags.get_size("tiny_n", 5);
-  const auto big_instances = flags.get_size("big_instances", 20);
+  const auto big_instances = flags.get_count("big_instances", 20);
   const auto big_n = flags.get_size("big_n", 1000);
-  const auto k = flags.get_size("chargers", 2);
+  const auto k = flags.get_count("chargers", 2);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
 
   core::ApproScheduler appro;

@@ -13,8 +13,8 @@ int main(int argc, char** argv) {
   const auto settings = bench::SweepSettings::from_flags(flags);
   const auto n_min = flags.get_size("nmin", 200);
   const auto n_max = flags.get_size("nmax", 1200);
-  const auto n_step = flags.get_size("nstep", 200);
-  const auto k = flags.get_size("chargers", 2);
+  const auto n_step = flags.get_count("nstep", 200);
+  const auto k = flags.get_count("chargers", 2);
 
   bench::FigureSweep sweep("Fig. 3", "n", settings);
   for (std::size_t n = n_min; n <= n_max; n += n_step) {

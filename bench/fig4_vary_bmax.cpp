@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
   const bench::TraceOutput trace(flags);
   const auto settings = bench::SweepSettings::from_flags(flags);
   const auto n = flags.get_size("n", 1000);
-  const auto k = flags.get_size("chargers", 2);
+  const auto k = flags.get_count("chargers", 2);
 
   bench::FigureSweep sweep("Fig. 4", "b_max_kbps", settings);
   for (int bmax_kbps = 10; bmax_kbps <= 50; bmax_kbps += 10) {

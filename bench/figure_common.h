@@ -73,7 +73,7 @@ struct SweepSettings {
 
   static SweepSettings from_flags(const CliFlags& flags) {
     SweepSettings s;
-    s.instances = flags.get_size("instances", 10);
+    s.instances = flags.get_count("instances", 10);
     s.months = flags.get_double("months", 12.0);
     s.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
     s.jobs = flags.get_size("jobs", 0);

@@ -223,7 +223,7 @@ BENCHMARK(BM_ChristofidesTour)->Arg(50)->Arg(150)->Arg(350);
 void BM_TwoOpt(benchmark::State& state) {
   const auto p =
       make_tour_problem(static_cast<std::size_t>(state.range(0)), 7);
-  const auto base = tsp::nearest_neighbor_tour(p);
+  const auto base = tsp::christofides_tour(p);
   p.drop_distance_cache();  // measure the uncached (on-the-fly) hot path
   for (auto _ : state) {
     auto tour = base;
@@ -238,7 +238,7 @@ void BM_TwoOptCached(benchmark::State& state) {
   // two benches is pure distance-recomputation overhead.
   const auto p =
       make_tour_problem(static_cast<std::size_t>(state.range(0)), 7);
-  const auto base = tsp::nearest_neighbor_tour(p);
+  const auto base = tsp::christofides_tour(p);
   p.ensure_distance_cache();
   for (auto _ : state) {
     auto tour = base;
@@ -250,7 +250,7 @@ BENCHMARK(BM_TwoOptCached)->Arg(50)->Arg(150)->Arg(350)->Arg(1200);
 void BM_OrOpt(benchmark::State& state) {
   const auto p =
       make_tour_problem(static_cast<std::size_t>(state.range(0)), 7);
-  const auto base = tsp::nearest_neighbor_tour(p);
+  const auto base = tsp::christofides_tour(p);
   p.drop_distance_cache();
   for (auto _ : state) {
     auto tour = base;
@@ -262,7 +262,7 @@ BENCHMARK(BM_OrOpt)->Arg(50)->Arg(150)->Arg(350);
 void BM_OrOptCached(benchmark::State& state) {
   const auto p =
       make_tour_problem(static_cast<std::size_t>(state.range(0)), 7);
-  const auto base = tsp::nearest_neighbor_tour(p);
+  const auto base = tsp::christofides_tour(p);
   p.ensure_distance_cache();
   for (auto _ : state) {
     auto tour = base;

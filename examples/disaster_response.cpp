@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   using namespace mcharge;
   const CliFlags flags(argc, argv);
   const auto n = flags.get_size("sensors", 500);
-  const auto k = flags.get_size("chargers", 3);
+  const auto k = flags.get_count("chargers", 3);
   Rng rng(static_cast<std::uint64_t>(flags.get_int("seed", 42)));
 
   model::NetworkConfig config;

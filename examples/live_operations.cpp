@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   using namespace mcharge;
   const CliFlags flags(argc, argv);
   const auto n = flags.get_size("sensors", 250);
-  const auto k = flags.get_size("chargers", 3);
+  const auto k = flags.get_count("chargers", 3);
   const double interrupt = flags.get_double("interrupt", 0.4);
   const std::string svg_prefix = flags.get("svg_prefix", "");
   Rng rng(static_cast<std::uint64_t>(flags.get_int("seed", 17)));

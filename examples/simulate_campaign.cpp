@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
     instance = *loaded;
   } else {
     model::NetworkConfig config;
-    config.num_chargers = flags.get_size("chargers", 2);
+    config.num_chargers = flags.get_count("chargers", 2);
     config.request_threshold = flags.get_double("threshold", 0.2);
     config.rate_max_bps = flags.get_double("bmax_kbps", 50.0) * 1e3;
     if (flags.get("routing", "minhop") == "minenergy") {

@@ -1,10 +1,10 @@
 #include "core/appro.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "core/overlap_graph.h"
+#include "graph/mis.h"
 #include "obs/obs.h"
 #include "util/assert.h"
 #include "util/simd.h"
@@ -107,21 +107,6 @@ void recompute_finish_from(TravelCache& travel, WorkTour& tour,
   }
 }
 
-/// Travel detour of inserting sensor `u` right after position `pos`:
-/// d(seq[pos], u) + d(u, succ) - d(seq[pos], succ), where succ is the next
-/// stop (or the depot leg for the last position).
-double p_travel_after(TravelCache& travel, const WorkTour& tour,
-                      std::size_t pos, std::uint32_t u) {
-  const std::uint32_t at = tour.seq[pos];
-  if (pos + 1 < tour.seq.size()) {
-    const std::uint32_t succ = tour.seq[pos + 1];
-    return travel.travel(at, u) + travel.travel(u, succ) -
-           travel.travel(at, succ);
-  }
-  return travel.travel(at, u) + travel.travel_depot(u) -
-         travel.travel_depot(at);
-}
-
 }  // namespace
 
 ApproScheduler::ApproScheduler(ApproOptions options)
@@ -146,16 +131,13 @@ sched::ChargingPlan ApproScheduler::plan_with_stats(
 
   OBS_SPAN("appro.plan");
 
-  // Steps 1-2: charging graph and its MIS S_I. Priority orders use the
-  // worst-case sojourn time tau(v) as the key (urgent locations first).
+  // Steps 1-2: charging graph and its MIS S_I.
   graph::Graph gc;
-  std::vector<double> tau_key(n);
   std::vector<graph::Vertex> s_i;
   {
     OBS_SPAN("appro.charging_graph_mis");
     gc = charging_graph(problem);
-    for (std::uint32_t v = 0; v < n; ++v) tau_key[v] = problem.tau(v);
-    s_i = graph::maximal_independent_set(gc, options_.gc_mis_order, &tau_key);
+    s_i = graph::maximal_independent_set(gc);
     MCHARGE_ASSERT(graph::is_maximal_independent_set(gc, s_i),
                    "S_I must be a maximal independent set of G_c");
   }
@@ -171,12 +153,7 @@ sched::ChargingPlan ApproScheduler::plan_with_stats(
   std::vector<graph::Vertex> vh_local;
   {
     OBS_SPAN("appro.h_mis");
-    std::vector<double> tau_key_h(s_i.size());
-    for (std::size_t i = 0; i < s_i.size(); ++i) {
-      tau_key_h[i] = tau_key[s_i[i]];
-    }
-    vh_local =
-        graph::maximal_independent_set(h, options_.h_mis_order, &tau_key_h);
+    vh_local = graph::maximal_independent_set(h);
   }
 
   // Step 5: K min-max closed tours over V'_H with service times tau(v).
@@ -296,12 +273,13 @@ sched::ChargingPlan ApproScheduler::plan_with_stats(
 
   // N'_H(u): H-neighbors already placed in tours. Non-empty because V'_H
   // is maximal in H (u must have a neighbor in V'_H). Picks the placed
-  // neighbor the insertion rule prefers and bumps the case counters.
-  auto choose_placement = [&](std::uint32_t hi, std::uint32_t u,
-                              std::int32_t& best_tour, std::size_t& best_pos) {
+  // neighbor with the largest charging finish time (Eqs. (9)/(13)) and
+  // bumps the case counters.
+  auto choose_placement = [&](std::uint32_t hi, std::int32_t& best_tour,
+                              std::size_t& best_pos) {
     best_tour = -1;
     best_pos = 0;
-    double best_key = -kInf;
+    double best_finish = -kInf;
     seen_tours.clear();
     for (graph::Vertex nb : h.neighbors(hi)) {
       const std::uint32_t sensor = s_i[nb];
@@ -311,20 +289,10 @@ sched::ChargingPlan ApproScheduler::plan_with_stats(
           seen_tours.end()) {
         seen_tours.push_back(t);
       }
-      const auto& wt = tours[static_cast<std::size_t>(t)];
       const std::size_t pos = pos_of[sensor];
-      double key;
-      if (options_.insertion == InsertionRule::kAfterMaxFinishNeighbor) {
-        // Paper: maximize the neighbor's charging finish time.
-        key = wt.finish[pos];
-      } else {
-        // Ablation: minimize the travel detour of inserting after `pos`
-        // (maximize its negation).
-        const double to_u = p_travel_after(travel, wt, pos, u);
-        key = -to_u;
-      }
-      if (key > best_key) {
-        best_key = key;
+      const double finish = tours[static_cast<std::size_t>(t)].finish[pos];
+      if (finish > best_finish) {
+        best_finish = finish;
         best_tour = t;
         best_pos = pos;
       }
@@ -425,7 +393,7 @@ sched::ChargingPlan ApproScheduler::plan_with_stats(
     }
     std::int32_t best_tour = -1;
     std::size_t best_pos = 0;
-    choose_placement(hi, u, best_tour, best_pos);
+    choose_placement(hi, best_tour, best_pos);
 
     const auto t = static_cast<std::size_t>(best_tour);
     auto& tour = tours[t];

@@ -29,34 +29,14 @@
 #include <vector>
 
 #include "energy/mcv_battery.h"
-#include "graph/mis.h"
 #include "schedule/scheduler.h"
 #include "tsp/split.h"
 
 namespace mcharge::core {
 
-/// Where step 6 places a pending node relative to its placed H-neighbors.
-enum class InsertionRule {
-  /// The paper's rule (Eqs. (9)/(13)): right after the H-neighbor with the
-  /// largest charging finish time — the choice that argues away overlap.
-  kAfterMaxFinishNeighbor,
-  /// Ablation: right after the H-neighbor whose tour position minimizes the
-  /// travel detour. Can produce shorter tours but relies on the executor's
-  /// conflict waiting for feasibility; the ablation bench measures how much
-  /// waiting this actually induces.
-  kCheapestNeighborDetour,
-};
-
 struct ApproOptions {
-  /// Scan order for the MIS over G_c (step 2). kIndex reproduces the
-  /// paper's unspecified "find an MIS"; other orders are ablation knobs.
-  graph::MisOrder gc_mis_order = graph::MisOrder::kIndex;
-  /// Scan order for the MIS over H (step 4).
-  graph::MisOrder h_mis_order = graph::MisOrder::kIndex;
   /// Tour construction for the K-optimal closed tour substrate (step 5).
   tsp::MinMaxTourOptions tour;
-  /// Placement rule for the insertion phase (step 6).
-  InsertionRule insertion = InsertionRule::kAfterMaxFinishNeighbor;
   /// Per-MCV energy budget the fleet will execute under (disabled by
   /// default — the planner is then byte-identical to the budget-free
   /// one). When enabled, step 5's K-tour split also cuts on each

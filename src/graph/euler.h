@@ -1,7 +1,7 @@
 // Eulerian circuits on undirected multigraphs (Hierholzer's algorithm).
 //
-// Used by the Christofides and double-tree TSP constructions, where the
-// multigraph (MST + matching, or doubled MST) has all-even degrees.
+// Used by the Christofides TSP construction, where the multigraph
+// (MST + matching) has all-even degrees.
 #pragma once
 
 #include <cstdint>

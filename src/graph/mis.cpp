@@ -1,44 +1,16 @@
 #include "graph/mis.h"
 
-#include <algorithm>
-#include <numeric>
-
-#include "util/assert.h"
-
 namespace mcharge::graph {
 
-std::vector<Vertex> maximal_independent_set(
-    const Graph& g, MisOrder order, const std::vector<double>* priority) {
+std::vector<Vertex> maximal_independent_set(const Graph& g) {
   const std::size_t n = g.num_vertices();
-  std::vector<Vertex> scan(n);
-  std::iota(scan.begin(), scan.end(), Vertex{0});
-
-  switch (order) {
-    case MisOrder::kIndex:
-      break;
-    case MisOrder::kMinDegree:
-      std::stable_sort(scan.begin(), scan.end(), [&](Vertex a, Vertex b) {
-        return g.degree(a) < g.degree(b);
-      });
-      break;
-    case MisOrder::kPriority:
-      MCHARGE_ASSERT(priority != nullptr && priority->size() == n,
-                     "kPriority needs one key per vertex");
-      std::stable_sort(scan.begin(), scan.end(), [&](Vertex a, Vertex b) {
-        return (*priority)[a] < (*priority)[b];
-      });
-      break;
-  }
-
   std::vector<char> blocked(n, 0);
   std::vector<Vertex> result;
-  for (Vertex v : scan) {
+  for (Vertex v = 0; v < n; ++v) {
     if (blocked[v]) continue;
     result.push_back(v);
-    blocked[v] = 1;
     for (Vertex u : g.neighbors(v)) blocked[u] = 1;
   }
-  std::sort(result.begin(), result.end());
   return result;
 }
 

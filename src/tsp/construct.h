@@ -1,6 +1,6 @@
-// Closed-tour construction heuristics over a TourProblem.
+// Closed-tour construction over a TourProblem.
 //
-// All constructors return a complete tour (a permutation of all sites); the
+// The constructor returns a complete tour (a permutation of all sites); the
 // depot is implicit at both ends. The TSP is solved over sites + depot; the
 // returned order is the cycle cut at the depot.
 #pragma once
@@ -10,16 +10,6 @@
 
 namespace mcharge::tsp {
 
-enum class TourBuilder {
-  kNearestNeighbor,  ///< start at depot, repeatedly visit nearest unvisited
-  kGreedyEdge,       ///< cheapest-edge cycle construction
-  kDoubleTree,       ///< MST doubling + Euler shortcut (2-approx on travel)
-  kChristofides,     ///< MST + odd-vertex matching + Euler (1.5-approx)
-};
-
-Tour nearest_neighbor_tour(const TourProblem& problem);
-Tour greedy_edge_tour(const TourProblem& problem);
-Tour double_tree_tour(const TourProblem& problem);
 /// Christofides: MST + minimum-weight matching on the odd-degree
 /// vertices + Euler shortcut. The matching runs on the odd vertices'
 /// coordinates through the geometric engine dispatch, so `matching`
@@ -28,7 +18,14 @@ Tour double_tree_tour(const TourProblem& problem);
 Tour christofides_tour(const TourProblem& problem,
                        const matching::MatchingOptions& matching = {});
 
-/// Dispatch on TourBuilder; `matching` applies to kChristofides only.
+/// One-value enum kept only for the benchmark replay, which still reads
+/// MinMaxTourOptions::builder; it goes, with build_tour, at the next
+/// benchmark change.
+enum class TourBuilder {
+  kChristofides,  ///< MST + odd-vertex matching + Euler (1.5-approx)
+};
+
+/// Forwards to christofides_tour; goes with TourBuilder.
 Tour build_tour(const TourProblem& problem, TourBuilder builder,
                 const matching::MatchingOptions& matching = {});
 

@@ -152,7 +152,7 @@ SplitResult min_max_k_tours(const TourProblem& problem, std::size_t k,
   Tour tour;
   {
     OBS_SPAN("tsp.construct");
-    tour = build_tour(problem, options.builder, options.matching);
+    tour = christofides_tour(problem, options.matching);
   }
   {
     OBS_SPAN("tsp.improve_tour");

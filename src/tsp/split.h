@@ -54,8 +54,10 @@ SplitResult split_min_max(const TourProblem& problem, const Tour& tour,
                           std::size_t k, const SegmentEnergyCap& cap = {});
 
 struct MinMaxTourOptions {
+  /// Read only by the benchmark replay; goes with TourBuilder at the next
+  /// benchmark change.
   TourBuilder builder = TourBuilder::kChristofides;
-  /// Odd-vertex matching engine for kChristofides (sparse blossom by
+  /// Odd-vertex matching engine for Christofides (sparse blossom by
   /// default; forcing dense yields byte-identical tours).
   matching::MatchingOptions matching;
   ImproveOptions improve;       ///< applied to the global tour before split

@@ -10,6 +10,14 @@ namespace mcharge {
 
 namespace {
 
+/// Reports a flag whose value is not `what` and exits with status 2.
+[[noreturn]] void reject(const std::string& key, const std::string& value,
+                         const char* what) {
+  std::fprintf(stderr, "error: --%s=%s is not %s\n", key.c_str(),
+               value.c_str(), what);
+  std::exit(2);
+}
+
 /// Parses all of `value` as a T, or reports the flag and exits with 2.
 template <typename T>
 T parse_whole(const std::string& key, const std::string& value,
@@ -17,11 +25,7 @@ T parse_whole(const std::string& key, const std::string& value,
   T out{};
   const char* const end = value.data() + value.size();
   const auto [ptr, ec] = std::from_chars(value.data(), end, out);
-  if (ec != std::errc{} || ptr != end) {
-    std::fprintf(stderr, "error: --%s=%s is not %s\n", key.c_str(),
-                 value.c_str(), what);
-    std::exit(2);
-  }
+  if (ec != std::errc{} || ptr != end) reject(key, value, what);
   return out;
 }
 
@@ -64,6 +68,16 @@ std::size_t CliFlags::get_size(const std::string& key,
   return it == flags_.end() ? fallback
                             : parse_whole<std::size_t>(
                                   key, it->second, "a non-negative integer");
+}
+
+std::size_t CliFlags::get_count(const std::string& key,
+                                std::size_t fallback) const {
+  auto it = flags_.find(key);
+  if (it == flags_.end()) return fallback;
+  const char* const what = "a positive integer";
+  const auto count = parse_whole<std::size_t>(key, it->second, what);
+  if (count == 0) reject(key, it->second, what);
+  return count;
 }
 
 double CliFlags::get_double(const std::string& key, double fallback) const {

@@ -11,8 +11,9 @@ namespace mcharge {
 /// Arguments that do not start with "--" are ignored.
 ///
 /// The numeric getters must consume the whole value: a malformed number
-/// (`--instances=1O0`, `--jobs=abc`, or a negative count for get_size)
-/// prints the flag and its value to stderr and exits with status 2.
+/// (`--instances=1O0`, `--jobs=abc`, a negative count for get_size, or a
+/// zero for get_count) prints the flag and its value to stderr and exits
+/// with status 2.
 class CliFlags {
  public:
   CliFlags(int argc, const char* const* argv);
@@ -22,6 +23,9 @@ class CliFlags {
   long long get_int(const std::string& key, long long fallback) const;
   /// Non-negative integer (counts, sizes, job numbers).
   std::size_t get_size(const std::string& key, std::size_t fallback) const;
+  /// Positive integer, for counts where zero is meaningless (chargers,
+  /// instances, rounds).
+  std::size_t get_count(const std::string& key, std::size_t fallback) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
 

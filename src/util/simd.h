@@ -4,9 +4,9 @@
 // simulator's two drain scans, and the blossom core's three int64
 // dual-adjustment loops. A kernel stays on the dispatch table only while
 // a benchmark workload measurably slows with its scalar twin; the loops
-// that did not pay (the nearest-neighbour argmin, the split lower-bound
-// max and the sparse engine's pricing prefilter) live as plain scalar
-// loops at their one caller each (DESIGN.md, EXPERIMENTS.md).
+// that did not pay (the split lower-bound max and the sparse engine's
+// pricing prefilter) live as plain scalar loops at their one caller each
+// (DESIGN.md, EXPERIMENTS.md).
 //
 // Bitwise-identity contract
 // -------------------------

@@ -11,8 +11,8 @@
 // contract: the incremental insertion, the exact-replay local-search
 // caches, and every SIMD-backend setting must reproduce the reference
 // plans and tours bit for bit — same tours, same stats, same gains —
-// across problem sizes, insertion rules and seeds. memcmp on a flat
-// serialization keeps the comparison honest (no epsilon anywhere).
+// across problem sizes and seeds. memcmp on a flat serialization keeps
+// the comparison honest (no epsilon anywhere).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -288,8 +288,7 @@ double improve_tour(const tsp::TourProblem& problem, tsp::Tour& tour,
 }
 
 // ---------------------------------------------------------------------------
-// Reference Appro: steps 1-5 as the planner runs them under default
-// options, then step 6 through the original insertion loop — every round
+// Reference Appro: steps 1-5 as the planner runs them, then step 6 through the original insertion loop — every round
 // rescans f_N over all pending nodes, recomputes the whole mutated tour's
 // finish times and erases the pick from the middle of the pending list,
 // with travel times read straight from the problem (no memo).
@@ -301,7 +300,6 @@ struct RefTour {
 };
 
 sched::ChargingPlan appro_plan(const model::ChargingProblem& problem,
-                               core::InsertionRule rule,
                                core::ApproStats* stats) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const std::size_t n = problem.size();
@@ -314,15 +312,10 @@ sched::ChargingPlan appro_plan(const model::ChargingProblem& problem,
 
   // Steps 1-5.
   const graph::Graph gc = core::charging_graph(problem);
-  std::vector<double> tau_key(n);
-  for (std::uint32_t v = 0; v < n; ++v) tau_key[v] = problem.tau(v);
-  const std::vector<graph::Vertex> s_i = graph::maximal_independent_set(
-      gc, graph::MisOrder::kIndex, &tau_key);
+  const std::vector<graph::Vertex> s_i = graph::maximal_independent_set(gc);
   const graph::Graph h = core::overlap_graph(problem, s_i);
-  std::vector<double> tau_key_h(s_i.size());
-  for (std::size_t i = 0; i < s_i.size(); ++i) tau_key_h[i] = tau_key[s_i[i]];
-  const std::vector<graph::Vertex> vh_local = graph::maximal_independent_set(
-      h, graph::MisOrder::kIndex, &tau_key_h);
+  const std::vector<graph::Vertex> vh_local =
+      graph::maximal_independent_set(h);
   tsp::TourProblem tour_problem;
   tour_problem.depot = problem.depot();
   tour_problem.speed = problem.speed();
@@ -410,10 +403,10 @@ sched::ChargingPlan appro_plan(const model::ChargingProblem& problem,
       continue;
     }
 
-    // Placement after the placed H-neighbor the rule prefers.
+    // Placement after the placed H-neighbor with the largest finish time.
     std::int32_t best_tour = -1;
     std::size_t best_pos = 0;
-    double best_key = -kInf;
+    double best_finish = -kInf;
     std::vector<std::int32_t> seen_tours;
     for (graph::Vertex nb : h.neighbors(hi)) {
       const std::uint32_t sensor = s_i[nb];
@@ -423,20 +416,11 @@ sched::ChargingPlan appro_plan(const model::ChargingProblem& problem,
           seen_tours.end()) {
         seen_tours.push_back(t);
       }
-      const RefTour& wt = tours[static_cast<std::size_t>(t)];
       const std::size_t pos = pos_of[sensor];
-      double key = wt.finish[pos];
-      if (rule == core::InsertionRule::kCheapestNeighborDetour) {
-        const std::uint32_t at = wt.seq[pos];
-        key = pos + 1 < wt.seq.size()
-                  ? problem.travel(at, u) + problem.travel(u, wt.seq[pos + 1]) -
-                        problem.travel(at, wt.seq[pos + 1])
-                  : problem.travel(at, u) + problem.travel_depot(u) -
-                        problem.travel_depot(at);
-        key = -key;
-      }
-      if (key > best_key) {
-        best_key = key;
+      const double finish =
+          tours[static_cast<std::size_t>(t)].finish[pos];
+      if (finish > best_finish) {
+        best_finish = finish;
         best_tour = t;
         best_pos = pos;
       }
@@ -779,8 +763,8 @@ struct RoundCase {
   std::vector<std::uint64_t> seeds;
 };
 
-// The acceptance matrix: reference vs incremental x insertion rules x
-// every supported SIMD backend, memcmp'd plan + stats. The larger sizes
+// The acceptance matrix: reference vs incremental x every supported SIMD
+// backend, memcmp'd plan + stats. The larger sizes
 // keep one seed each to bound runtime.
 TEST(ApproIncremental, PlansMatchLegacyByteForByte) {
   const std::vector<RoundCase> cases = {
@@ -788,25 +772,18 @@ TEST(ApproIncremental, PlansMatchLegacyByteForByte) {
   for (const RoundCase& c : cases) {
     for (std::uint64_t seed : c.seeds) {
       const model::ChargingProblem problem = random_round(c.n, 2, seed);
-      for (core::InsertionRule rule :
-           {core::InsertionRule::kAfterMaxFinishNeighbor,
-            core::InsertionRule::kCheapestNeighborDetour}) {
-        core::ApproStats want_stats;
-        const std::vector<unsigned char> want =
-            serialize(reference::appro_plan(problem, rule, &want_stats));
-        for (simd::Backend b : supported_backends()) {
-          BackendGuard guard(b);
-          core::ApproOptions options;
-          options.insertion = rule;
-          core::ApproStats stats;
-          const std::vector<unsigned char> got = serialize(
-              core::ApproScheduler(options).plan_with_stats(problem, &stats));
-          EXPECT_TRUE(bytes_equal(want, got))
-              << "n=" << c.n << " seed=" << seed
-              << " rule=" << static_cast<int>(rule)
-              << " backend=" << static_cast<int>(b);
-          expect_stats_equal(want_stats, stats);
-        }
+      core::ApproStats want_stats;
+      const std::vector<unsigned char> want =
+          serialize(reference::appro_plan(problem, &want_stats));
+      for (simd::Backend b : supported_backends()) {
+        BackendGuard guard(b);
+        core::ApproStats stats;
+        const std::vector<unsigned char> got =
+            serialize(core::ApproScheduler().plan_with_stats(problem, &stats));
+        EXPECT_TRUE(bytes_equal(want, got))
+            << "n=" << c.n << " seed=" << seed
+            << " backend=" << static_cast<int>(b);
+        expect_stats_equal(want_stats, stats);
       }
     }
   }
@@ -845,8 +822,8 @@ TEST(ApproIncremental, DenseOverlapStressesCompaction) {
   const model::ChargingProblem problem(std::move(pts), std::move(deficits),
                                        {50.0, 50.0}, 2.7, 1.0, 2);
   core::ApproStats legacy_stats, stats;
-  const auto want = serialize(reference::appro_plan(
-      problem, core::InsertionRule::kAfterMaxFinishNeighbor, &legacy_stats));
+  const auto want =
+      serialize(reference::appro_plan(problem, &legacy_stats));
   const auto got =
       serialize(core::ApproScheduler().plan_with_stats(problem, &stats));
   EXPECT_TRUE(bytes_equal(want, got));

@@ -317,49 +317,5 @@ TEST(Appro, MoreChargersNeverMuchWorse) {
   }
 }
 
-TEST(Appro, CheapestDetourInsertionAlsoFeasible) {
-  // The ablation insertion rule relies on executor waiting for feasibility;
-  // the executed schedule must still verify clean.
-  Rng rng(37);
-  const auto p = random_problem(400, 2, rng);
-  ApproOptions options;
-  options.insertion = InsertionRule::kCheapestNeighborDetour;
-  ApproScheduler appro(options);
-  const auto schedule = sched::execute_plan(p, appro.plan(p));
-  const auto violations = sched::verify_schedule(p, schedule);
-  EXPECT_TRUE(violations.empty())
-      << (violations.empty() ? "" : violations[0]);
-  EXPECT_TRUE(schedule.all_charged());
-}
-
-TEST(Appro, InsertionRulesCoverSameSensors) {
-  Rng rng(41);
-  const auto p = random_problem(300, 2, rng);
-  ApproOptions paper, ablation;
-  ablation.insertion = InsertionRule::kCheapestNeighborDetour;
-  const auto plan_a = ApproScheduler(paper).plan(p);
-  const auto plan_b = ApproScheduler(ablation).plan(p);
-  // Both rules process the same S_I in some order; stop multisets can
-  // differ, but both must fully cover the problem when executed.
-  EXPECT_TRUE(sched::execute_plan(p, plan_a).all_charged());
-  EXPECT_TRUE(sched::execute_plan(p, plan_b).all_charged());
-}
-
-TEST(Appro, MisOrderOptionsAllFeasible) {
-  Rng rng(31);
-  const auto p = random_problem(300, 2, rng);
-  for (auto order : {graph::MisOrder::kIndex, graph::MisOrder::kMinDegree,
-                     graph::MisOrder::kPriority}) {
-    ApproOptions options;
-    options.gc_mis_order = order;
-    options.h_mis_order = order;
-    ApproScheduler appro(options);
-    const auto schedule = sched::execute_plan(p, appro.plan(p));
-    EXPECT_TRUE(sched::verify_schedule(p, schedule).empty())
-        << "order " << static_cast<int>(order);
-    EXPECT_TRUE(schedule.all_charged());
-  }
-}
-
 }  // namespace
 }  // namespace mcharge::core

@@ -82,26 +82,19 @@ Graph disk_graph(const std::vector<geom::Point>& pts, double radius) {
   return g;
 }
 
-class MisProperty
-    : public ::testing::TestWithParam<std::tuple<int, MisOrder>> {};
+class MisProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(MisProperty, IndependentAndMaximal) {
-  const auto [seed, order] = GetParam();
-  Rng rng(static_cast<std::uint64_t>(seed));
+  Rng rng(static_cast<std::uint64_t>(GetParam()));
   const auto pts = geom::uniform_field(120, 40.0, 40.0, rng);
   const Graph g = disk_graph(pts, 3.0);
-  std::vector<double> priority(g.num_vertices());
-  for (auto& p : priority) p = rng.uniform();
-  const auto set = maximal_independent_set(g, order, &priority);
+  const auto set = maximal_independent_set(g);
   EXPECT_TRUE(is_independent_set(g, set));
   EXPECT_TRUE(is_maximal_independent_set(g, set));
+  EXPECT_TRUE(std::is_sorted(set.begin(), set.end()));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    SweepOrders, MisProperty,
-    ::testing::Combine(::testing::Range(0, 5),
-                       ::testing::Values(MisOrder::kIndex, MisOrder::kMinDegree,
-                                         MisOrder::kPriority)));
+INSTANTIATE_TEST_SUITE_P(SweepOrders, MisProperty, ::testing::Range(0, 5));
 
 TEST(Mis, EmptyGraph) {
   Graph g(0);
@@ -120,19 +113,6 @@ TEST(Mis, CompleteGraphTakesOne) {
     for (Vertex v = u + 1; v < 5; ++v) g.add_edge(u, v);
   }
   EXPECT_EQ(maximal_independent_set(g).size(), 1u);
-}
-
-TEST(Mis, PriorityOrderPicksUrgentFirst) {
-  // Path 0-1-2: priority favors 1, so the MIS should be {1} rather than
-  // {0, 2}.
-  Graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  std::vector<double> priority{5.0, 1.0, 5.0};
-  const auto set =
-      maximal_independent_set(g, MisOrder::kPriority, &priority);
-  ASSERT_EQ(set.size(), 1u);
-  EXPECT_EQ(set[0], 1u);
 }
 
 TEST(Mis, IsIndependentRejectsAdjacentPair) {
@@ -318,10 +298,7 @@ TEST(Mis, RandomGraphsNotJustGeometric) {
         if (rng.uniform() < 0.15) g.add_edge(u, v);
       }
     }
-    for (auto order : {MisOrder::kIndex, MisOrder::kMinDegree}) {
-      const auto set = maximal_independent_set(g, order);
-      EXPECT_TRUE(is_maximal_independent_set(g, set));
-    }
+    EXPECT_TRUE(is_maximal_independent_set(g, maximal_independent_set(g)));
   }
 }
 

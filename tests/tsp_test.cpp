@@ -83,74 +83,27 @@ TEST(TourProblem, IsCompleteTour) {
 
 // ---------- constructors ----------
 
-class BuilderProperty
-    : public ::testing::TestWithParam<std::tuple<int, TourBuilder>> {};
+class BuilderProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(BuilderProperty, ProducesCompleteTour) {
-  const auto [seed, builder] = GetParam();
-  Rng rng(static_cast<std::uint64_t>(seed) * 1009 + 5);
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 1009 + 5);
   const std::size_t m = 1 + rng.below(60);
   const TourProblem p = random_problem(m, rng);
-  const Tour tour = build_tour(p, builder);
+  const Tour tour = christofides_tour(p);
   EXPECT_TRUE(is_complete_tour(p, tour));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllBuilders, BuilderProperty,
-    ::testing::Combine(::testing::Range(0, 6),
-                       ::testing::Values(TourBuilder::kNearestNeighbor,
-                                         TourBuilder::kGreedyEdge,
-                                         TourBuilder::kDoubleTree,
-                                         TourBuilder::kChristofides)));
+INSTANTIATE_TEST_SUITE_P(AllBuilders, BuilderProperty, ::testing::Range(0, 6));
 
 TEST(Builders, EmptyAndSingleSite) {
   TourProblem p;
   p.depot = {0, 0};
-  for (auto b : {TourBuilder::kNearestNeighbor, TourBuilder::kGreedyEdge,
-                 TourBuilder::kDoubleTree, TourBuilder::kChristofides}) {
-    EXPECT_TRUE(build_tour(p, b).empty());
-  }
+  EXPECT_TRUE(christofides_tour(p).empty());
   p.sites = {{3, 4}};
   p.service = {1.0};
-  for (auto b : {TourBuilder::kNearestNeighbor, TourBuilder::kGreedyEdge,
-                 TourBuilder::kDoubleTree, TourBuilder::kChristofides}) {
-    const Tour t = build_tour(p, b);
-    ASSERT_EQ(t.size(), 1u);
-    EXPECT_EQ(t[0], 0u);
-  }
-}
-
-TEST(Builders, NearestNeighborTiesGoToLowestIndex) {
-  // Two equidistant nearest sites at (3, 4) and (4, 3) — both exactly 5
-  // from the depot — placed on either side of index 4, 8 and 16
-  // boundaries; every other site sits farther out. The first hop must
-  // take the lower index, the second hop the other tie.
-  for (const SiteId first : {1u, 3u, 8u, 11u}) {
-    for (const SiteId second : {16u, 19u, 24u}) {
-      TourProblem p;
-      p.depot = {0.0, 0.0};
-      for (SiteId i = 0; i < 33; ++i) {
-        p.sites.push_back({30.0 + i, 0.0});
-        p.service.push_back(1.0);
-      }
-      p.sites[first] = {3.0, 4.0};
-      p.sites[second] = {4.0, 3.0};
-      const Tour tour = nearest_neighbor_tour(p);
-      ASSERT_EQ(tour.size(), 33u);
-      EXPECT_EQ(tour[0], first) << "first=" << first << " second=" << second;
-      EXPECT_EQ(tour[1], second) << "first=" << first << " second=" << second;
-    }
-  }
-  // All sites coincide: every hop is a full tie, so the tour is the
-  // identity order.
-  TourProblem p;
-  p.depot = {0.0, 0.0};
-  p.sites.assign(21, geom::Point{2.0, 2.0});
-  p.service.assign(21, 1.0);
-  const Tour tour = nearest_neighbor_tour(p);
-  Tour identity(21);
-  std::iota(identity.begin(), identity.end(), SiteId{0});
-  EXPECT_EQ(tour, identity);
+  const Tour t = christofides_tour(p);
+  ASSERT_EQ(t.size(), 1u);
+  EXPECT_EQ(t[0], 0u);
 }
 
 class ChristofidesQuality : public ::testing::TestWithParam<int> {};
@@ -165,18 +118,6 @@ TEST_P(ChristofidesQuality, Within1point5OfExactOnTinyInstances) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChristofidesQuality, ::testing::Range(0, 10));
-
-class DoubleTreeQuality : public ::testing::TestWithParam<int> {};
-
-TEST_P(DoubleTreeQuality, Within2OfExactOnTinyInstances) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 53 + 29);
-  const std::size_t m = 3 + rng.below(5);
-  const TourProblem p = random_problem(m, rng);
-  const Tour tour = double_tree_tour(p);
-  EXPECT_LE(tour_travel_time(p, tour), 2.0 * exact_travel(p) + 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, DoubleTreeQuality, ::testing::Range(0, 10));
 
 // ---------- exact (Held-Karp) ----------
 
@@ -205,19 +146,14 @@ TEST(HeldKarp, MediumInstanceLowerBoundsHeuristics) {
   Rng rng(55);
   const TourProblem p = random_problem(14, rng);
   const double opt = held_karp_travel_time(p);
-  for (auto b : {TourBuilder::kNearestNeighbor, TourBuilder::kGreedyEdge,
-                 TourBuilder::kDoubleTree, TourBuilder::kChristofides}) {
-    const Tour tour = build_tour(p, b);
-    EXPECT_GE(tour_travel_time(p, tour), opt - 1e-9)
-        << "builder " << static_cast<int>(b);
-  }
+  EXPECT_GE(tour_travel_time(p, christofides_tour(p)), opt - 1e-9);
 }
 
 TEST(HeldKarp, TwoOptNeverBeatsExact) {
   for (int seed = 0; seed < 5; ++seed) {
     Rng rng(static_cast<std::uint64_t>(seed) * 13 + 3);
     const TourProblem p = random_problem(10, rng);
-    Tour tour = nearest_neighbor_tour(p);
+    Tour tour = christofides_tour(p);
     improve_tour(p, tour);
     EXPECT_GE(tour_travel_time(p, tour),
               held_karp_travel_time(p) - 1e-9);
@@ -246,7 +182,7 @@ TEST_P(ImproveProperty, NeverIncreasesTravelAndStaysComplete) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 401 + 3);
   const std::size_t m = 2 + rng.below(50);
   const TourProblem p = random_problem(m, rng);
-  Tour tour = nearest_neighbor_tour(p);
+  Tour tour = christofides_tour(p);
   const double before = tour_travel_time(p, tour);
   const double saved = improve_tour(p, tour);
   EXPECT_GE(saved, 0.0);
@@ -274,7 +210,7 @@ TEST(OrOpt, RelocatesObviousOutlier) {
 TEST(Split, SingleChargerKeepsWholeTour) {
   Rng rng(1);
   const TourProblem p = random_problem(20, rng);
-  Tour tour = nearest_neighbor_tour(p);
+  Tour tour = christofides_tour(p);
   const auto result = split_min_max(p, tour, 1);
   ASSERT_EQ(result.tours.size(), 1u);
   EXPECT_TRUE(is_complete_tour(p, result.tours[0]));
@@ -298,7 +234,7 @@ TEST_P(SplitProperty, PartitionPreservedAndDelayConsistent) {
   Rng rng(static_cast<std::uint64_t>(seed) * 61 + 13);
   const std::size_t m = 1 + rng.below(80);
   const TourProblem p = random_problem(m, rng, 500.0);
-  Tour tour = nearest_neighbor_tour(p);
+  Tour tour = christofides_tour(p);
   two_opt(p, tour);
   const auto result = split_min_max(p, tour, static_cast<std::size_t>(k));
   ASSERT_EQ(result.tours.size(), static_cast<std::size_t>(k));
@@ -357,7 +293,7 @@ TEST_P(SplitOptimality, BinarySearchMatchesBruteForceCut) {
   Rng rng(static_cast<std::uint64_t>(seed) * 131 + 71);
   const std::size_t m = 2 + rng.below(11);  // 2..12 sites
   const TourProblem p = random_problem(m, rng, 400.0);
-  const Tour tour = nearest_neighbor_tour(p);
+  const Tour tour = christofides_tour(p);
   const auto split = split_min_max(p, tour, static_cast<std::size_t>(k));
   const double brute = brute_force_split(p, tour, static_cast<std::size_t>(k));
   EXPECT_NEAR(split.max_delay, brute, 1e-6 * std::max(1.0, brute));
@@ -370,7 +306,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, SplitOptimality,
 TEST(Split, MoreChargersNeverWorse) {
   Rng rng(17);
   const TourProblem p = random_problem(60, rng, 300.0);
-  Tour tour = nearest_neighbor_tour(p);
+  Tour tour = christofides_tour(p);
   double prev = std::numeric_limits<double>::infinity();
   for (std::size_t k = 1; k <= 5; ++k) {
     const auto result = split_min_max(p, tour, k);
@@ -383,7 +319,7 @@ TEST(Split, LowerBoundRespected) {
   // Max delay can never be below the hardest single site.
   Rng rng(23);
   const TourProblem p = random_problem(40, rng, 1000.0);
-  Tour tour = nearest_neighbor_tour(p);
+  Tour tour = christofides_tour(p);
   double hardest = 0.0;
   for (SiteId v = 0; v < p.size(); ++v) {
     hardest = std::max(hardest, 2.0 * p.travel_depot(v) + p.service[v]);
@@ -430,7 +366,7 @@ double segment_energy(const TourProblem& p, const Tour& s,
 TEST(Split, DisabledEnergyCapIsByteIdentical) {
   Rng rng(29);
   const TourProblem p = random_problem(50, rng, 400.0);
-  Tour tour = nearest_neighbor_tour(p);
+  Tour tour = christofides_tour(p);
   const auto plain = split_min_max(p, tour, 3);
   SegmentEnergyCap cap;  // budget 0 = disabled; cost fields must be inert
   cap.travel_power_w = 135.0;
@@ -446,7 +382,7 @@ TEST(Split, DisabledEnergyCapIsByteIdentical) {
 TEST(Split, EnergyCapBoundsEverySegmentWhenRoomAllows) {
   Rng rng(31);
   const TourProblem p = random_problem(40, rng, 400.0);
-  Tour tour = nearest_neighbor_tour(p);
+  Tour tour = christofides_tour(p);
   SegmentEnergyCap cap;
   cap.travel_power_w = 135.0;
   cap.service_power_w = 2.0;
@@ -473,7 +409,7 @@ TEST(Split, EnergyCapBoundsEverySegmentWhenRoomAllows) {
 TEST(Split, InfeasibleEnergyCapFallsBackToUncapped) {
   Rng rng(37);
   const TourProblem p = random_problem(30, rng, 400.0);
-  Tour tour = nearest_neighbor_tour(p);
+  Tour tour = christofides_tour(p);
   SegmentEnergyCap cap;
   cap.travel_power_w = 135.0;
   cap.service_power_w = 2.0;
@@ -632,8 +568,8 @@ TEST(DistanceCache, TwoOptIdenticalWithAndWithoutCache) {
   TourProblem cached = uncached;
   cached.ensure_distance_cache();
 
-  Tour tour_uncached = nearest_neighbor_tour(uncached);
-  // nearest_neighbor_tour builds the cache on its own problem; rebuild the
+  Tour tour_uncached = christofides_tour(uncached);
+  // christofides_tour builds the cache on its own problem; rebuild the
   // uncached starting tour without one to keep that path honest too.
   uncached.drop_distance_cache();
   Tour tour_cached = tour_uncached;
@@ -650,7 +586,7 @@ TEST(DistanceCache, OrOptIdenticalWithAndWithoutCache) {
   TourProblem cached = uncached;
   cached.ensure_distance_cache();
 
-  Tour base = nearest_neighbor_tour(cached);
+  Tour base = christofides_tour(cached);
   uncached.drop_distance_cache();
   Tour tour_uncached = base;
   Tour tour_cached = base;

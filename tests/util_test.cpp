@@ -290,6 +290,18 @@ TEST_F(CliFlagsDeathTest, NegativeOrMalformedSizeExitsWithStatus2) {
               "--n=\\+5");
 }
 
+TEST_F(CliFlagsDeathTest, ZeroOrNegativeCountExitsWithStatus2) {
+  const char* argv[] = {"prog", "--chargers=0", "--rounds=-1",
+                        "--instances=3"};
+  CliFlags flags(4, argv);
+  EXPECT_EQ(flags.get_count("instances", 1), 3u);
+  EXPECT_EQ(flags.get_count("missing", 7), 7u);
+  EXPECT_EXIT(flags.get_count("chargers", 2), ::testing::ExitedWithCode(2),
+              "--chargers=0 is not a positive integer");
+  EXPECT_EXIT(flags.get_count("rounds", 2), ::testing::ExitedWithCode(2),
+              "--rounds=-1 is not a positive integer");
+}
+
 TEST_F(CliFlagsDeathTest, MalformedDoubleExitsWithStatus2) {
   const char* argv[] = {"prog", "--months=1.5x", "--rate=", "--gamma=2,7"};
   CliFlags flags(4, argv);
