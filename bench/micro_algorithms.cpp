@@ -105,18 +105,17 @@ void BM_OverlapGraph(benchmark::State& state) {
 }
 BENCHMARK(BM_OverlapGraph)->Arg(200)->Arg(600)->Arg(1200);
 
-void BM_ExactMatching(benchmark::State& state) {
+void BM_OddSetMatching(benchmark::State& state) {
+  // kAuto on Christofides-sized odd sets (the dense blossom below
+  // kSparseCrossover).
   Rng rng(4);
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto pts = geom::uniform_field(n, 100.0, 100.0, rng);
-  const matching::WeightFn w = [&](std::uint32_t a, std::uint32_t b) {
-    return geom::distance(pts[a], pts[b]);
-  };
   for (auto _ : state) {
-    benchmark::DoNotOptimize(matching::exact_min_weight_matching(n, w));
+    benchmark::DoNotOptimize(matching::min_weight_euclidean_matching(pts));
   }
 }
-BENCHMARK(BM_ExactMatching)->Arg(8)->Arg(12)->Arg(16);
+BENCHMARK(BM_OddSetMatching)->Arg(4)->Arg(8)->Arg(12)->Arg(16);
 
 void BM_LocalSearchMatching(benchmark::State& state) {
   Rng rng(5);

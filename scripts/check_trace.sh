@@ -7,7 +7,8 @@
 #      non-zero counts of the load-bearing spans (planner phases, the
 #      tour substrate's stages inside tsp::min_max_k_tours, executor,
 #      simulator round loop and its problem build); one ablation_design
-#      round adds the dense blossom's solve span.
+#      round adds the dense blossom's solve span and the stages inside
+#      tsp.construct (distance cache, MST, odd-set matching, Euler).
 #   2. Runs the BM_ObsOverhead micro-bench pair and asserts the
 #      tracing-enabled run stays within a noise margin of the disabled
 #      run (the layer's contract is < 1% overhead on instrumented
@@ -43,9 +44,10 @@ trap 'rm -rf "$TMP"' EXIT
 "$BUILD_DIR/bench/fig3_vary_n" --nmin=200 --nmax=200 --instances=2 \
   --months=0.5 --trace-out="$TMP/trace.json" >/dev/null
 [ -s "$TMP/trace.json" ] || { echo "FAIL: trace.json not written" >&2; exit 1; }
-# fig3's small per-round batches never reach a blossom engine (their odd
-# sets stay within the exact DP); one ablation_design round plans 1000
-# sensors at once, so its Christofides odd sets run the dense blossom.
+# One ablation_design round plans 1000 sensors at once: its Christofides
+# odd sets run the dense blossom, and every stage of the tour substrate
+# fires at full size. The short fig3 run is not sure to meet an odd set
+# of four or more vertices, so the blossom span is required here only.
 "$BUILD_DIR/bench/ablation_design" --rounds=1 \
   --trace-out="$TMP/trace_matching.json" >/dev/null
 [ -s "$TMP/trace_matching.json" ] || {
@@ -87,7 +89,9 @@ require(sim, ("appro.plan", "appro.k_tours", "appro.insertion",
               "tsp.segment_improve"))
 # The sparse engine's blossom.* spans fire only when auto-dispatch picks
 # it, which depends on odd-set size, so only the dense span is required.
-require(load(sys.argv[2]), ("appro.k_tours", "blossom.dense_solve"))
+require(load(sys.argv[2]), ("appro.k_tours", "blossom.dense_solve",
+                            "tsp.distance_cache", "tsp.mst", "tsp.odd_match",
+                            "tsp.euler"))
 print("trace schema: OK (%d metrics)" % len(sim))
 EOF
 else
@@ -98,8 +102,11 @@ else
     grep -q "\"$required\"" "$TMP/trace.json" || {
       echo "FAIL: missing span $required" >&2; exit 1; }
   done
-  grep -q '"blossom.dense_solve"' "$TMP/trace_matching.json" || {
-    echo "FAIL: missing span blossom.dense_solve" >&2; exit 1; }
+  for required in blossom.dense_solve tsp.distance_cache tsp.mst \
+      tsp.odd_match tsp.euler; do
+    grep -q "\"$required\"" "$TMP/trace_matching.json" || {
+      echo "FAIL: missing span $required" >&2; exit 1; }
+  done
   echo "trace schema: OK (grep fallback)"
 fi
 

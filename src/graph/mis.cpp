@@ -1,5 +1,7 @@
 #include "graph/mis.h"
 
+#include "util/assert.h"
+
 namespace mcharge::graph {
 
 std::vector<Vertex> maximal_independent_set(const Graph& g) {
@@ -14,20 +16,40 @@ std::vector<Vertex> maximal_independent_set(const Graph& g) {
   return result;
 }
 
-bool is_independent_set(const Graph& g, const std::vector<Vertex>& set) {
-  for (std::size_t i = 0; i < set.size(); ++i) {
-    for (std::size_t j = i + 1; j < set.size(); ++j) {
-      if (g.has_edge(set[i], set[j])) return false;
+namespace {
+
+/// Marks the members of `set` (ids asserted in range).
+std::vector<char> membership(const Graph& g, const std::vector<Vertex>& set) {
+  std::vector<char> in_set(g.num_vertices(), 0);
+  for (const Vertex v : set) {
+    MCHARGE_ASSERT(v < in_set.size(), "vertex out of range");
+    in_set[v] = 1;
+  }
+  return in_set;
+}
+
+/// True iff no member has a neighbour marked in `in_set`: one scan of
+/// each member's adjacency list, O(sum of member degrees).
+bool independent(const Graph& g, const std::vector<Vertex>& set,
+                 const std::vector<char>& in_set) {
+  for (const Vertex v : set) {
+    for (const Vertex u : g.neighbors(v)) {
+      if (in_set[u]) return false;
     }
   }
   return true;
 }
 
+}  // namespace
+
+bool is_independent_set(const Graph& g, const std::vector<Vertex>& set) {
+  return independent(g, set, membership(g, set));
+}
+
 bool is_maximal_independent_set(const Graph& g,
                                 const std::vector<Vertex>& set) {
-  if (!is_independent_set(g, set)) return false;
-  std::vector<char> in_set(g.num_vertices(), 0);
-  for (Vertex v : set) in_set[v] = 1;
+  const std::vector<char> in_set = membership(g, set);
+  if (!independent(g, set, in_set)) return false;
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
     if (in_set[v]) continue;
     bool dominated = false;

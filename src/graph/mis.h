@@ -17,6 +17,8 @@ namespace mcharge::graph {
 std::vector<Vertex> maximal_independent_set(const Graph& g);
 
 /// True iff `set` is an independent set of g (no two members adjacent).
+/// Ids must be < n; a repeated id is not a conflict (g has no self-loops).
+/// Costs one scan of each member's neighbour list.
 bool is_independent_set(const Graph& g, const std::vector<Vertex>& set);
 
 /// True iff `set` is independent AND maximal (every vertex outside the set

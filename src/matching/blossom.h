@@ -7,7 +7,9 @@
 //
 //  * Dense: every pair is materialized into an (n+1)^2 weight matrix.
 //    Simple and exact, but O(n^2) memory and O(n^3) time make it the
-//    right choice only up to a few hundred vertices.
+//    right choice only up to a few hundred vertices. kAuto runs it on
+//    every odd set below kSparseCrossover, the smallest ones included:
+//    the jump-started solve beats a 2^n bitmask DP from n = 10 up.
 //
 //  * Sparse price-and-repair: an exact solve on a k-nearest-neighbor
 //    candidate graph, followed by a SIMD-accelerated pricing pass that
@@ -25,8 +27,8 @@
 // which the differential tests assert. With at least 2^20 quantization
 // steps over the cost range the matching is optimal to within ~1e-6 of
 // the true real-valued optimum on typical geometric inputs, and the
-// tests verify it against the exact bitmask DP on every instance small
-// enough to cross-check.
+// tests verify it against the bitmask-DP oracle (tests/matching_oracle.h)
+// on every instance small enough to cross-check.
 //
 // Complexity: dense O(n^3); sparse roughly O(n * k * sqrt(n) * alpha)
 // per repair round in practice — comfortably fast at the odd-vertex sets

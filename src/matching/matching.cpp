@@ -12,55 +12,7 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-int lowest_set_bit(std::uint32_t mask) {
-  return __builtin_ctz(mask);
-}
-
 }  // namespace
-
-Matching exact_min_weight_matching(std::size_t n, const WeightFn& weight) {
-  MCHARGE_ASSERT(n % 2 == 0, "perfect matching requires even n");
-  MCHARGE_ASSERT(n <= kExactLimit,
-                 "exact matching limited to n <= kExactLimit");
-  if (n == 0) return {};
-
-  const std::uint32_t full = (1u << n) - 1u;
-  std::vector<double> best(static_cast<std::size_t>(full) + 1, kInf);
-  // For each reached state, the pair (a, b) added last, packed as a*32 + b.
-  std::vector<std::int32_t> choice(static_cast<std::size_t>(full) + 1, -1);
-  best[0] = 0.0;
-  for (std::uint32_t mask = 0; mask < full; ++mask) {
-    if (best[mask] == kInf) continue;
-    // Pair the lowest unmatched vertex with every other unmatched vertex.
-    const std::uint32_t rem = full & ~mask;
-    const int a = lowest_set_bit(rem);
-    std::uint32_t rest = rem & ~(1u << a);
-    while (rest) {
-      const int b = lowest_set_bit(rest);
-      rest &= rest - 1;
-      const std::uint32_t next = mask | (1u << a) | (1u << b);
-      const double cost = best[mask] + weight(static_cast<std::uint32_t>(a),
-                                              static_cast<std::uint32_t>(b));
-      if (cost < best[next]) {
-        best[next] = cost;
-        choice[next] = a * 32 + b;
-      }
-    }
-  }
-
-  Matching result;
-  std::uint32_t mask = full;
-  while (mask) {
-    const std::int32_t packed = choice[mask];
-    MCHARGE_ASSERT(packed >= 0, "exact matching reconstruction failed");
-    const auto a = static_cast<std::uint32_t>(packed / 32);
-    const auto b = static_cast<std::uint32_t>(packed % 32);
-    result.emplace_back(a, b);
-    mask &= ~((1u << a) | (1u << b));
-  }
-  std::reverse(result.begin(), result.end());
-  return result;
-}
 
 Matching local_search_matching(const std::vector<geom::Point>& pts) {
   const std::size_t n = pts.size();
@@ -142,12 +94,7 @@ Matching local_search_matching(const std::vector<geom::Point>& pts) {
 Matching min_weight_euclidean_matching(const std::vector<geom::Point>& pts,
                                        const MatchingOptions& opts) {
   const std::size_t n = pts.size();
-  const auto euclid = [&pts](std::uint32_t a, std::uint32_t b) {
-    return geom::distance(pts[a], pts[b]);
-  };
   switch (opts.engine) {
-    case MatchingEngine::kExactDp:
-      return exact_min_weight_matching(n, euclid);
     case MatchingEngine::kDenseBlossom:
       return dense_blossom_euclidean_matching(pts);
     case MatchingEngine::kSparseBlossom:
@@ -157,7 +104,6 @@ Matching min_weight_euclidean_matching(const std::vector<geom::Point>& pts,
     case MatchingEngine::kAuto:
       break;
   }
-  if (n <= kExactLimit) return exact_min_weight_matching(n, euclid);
   if (n < kSparseCrossover) return dense_blossom_euclidean_matching(pts);
   if (n <= kBlossomLimit) return sparse_blossom_euclidean_matching(pts);
   return local_search_matching(pts);

@@ -2,15 +2,14 @@
 // vertices (the matching step of Christofides' TSP construction).
 //
 // Engines:
-//  * exact DP: bitmask dynamic program, O(2^n * n); used for
-//    n <= kExactLimit and as the reference oracle in tests.
 //  * dense blossom (matching/blossom.h): exact O(n^3) primal-dual solver
-//    on a materialized (n+1)^2 weight matrix.
+//    on a materialized (n+1)^2 weight matrix; kAuto's engine for every
+//    n below kSparseCrossover.
 //  * sparse blossom (matching/blossom.h): exact price-and-repair solver
 //    on a k-NN candidate graph, certified optimal against the complete
-//    graph by a SIMD pricing pass over the final duals. The default
-//    geometric engine — same answers as dense, small fraction of the
-//    cost at large n.
+//    graph by a SIMD pricing pass over the final duals. kAuto's engine
+//    from kSparseCrossover to kBlossomLimit — same answers as dense,
+//    small fraction of the cost at large n.
 //  * local search: greedy nearest-pair construction followed by repeated
 //    2-exchange improvement to a local optimum; the fallback beyond
 //    kBlossomLimit and a comparison point in the micro benches (within
@@ -19,9 +18,10 @@
 // Callers (Christofides odd-vertex matching) use
 // min_weight_euclidean_matching, which keeps Christofides' real
 // 1.5-approx guarantee intact up to kBlossomLimit = 4096 vertices — the
-// sparse engine covers every paper-scale instance exactly; only beyond
-// that does the heuristic local search take over. Only the exact DP takes
-// arbitrary weights (WeightFn): it is also the test oracle.
+// blossom engines cover every paper-scale instance exactly; only beyond
+// that does the heuristic local search take over. The tests' oracle for
+// arbitrary weights (WeightFn), a bitmask DP, lives in
+// tests/matching_oracle.h.
 #pragma once
 
 #include <cstdint>
@@ -37,10 +37,6 @@ using WeightFn = std::function<double(std::uint32_t, std::uint32_t)>;
 
 /// Pairs in a perfect matching; each vertex appears exactly once.
 using Matching = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
-
-/// Largest n routed to the exact bitmask DP (and the DP's own hard
-/// assert: 2^n states are materialized).
-inline constexpr std::size_t kExactLimit = 16;
 
 /// Largest n routed to an exact blossom engine on geometric instances;
 /// above this the 2-exchange local search takes over. 4096 covers every
@@ -58,8 +54,7 @@ inline constexpr std::size_t kSparseCrossover = 192;
 
 /// Which matching engine to run on geometric instances.
 enum class MatchingEngine : std::uint8_t {
-  kAuto = 0,       ///< size-based: DP, sparse blossom, local search
-  kExactDp,        ///< bitmask DP (n <= kExactLimit enforced by the DP)
+  kAuto = 0,       ///< size-based: dense blossom, sparse, local search
   kDenseBlossom,   ///< dense O(n^3) blossom, exact
   kSparseBlossom,  ///< sparse price-and-repair blossom, exact
   kLocalSearch,    ///< greedy + 2-exchange heuristic
@@ -69,19 +64,14 @@ struct MatchingOptions {
   MatchingEngine engine = MatchingEngine::kAuto;
 };
 
-/// Exact minimum-weight perfect matching by bitmask DP. Requires even n,
-/// n <= kExactLimit (asserted; 2^n states are materialized).
-Matching exact_min_weight_matching(std::size_t n, const WeightFn& weight);
-
 /// Greedy + 2-exchange local-search matching on `pts` (even count) under
 /// Euclidean distance.
 Matching local_search_matching(const std::vector<geom::Point>& pts);
 
 /// Geometric dispatch: minimum-weight perfect matching on `pts` (even
 /// count) under Euclidean distance, engine per `opts`. kAuto routes
-/// n <= kExactLimit to the DP, n < kSparseCrossover to the dense
-/// blossom, n <= kBlossomLimit to the sparse blossom, local search
-/// beyond. Both blossom engines share one quantized objective with
+/// n < kSparseCrossover to the dense blossom, n <= kBlossomLimit to the
+/// sparse blossom, local search beyond. Both blossom engines share one quantized objective with
 /// deterministic tie-breaking, so forcing kDenseBlossom vs
 /// kSparseBlossom yields identical matchings — the crossover is purely
 /// a latency choice.

@@ -3,6 +3,7 @@
 #include "graph/euler.h"
 #include "graph/mst.h"
 #include "matching/matching.h"
+#include "obs/obs.h"
 #include "util/assert.h"
 
 namespace mcharge::tsp {
@@ -72,28 +73,38 @@ Tour christofides_tour(const TourProblem& problem,
   if (problem.size() == 1) return {0};
   problem.ensure_distance_cache();
 
-  const auto mst = vertex_mst(problem);
-
-  std::vector<std::size_t> degree(n, 0);
-  for (const auto& e : mst) {
-    ++degree[e.u];
-    ++degree[e.v];
+  // One span per stage; tracing never changes a result.
+  std::vector<graph::WeightedEdge> mst;
+  {
+    OBS_SPAN("tsp.mst");
+    mst = vertex_mst(problem);
   }
+
   std::vector<std::uint32_t> odd;
-  for (std::uint32_t v = 0; v < n; ++v) {
-    if (degree[v] % 2 == 1) odd.push_back(v);
+  matching::Matching match;
+  {
+    OBS_SPAN("tsp.odd_match");
+    std::vector<std::size_t> degree(n, 0);
+    for (const auto& e : mst) {
+      ++degree[e.u];
+      ++degree[e.v];
+    }
+    for (std::uint32_t v = 0; v < n; ++v) {
+      if (degree[v] % 2 == 1) odd.push_back(v);
+    }
+    // Handshake lemma: |odd| is even. Match on the odd vertices'
+    // coordinates so the geometric engines apply; the distance cache
+    // serves exactly geom::distance bits, so the quantized objective
+    // matches the cached metric.
+    std::vector<geom::Point> odd_pts;
+    odd_pts.reserve(odd.size());
+    for (const std::uint32_t v : odd) {
+      odd_pts.push_back(v == 0 ? problem.depot : problem.sites[v - 1]);
+    }
+    match = matching::min_weight_euclidean_matching(odd_pts, matching);
   }
-  // Handshake lemma: |odd| is even. Match on the odd vertices'
-  // coordinates so the geometric engines (sparse blossom by default)
-  // apply; the distance cache serves exactly geom::distance bits, so
-  // the quantized objective matches the cached metric.
-  std::vector<geom::Point> odd_pts;
-  odd_pts.reserve(odd.size());
-  for (const std::uint32_t v : odd) {
-    odd_pts.push_back(v == 0 ? problem.depot : problem.sites[v - 1]);
-  }
-  const auto match = matching::min_weight_euclidean_matching(odd_pts, matching);
 
+  OBS_SPAN("tsp.euler");
   std::vector<std::pair<std::uint32_t, std::uint32_t>> multigraph;
   multigraph.reserve(mst.size() + match.size());
   for (const auto& e : mst) multigraph.emplace_back(e.u, e.v);

@@ -145,10 +145,13 @@ SplitResult min_max_k_tours(const TourProblem& problem, std::size_t k,
     r.tours.assign(k, Tour{});
     return r;
   }
-  // One O(m^2) distance build serves construction, improvement, and
-  // splitting below; every travel() call after this is a table read.
-  problem.ensure_distance_cache();
   // One span per stage; tracing never changes a result.
+  {
+    // One O(m^2) distance build serves construction, improvement, and
+    // splitting below; every travel() call after this is a table read.
+    OBS_SPAN("tsp.distance_cache");
+    problem.ensure_distance_cache();
+  }
   Tour tour;
   {
     OBS_SPAN("tsp.construct");

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <numeric>
 
 #include "geometry/field.h"
@@ -122,6 +123,69 @@ TEST(Mis, IsIndependentRejectsAdjacentPair) {
   EXPECT_TRUE(is_independent_set(g, {0, 2}));
   // {0} is independent but not maximal (2 is undominated).
   EXPECT_FALSE(is_maximal_independent_set(g, {0}));
+}
+
+/// The pairwise check is_independent_set used to run: has_edge on every
+/// pair of members.
+bool pairwise_independent(const Graph& g, const std::vector<Vertex>& set) {
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    for (std::size_t j = i + 1; j < set.size(); ++j) {
+      if (g.has_edge(set[i], set[j])) return false;
+    }
+  }
+  return true;
+}
+
+TEST(Mis, LinearCheckMatchesPairwiseOnRandomSubsets) {
+  // Random graphs of every density, each probed with its own MIS (which
+  // must pass), MIS subsets with an added neighbour (which must fail),
+  // random subsets, and subsets carrying duplicate ids.
+  int dependent = 0, duplicated = 0;
+  for (int trial = 0; trial < 240; ++trial) {
+    Rng rng(9100 + static_cast<std::uint64_t>(trial));
+    const std::size_t n = 1 + rng.below(60);
+    const double density = rng.uniform(0.0, 0.5);
+    Graph g(n);
+    for (Vertex u = 0; u < n; ++u) {
+      for (Vertex v = u + 1; v < n; ++v) {
+        if (rng.uniform() < density) g.add_edge(u, v);
+      }
+    }
+    std::vector<std::vector<Vertex>> probes;
+    const auto mis = maximal_independent_set(g);
+    probes.push_back(mis);
+    std::vector<Vertex> with_neighbor = mis;
+    for (const Vertex v : mis) {
+      if (!g.neighbors(v).empty()) {
+        with_neighbor.push_back(g.neighbors(v).front());
+        break;
+      }
+    }
+    probes.push_back(with_neighbor);
+    std::vector<Vertex> random_subset;
+    for (Vertex v = 0; v < n; ++v) {
+      if (rng.uniform() < 0.3) random_subset.push_back(v);
+    }
+    probes.push_back(random_subset);
+    std::vector<Vertex> with_duplicates = mis;
+    for (std::size_t i = 0, size = mis.size(); i < size; i += 2) {
+      with_duplicates.push_back(mis[i]);
+    }
+    probes.push_back(with_duplicates);
+    for (const auto& set : probes) {
+      const bool expected = pairwise_independent(g, set);
+      EXPECT_EQ(is_independent_set(g, set), expected) << "trial=" << trial;
+      if (!expected) {
+        ++dependent;
+        EXPECT_FALSE(is_maximal_independent_set(g, set)) << "trial=" << trial;
+      }
+      duplicated += set.size() > std::set<Vertex>(set.begin(), set.end()).size();
+    }
+    EXPECT_TRUE(is_maximal_independent_set(g, with_duplicates));
+  }
+  // The sweep really reaches both verdicts and the duplicate-id case.
+  EXPECT_GT(dependent, 100);
+  EXPECT_GT(duplicated, 100);
 }
 
 // ---------- DSU ----------

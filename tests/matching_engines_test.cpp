@@ -7,7 +7,7 @@
 // random geometric, clustered, collinear, duplicate-point, and the real
 // odd-vertex sets Christofides produces at paper scales. Where the
 // instance is small enough, both are also cross-checked against the
-// exact bitmask DP on the real-valued objective, including a layout whose
+// bitmask DP oracle on the real-valued objective, including a layout whose
 // final vertex duals go negative. Finally, full Appro
 // plans must be byte-identical under engine = dense vs sparse, across
 // every SIMD backend this machine supports.
@@ -31,10 +31,14 @@
 #include "util/rng.h"
 #include "util/simd.h"
 
+#include "matching_oracle.h"
 #include "simd_backends.h"
 
 namespace mcharge::matching {
 namespace {
+
+using oracle::exact_min_weight_matching;
+using oracle::kOracleLimit;
 
 WeightFn euclidean(const std::vector<geom::Point>& pts) {
   return [&pts](std::uint32_t a, std::uint32_t b) {
@@ -53,7 +57,7 @@ void expect_engines_agree(const std::vector<geom::Point>& pts) {
   ASSERT_TRUE(is_perfect_matching(n, sparse)) << "n=" << n;
   EXPECT_EQ(dense, sparse) << "n=" << n;
   EXPECT_EQ(matching_weight(dense, w), matching_weight(sparse, w));
-  if (n <= kExactLimit && n > 0) {
+  if (n <= kOracleLimit && n > 0) {
     const Matching dp = exact_min_weight_matching(n, w);
     // The DP optimizes the unquantized objective; agreement is up to the
     // quantizer's resolution (>= 2^20 steps over the bbox diagonal).
@@ -145,12 +149,9 @@ TEST(EnginesDegenerate, TinyInstances) {
   expect_engines_agree({{0, 0}, {0, 1}, {100, 0}, {100, 1}});
 }
 
-/// Odd-degree MST vertices of a uniform instance — the exact population
-/// the Christofides call site feeds the matching.
-std::vector<geom::Point> christofides_odd_set(std::size_t sites,
-                                              std::uint64_t seed) {
-  Rng rng(seed);
-  auto pts = geom::uniform_field(sites, 100.0, 100.0, rng);
+/// Odd-degree MST vertices of depot + `sites` — the exact population the
+/// Christofides call site feeds the matching.
+std::vector<geom::Point> odd_mst_vertices(std::vector<geom::Point> pts) {
   pts.insert(pts.begin(), geom::Point{50.0, 50.0});  // depot as vertex 0
   const auto mst =
       graph::prim_mst(pts.size(), [&](std::uint32_t a, std::uint32_t b) {
@@ -168,6 +169,13 @@ std::vector<geom::Point> christofides_odd_set(std::size_t sites,
   return odd;
 }
 
+/// Odd-degree MST vertices of a uniform instance.
+std::vector<geom::Point> christofides_odd_set(std::size_t sites,
+                                              std::uint64_t seed) {
+  Rng rng(seed);
+  return odd_mst_vertices(geom::uniform_field(sites, 100.0, 100.0, rng));
+}
+
 TEST(EnginesChristofides, RealOddVertexSetsAtPaperScales) {
   // 300- and 1200-sensor rounds produce odd sets of a few hundred
   // vertices — the exact population the default engine must handle.
@@ -179,27 +187,59 @@ TEST(EnginesChristofides, RealOddVertexSetsAtPaperScales) {
   }
 }
 
+TEST(EnginesChristofides, AutoDenseSparseAgreeOnSmallRounds) {
+  // Appro's rounds of 2..60 sites, uniform and clustered: every odd set
+  // sits below kSparseCrossover, so kAuto runs the dense blossom, and it
+  // must return the forced dense and sparse engines' matching exactly.
+  MatchingOptions dense;
+  dense.engine = MatchingEngine::kDenseBlossom;
+  MatchingOptions sparse;
+  sparse.engine = MatchingEngine::kSparseBlossom;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    for (std::size_t m = 2; m <= 60; ++m) {
+      Rng rng(seed * 1000 + m);
+      for (const bool clustered : {false, true}) {
+        const auto odd = odd_mst_vertices(
+            clustered ? geom::clustered_field(m, 100.0, 100.0, 3, 5.0, rng)
+                      : geom::uniform_field(m, 100.0, 100.0, rng));
+        ASSERT_EQ(odd.size() % 2, 0u);
+        ASSERT_LT(odd.size(), kSparseCrossover);
+        const Matching auto_m = min_weight_euclidean_matching(odd);
+        ASSERT_TRUE(is_perfect_matching(odd.size(), auto_m));
+        EXPECT_EQ(auto_m, min_weight_euclidean_matching(odd, dense))
+            << "seed=" << seed << " m=" << m << " clustered=" << clustered;
+        EXPECT_EQ(auto_m, min_weight_euclidean_matching(odd, sparse))
+            << "seed=" << seed << " m=" << m << " clustered=" << clustered;
+      }
+    }
+  }
+}
+
 TEST(EnginesDispatch, AutoMatchesForcedEngines) {
+  MatchingOptions force_dense;
+  force_dense.engine = MatchingEngine::kDenseBlossom;
   Rng rng(55);
   const auto small = geom::uniform_field(12, 100.0, 100.0, rng);
   const auto w_small = euclidean(small);
-  // kAuto at n <= kExactLimit routes to the DP.
+  // kAuto below kSparseCrossover routes to the dense blossom, small sets
+  // included: the same matching, and the DP oracle's optimum up to the
+  // quantizer's resolution.
   const auto auto_small = min_weight_euclidean_matching(small);
-  EXPECT_EQ(matching_weight(auto_small, w_small),
-            matching_weight(exact_min_weight_matching(12, w_small), w_small));
+  EXPECT_EQ(auto_small, min_weight_euclidean_matching(small, force_dense));
+  EXPECT_NEAR(matching_weight(auto_small, w_small),
+              matching_weight(exact_min_weight_matching(12, w_small), w_small),
+              12 * 150.0 / static_cast<double>(kBlossomResolution) + 1e-9);
 
   const auto mid = geom::uniform_field(120, 100.0, 100.0, rng);
-  // kAuto above kExactLimit routes to a blossom engine (dense below
-  // kSparseCrossover, sparse up to kBlossomLimit); either way the result
-  // must equal the sparse engine's, since the engines are identical.
+  // Up to kBlossomLimit kAuto runs a blossom engine (dense below
+  // kSparseCrossover, sparse from it); either way the result must equal
+  // the sparse engine's, since the engines are identical.
   const auto auto_mid = min_weight_euclidean_matching(mid);
   EXPECT_EQ(auto_mid, sparse_blossom_euclidean_matching(mid));
   const auto big = geom::uniform_field(
       2 * kSparseCrossover, 100.0, 100.0, rng);
   EXPECT_EQ(min_weight_euclidean_matching(big),
             sparse_blossom_euclidean_matching(big));
-  MatchingOptions force_dense;
-  force_dense.engine = MatchingEngine::kDenseBlossom;
   EXPECT_EQ(auto_mid, min_weight_euclidean_matching(mid, force_dense));
   MatchingOptions local;
   local.engine = MatchingEngine::kLocalSearch;
@@ -275,7 +315,7 @@ TEST(EnginesNegativeDuals, OutliersDriveLabelsBelowZero) {
     pts.push_back({rng.uniform(99.5, 100.0), rng.uniform(0.0, 0.5)});
   }
   pts.push_back({50.0, 100.0});
-  ASSERT_LE(pts.size(), kExactLimit);
+  ASSERT_LE(pts.size(), kOracleLimit);
   const int n = static_cast<int>(pts.size());
 
   const detail::BlossomQuantizer qz = detail::make_point_quantizer(pts);

@@ -1,4 +1,4 @@
-// Tests for minimum-weight perfect matching: exact DP vs brute force,
+// Tests for minimum-weight perfect matching: the DP oracle vs brute force,
 // local-search quality vs the exact optimum on small instances, and the
 // dense blossom core on arbitrary weights — including the tie-heavy and
 // degenerate inputs that stress its jump start (tight initial duals and a
@@ -25,8 +25,13 @@
 #include "obs/obs.h"
 #include "util/rng.h"
 
+#include "matching_oracle.h"
+
 namespace mcharge::matching {
 namespace {
+
+using oracle::exact_min_weight_matching;
+using oracle::kOracleLimit;
 
 /// The dense blossom core on an arbitrary complete weighted graph (the
 /// library only feeds it Euclidean weights). Costs are quantized onto
@@ -160,13 +165,24 @@ TEST(LocalSearchMatching, LargeInstanceIsPerfect) {
 }
 
 TEST(Dispatch, UsesExactBelowLimit) {
-  Rng rng(9);
-  const std::size_t n = kExactLimit;
-  const auto pts = geom::uniform_field(n, 50.0, 50.0, rng);
-  const auto w = euclidean(pts);
-  const auto dispatched = min_weight_euclidean_matching(pts);
-  const auto exact = exact_min_weight_matching(n, w);
-  EXPECT_NEAR(matching_weight(dispatched, w), matching_weight(exact, w), 1e-9);
+  // Below kSparseCrossover kAuto runs the dense blossom at every n: bit
+  // for bit the forced engine's matching, and within the quantizer's
+  // tolerance of the DP oracle's real-valued optimum.
+  MatchingOptions force_dense;
+  force_dense.engine = MatchingEngine::kDenseBlossom;
+  for (std::size_t n = 2; n <= kOracleLimit; n += 2) {
+    Rng rng(9 + n);
+    const auto pts = geom::uniform_field(n, 50.0, 50.0, rng);
+    const auto w = euclidean(pts);
+    const auto dispatched = min_weight_euclidean_matching(pts);
+    EXPECT_EQ(dispatched, min_weight_euclidean_matching(pts, force_dense))
+        << "n=" << n;
+    const double tolerance =
+        n * 75.0 / static_cast<double>(kBlossomResolution) + 1e-9;
+    EXPECT_NEAR(matching_weight(dispatched, w),
+                matching_weight(exact_min_weight_matching(n, w), w), tolerance)
+        << "n=" << n;
+  }
 }
 
 // ---------- blossom ----------
@@ -246,9 +262,9 @@ TEST(Blossom, LargeGeometricInstanceBeatsLocalSearchOrTies) {
 }
 
 TEST(Blossom, AtTheDpFrontier) {
-  // n = 14 and kExactLimit: the largest sizes the DP can certify (the DP
-  // asserts n <= kExactLimit, matching its dispatch threshold).
-  for (std::size_t n : {std::size_t{14}, kExactLimit}) {
+  // n = 14 and kOracleLimit: the largest sizes the DP oracle can certify
+  // (it asserts n <= kOracleLimit).
+  for (std::size_t n : {std::size_t{14}, kOracleLimit}) {
     Rng rng(n * 977 + 5);
     const auto pts = geom::uniform_field(n, 100.0, 100.0, rng);
     const auto w = euclidean(pts);
@@ -339,7 +355,7 @@ TEST_P(BlossomJumpStartTies, WeightsOneToThree) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BlossomJumpStartTies, ::testing::Range(0, 40));
 
 TEST(BlossomJumpStart, AllEqualWeightsEverySize) {
-  for (std::size_t n = 2; n <= kExactLimit; n += 2) {
+  for (std::size_t n = 2; n <= kOracleLimit; n += 2) {
     expect_blossom_matches_dp(WeightTable(n, std::vector<double>(n, 5.0)));
   }
 }
@@ -367,7 +383,7 @@ TEST(BlossomJumpStart, DuplicatePoints) {
   Rng rng(211);
   for (const int copies : {2, 3, 4, 5}) {
     std::vector<geom::Point> pts;
-    while (pts.size() + static_cast<std::size_t>(copies) <= kExactLimit) {
+    while (pts.size() + static_cast<std::size_t>(copies) <= kOracleLimit) {
       const geom::Point p{rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)};
       for (int c = 0; c < copies; ++c) pts.push_back(p);
     }

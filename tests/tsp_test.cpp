@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 
@@ -118,6 +119,38 @@ TEST_P(ChristofidesQuality, Within1point5OfExactOnTinyInstances) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChristofidesQuality, ::testing::Range(0, 10));
+
+TEST(ChristofidesGolden, TourDigestPinned) {
+  // One FNV-1a digest over every tour christofides_tour builds for seeds
+  // 1..3 x m = 2..60 sites on uniform and clustered layouts. A tour is
+  // the Euler shortcut of MST + odd-set matching, so any change to the
+  // matching's pairs (or their order) moves the digest.
+  std::uint64_t digest = 14695981039346656037ULL;
+  const auto mix = [&digest](std::uint32_t word) {
+    for (int byte = 0; byte < 4; ++byte) {
+      digest = (digest ^ ((word >> (8 * byte)) & 0xffu)) * 1099511628211ULL;
+    }
+  };
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    for (std::uint32_t m = 2; m <= 60; ++m) {
+      for (const bool clustered : {false, true}) {
+        Rng rng(seed * 1000 + m);
+        TourProblem p;
+        p.sites = clustered
+                      ? geom::clustered_field(m, 100.0, 100.0, 3, 5.0, rng)
+                      : geom::uniform_field(m, 100.0, 100.0, rng);
+        p.service.assign(m, 0.0);
+        p.depot = {50.0, 50.0};
+        p.speed = 1.0;
+        const Tour tour = christofides_tour(p);
+        ASSERT_TRUE(is_complete_tour(p, tour));
+        mix(m);
+        for (const SiteId v : tour) mix(v);
+      }
+    }
+  }
+  EXPECT_EQ(digest, 0x26e5bba0a65089f5ULL);
+}
 
 // ---------- exact (Held-Karp) ----------
 
