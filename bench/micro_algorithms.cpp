@@ -179,13 +179,9 @@ void BM_ChristofidesMatching(benchmark::State& state) {
   // Christofides run produces over arg0 uniform sites (the odd set is
   // roughly 40% of the sites); arg1 = engine as in BM_Blossom.
   const auto p = make_tour_problem(static_cast<std::size_t>(state.range(0)), 6);
-  p.ensure_distance_cache();
   std::vector<geom::Point> vertices = p.sites;
   vertices.insert(vertices.begin(), p.depot);
-  const auto mst =
-      graph::prim_mst(vertices.size(), [&](std::uint32_t a, std::uint32_t b) {
-        return geom::distance(vertices[a], vertices[b]);
-      });
+  const auto mst = graph::euclidean_mst(vertices);
   std::vector<std::size_t> degree(vertices.size(), 0);
   for (const auto& e : mst) {
     ++degree[e.u];
@@ -209,6 +205,19 @@ BENCHMARK(BM_ChristofidesMatching)
     ->Args({1200, 1})
     ->Args({1200, 2})
     ->Unit(benchmark::kMillisecond);
+
+void BM_EuclideanMst(benchmark::State& state) {
+  // Christofides' MST stage alone: Prim over depot + arg0 uniform sites,
+  // streaming one distance row per step from the coordinates.
+  const auto p = make_tour_problem(static_cast<std::size_t>(state.range(0)), 6);
+  std::vector<geom::Point> vertices = p.sites;
+  vertices.insert(vertices.begin(), p.depot);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(graph::euclidean_mst(vertices));
+  }
+  state.SetLabel(simd::backend_name(simd::active_backend()));
+}
+BENCHMARK(BM_EuclideanMst)->Arg(350)->Arg(1200);
 
 void BM_ChristofidesTour(benchmark::State& state) {
   const auto p =

@@ -6,9 +6,9 @@
 #      available, a grep fallback otherwise), including presence and
 #      non-zero counts of the load-bearing spans (planner phases, the
 #      tour substrate's stages inside tsp::min_max_k_tours, executor,
-#      simulator round loop and its problem build); one ablation_design
-#      round adds the dense blossom's solve span and the stages inside
-#      tsp.construct (distance cache, MST, odd-set matching, Euler).
+#      simulator round loop, its problem build and its accounting tail);
+#      one ablation_design round adds the dense blossom's solve span and
+#      the stages inside tsp.construct (MST, odd-set matching, Euler).
 #   2. Runs the BM_ObsOverhead micro-bench pair and asserts the
 #      tracing-enabled run stays within a noise margin of the disabled
 #      run (the layer's contract is < 1% overhead on instrumented
@@ -85,25 +85,24 @@ def require(by_name, names):
 sim = load(sys.argv[1])
 require(sim, ("appro.plan", "appro.k_tours", "appro.insertion",
               "exec.multinode", "sim.round", "sim.select_scan",
-              "sim.problem", "tsp.construct", "tsp.improve_tour", "tsp.split",
-              "tsp.segment_improve"))
+              "sim.problem", "sim.account", "tsp.construct",
+              "tsp.improve_tour", "tsp.split", "tsp.segment_improve"))
 # The sparse engine's blossom.* spans fire only when auto-dispatch picks
 # it, which depends on odd-set size, so only the dense span is required.
 require(load(sys.argv[2]), ("appro.k_tours", "blossom.dense_solve",
-                            "tsp.distance_cache", "tsp.mst", "tsp.odd_match",
-                            "tsp.euler"))
+                            "tsp.mst", "tsp.odd_match", "tsp.euler"))
 print("trace schema: OK (%d metrics)" % len(sim))
 EOF
 else
   # Grep fallback: schema tag plus the load-bearing span names.
   grep -q '"schema": "mcharge.trace.v1"' "$TMP/trace.json"
   for required in appro.plan appro.k_tours exec.multinode sim.round \
-      sim.problem tsp.construct tsp.improve_tour tsp.split tsp.segment_improve; do
+      sim.problem sim.account tsp.construct tsp.improve_tour tsp.split \
+      tsp.segment_improve; do
     grep -q "\"$required\"" "$TMP/trace.json" || {
       echo "FAIL: missing span $required" >&2; exit 1; }
   done
-  for required in blossom.dense_solve tsp.distance_cache tsp.mst \
-      tsp.odd_match tsp.euler; do
+  for required in blossom.dense_solve tsp.mst tsp.odd_match tsp.euler; do
     grep -q "\"$required\"" "$TMP/trace_matching.json" || {
       echo "FAIL: missing span $required" >&2; exit 1; }
   done

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 
 #include "core/overlap_graph.h"
 #include "graph/mis.h"
@@ -45,7 +46,9 @@ class TravelCache {
       xs_.push_back(pt.x);
       ys_.push_back(pt.y);
     }
-    pair_.assign(m * m, 0.0);
+    // No zero-fill: row_filled_ guards every read, and fill_row writes a
+    // whole row before its first read.
+    pair_ = std::make_unique_for_overwrite<double[]>(m * m);
     row_filled_.assign(m, 0);
     depot_.resize(m);
     simd::distance_row(xs_.data(), ys_.data(), m, p.depot().x, p.depot().y,
@@ -66,7 +69,7 @@ class TravelCache {
  private:
   void fill_row(std::size_t iu) {
     const std::size_t m = ids_.size();
-    double* row = pair_.data() + iu * m;
+    double* row = pair_.get() + iu * m;
     simd::distance_row(xs_.data(), ys_.data(), m, xs_[iu], ys_[iu], row);
     for (std::size_t i = 0; i < m; ++i) row[i] /= speed_;
     row_filled_[iu] = 1;
@@ -76,7 +79,7 @@ class TravelCache {
   std::vector<std::int32_t> compact_;  ///< sensor id -> cache index, -1 = out
   std::vector<std::uint32_t> ids_;     ///< cache index -> sensor id
   std::vector<double> xs_, ys_;        ///< SoA member coordinates
-  std::vector<double> pair_;           ///< row-major, valid iff row_filled_
+  std::unique_ptr<double[]> pair_;     ///< row-major, valid iff row_filled_
   std::vector<unsigned char> row_filled_;
   std::vector<double> depot_;
 };

@@ -310,6 +310,9 @@ SimResult simulate(const model::WrsnInstance& instance,
                 .size();
       }
     }
+    // The round's accounting tail; the span closes at the end of the loop
+    // body.
+    OBS_SPAN("sim.account");
     const std::vector<double> charged_at = outcome.charged_at();
     const double round_delay = outcome.longest_delay();
     double round_wait = outcome.primary.total_wait();

@@ -4,7 +4,6 @@
 #include "graph/mst.h"
 #include "matching/matching.h"
 #include "obs/obs.h"
-#include "util/assert.h"
 
 namespace mcharge::tsp {
 
@@ -12,22 +11,6 @@ namespace {
 
 // Internally the TSP runs over m+1 vertices: 0 is the depot, vertex v >= 1
 // is site v-1.
-
-/// Prim over the vertex graph, relaxing straight from the cached rows
-/// (the cache holds exact geom::distance bits). Requires m >= 2, so the
-/// cache tables exist.
-std::vector<graph::WeightedEdge> vertex_mst(const TourProblem& p) {
-  const std::size_t m = p.size();
-  const double* depot = p.depot_distance_ptr();
-  const double* matrix = p.distance_row_ptr(0);
-  MCHARGE_ASSERT(m >= 2 && depot != nullptr && matrix != nullptr,
-                 "vertex_mst needs the distance cache");
-  return graph::prim_mst(m + 1, [=](std::uint32_t a, std::uint32_t b) {
-    if (a == 0) return b == 0 ? 0.0 : depot[b - 1];
-    if (b == 0) return depot[a - 1];
-    return matrix[std::size_t{a - 1} * m + (b - 1)];
-  });
-}
 
 /// Converts a vertex cycle (containing vertex 0 exactly once after
 /// shortcutting) into a site tour starting after the depot.
@@ -71,13 +54,17 @@ Tour christofides_tour(const TourProblem& problem,
   const std::size_t n = problem.size() + 1;
   if (problem.size() == 0) return {};
   if (problem.size() == 1) return {0};
-  problem.ensure_distance_cache();
 
   // One span per stage; tracing never changes a result.
+  std::vector<geom::Point> vertices;
   std::vector<graph::WeightedEdge> mst;
   {
     OBS_SPAN("tsp.mst");
-    mst = vertex_mst(problem);
+    vertices.reserve(n);
+    vertices.push_back(problem.depot);
+    vertices.insert(vertices.end(), problem.sites.begin(),
+                    problem.sites.end());
+    mst = graph::euclidean_mst(vertices);
   }
 
   std::vector<std::uint32_t> odd;
@@ -93,14 +80,11 @@ Tour christofides_tour(const TourProblem& problem,
       if (degree[v] % 2 == 1) odd.push_back(v);
     }
     // Handshake lemma: |odd| is even. Match on the odd vertices'
-    // coordinates so the geometric engines apply; the distance cache
-    // serves exactly geom::distance bits, so the quantized objective
-    // matches the cached metric.
+    // coordinates so the geometric engines apply; the MST weights carry
+    // exactly geom::distance bits, so both stages see one metric.
     std::vector<geom::Point> odd_pts;
     odd_pts.reserve(odd.size());
-    for (const std::uint32_t v : odd) {
-      odd_pts.push_back(v == 0 ? problem.depot : problem.sites[v - 1]);
-    }
+    for (const std::uint32_t v : odd) odd_pts.push_back(vertices[v]);
     match = matching::min_weight_euclidean_matching(odd_pts, matching);
   }
 

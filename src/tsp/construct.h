@@ -11,10 +11,13 @@
 namespace mcharge::tsp {
 
 /// Christofides: MST + minimum-weight matching on the odd-degree
-/// vertices + Euler shortcut. The matching runs on the odd vertices'
-/// coordinates through the geometric engine dispatch, so `matching`
-/// selects the engine (exact blossom up to matching::kBlossomLimit odd
-/// vertices by default — the 1.5-approximation holds throughout).
+/// vertices + Euler shortcut. The MST is graph::euclidean_mst over depot
+/// + sites (vertex 0 is the depot), which streams one distance row per
+/// Prim step from the coordinates, so no m x m table is built. The
+/// matching runs on the odd vertices' coordinates through the geometric
+/// engine dispatch, so `matching` selects the engine (exact blossom up to
+/// matching::kBlossomLimit odd vertices by default — the
+/// 1.5-approximation holds throughout).
 Tour christofides_tour(const TourProblem& problem,
                        const matching::MatchingOptions& matching = {});
 

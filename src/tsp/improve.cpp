@@ -14,6 +14,8 @@ namespace mcharge::tsp {
 namespace {
 
 // Distance helpers treating position -1 and position m as the depot.
+// travel() reads the distance cache only when a caller built one, and
+// computes the same bits from the coordinates otherwise.
 double leg(const TourProblem& p, const Tour& t, std::ptrdiff_t i,
            std::ptrdiff_t j) {
   const bool i_depot = i < 0 || i >= static_cast<std::ptrdiff_t>(t.size());

@@ -11,6 +11,26 @@ namespace mcharge::tsp {
 
 namespace {
 
+/// One tour position's legs, computed once per split: the depot <->
+/// tour[i] travel time, the tour[i-1] -> tour[i] travel time (unused at
+/// i = 0) and tour[i]'s service time. The greedy cut reads only these, so
+/// no probe touches a distance.
+struct TourLeg {
+  double depot = 0.0;
+  double pred = 0.0;
+  double service = 0.0;
+};
+
+std::vector<TourLeg> tour_legs(const TourProblem& p, const Tour& tour) {
+  std::vector<TourLeg> legs(tour.size());
+  for (std::size_t i = 0; i < tour.size(); ++i) {
+    legs[i].depot = p.travel_depot(tour[i]);
+    if (i > 0) legs[i].pred = p.travel(tour[i - 1], tour[i]);
+    legs[i].service = p.service[tour[i]];
+  }
+  return legs;
+}
+
 /// Greedily cuts `tour` into segments of delay <= budget. Returns the
 /// segments, or an empty optional-equivalent (ok=false) if some single
 /// site alone exceeds the budget.
@@ -19,10 +39,11 @@ struct GreedyCut {
   std::vector<Tour> segments;
 };
 
-GreedyCut greedy_cut(const TourProblem& p, const Tour& tour, double budget,
-                     const SegmentEnergyCap& cap) {
+GreedyCut greedy_cut(const Tour& tour, const std::vector<TourLeg>& legs,
+                     double budget, const SegmentEnergyCap& cap) {
   GreedyCut result;
   Tour current;
+  std::size_t first = 0;  // tour position of current.front()
   double internal = 0.0;  // travel within segment + service
   // Energy bookkeeping (cap only): internal travel / service seconds,
   // tracked separately so joules can be priced per component. The delay
@@ -32,41 +53,43 @@ GreedyCut greedy_cut(const TourProblem& p, const Tour& tour, double budget,
   double eservice = 0.0;
   for (std::size_t i = 0; i < tour.size(); ++i) {
     const SiteId v = tour[i];
-    const double solo = 2.0 * p.travel_depot(v) + p.service[v];
+    const double solo = 2.0 * legs[i].depot + legs[i].service;
     if (solo > budget) return result;  // infeasible budget
     if (current.empty()) {
       current.push_back(v);
-      internal = p.service[v];
+      first = i;
+      internal = legs[i].service;
       etravel = 0.0;
-      eservice = p.service[v];
+      eservice = legs[i].service;
       continue;
     }
-    const double extended = p.travel_depot(current.front()) + internal +
-                            p.travel(current.back(), v) + p.service[v] +
-                            p.travel_depot(v);
+    // Segments are consecutive runs of the tour, so current.back() is
+    // tour[i - 1] and its leg to v is legs[i].pred.
+    const double extended = legs[first].depot + internal + legs[i].pred +
+                            legs[i].service + legs[i].depot;
     bool fits = extended <= budget;
     if (fits && cap.enabled()) {
       // A single site over the cap is still admitted as its own segment
       // (the executor's budget machinery handles the overdraw); only
       // *extending* past the cap forces a cut.
       const double joules =
-          (p.travel_depot(current.front()) + etravel +
-           p.travel(current.back(), v) + p.travel_depot(v)) *
+          (legs[first].depot + etravel + legs[i].pred + legs[i].depot) *
               cap.travel_power_w +
-          (eservice + p.service[v]) * cap.service_power_w;
+          (eservice + legs[i].service) * cap.service_power_w;
       fits = joules <= cap.budget_j;
     }
     if (fits) {
-      internal += p.travel(current.back(), v) + p.service[v];
-      etravel += p.travel(current.back(), v);
-      eservice += p.service[v];
+      internal += legs[i].pred + legs[i].service;
+      etravel += legs[i].pred;
+      eservice += legs[i].service;
       current.push_back(v);
     } else {
       result.segments.push_back(std::move(current));
       current = {v};
-      internal = p.service[v];
+      first = i;
+      internal = legs[i].service;
       etravel = 0.0;
-      eservice = p.service[v];
+      eservice = legs[i].service;
     }
   }
   if (!current.empty()) result.segments.push_back(std::move(current));
@@ -87,19 +110,19 @@ SplitResult split_min_max(const TourProblem& problem, const Tour& tour,
   MCHARGE_ASSERT(k >= 1, "split requires k >= 1");
   MCHARGE_ASSERT(is_complete_tour(problem, tour),
                  "split requires a complete tour");
-  problem.ensure_distance_cache();
   SplitResult result;
   if (tour.empty()) {
     result.tours.assign(k, Tour{});
     return result;
   }
 
+  const std::vector<TourLeg> legs = tour_legs(problem, tour);
   // Lower bound: the hardest single site. Upper bound: whole tour as one.
   // The upper bound gets a relative nudge so that accumulation-order
   // floating-point noise cannot make the whole-tour budget "infeasible".
   double lo0 = -std::numeric_limits<double>::infinity();
-  for (const SiteId v : tour) {
-    const double solo = 2.0 * problem.travel_depot(v) + problem.service[v];
+  for (std::size_t i = 0; i < tour.size(); ++i) {
+    const double solo = 2.0 * legs[i].depot + legs[i].service;
     if (solo > lo0) lo0 = solo;
   }
   double lo = std::max(0.0, lo0);
@@ -107,14 +130,14 @@ SplitResult split_min_max(const TourProblem& problem, const Tour& tour,
   hi += 1e-9 * std::max(1.0, hi);
 
   SegmentEnergyCap use = cap;
-  GreedyCut best = greedy_cut(problem, tour, hi, use);
+  GreedyCut best = greedy_cut(tour, legs, hi, use);
   if (use.enabled() && best.ok && best.segments.size() > k) {
     // The energy cap and the fleet size cannot both hold even at the
     // loosest delay budget: drop the cap (best effort — the executor's
     // budget machinery turns any residual overdraw into a recoverable,
     // cause-tagged abort) and redo the feasibility anchor.
     use = SegmentEnergyCap{};
-    best = greedy_cut(problem, tour, hi, use);
+    best = greedy_cut(tour, legs, hi, use);
   }
   MCHARGE_ASSERT(best.ok && best.segments.size() <= std::max<std::size_t>(k, 1),
                  "whole-tour budget must be feasible");
@@ -122,7 +145,7 @@ SplitResult split_min_max(const TourProblem& problem, const Tour& tour,
   // Binary search the smallest budget whose greedy cut uses <= k segments.
   for (int iter = 0; iter < 64 && hi - lo > 1e-9 * std::max(1.0, hi); ++iter) {
     const double mid = 0.5 * (lo + hi);
-    GreedyCut cut = greedy_cut(problem, tour, mid, use);
+    GreedyCut cut = greedy_cut(tour, legs, mid, use);
     if (cut.ok && cut.segments.size() <= k) {
       best = std::move(cut);
       hi = mid;
@@ -145,13 +168,9 @@ SplitResult min_max_k_tours(const TourProblem& problem, std::size_t k,
     r.tours.assign(k, Tour{});
     return r;
   }
-  // One span per stage; tracing never changes a result.
-  {
-    // One O(m^2) distance build serves construction, improvement, and
-    // splitting below; every travel() call after this is a table read.
-    OBS_SPAN("tsp.distance_cache");
-    problem.ensure_distance_cache();
-  }
+  // One span per stage; tracing never changes a result. No stage builds
+  // an m x m distance table: Prim streams rows from the coordinates, the
+  // local search and the split read O(m) legs.
   Tour tour;
   {
     OBS_SPAN("tsp.construct");

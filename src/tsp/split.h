@@ -42,7 +42,10 @@ struct SegmentEnergyCap {
 
 /// Cuts the given complete closed tour into at most K depot-rooted segments
 /// minimizing the maximum segment delay. The input tour's site order is
-/// preserved inside each segment. With an enabled `cap`, the greedy cut
+/// preserved inside each segment. Each position's depot leg, predecessor
+/// leg and service time are computed once, in O(m); every bisection probe
+/// then runs one greedy cut over those arrays and materializes its
+/// segments. With an enabled `cap`, the greedy cut
 /// also closes a segment whenever extending it would push its energy over
 /// cap.budget_j, so every returned segment fits the cap — except when even
 /// the loosest delay budget cannot satisfy cap and K together, in which
@@ -70,6 +73,7 @@ struct MinMaxTourOptions {
 
 /// End-to-end K min-max closed tours over all sites of `problem`:
 /// construct -> improve -> split -> (optionally) improve each segment.
+/// No stage builds the m x m distance cache.
 SplitResult min_max_k_tours(const TourProblem& problem, std::size_t k,
                             const MinMaxTourOptions& options = {});
 

@@ -51,13 +51,16 @@ struct TourProblem {
   /// geom::distance. For m <= 1 the build is a cheap no-op (no
   /// allocation): there are no site pairs to cache and distance queries
   /// fall through to on-the-fly geometry.
-  /// The tour algorithms (construct / split / exact entry points) call
-  /// this themselves; direct users of two_opt / or_opt opt in explicitly.
+  /// Only the exact solver (tsp/exact.h, Held-Karp, m <= 20) calls this
+  /// itself. The tour substrate never does: Christofides streams Prim
+  /// rows from the coordinates, 2-opt / Or-opt keep a position mirror and
+  /// split_min_max reads O(m) legs. A caller may still build the cache
+  /// first; every travel() answer keeps the same bits, so no tour
+  /// changes.
   /// Mutating `sites` or `depot` IN PLACE (same size) is invisible to the
-  /// staleness check — call drop_distance_cache() first. (Audited call
-  /// sites — appro, kminmax, greedy_cover — only populate `sites` before
-  /// the first cache build.) Not safe to call concurrently on a shared
-  /// instance; build before handing the problem to other threads.
+  /// staleness check — call drop_distance_cache() first. Not safe to
+  /// call concurrently on a shared instance; build before handing the
+  /// problem to other threads.
   void ensure_distance_cache() const;
   /// Discards the cache; travel queries fall back to on-the-fly geometry.
   void drop_distance_cache() const;
@@ -65,15 +68,6 @@ struct TourProblem {
   /// including for m == 0 / m == 1, where the build allocates nothing.
   bool has_distance_cache() const {
     return cache_built_ && cached_m_ == sites.size();
-  }
-
-  /// Raw cache rows for kernel scans; nullptr unless a cache with
-  /// allocated tables is present (i.e. has_distance_cache() and m >= 2).
-  const double* distance_row_ptr(SiteId a) const {
-    return site_dist_.empty() ? nullptr : site_dist_.data() + a * sites.size();
-  }
-  const double* depot_distance_ptr() const {
-    return depot_dist_.empty() ? nullptr : depot_dist_.data();
   }
 
   /// Validates invariants (matching vector sizes, positive speed,

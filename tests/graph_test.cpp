@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <numeric>
@@ -13,6 +15,8 @@
 #include "graph/graph.h"
 #include "graph/mis.h"
 #include "graph/mst.h"
+#include "mst_oracle.h"
+#include "simd_backends.h"
 #include "util/rng.h"
 
 namespace mcharge::graph {
@@ -233,6 +237,58 @@ TEST(Mst, TrivialSizes) {
   const auto one = euclidean_mst({{0, 0}, {3, 4}});
   ASSERT_EQ(one.size(), 1u);
   EXPECT_DOUBLE_EQ(one[0].weight, 5.0);
+}
+
+TEST(Mst, SoaPrimMatchesFrozenTemplate) {
+  // euclidean_mst streams one distance row per step from SoA coordinates;
+  // the frozen template reads geom::distance pair by pair. Both must emit
+  // the same (u, v, weight) sequence, weights compared bit for bit, on
+  // every backend and on layouts full of exact ties.
+  const auto layouts = [](std::size_t n, std::uint64_t seed) {
+    std::vector<std::vector<geom::Point>> out;
+    Rng rng(seed);
+    out.push_back(geom::uniform_field(n, 1000.0, 1000.0, rng));
+    out.push_back(geom::clustered_field(n, 1000.0, 1000.0, 4, 20.0, rng));
+    std::vector<geom::Point> duplicated;
+    for (const geom::Point& pt : geom::uniform_field((n + 1) / 2, 100.0,
+                                                     100.0, rng)) {
+      duplicated.push_back(pt);
+      duplicated.push_back(pt);
+    }
+    duplicated.resize(n);
+    out.push_back(duplicated);
+    std::vector<geom::Point> collinear;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double t = static_cast<double>(rng.below(64));
+      collinear.push_back({3.0 * t, 7.0 + 2.0 * t});
+    }
+    out.push_back(collinear);
+    out.push_back(std::vector<geom::Point>(n, geom::Point{12.5, -3.0}));
+    return out;
+  };
+  std::size_t trees = 0;
+  for (const simd::Backend backend : supported_backends()) {
+    const BackendGuard guard(backend);
+    for (const std::size_t n : {0, 1, 2, 3, 50, 505, 1200}) {
+      for (const auto& pts : layouts(n, 900 + n)) {
+        const auto got = euclidean_mst(pts);
+        const auto want =
+            oracle::prim_mst(pts.size(), [&](std::uint32_t a, std::uint32_t b) {
+              return geom::distance(pts[a], pts[b]);
+            });
+        ASSERT_EQ(got.size(), want.size()) << "n=" << n;
+        for (std::size_t e = 0; e < got.size(); ++e) {
+          ASSERT_EQ(got[e].u, want[e].u) << "n=" << n << " edge " << e;
+          ASSERT_EQ(got[e].v, want[e].v) << "n=" << n << " edge " << e;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got[e].weight),
+                    std::bit_cast<std::uint64_t>(want[e].weight))
+              << "n=" << n << " edge " << e;
+        }
+        ++trees;
+      }
+    }
+  }
+  EXPECT_GE(trees, 35u);
 }
 
 TEST(Mst, KruskalDisconnectedIsForest) {

@@ -153,10 +153,7 @@ TEST(EnginesDegenerate, TinyInstances) {
 /// Christofides call site feeds the matching.
 std::vector<geom::Point> odd_mst_vertices(std::vector<geom::Point> pts) {
   pts.insert(pts.begin(), geom::Point{50.0, 50.0});  // depot as vertex 0
-  const auto mst =
-      graph::prim_mst(pts.size(), [&](std::uint32_t a, std::uint32_t b) {
-        return geom::distance(pts[a], pts[b]);
-      });
+  const auto mst = graph::euclidean_mst(pts);
   std::vector<std::size_t> degree(pts.size(), 0);
   for (const auto& e : mst) {
     ++degree[e.u];

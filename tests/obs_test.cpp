@@ -153,8 +153,8 @@ TEST(ObsReport, SimulatorPopulatesCoreSpans) {
   const obs::TraceReport report = obs::capture();
   for (const char* name :
        {"appro.plan", "exec.multinode", "sim.round", "sim.problem",
-        "sim.execute", "sim.verify", "tsp.construct", "tsp.improve_tour",
-        "tsp.split", "tsp.segment_improve"}) {
+        "sim.execute", "sim.verify", "sim.account", "tsp.construct",
+        "tsp.improve_tour", "tsp.split", "tsp.segment_improve"}) {
     const auto* m = find_metric(report, name);
     ASSERT_NE(m, nullptr) << name;
     EXPECT_GT(m->count, 0u) << name;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <numeric>
@@ -480,6 +481,85 @@ TEST(MinMaxKTours, SegmentImproveNeverHurts) {
   EXPECT_LE(a.max_delay, b.max_delay + 1e-9);
 }
 
+TEST(MinMaxKTours, BuildsNoDistanceMatrix) {
+  // Construction streams Prim rows from coordinates and the split reads
+  // one leg array, so the end-to-end call never tabulates m x m distances.
+  Rng rng(505);
+  const TourProblem p = random_problem(505, rng, 200.0);
+  const auto result = min_max_k_tours(p, 2);
+  EXPECT_GT(result.max_delay, 0.0);
+  EXPECT_FALSE(p.has_distance_cache());
+}
+
+TEST(MinMaxGolden, PlanDigestPinned) {
+  // One FNV-1a digest over every plan min_max_k_tours returns for
+  // m = 2..60, 200, 505 and 1000 sites x k in {1, 2, 5} x uniform and
+  // clustered layouts x three energy caps: none, an active cap (0.9x the
+  // uncapped plan's largest segment energy) and a 1 J cap the split has
+  // to drop. Tours and the max_delay bits both feed the digest.
+  std::uint64_t digest = 14695981039346656037ULL;
+  const auto mix = [&digest](std::uint64_t word, int bytes) {
+    for (int byte = 0; byte < bytes; ++byte) {
+      digest = (digest ^ ((word >> (8 * byte)) & 0xffu)) * 1099511628211ULL;
+    }
+  };
+  std::vector<std::size_t> sizes;
+  for (std::size_t m = 2; m <= 60; ++m) sizes.push_back(m);
+  sizes.insert(sizes.end(), {200, 505, 1000});
+  constexpr double kTravelW = 12.0;
+  constexpr double kServiceW = 2.0;
+  const auto energy = [&](const TourProblem& p, const Tour& seg) {
+    return tour_travel_time(p, seg) * kTravelW +
+           tour_service_time(p, seg) * kServiceW;
+  };
+  std::size_t cap_held = 0;
+  std::size_t cap_dropped = 0;
+  for (const std::size_t m : sizes) {
+    for (const bool clustered : {false, true}) {
+      Rng rng(7000 + m);
+      TourProblem p;
+      p.sites = clustered
+                    ? geom::clustered_field(m, 1000.0, 1000.0, 4, 60.0, rng)
+                    : geom::uniform_field(m, 1000.0, 1000.0, rng);
+      for (std::size_t i = 0; i < m; ++i) {
+        p.service.push_back(rng.uniform(10.0, 600.0));
+      }
+      p.depot = {500.0, 500.0};
+      p.speed = 5.0;
+      for (const std::size_t k : {1, 2, 5}) {
+        const SplitResult free = min_max_k_tours(p, k);
+        double worst_j = 0.0;
+        for (const Tour& seg : free.tours) {
+          worst_j = std::max(worst_j, energy(p, seg));
+        }
+        for (const double budget_j : {0.0, 0.9 * worst_j, 1.0}) {
+          MinMaxTourOptions options;
+          options.energy = {budget_j, kTravelW, kServiceW};
+          const SplitResult got =
+              budget_j == 0.0 ? free : min_max_k_tours(p, k, options);
+          ASSERT_EQ(got.tours.size(), k);
+          bool fits = true;
+          for (const Tour& seg : got.tours) {
+            if (seg.size() >= 2 && energy(p, seg) > budget_j) fits = false;
+          }
+          if (budget_j > 1.0 && fits && got.tours != free.tours) ++cap_held;
+          if (budget_j == 1.0 && !fits) ++cap_dropped;
+          mix(m, 4);
+          mix(k, 4);
+          mix(std::bit_cast<std::uint64_t>(got.max_delay), 8);
+          for (const Tour& seg : got.tours) {
+            mix(seg.size(), 4);
+            for (const SiteId v : seg) mix(v, 4);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(cap_held, 0u);
+  EXPECT_GT(cap_dropped, 0u);
+  EXPECT_EQ(digest, 0xfce4b3e6a2f64f3aULL);
+}
+
 // ---------- distance cache ----------
 
 TEST(DistanceCache, MatchesOnTheFlyGeometryBitwise) {
@@ -546,7 +626,6 @@ TEST(DistanceCache, EmptyProblemBuildIsANoOpButCounts) {
   // m == 0 allocates nothing, but the build is remembered: repeated
   // ensure/drop cycles on empty subproblems must stay allocation-free.
   EXPECT_TRUE(p.has_distance_cache());
-  EXPECT_EQ(p.depot_distance_ptr(), nullptr);
   p.drop_distance_cache();
   EXPECT_FALSE(p.has_distance_cache());
 }
@@ -559,8 +638,6 @@ TEST(DistanceCache, SingleSiteBuildIsANoOp) {
   EXPECT_TRUE(p.has_distance_cache());
   // No tables for a single site; queries fall through to on-the-fly
   // geometry and stay bitwise-correct.
-  EXPECT_EQ(p.depot_distance_ptr(), nullptr);
-  EXPECT_EQ(p.distance_row_ptr(0), nullptr);
   EXPECT_EQ(p.distance_depot(0), 5.0);
   EXPECT_EQ(p.distance(0, 0), 0.0);
 }
@@ -576,23 +653,7 @@ TEST(DistanceCache, SingleSiteStaysCurrentUntilSitesGrow) {
   EXPECT_FALSE(p.has_distance_cache());
   p.ensure_distance_cache();
   ASSERT_TRUE(p.has_distance_cache());
-  ASSERT_NE(p.distance_row_ptr(0), nullptr);
   EXPECT_EQ(p.distance(0, 1), 5.0);
-}
-
-TEST(DistanceCache, RowPointersMatchQueries) {
-  Rng rng(58);
-  const TourProblem p = random_problem(17, rng);
-  p.ensure_distance_cache();
-  ASSERT_NE(p.depot_distance_ptr(), nullptr);
-  for (SiteId a = 0; a < p.size(); ++a) {
-    EXPECT_EQ(p.depot_distance_ptr()[a], p.distance_depot(a));
-    const double* row = p.distance_row_ptr(a);
-    ASSERT_NE(row, nullptr);
-    for (SiteId b = 0; b < p.size(); ++b) {
-      EXPECT_EQ(row[b], p.distance(a, b));
-    }
-  }
 }
 
 TEST(DistanceCache, TwoOptIdenticalWithAndWithoutCache) {
@@ -602,9 +663,7 @@ TEST(DistanceCache, TwoOptIdenticalWithAndWithoutCache) {
   cached.ensure_distance_cache();
 
   Tour tour_uncached = christofides_tour(uncached);
-  // christofides_tour builds the cache on its own problem; rebuild the
-  // uncached starting tour without one to keep that path honest too.
-  uncached.drop_distance_cache();
+  ASSERT_FALSE(uncached.has_distance_cache());  // construction builds none
   Tour tour_cached = tour_uncached;
 
   const double saved_uncached = two_opt(uncached, tour_uncached);
@@ -635,8 +694,8 @@ TEST(DistanceCache, MinMaxKToursIdenticalWithPrebuiltCache) {
   const TourProblem fresh = random_problem(60, rng, 200.0);
   TourProblem prebuilt = fresh;
   prebuilt.ensure_distance_cache();
-  const auto a = min_max_k_tours(fresh, 3);     // builds its cache inside
-  const auto b = min_max_k_tours(prebuilt, 3);  // reuses the prebuilt one
+  const auto a = min_max_k_tours(fresh, 3);     // computes on the fly
+  const auto b = min_max_k_tours(prebuilt, 3);  // reads the prebuilt cache
   EXPECT_EQ(a.max_delay, b.max_delay);
   EXPECT_EQ(a.tours, b.tours);
 }
