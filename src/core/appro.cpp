@@ -2,87 +2,17 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 
 #include "core/overlap_graph.h"
 #include "graph/mis.h"
 #include "obs/obs.h"
 #include "util/assert.h"
-#include "util/simd.h"
 
 namespace mcharge::core {
 
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Per-plan travel-time memo over the sensors the insertion phase can
-/// touch (the members of S_I: tour stops and insertion candidates). The
-/// insertion rounds re-derive the same legs over and over — every
-/// finish recomputation walks a tour suffix, every candidate probes its
-/// neighbors — so pairs are computed once and then served from a dense
-/// |S_I| x |S_I| table. Rows are filled lazily at row granularity through
-/// the SIMD distance kernel over an SoA copy of the member coordinates
-/// (first touch of any pair fills the whole source row); depot legs are
-/// filled eagerly as one more row. dx*dx squares away the operand-order
-/// sign difference, so every value matches ChargingProblem::travel bit
-/// for bit — plans are unchanged.
-class TravelCache {
- public:
-  TravelCache(const model::ChargingProblem& p,
-              const std::vector<std::uint32_t>& sensors)
-      : speed_(p.speed()), compact_(p.size(), -1) {
-    for (std::uint32_t s : sensors) {
-      if (compact_[s] < 0) {
-        compact_[s] = static_cast<std::int32_t>(ids_.size());
-        ids_.push_back(s);
-      }
-    }
-    const std::size_t m = ids_.size();
-    xs_.reserve(m);
-    ys_.reserve(m);
-    for (std::uint32_t s : ids_) {
-      const geom::Point pt = p.position(s);
-      xs_.push_back(pt.x);
-      ys_.push_back(pt.y);
-    }
-    // No zero-fill: row_filled_ guards every read, and fill_row writes a
-    // whole row before its first read.
-    pair_ = std::make_unique_for_overwrite<double[]>(m * m);
-    row_filled_.assign(m, 0);
-    depot_.resize(m);
-    simd::distance_row(xs_.data(), ys_.data(), m, p.depot().x, p.depot().y,
-                       depot_.data());
-    for (double& d : depot_) d /= speed_;
-  }
-
-  double travel(std::uint32_t u, std::uint32_t v) {
-    const auto iu = static_cast<std::size_t>(compact_[u]);
-    if (!row_filled_[iu]) fill_row(iu);
-    return pair_[iu * ids_.size() + static_cast<std::size_t>(compact_[v])];
-  }
-
-  double travel_depot(std::uint32_t u) {
-    return depot_[static_cast<std::size_t>(compact_[u])];
-  }
-
- private:
-  void fill_row(std::size_t iu) {
-    const std::size_t m = ids_.size();
-    double* row = pair_.get() + iu * m;
-    simd::distance_row(xs_.data(), ys_.data(), m, xs_[iu], ys_[iu], row);
-    for (std::size_t i = 0; i < m; ++i) row[i] /= speed_;
-    row_filled_[iu] = 1;
-  }
-
-  double speed_;
-  std::vector<std::int32_t> compact_;  ///< sensor id -> cache index, -1 = out
-  std::vector<std::uint32_t> ids_;     ///< cache index -> sensor id
-  std::vector<double> xs_, ys_;        ///< SoA member coordinates
-  std::unique_ptr<double[]> pair_;     ///< row-major, valid iff row_filled_
-  std::vector<unsigned char> row_filled_;
-  std::vector<double> depot_;
-};
 
 /// Working state of one charging tour during the insertion phase.
 struct WorkTour {
@@ -99,12 +29,12 @@ struct WorkTour {
 /// forward pass would reach at that stop — the suffix pass therefore
 /// reproduces the from-scratch recomputation bit for bit (DESIGN.md,
 /// planner determinism).
-void recompute_finish_from(TravelCache& travel, WorkTour& tour,
-                           std::size_t from) {
+void recompute_finish_from(const model::ChargingProblem& problem,
+                           WorkTour& tour, std::size_t from) {
   double clock = from == 0 ? 0.0 : tour.finish[from - 1];
   for (std::size_t l = from; l < tour.seq.size(); ++l) {
-    clock += l == 0 ? travel.travel_depot(tour.seq[l])
-                    : travel.travel(tour.seq[l - 1], tour.seq[l]);
+    clock += l == 0 ? problem.travel_depot(tour.seq[l])
+                    : problem.travel(tour.seq[l - 1], tour.seq[l]);
     clock += tour.tau_prime[l];
     tour.finish[l] = clock;
   }
@@ -188,15 +118,6 @@ sched::ChargingPlan ApproScheduler::plan_with_stats(
     split = tsp::min_max_k_tours(tour_problem, k, tour_options);
   }
 
-  // Travel memo over the sensors the insertion phase can touch: every
-  // tour stop and every insertion candidate is a member of S_I. The span
-  // bills the set-up (SoA copy, table allocation, depot row); pair rows
-  // fill lazily on first touch, which lands in appro.insertion.
-  TravelCache travel = [&] {
-    OBS_SPAN("appro.travel_cache");
-    return TravelCache(problem, s_i);
-  }();
-
   // Working tours over sensor ids, with tau' = tau (coverage disks of V'_H
   // nodes are pairwise disjoint, so nothing is double-counted initially).
   std::vector<WorkTour> tours(k);
@@ -209,7 +130,7 @@ sched::ChargingPlan ApproScheduler::plan_with_stats(
       for (std::uint32_t u : problem.coverage(sensor)) covered[u] = 1;
     }
     tours[t].finish.resize(tours[t].seq.size());
-    recompute_finish_from(travel, tours[t], 0);
+    recompute_finish_from(problem, tours[t], 0);
   }
 
   // Position lookup: for each sensor in a tour, (tour, index).
@@ -220,6 +141,10 @@ sched::ChargingPlan ApproScheduler::plan_with_stats(
       tour_of[tours[t].seq[l]] = static_cast<std::int32_t>(t);
       pos_of[tours[t].seq[l]] = l;
     }
+  }
+  for (const std::uint32_t sensor : vh_sensors) {
+    MCHARGE_ASSERT(tour_of[sensor] >= 0,
+                   "every V'_H member sits in an initial tour");
   }
 
   ApproStats local_stats;
@@ -325,84 +250,35 @@ sched::ChargingPlan ApproScheduler::plan_with_stats(
         tour.finish.begin() + static_cast<std::ptrdiff_t>(insert_at), 0.0);
   };
 
-  // Incremental insertion — bit-identical by construction to the
-  // O(|P|^2 * deg) reference (full f_N rescans, whole-tour finish
-  // recomputation, mid-vector erase) frozen in
-  // tests/appro_incremental_test.cpp (DESIGN.md, "planner determinism"):
-  //  * f_N is cached per pending node. An insertion into tour t changes
-  //    finishes only in t (the suffix) and adds one placed neighbor (u,
-  //    in t), so only nodes with a placed H-neighbor in t can observe a
-  //    different value; per-(node, tour) placed-neighbor counts find
-  //    them. Dirty nodes recompute with the same scalar scan the
-  //    reference runs; clean nodes keep bits computed by that same scan
-  //    over operands that have not changed.
-  //  * finish times recompute from the insertion point only — the
-  //    prefix clock is the stored finish of the previous stop.
-  //  * picked nodes are tombstoned; the list compacts in order once
-  //    half the slots are dead. The alive scan visits survivors in the
-  //    exact order the erase-based reference keeps them, so the
-  //    lowest-index tie-break on equal f_N is preserved.
-  std::vector<std::uint32_t> nb_in_tour(s_i.size() * k, 0);
-  const auto count_placement = [&](std::uint32_t hi, std::size_t t) {
-    for (graph::Vertex nb : h.neighbors(hi)) {
-      ++nb_in_tour[static_cast<std::size_t>(nb) * k + t];
-    }
-  };
-  for (std::size_t i = 0; i < vh_local.size(); ++i) {
-    const std::uint32_t sensor = vh_sensors[i];
-    MCHARGE_ASSERT(tour_of[sensor] >= 0,
-                   "every V'_H member sits in an initial tour");
-    count_placement(vh_local[i], static_cast<std::size_t>(tour_of[sensor]));
-  }
-
-  std::vector<double> fn_cache(s_i.size(), -kInf);
-  for (std::uint32_t p : pending) {
-    fn_cache[p] = latest_neighbor_finish(p);
-  }
-
-  std::vector<char> gone(pending.size(), 0);
-  std::size_t alive = pending.size();
-  std::size_t dead = 0;
-  while (alive > 0) {
-    // Pick the pending node with the smallest f_N (Algorithm 1, line 9).
+  while (!pending.empty()) {
+    // Pick the pending node with the smallest f_N (Algorithm 1, line 9);
+    // the earliest pending node wins a tie.
     std::size_t pick = 0;
     double pick_fn = kInf;
     for (std::size_t i = 0; i < pending.size(); ++i) {
-      if (gone[i]) continue;
-      const double fn = fn_cache[pending[i]];
+      const double fn = latest_neighbor_finish(pending[i]);
       if (fn < pick_fn) {
         pick_fn = fn;
         pick = i;
       }
     }
     const std::uint32_t hi = pending[pick];
-    gone[pick] = 1;
-    --alive;
-    if (++dead * 2 >= pending.size()) {
-      std::size_t w = 0;
-      for (std::size_t r = 0; r < pending.size(); ++r) {
-        if (!gone[r]) pending[w++] = pending[r];
-      }
-      pending.resize(w);
-      gone.assign(w, 0);
-      dead = 0;
-    }
+    pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pick));
     const std::uint32_t u = s_i[hi];
 
     double tau_prime_u = 0.0;
     if (coverage_probe(u, tau_prime_u)) {
       ++local_stats.dropped_covered;
-      continue;  // no tour changed: every cached f_N stays valid
+      continue;
     }
     std::int32_t best_tour = -1;
     std::size_t best_pos = 0;
     choose_placement(hi, best_tour, best_pos);
 
-    const auto t = static_cast<std::size_t>(best_tour);
-    auto& tour = tours[t];
+    auto& tour = tours[static_cast<std::size_t>(best_tour)];
     const std::size_t insert_at = best_pos + 1;
     splice(tour, insert_at, u, tau_prime_u);
-    recompute_finish_from(travel, tour, insert_at);
+    recompute_finish_from(problem, tour, insert_at);
     // Only positions at and after the insertion moved; earlier stops
     // keep their (tour, position).
     tour_of[u] = best_tour;
@@ -410,16 +286,6 @@ sched::ChargingPlan ApproScheduler::plan_with_stats(
       pos_of[tour.seq[l]] = l;
     }
     for (std::uint32_t w : problem.coverage(u)) covered[w] = 1;
-    count_placement(hi, t);
-    // Dirty-set recompute: exactly the alive nodes with a placed
-    // H-neighbor in the mutated tour (now including u's neighbors).
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      if (gone[i]) continue;
-      const std::uint32_t p = pending[i];
-      if (nb_in_tour[static_cast<std::size_t>(p) * k + t] > 0) {
-        fn_cache[p] = latest_neighbor_finish(p);
-      }
-    }
   }
 
   // Every sensor must now be covered (S_I dominates G_c).

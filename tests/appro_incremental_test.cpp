@@ -1,17 +1,17 @@
-// Differential tests for the incremental planner hot path.
+// Differential tests for the planner hot path.
 //
 // Two independent reference implementations are frozen in this file:
-//  * reference::appro_plan — Appro with the original O(|P|^2 * deg)
-//    insertion phase (full f_N rescans, whole-tour finish recomputation,
-//    mid-vector erase) and uncached travel times;
+//  * reference::appro_plan — Appro with the original insertion phase
+//    (whole-tour finish recomputation after every insertion, index
+//    rebuild of the mutated tour, travel times read from the problem);
 //  * reference::two_opt / or_opt / improve_tour — the pre-cache restart
 //    loops, copied verbatim from the original src/tsp/improve.cpp.
 //
 // The claim under test is BITWISE identity, the repo-wide determinism
-// contract: the incremental insertion, the exact-replay local-search
-// caches, and every SIMD-backend setting must reproduce the reference
-// plans and tours bit for bit — same tours, same stats, same gains —
-// across problem sizes and seeds. memcmp on a flat serialization keeps
+// contract: the planner's suffix-only finish recomputation, the
+// exact-replay local-search caches, and every SIMD-backend setting must
+// reproduce the reference plans and tours bit for bit — same tours, same
+// stats, same gains — across problem sizes and seeds. memcmp on a flat serialization keeps
 // the comparison honest (no epsilon anywhere).
 #include <gtest/gtest.h>
 
@@ -288,10 +288,10 @@ double improve_tour(const tsp::TourProblem& problem, tsp::Tour& tour,
 }
 
 // ---------------------------------------------------------------------------
-// Reference Appro: steps 1-5 as the planner runs them, then step 6 through the original insertion loop — every round
-// rescans f_N over all pending nodes, recomputes the whole mutated tour's
-// finish times and erases the pick from the middle of the pending list,
-// with travel times read straight from the problem (no memo).
+// Reference Appro: steps 1-5 as the planner runs them, then step 6
+// through the original insertion loop — every round rescans f_N over all
+// pending nodes, recomputes the whole mutated tour's finish times and
+// re-indexes it, with travel times read straight from the problem.
 
 struct RefTour {
   std::vector<std::uint32_t> seq;
@@ -763,7 +763,7 @@ struct RoundCase {
   std::vector<std::uint64_t> seeds;
 };
 
-// The acceptance matrix: reference vs incremental x every supported SIMD
+// The acceptance matrix: reference vs planner x every supported SIMD
 // backend, memcmp'd plan + stats. The larger sizes
 // keep one seed each to bound runtime.
 TEST(ApproIncremental, PlansMatchLegacyByteForByte) {
@@ -804,10 +804,9 @@ TEST(ApproIncremental, PlanWithJobsIsByteIdenticalToPlan) {
 }
 
 // Tight clusters produce a dense charging graph with large H-degrees and
-// a big pending set relative to V'_H, so the incremental path's
-// tombstone list crosses its half-dead compaction threshold repeatedly
-// (every pick tombstones a slot). The byte-compare proves the compacted
-// alive order matches the erase-based reference order.
+// a big pending set relative to V'_H, so step 6 runs hundreds of picks
+// over long pending lists with many equal-f_N ties. The byte-compare
+// proves the planner's pick order matches the reference's.
 TEST(ApproIncremental, DenseOverlapStressesCompaction) {
   Rng rng(77);
   std::vector<geom::Point> pts;
