@@ -14,6 +14,7 @@
 #include "core/exact.h"
 #include "core/overlap_graph.h"
 #include "core/replan.h"
+#include "energy/routing.h"
 #include "figure_common.h"
 #include "geometry/field.h"
 #include "graph/mis.h"
@@ -489,6 +490,23 @@ void BM_ObsOverhead(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ObsOverhead)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+void BM_RoutingTree(benchmark::State& state) {
+  // The min-hop data-routing tree model::make_instance builds once per
+  // instance: n sensors in the default 100 m field, sink at the centre.
+  Rng rng(37);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto pts = geom::uniform_field(n, 100.0, 100.0, rng);
+  std::vector<double> rates(n);
+  for (auto& r : rates) r = rng.uniform(1e3, 50e3);
+  const energy::RadioParams radio;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        energy::build_routing_tree(pts, {50.0, 50.0}, radio, rates));
+  }
+}
+BENCHMARK(BM_RoutingTree)->Arg(200)->Arg(2000)->Arg(20000)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

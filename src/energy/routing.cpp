@@ -16,10 +16,13 @@ namespace {
 constexpr double kInfD = std::numeric_limits<double>::infinity();
 constexpr auto kUnreached = std::numeric_limits<std::uint32_t>::max();
 
-/// Multi-source BFS from the base station (fewest hops).
+/// Multi-source BFS from the base station (fewest hops). Each popped
+/// sensor drains its disk from `index`, so a sensor is examined only until
+/// it is reached: every sensor the index still holds is unreached or a
+/// first-hop seed, and the unreached ones are met in visit_disk's order.
 void route_min_hop(const std::vector<geom::Point>& positions,
                    geom::Point base_station, const RadioParams& radio,
-                   const geom::GridIndex& index, RoutingTree* tree) {
+                   geom::GridIndex& index, RoutingTree* tree) {
   const std::size_t n = positions.size();
   std::deque<std::uint32_t> queue;
   for (std::uint32_t v = 0; v < n; ++v) {
@@ -33,14 +36,13 @@ void route_min_hop(const std::vector<geom::Point>& positions,
   while (!queue.empty()) {
     const std::uint32_t v = queue.front();
     queue.pop_front();
-    index.visit_disk(positions[v], radio.comm_range, [&](std::uint32_t u) {
+    index.drain_disk(positions[v], radio.comm_range, [&](std::uint32_t u) {
       if (tree->hops[u] == kUnreached) {
         tree->hops[u] = tree->hops[v] + 1;
         tree->parent[u] = v;
         tree->link_length[u] = geom::distance(positions[u], positions[v]);
         queue.push_back(u);
       }
-      return true;
     });
   }
 }

@@ -45,7 +45,6 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -118,27 +117,35 @@ class DenseStore {
 /// ascending order as the dense row scan).
 class SparseStore {
  public:
-  /// Each undirected edge ((u, v) 1-based, u != v) appears once in
-  /// `edges` with its doubled weight in `w2`.
+  /// `edges` lists each undirected edge (u, v), 1-based with u < v, once
+  /// and in strictly ascending order; `w2` holds their doubled weights.
+  /// A counting fill then leaves every row ascending: row u receives its
+  /// lower neighbours (edges (x, u), in x order) before its higher ones
+  /// (edges (u, v), in v order).
   SparseStore(int n, const std::vector<std::pair<int, int>>& edges,
               const std::vector<std::int64_t>& w2)
       : n_(n) {
-    std::vector<std::tuple<std::int32_t, std::int32_t, std::int64_t>> dir;
-    dir.reserve(edges.size() * 2);
-    for (std::size_t k = 0; k < edges.size(); ++k) {
-      dir.emplace_back(edges[k].first, edges[k].second, w2[k]);
-      dir.emplace_back(edges[k].second, edges[k].first, w2[k]);
-    }
-    std::sort(dir.begin(), dir.end());
     head_.assign(n + 2, 0);
-    nbr_.resize(dir.size());
-    w_.resize(dir.size());
-    for (std::size_t k = 0; k < dir.size(); ++k) {
-      ++head_[std::get<0>(dir[k]) + 1];
-      nbr_[k] = std::get<1>(dir[k]);
-      w_[k] = std::get<2>(dir[k]);
+    for (std::size_t k = 0; k < edges.size(); ++k) {
+      const auto [u, v] = edges[k];
+      MCHARGE_ASSERT(1 <= u && u < v && v <= n,
+                     "sparse store edges are 1-based (u, v) with u < v");
+      MCHARGE_ASSERT(k == 0 || edges[k - 1] < edges[k],
+                     "sparse store edges are strictly ascending");
+      ++head_[u + 1];
+      ++head_[v + 1];
     }
     for (int u = 1; u <= n + 1; ++u) head_[u] += head_[u - 1];
+    nbr_.resize(2 * edges.size());
+    w_.resize(2 * edges.size());
+    std::vector<std::int32_t> fill(head_.begin(), head_.end() - 1);
+    for (std::size_t k = 0; k < edges.size(); ++k) {
+      const auto [u, v] = edges[k];
+      nbr_[fill[u]] = v;
+      w_[fill[u]++] = w2[k];
+      nbr_[fill[v]] = u;
+      w_[fill[v]++] = w2[k];
+    }
   }
 
   std::int64_t weight(int u, int v) const {

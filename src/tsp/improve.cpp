@@ -8,6 +8,7 @@
 
 #include "util/assert.h"
 #include "util/simd.h"
+#include "util/simd_scalar.h"
 
 namespace mcharge::tsp {
 
@@ -234,7 +235,9 @@ double or_opt_impl(const TourProblem& problem, Tour& tour,
   };
 
   // Re-checks every surviving kScanClean fact against the added legs
-  // (one-element kernel scans; the depot-front slot by its formula).
+  // (the scan's one-element test inline; the depot-front slot by its
+  // formula).
+  const double floor = simd::prefilter_floor(speed);
   const auto recheck = [&](const std::ptrdiff_t (&added)[3]) {
     for (std::ptrdiff_t len = 1; len <= max_len; ++len) {
       for (std::ptrdiff_t i = 0; i + len <= m; ++i) {
@@ -251,9 +254,9 @@ double or_opt_impl(const TourProblem& problem, Tour& tour,
           const auto au = static_cast<std::size_t>(a);
           const bool improving =
               a < 0 ? depot_cost(len, i) < threshold
-                    : simd::or_opt_scan(px.data(), py.data(), tc.data(), au,
-                                        au + 1, ix, iy, ex, ey, speed,
-                                        threshold) != simd::kNpos;
+                    : simd::or_opt_hit(px.data(), py.data(), tc.data(), au,
+                                       ix, iy, ex, ey, speed, threshold,
+                                       floor);
           if (improving) {
             fact[at] = kUnknown;
             break;

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "util/simd_kernels.h"
+#include "util/simd_scalar.h"
 
 namespace mcharge::simd {
 
@@ -26,23 +27,6 @@ void scalar_distance_row(const double* xs, const double* ys, std::size_t n,
     const double dy = py - ys[i];
     out[i] = std::sqrt(dx * dx + dy * dy);
   }
-}
-
-// Squared-distance prefilter floor for `speed` (simd_kernels.h): +inf
-// turns the filter off outside the speed range its proof covers.
-double prefilter_floor(double speed) {
-  return speed >= detail::kPrefilterMinSpeed &&
-                 speed <= detail::kPrefilterMaxSpeed
-             ? detail::kPrefilterFloor
-             : kInf;
-}
-
-// Prefilter bound B for right-hand side r (simd_kernels.h): an element
-// with fl(qa + qb) > B is provably not a hit.
-double prefilter_bound(double r, double speed, double floor) {
-  const double t = r * speed;
-  const double b = t * t * detail::kPrefilterWiden;
-  return b > floor ? b : floor;
 }
 
 std::size_t scalar_two_opt_scan(const double* px, const double* py,
@@ -75,16 +59,9 @@ std::size_t scalar_or_opt_scan(const double* px, const double* py,
                                double threshold) {
   const double floor = prefilter_floor(speed);
   for (std::size_t k = k_begin; k < k_end; ++k) {
-    const double dax = px[k] - ix;
-    const double day = py[k] - iy;
-    const double qa = dax * dax + day * day;
-    const double dbx = ex - px[k + 1];
-    const double dby = ey - py[k + 1];
-    const double qb = dbx * dbx + dby * dby;
-    // Not a hit (prefilter proof in simd_kernels.h): skip sqrt and divides.
-    if (qa + qb > prefilter_bound(threshold + tc[k], speed, floor)) continue;
-    const double cost = std::sqrt(qa) / speed + std::sqrt(qb) / speed - tc[k];
-    if (cost < threshold) return k;
+    if (or_opt_hit(px, py, tc, k, ix, iy, ex, ey, speed, threshold, floor)) {
+      return k;
+    }
   }
   return kNpos;
 }

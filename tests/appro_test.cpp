@@ -12,6 +12,7 @@
 #include "geometry/field.h"
 #include "graph/mis.h"
 #include "model/charging_problem.h"
+#include "offset_clusters.h"
 #include "schedule/estimate.h"
 #include "schedule/execute.h"
 #include "schedule/verify.h"
@@ -354,15 +355,8 @@ TEST(ApproGolden, PlanDigestPinned) {
       const double side = 100.0 * std::sqrt(static_cast<double>(n) / 1200.0);
       std::vector<geom::Point> pts;
       if (clustered) {
-        // Five clusters from uniform offsets, not geom::clustered_field:
-        // its Box-Muller log/cos would tie the pinned digest to one libm.
-        const auto centers = geom::uniform_field(5, side, side, rng);
-        const double r = side / 6.0;
-        for (std::size_t i = 0; i < n; ++i) {
-          const geom::Point& c = centers[rng.below(centers.size())];
-          pts.push_back({std::clamp(c.x + rng.uniform(-r, r), 0.0, side),
-                         std::clamp(c.y + rng.uniform(-r, r), 0.0, side)});
-        }
+        pts = testing_layouts::offset_clusters(n, side, side, 5, side / 6.0,
+                                               rng);
       } else {
         pts = geom::uniform_field(n, side, side, rng);
       }

@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "energy/consumption.h"
 #include "energy/mcv_battery.h"
 #include "energy/radio.h"
 #include "energy/routing.h"
 #include "geometry/field.h"
+#include "offset_clusters.h"
+#include "routing_oracle.h"
 #include "util/rng.h"
 
 namespace mcharge::energy {
@@ -161,6 +166,111 @@ TEST(Routing, HopsMonotoneAlongParents) {
       EXPECT_LE(tree.link_length[v], radio.comm_range + 1e-9);
     }
   }
+}
+
+// Every RoutingTree field equals the frozen visit_disk BFS's; doubles are
+// compared by bit pattern.
+void expect_same_tree(const RoutingTree& got, const RoutingTree& want,
+                      const std::string& label) {
+  SCOPED_TRACE(label);
+  EXPECT_EQ(got.parent, want.parent);
+  EXPECT_EQ(got.hops, want.hops);
+  ASSERT_EQ(got.link_length.size(), want.link_length.size());
+  ASSERT_EQ(got.relay_rate_bps.size(), want.relay_rate_bps.size());
+  for (std::size_t v = 0; v < got.link_length.size(); ++v) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.link_length[v]),
+              std::bit_cast<std::uint64_t>(want.link_length[v]))
+        << "link_length of sensor " << v;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.relay_rate_bps[v]),
+              std::bit_cast<std::uint64_t>(want.relay_rate_bps[v]))
+        << "relay_rate_bps of sensor " << v;
+  }
+  EXPECT_EQ(got.direct_fallbacks, want.direct_fallbacks);
+}
+
+TEST(Routing, DrainedBfsMatchesFrozenTree) {
+  RadioParams radio;  // comm_range 15 m, the instance default
+  struct Case {
+    std::string label;
+    std::vector<geom::Point> pts;
+    geom::Point bs;
+  };
+  std::vector<Case> cases;
+  const geom::Point center{50.0, 50.0};
+  for (const std::size_t n : {0, 1, 2, 200, 2000}) {
+    Rng rng(4100 + n);
+    const std::string size = std::to_string(n);
+    cases.push_back(
+        {"uniform/" + size, geom::uniform_field(n, 100.0, 100.0, rng), center});
+    cases.push_back({"clustered/" + size,
+                     testing_layouts::offset_clusters(n, 100.0, 100.0, 4,
+                                                      12.0, rng),
+                     center});
+    cases.push_back(
+        {"grid/" + size, geom::grid_field(n, 100.0, 100.0, 0.2, rng), center});
+  }
+  {
+    // Six-figure-n shape: 20 000 sensors at the paper's n = 1200 density.
+    Rng rng(4199);
+    const double side = 100.0 * std::sqrt(20000.0 / 1200.0);
+    cases.push_back({"uniform/20000",
+                     geom::uniform_field(20000, side, side, rng),
+                     {side / 2, side / 2}});
+  }
+  {
+    Rng rng(4201);
+    auto pts = geom::uniform_field(300, 100.0, 100.0, rng);
+    pts.push_back({1e9, 1e9});  // widens the grid cell, falls back
+    cases.push_back({"far outlier", pts, center});
+  }
+  {
+    Rng rng(4202);
+    auto pts = geom::uniform_field(150, 100.0, 100.0, rng);
+    const auto copy = pts;
+    pts.insert(pts.end(), copy.begin(), copy.end());
+    cases.push_back({"duplicates", pts, center});
+    cases.push_back(
+        {"all coincident", std::vector<geom::Point>(60, {30.0, 70.0}), center});
+  }
+  {
+    Rng rng(4203);
+    cases.push_back({"base station outside",
+                     geom::uniform_field(400, 100.0, 100.0, rng),
+                     {-20.0, 50.0}});
+  }
+  {
+    // An island 400 m away: its sensors reach each other but never the
+    // base station, so every one of them takes the direct fallback.
+    Rng rng(4204);
+    auto pts = geom::uniform_field(300, 100.0, 100.0, rng);
+    for (const geom::Point& p : geom::uniform_field(80, 30.0, 30.0, rng)) {
+      pts.push_back({p.x + 500.0, p.y + 500.0});
+    }
+    cases.push_back({"disconnected island", pts, center});
+  }
+  {
+    // Lattice pitch equal to comm_range: every link sits exactly on the
+    // inclusive boundary (the coordinates are exact multiples of 15).
+    std::vector<geom::Point> pts;
+    for (int i = 0; i < 12; ++i) {
+      for (int j = 0; j < 12; ++j) {
+        pts.push_back({15.0 * i, 15.0 * j});
+      }
+    }
+    cases.push_back({"lattice at comm_range", pts, {0.0, -15.0}});
+  }
+  std::size_t fallbacks = 0;
+  for (const Case& c : cases) {
+    Rng rng(4300 + c.pts.size());
+    std::vector<double> rates(c.pts.size());
+    for (auto& r : rates) r = rng.uniform(1e3, 50e3);
+    const RoutingTree want = oracle::min_hop_tree(c.pts, c.bs, radio, rates);
+    expect_same_tree(build_routing_tree(c.pts, c.bs, radio, rates), want,
+                     c.label);
+    fallbacks += want.direct_fallbacks;
+  }
+  // The corpus reaches the fallback path.
+  EXPECT_GE(fallbacks, 81u);
 }
 
 // ---------- RoutingPolicy::kMinEnergy ----------

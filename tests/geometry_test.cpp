@@ -132,6 +132,47 @@ TEST(GridIndex, VisitEarlyStop) {
   EXPECT_EQ(count, 3);
 }
 
+TEST(GridIndex, DrainVisitsInVisitDiskOrderOnce) {
+  // Each drain must visit the disk's not-yet-drained points in exactly
+  // visit_disk's order on an undrained index, and no point may be visited
+  // by two drains. Duplicated points share the corpus; with the far
+  // outlier the cell widens until the whole field sits in one bucket.
+  for (const bool outlier : {false, true}) {
+    Rng rng(17);
+    auto pts = uniform_field(400, 40.0, 40.0, rng);
+    const auto copy = pts;
+    pts.insert(pts.end(), copy.begin(), copy.begin() + 50);
+    if (outlier) pts.push_back({1e9, 1e9});
+    const GridIndex reference(pts, 2.7);
+    GridIndex index(pts, 2.7);
+    std::vector<char> drained(pts.size(), 0);
+    std::size_t total = 0;
+    for (int q = 0; q < 300; ++q) {
+      const Point c = outlier && q == 299
+                          ? Point{1e9, 1e9}
+                          : Point{rng.uniform(-5, 45), rng.uniform(-5, 45)};
+      const double r = rng.uniform(0.0, 6.0);
+      std::vector<std::uint32_t> want;
+      reference.visit_disk(c, r, [&](std::uint32_t id) {
+        if (!drained[id]) want.push_back(id);
+        return true;
+      });
+      std::vector<std::uint32_t> got;
+      index.drain_disk(c, r, [&](std::uint32_t id) { got.push_back(id); });
+      ASSERT_EQ(got, want) << "outlier " << outlier << " drain " << q;
+      for (const std::uint32_t id : got) drained[id] = 1;
+      total += got.size();
+    }
+    EXPECT_GT(total, pts.size() / 2);
+    // A drained index still answers exact disk queries over every point.
+    for (int q = 0; q < 40; ++q) {
+      const Point c{rng.uniform(-5, 45), rng.uniform(-5, 45)};
+      const double r = rng.uniform(0.0, 8.0);
+      EXPECT_EQ(index.query_disk(c, r), brute_disk(pts, c, r));
+    }
+  }
+}
+
 // ---------- fields ----------
 
 TEST(Field, UniformWithinBounds) {

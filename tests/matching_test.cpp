@@ -13,6 +13,7 @@
 #include <limits>
 #include <numeric>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -470,6 +471,50 @@ TEST_P(BlossomJumpStartInvariants, DenseAndSparseStores) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BlossomJumpStartInvariants,
                          ::testing::Range(0, 12));
+
+TEST(SparseStore, CountingFillMatchesTupleSort) {
+  // The CSR rows and weights equal those of sorting every directed
+  // (u, v, w) tuple, the construction the counting fill replaced.
+  for (int seed = 0; seed < 20; ++seed) {
+    Rng rng(static_cast<std::uint64_t>(seed) * 7919 + 5);
+    const int n = 1 + static_cast<int>(rng.below(90));
+    const std::uint64_t density = 1 + rng.below(12);
+    std::vector<std::pair<int, int>> edges;
+    std::vector<std::int64_t> w2;
+    for (int u = 1; u <= n; ++u) {
+      for (int v = u + 1; v <= n; ++v) {
+        if (rng.below(density) == 0) {
+          edges.emplace_back(u, v);
+          w2.push_back(2 * static_cast<std::int64_t>(1 + rng.below(1000)));
+        }
+      }
+    }
+    std::vector<std::tuple<int, int, std::int64_t>> dir;
+    for (std::size_t k = 0; k < edges.size(); ++k) {
+      dir.emplace_back(edges[k].first, edges[k].second, w2[k]);
+      dir.emplace_back(edges[k].second, edges[k].first, w2[k]);
+    }
+    std::sort(dir.begin(), dir.end());
+    const detail::SparseStore store(n, edges, w2);
+    std::vector<std::tuple<int, int, std::int64_t>> got;
+    for (int u = 1; u <= n; ++u) {
+      store.for_neighbors(u, [&](int v, std::int64_t w) {
+        got.emplace_back(u, v, w);
+        EXPECT_EQ(store.weight(u, v), w);
+        return true;
+      });
+    }
+    EXPECT_EQ(got, dir) << "seed " << seed;
+  }
+}
+
+TEST(SparseStoreDeathTest, UnsortedEdgesAbort) {
+  const std::vector<std::int64_t> w2{2, 2};
+  EXPECT_DEATH(detail::SparseStore(3, {{2, 3}, {1, 2}}, w2),
+               "mcharge assertion failed");
+  EXPECT_DEATH(detail::SparseStore(3, {{2, 1}, {2, 3}}, w2),
+               "mcharge assertion failed");
+}
 
 TEST(BlossomJumpStart, LabelBelowFloorRestartsCold) {
   // A warm entry whose last vertex sits under the label floor
