@@ -25,7 +25,6 @@
 #include "obs/obs.h"
 #include "schedule/execute.h"
 #include "tsp/construct.h"
-#include "tsp/exact.h"
 #include "tsp/improve.h"
 #include "tsp/split.h"
 #include "util/rng.h"
@@ -291,27 +290,6 @@ void BM_DistanceCacheBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_DistanceCacheBuild)->Arg(50)->Arg(150)->Arg(350)->Arg(1200);
 
-// Raw kernel throughput of the SIMD layer (util/simd.h), independent of
-// the TourProblem plumbing. The active backend is whatever dispatch
-// picked (MCHARGE_SIMD=scalar forces the scalar kernels to compare).
-
-void BM_SimdDistanceMatrix(benchmark::State& state) {
-  const auto m = static_cast<std::size_t>(state.range(0));
-  Rng rng(7);
-  std::vector<double> xs(m), ys(m), out(m * m);
-  for (std::size_t i = 0; i < m; ++i) {
-    xs[i] = rng.uniform(0.0, 100.0);
-    ys[i] = rng.uniform(0.0, 100.0);
-  }
-  for (auto _ : state) {
-    simd::distance_matrix(xs.data(), ys.data(), m, out.data());
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetLabel(simd::backend_name(simd::active_backend()));
-}
-BENCHMARK(BM_SimdDistanceMatrix)->Arg(350)->Arg(1200);
-
 void BM_MinMaxKTours(benchmark::State& state) {
   const auto p = make_tour_problem(300, 8);
   const auto k = static_cast<std::size_t>(state.range(0));
@@ -378,15 +356,6 @@ void BM_KMeans(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KMeans)->Arg(200)->Arg(1200);
-
-void BM_HeldKarp(benchmark::State& state) {
-  const auto p =
-      make_tour_problem(static_cast<std::size_t>(state.range(0)), 15);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tsp::held_karp_travel_time(p));
-  }
-}
-BENCHMARK(BM_HeldKarp)->Arg(10)->Arg(14)->Arg(17);
 
 void BM_DelayLowerBound(benchmark::State& state) {
   const auto problem =

@@ -100,12 +100,11 @@ int main(int argc, char** argv) {
   sim_config.record_rounds =
       flags.has("rounds_csv") || flags.get_bool("verbose", false);
 
-  const auto checked = sim::simulate_checked(instance, *scheduler, sim_config);
-  if (!checked) {
-    std::fprintf(stderr, "error: %s\n", checked.error().message.c_str());
+  if (const auto error = sim::validate_sim_inputs(instance, sim_config)) {
+    std::fprintf(stderr, "error: %s\n", error->message.c_str());
     return 2;
   }
-  const sim::SimResult& result = *checked;
+  const sim::SimResult result = sim::simulate(instance, *scheduler, sim_config);
 
   std::printf("campaign: algo=%s n=%zu K=%zu months=%.1f epoch_h=%.1f "
               "target=%.2f\n",

@@ -2,8 +2,7 @@
 # Validates the tracing layer end-to-end:
 #
 #   1. Runs a tiny fig3 sweep with --trace-out and checks the emitted
-#      JSON against the "mcharge.trace.v1" schema (python3 when
-#      available, a grep fallback otherwise), including presence and
+#      JSON against the "mcharge.trace.v1" schema, including presence and
 #      non-zero counts of the load-bearing spans (planner phases, the
 #      tour substrate's stages inside tsp::min_max_k_tours, executor,
 #      simulator round loop, its problem build and its accounting tail);
@@ -21,6 +20,9 @@
 #      This is a tripwire for spans measuring the wrong scope (e.g.
 #      timing one phase but attributing the whole plan), not a perf gate.
 #
+# Every step needs python3 and the checked-in BENCH_micro.json; a host
+# without either fails rather than passing the gates unchecked.
+#
 # Usage:
 #   scripts/check_trace.sh
 #   BUILD_DIR=other-build scripts/check_trace.sh
@@ -28,6 +30,11 @@ set -eu
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${BUILD_DIR:-build}"
+
+command -v python3 >/dev/null 2>&1 || {
+  echo "FAIL: python3 is required" >&2; exit 1; }
+[ -f BENCH_micro.json ] || {
+  echo "FAIL: BENCH_micro.json is missing" >&2; exit 1; }
 
 for bin in bench/fig3_vary_n bench/ablation_design bench/micro_algorithms; do
   if [ ! -x "$BUILD_DIR/$bin" ]; then
@@ -53,8 +60,7 @@ trap 'rm -rf "$TMP"' EXIT
 [ -s "$TMP/trace_matching.json" ] || {
   echo "FAIL: trace_matching.json not written" >&2; exit 1; }
 
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$TMP/trace.json" "$TMP/trace_matching.json" <<'EOF'
+python3 - "$TMP/trace.json" "$TMP/trace_matching.json" <<'EOF'
 import json, sys
 
 
@@ -93,21 +99,6 @@ require(load(sys.argv[2]), ("appro.k_tours", "blossom.dense_solve",
                             "tsp.mst", "tsp.odd_match", "tsp.euler"))
 print("trace schema: OK (%d metrics)" % len(sim))
 EOF
-else
-  # Grep fallback: schema tag plus the load-bearing span names.
-  grep -q '"schema": "mcharge.trace.v1"' "$TMP/trace.json"
-  for required in appro.plan appro.k_tours exec.multinode sim.round \
-      sim.problem sim.account tsp.construct tsp.improve_tour tsp.split \
-      tsp.segment_improve; do
-    grep -q "\"$required\"" "$TMP/trace.json" || {
-      echo "FAIL: missing span $required" >&2; exit 1; }
-  done
-  for required in blossom.dense_solve tsp.mst tsp.odd_match tsp.euler; do
-    grep -q "\"$required\"" "$TMP/trace_matching.json" || {
-      echo "FAIL: missing span $required" >&2; exit 1; }
-  done
-  echo "trace schema: OK (grep fallback)"
-fi
 
 # ---- 2. enabled-vs-disabled overhead ---------------------------------
 "$BUILD_DIR/bench/micro_algorithms" \
@@ -116,8 +107,7 @@ fi
   --benchmark_out="$TMP/overhead.json" \
   --benchmark_out_format=json >/dev/null
 
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$TMP/overhead.json" <<'EOF'
+python3 - "$TMP/overhead.json" <<'EOF'
 import json, sys
 
 with open(sys.argv[1]) as f:
@@ -129,19 +119,15 @@ print("obs overhead: off=%.3fms on=%.3fms ratio=%.4f" %
       (off, on, ratio))
 assert ratio < 1.25, f"tracing overhead out of bounds: {ratio:.4f}"
 EOF
-else
-  echo "obs overhead: SKIPPED (python3 unavailable)"
-fi
 
 # ---- 3. phase-timing regression diff vs BENCH_micro.json -------------
-if command -v python3 >/dev/null 2>&1 && [ -f BENCH_micro.json ]; then
-  MCHARGE_TRACE_OUT="$TMP/trace_micro.json" \
-    "$BUILD_DIR/bench/micro_algorithms" \
-    --benchmark_filter='BM_ApproPlan/200$' \
-    --benchmark_format=json \
-    --benchmark_out="$TMP/approplan.json" \
-    --benchmark_out_format=json >/dev/null
-  python3 - "$TMP/trace_micro.json" BENCH_micro.json <<'EOF'
+MCHARGE_TRACE_OUT="$TMP/trace_micro.json" \
+  "$BUILD_DIR/bench/micro_algorithms" \
+  --benchmark_filter='BM_ApproPlan/200$' \
+  --benchmark_format=json \
+  --benchmark_out="$TMP/approplan.json" \
+  --benchmark_out_format=json >/dev/null
+python3 - "$TMP/trace_micro.json" BENCH_micro.json <<'EOF'
 import json, sys
 
 with open(sys.argv[1]) as f:
@@ -162,9 +148,6 @@ print("appro.plan: traced=%.4fms baseline=%.4fms ratio=%.3f" %
 assert 1.0 / 20.0 < ratio < 20.0, \
     f"appro.plan span drifted {ratio:.3f}x from BENCH_micro baseline"
 EOF
-else
-  echo "phase regression: SKIPPED (python3 or BENCH_micro.json unavailable)"
-fi
 
 # ---- 4. sparse blossom warm-start regression gate --------------------
 # BM_Blossom/1024/1 regressed once before (warm re-solves whose exit
@@ -172,13 +155,12 @@ fi
 # if the sparse engine drifts more than 1.35x from the checked-in
 # baseline — roughly the 70 ms budget at 1024 — while staying loose
 # enough to absorb shared-runner noise.
-if command -v python3 >/dev/null 2>&1 && [ -f BENCH_micro.json ]; then
-  "$BUILD_DIR/bench/micro_algorithms" \
-    --benchmark_filter='BM_Blossom/1024/1$' \
-    --benchmark_format=json \
-    --benchmark_out="$TMP/blossom1024.json" \
-    --benchmark_out_format=json >/dev/null
-  python3 - "$TMP/blossom1024.json" BENCH_micro.json <<'EOF'
+"$BUILD_DIR/bench/micro_algorithms" \
+  --benchmark_filter='BM_Blossom/1024/1$' \
+  --benchmark_format=json \
+  --benchmark_out="$TMP/blossom1024.json" \
+  --benchmark_out_format=json >/dev/null
+python3 - "$TMP/blossom1024.json" BENCH_micro.json <<'EOF'
 import json, sys
 
 with open(sys.argv[1]) as f:
@@ -199,8 +181,5 @@ print("BM_Blossom/1024/1: run=%.1fms baseline=%.1fms ratio=%.3f" %
 assert ratio < 1.35, \
     f"sparse blossom at 1024 drifted {ratio:.3f}x from BENCH_micro baseline"
 EOF
-else
-  echo "blossom gate: SKIPPED (python3 or BENCH_micro.json unavailable)"
-fi
 
 echo "trace checks: all passed"

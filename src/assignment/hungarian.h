@@ -19,8 +19,4 @@ struct AssignmentResult {
 
 AssignmentResult solve_assignment(const std::vector<std::vector<double>>& cost);
 
-/// Brute-force reference (permutations); requires rows == cols <= 9.
-AssignmentResult solve_assignment_brute_force(
-    const std::vector<std::vector<double>>& cost);
-
 }  // namespace mcharge::assignment

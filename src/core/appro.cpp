@@ -101,21 +101,10 @@ sched::ChargingPlan ApproScheduler::plan_with_stats(
     tour_problem.sites.push_back(problem.position(sensor));
     tour_problem.service.push_back(problem.tau(sensor));
   }
-  tsp::MinMaxTourOptions tour_options = options_.tour;
-  if (options_.mcv_budget.enabled() && !tour_options.energy.enabled()) {
-    // Price the split's segments in the executor's battery units: a
-    // second of driving burns move-cost x speed joules, a second of
-    // charging service radiates rate / efficiency joules.
-    tour_options.energy.budget_j = options_.mcv_budget.capacity_j;
-    tour_options.energy.travel_power_w =
-        options_.mcv_budget.move_cost_j_per_m * problem.speed();
-    tour_options.energy.service_power_w =
-        problem.charging_rate_w() / options_.mcv_budget.transfer_efficiency;
-  }
   tsp::SplitResult split;
   {
     OBS_SPAN("appro.k_tours");
-    split = tsp::min_max_k_tours(tour_problem, k, tour_options);
+    split = tsp::min_max_k_tours(tour_problem, k, options_.tour);
   }
 
   // Working tours over sensor ids, with tau' = tau (coverage disks of V'_H

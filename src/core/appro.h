@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "energy/mcv_battery.h"
 #include "schedule/scheduler.h"
 #include "tsp/split.h"
 
@@ -37,18 +36,6 @@ namespace mcharge::core {
 struct ApproOptions {
   /// Tour construction for the K-optimal closed tour substrate (step 5).
   tsp::MinMaxTourOptions tour;
-  /// Per-MCV energy budget the fleet will execute under (disabled by
-  /// default — the planner is then byte-identical to the budget-free
-  /// one). When enabled, step 5's K-tour split also cuts on each
-  /// segment's planned battery draw (converted to a
-  /// tsp::SegmentEnergyCap: travel power = move cost per meter x MCV
-  /// speed, service power = charging rate / transfer efficiency), so
-  /// tours that would exhaust an MCV mid-round are split up front instead
-  /// of aborting at execution time. Best effort: if the cap cannot be met
-  /// with K tours it is dropped, and step 6 insertions may still push a
-  /// tour over budget — the executor's exhaustion machinery stays the
-  /// backstop. An explicitly set tour.energy wins over this conversion.
-  energy::McvBudgetSpec mcv_budget;
 };
 
 /// Per-run diagnostics (sizes of the intermediate structures).

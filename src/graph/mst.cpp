@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "graph/dsu.h"
 #include "util/assert.h"
 #include "util/simd.h"
 
@@ -69,20 +68,6 @@ std::vector<WeightedEdge> euclidean_mst(
     erase_live(xs, pick, live);
     erase_live(ys, pick, live);
     erase_live(best, pick, live);
-  }
-  return tree;
-}
-
-std::vector<WeightedEdge> kruskal_mst(std::size_t n,
-                                      std::vector<WeightedEdge> edges) {
-  std::sort(edges.begin(), edges.end(),
-            [](const WeightedEdge& a, const WeightedEdge& b) {
-              return a.weight < b.weight;
-            });
-  Dsu dsu(n);
-  std::vector<WeightedEdge> tree;
-  for (const auto& e : edges) {
-    if (dsu.unite(e.u, e.v)) tree.push_back(e);
   }
   return tree;
 }

@@ -1,5 +1,5 @@
 // Minimum spanning trees: Prim over the complete Euclidean graph of a
-// point set, Kruskal for explicit weighted edge lists.
+// point set.
 #pragma once
 
 #include <cstddef>
@@ -28,11 +28,6 @@ struct WeightedEdge {
 /// the same pass, picks the lowest-index vertex of strictly smallest
 /// attachment weight. No distance table is ever built.
 std::vector<WeightedEdge> euclidean_mst(const std::vector<geom::Point>& points);
-
-/// Kruskal over an explicit edge list. If the graph is disconnected the
-/// result is a minimum spanning forest.
-std::vector<WeightedEdge> kruskal_mst(std::size_t n,
-                                      std::vector<WeightedEdge> edges);
 
 /// Total weight of an edge set.
 double total_weight(const std::vector<WeightedEdge>& edges);

@@ -109,12 +109,6 @@ Matching min_weight_euclidean_matching(const std::vector<geom::Point>& pts,
   return local_search_matching(pts);
 }
 
-double matching_weight(const Matching& m, const WeightFn& weight) {
-  double total = 0.0;
-  for (const auto& [a, b] : m) total += weight(a, b);
-  return total;
-}
-
 bool is_perfect_matching(std::size_t n, const Matching& m) {
   if (m.size() * 2 != n) return false;
   std::vector<char> seen(n, 0);

@@ -20,20 +20,16 @@
 // 1.5-approx guarantee intact up to kBlossomLimit = 4096 vertices — the
 // blossom engines cover every paper-scale instance exactly; only beyond
 // that does the heuristic local search take over. The tests' oracle for
-// arbitrary weights (WeightFn), a bitmask DP, lives in
-// tests/matching_oracle.h.
+// arbitrary weights, a bitmask DP, lives in tests/matching_oracle.h.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
 #include "geometry/point.h"
 
 namespace mcharge::matching {
-
-using WeightFn = std::function<double(std::uint32_t, std::uint32_t)>;
 
 /// Pairs in a perfect matching; each vertex appears exactly once.
 using Matching = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
@@ -77,9 +73,6 @@ Matching local_search_matching(const std::vector<geom::Point>& pts);
 /// a latency choice.
 Matching min_weight_euclidean_matching(const std::vector<geom::Point>& pts,
                                        const MatchingOptions& opts = {});
-
-/// Sum of edge weights in a matching.
-double matching_weight(const Matching& m, const WeightFn& weight);
 
 /// True iff m is a perfect matching over n vertices.
 bool is_perfect_matching(std::size_t n, const Matching& m);

@@ -131,26 +131,6 @@ std::string TraceReport::to_json() const {
   return out;
 }
 
-std::string TraceReport::to_table() const {
-  std::string out;
-  char buf[512];
-  std::snprintf(buf, sizeof(buf), "%-28s %-8s %12s %14s %14s\n", "metric",
-                "kind", "count", "total_s", "value");
-  out += buf;
-  for (const MetricSnapshot& m : metrics) {
-    if (m.kind == Kind::kSpan) {
-      std::snprintf(buf, sizeof(buf), "%-28s %-8s %12" PRIu64 " %14.6f %14s\n",
-                    m.name.c_str(), kind_name(m.kind), m.count, m.total_s, "");
-    } else {
-      std::snprintf(buf, sizeof(buf),
-                    "%-28s %-8s %12" PRIu64 " %14s %14" PRId64 "\n",
-                    m.name.c_str(), kind_name(m.kind), m.count, "", m.value);
-    }
-    out += buf;
-  }
-  return out;
-}
-
 bool write_trace_json(const std::string& path) {
   const std::string json = capture().to_json();
   std::FILE* f = std::fopen(path.c_str(), "wb");

@@ -21,9 +21,9 @@
 //
 // Aggregation: `capture()` snapshots every site into a TraceReport
 // (sorted by metric name) which renders as versioned JSON
-// (`mcharge.trace.v1`, see scripts/check_trace.sh) or a human-readable
-// table. Benches expose this as `--trace-out=PATH`; the simulator as
-// `SimConfig::trace`.
+// (`mcharge.trace.v1`, see scripts/check_trace.sh). Benches expose this
+// as `--trace-out=PATH`; a caller traces one simulate() run by wrapping
+// it in an EnabledScope.
 #pragma once
 
 #include <cstdint>
@@ -53,8 +53,6 @@ struct TraceReport {
 
   /// Versioned JSON (schema "mcharge.trace.v1").
   std::string to_json() const;
-  /// Human-readable fixed-width table.
-  std::string to_table() const;
 };
 
 /// Turns span clock reads and counter updates on or off process-wide.
@@ -73,7 +71,7 @@ void reset();
 bool write_trace_json(const std::string& path);
 
 /// Enables tracing for a scope when `on` (restores the prior state on
-/// destruction); a no-op scope otherwise. Used by SimConfig::trace.
+/// destruction); a no-op scope otherwise.
 class EnabledScope {
  public:
   explicit EnabledScope(bool on) : restore_(on) {

@@ -14,6 +14,7 @@
 #include "sim/validate.h"
 #include "util/assert.h"
 #include "util/simd.h"
+#include "util/simd_scalar.h"
 
 namespace mcharge::sim {
 
@@ -64,7 +65,6 @@ double snap_dispatch_to_epoch(double dispatch, double epoch,
 SimResult simulate(const model::WrsnInstance& instance,
                    const sched::Scheduler& scheduler,
                    const SimConfig& config) {
-  const obs::EnabledScope trace_scope(config.trace);
   const std::size_t n = instance.num_sensors();
   const model::NetworkConfig& net = instance.config;
   const double capacity = net.battery_capacity_j;
@@ -72,8 +72,8 @@ SimResult simulate(const model::WrsnInstance& instance,
   const double horizon = config.monitoring_period_s;
 
   // Up-front structured validation: every precondition of the round loop
-  // is checked here; simulate_checked() exposes the same check without the
-  // abort for callers that must survive hostile input.
+  // is checked here; callers that must survive hostile input run
+  // validate_sim_inputs() themselves first.
   if (auto input_error = validate_sim_inputs(instance, config)) {
     MCHARGE_ASSERT(false, input_error->message.c_str());
   }
@@ -125,21 +125,12 @@ SimResult simulate(const model::WrsnInstance& instance,
   std::iota(ids.begin(), ids.end(), 0u);
   std::vector<std::uint32_t> select_scratch(n);
 
-  // Advances sensor v's lazy state to time t; the scalar twin of the
-  // simd::advance_select_below per-element update, for the sparse
-  // per-completion advances where a vector scan has nothing to batch.
+  // Advances sensor v's lazy state to time t with the per-element update
+  // of simd::advance_select_below, for the sparse per-completion advances
+  // where a vector scan has nothing to batch.
   auto advance_one = [&](std::size_t v, double t) {
-    if (t <= state.as_of[v]) return;
-    const double drained = draw[v] * (t - state.as_of[v]);
-    if (drained >= state.level[v] && draw[v] > 0.0) {
-      if (state.dead_since[v] == kInf) {
-        state.dead_since[v] = state.as_of[v] + state.level[v] / draw[v];
-      }
-      state.level[v] = 0.0;
-    } else {
-      state.level[v] -= drained;
-    }
-    state.as_of[v] = t;
+    simd::advance_drain(state.level[v], state.as_of[v], state.dead_since[v],
+                        draw[v], t);
   };
 
   double fleet_ready = 0.0;
@@ -406,7 +397,7 @@ SimResult simulate(const model::WrsnInstance& instance,
       fleet_ready = dispatch + round_delay;
     } else {
       // Nothing was charged (degenerate plan); back off to avoid spinning.
-      fleet_ready = dispatch + config.empty_round_backoff_s;
+      fleet_ready = dispatch + kEmptyRoundBackoffS;
     }
   }
 

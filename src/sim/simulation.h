@@ -31,14 +31,22 @@
 
 namespace mcharge::sim {
 
+/// Longest monitoring period simulate() accepts: 100 simulated years of
+/// 365.25 days. SimResult::dead_seconds_by_month holds one bucket per 30
+/// days of the horizon (1,218 at this cap), allocated before the round
+/// loop starts.
+inline constexpr double kMaxHorizonS = 100.0 * 365.25 * 86400.0;
+
+/// Re-dispatch backoff when a round charged nothing (seconds).
+inline constexpr double kEmptyRoundBackoffS = 600.0;
+
 struct SimConfig {
-  double monitoring_period_s = 365.0 * 24.0 * 3600.0;  ///< T_M = 1 year
+  /// T_M = 1 year; at most kMaxHorizonS.
+  double monitoring_period_s = 365.0 * 24.0 * 3600.0;
   double initial_level_fraction = 1.0;  ///< batteries start full
   /// Safety cap on charging rounds (a scheduler that never charges anything
   /// would otherwise spin); generously above any realistic round count.
   std::size_t max_rounds = 200000;
-  /// Re-dispatch backoff when a round charged nothing (seconds).
-  double empty_round_backoff_s = 600.0;
   /// Dispatch policy. 0 = on-demand: the fleet leaves as soon as it is home
   /// and at least one request is pending. > 0 = epoch-based: the fleet only
   /// leaves at multiples of this period (requests batch up between epochs),
@@ -80,14 +88,6 @@ struct SimConfig {
   /// this flag on to learn the full draw distribution, then anchor the
   /// swept capacities on its quantiles (bench/fault_ablation).
   bool record_tour_energy = false;
-  /// Enable the tracing layer (obs/obs.h) for the duration of this run:
-  /// spans/counters across the planner, matching engine, executor and the
-  /// simulator's own scans accumulate into the process-wide registry
-  /// (read it back with obs::capture() or obs::write_trace_json()).
-  /// Tracing never feeds back into an algorithmic decision, so the
-  /// SimResult is byte-identical with it on or off (tests/obs_test.cpp);
-  /// under -DMCHARGE_NO_OBS=ON the flag is accepted but records nothing.
-  bool trace = false;
 };
 
 /// One charging round as seen by the base station.

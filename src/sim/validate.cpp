@@ -53,15 +53,15 @@ std::optional<ConfigError> validate_sim_inputs(
     return err(ConfigErrorCode::kBadHorizon,
                "monitoring_period_s must be positive and finite");
   }
+  if (config.monitoring_period_s > kMaxHorizonS) {
+    return err(ConfigErrorCode::kBadHorizon,
+               "monitoring_period_s must be at most 100 years");
+  }
   if (!std::isfinite(config.initial_level_fraction) ||
       config.initial_level_fraction < 0.0 ||
       config.initial_level_fraction > 1.0) {
     return err(ConfigErrorCode::kBadInitialLevel,
                "initial_level_fraction must be in [0, 1]");
-  }
-  if (!pos_finite(config.empty_round_backoff_s)) {
-    return err(ConfigErrorCode::kBadBackoff,
-               "empty_round_backoff_s must be positive and finite");
   }
   if (!std::isfinite(config.dispatch_epoch_s) ||
       config.dispatch_epoch_s < 0.0) {
@@ -144,15 +144,6 @@ std::optional<ConfigError> validate_sim_inputs(
     }
   }
   return std::nullopt;
-}
-
-Expected<SimResult, ConfigError> simulate_checked(
-    const model::WrsnInstance& instance, const sched::Scheduler& scheduler,
-    const SimConfig& config) {
-  if (auto error = validate_sim_inputs(instance, config)) {
-    return make_unexpected(std::move(*error));
-  }
-  return simulate(instance, scheduler, config);
 }
 
 }  // namespace mcharge::sim

@@ -4,9 +4,8 @@
 // combination (charge target below the request threshold, zero MCV speed,
 // NaN sensor positions) tripped an assert deep inside the round loop — or
 // worse, spun silently. validate_sim_inputs() checks everything before the
-// loop starts and reports a structured error; simulate_checked() is the
-// non-aborting front door built on it for callers (CLIs, loaders, fuzzers)
-// that must survive hostile input.
+// loop starts and reports a structured error, so a caller that must survive
+// hostile input (the simulate_campaign CLI) calls it before simulate().
 #pragma once
 
 #include <optional>
@@ -14,7 +13,6 @@
 
 #include "model/network.h"
 #include "sim/simulation.h"
-#include "util/expected.h"
 
 namespace mcharge::sim {
 
@@ -26,9 +24,8 @@ enum class ConfigErrorCode {
   kBadChargingRadius,    ///< charging radius not positive/finite
   kBadThreshold,         ///< request threshold outside (0, 1)
   kBadChargeTarget,      ///< charge target outside (threshold, 1]
-  kBadHorizon,           ///< monitoring period not positive/finite
+  kBadHorizon,           ///< monitoring period not in (0, kMaxHorizonS]
   kBadInitialLevel,      ///< initial level fraction outside [0, 1]
-  kBadBackoff,           ///< empty-round backoff not positive/finite
   kBadEpoch,             ///< dispatch epoch negative or non-finite
   kBadMaxRounds,         ///< max_rounds == 0
   kBadFaultConfig,       ///< fault probability/jitter out of range
@@ -46,11 +43,5 @@ struct ConfigError {
 /// sensors) is valid — simulate() returns an empty result for it.
 std::optional<ConfigError> validate_sim_inputs(
     const model::WrsnInstance& instance, const SimConfig& config);
-
-/// Non-aborting simulate(): validates first and returns the structured
-/// error instead of tripping the assert inside simulate().
-Expected<SimResult, ConfigError> simulate_checked(
-    const model::WrsnInstance& instance, const sched::Scheduler& scheduler,
-    const SimConfig& config = {});
 
 }  // namespace mcharge::sim

@@ -122,7 +122,7 @@ double two_opt_impl(const TourProblem& problem, Tour& tour,
       while (j < j_end) {
         const std::size_t hit = simd::two_opt_scan(
             px.data(), py.data(), tc.data(), j, j_end, ax, ay, bx, by,
-            problem.speed, base, options.min_gain);
+            problem.speed, base, kMinGain);
         if (hit == simd::kNpos) break;
         const auto jp = static_cast<std::ptrdiff_t>(hit);
         const double before =
@@ -169,9 +169,9 @@ double two_opt_impl(const TourProblem& problem, Tour& tour,
 // re-evaluated against an unchanged tour and reaches the same conclusion
 // it reached last time, bit for bit. This implementation records those
 // conclusions instead of recomputing them:
-//   kRemovalFail — removal_gain <= min_gain, so no insertion slot was
+//   kRemovalFail — removal_gain <= kMinGain, so no insertion slot was
 //                  even scanned; only the removal legs matter.
-//   kScanClean   — removal_gain > min_gain but no insertion slot beats
+//   kScanClean   — removal_gain > kMinGain but no insertion slot beats
 //                  the threshold (cached in `thr`).
 // Legs are ordered point pairs: the m + 1 legs of the closed tour are
 // slot k = (P[k], P[k+1]) for k in [-1, m), with P[-1] = P[m] = depot. A
@@ -289,11 +289,11 @@ double or_opt_impl(const TourProblem& problem, Tour& tour,
         const double removal_gain = leg(problem, tour, i - 1, i) +
                                     leg(problem, tour, i + len - 1, i + len) -
                                     leg(problem, tour, i - 1, i + len);
-        if (removal_gain <= options.min_gain) {
+        if (removal_gain <= kMinGain) {
           fact[key(len, i)] = kRemovalFail;
           continue;
         }
-        const double threshold = removal_gain - options.min_gain;
+        const double threshold = removal_gain - kMinGain;
         const double ix = px[static_cast<std::size_t>(i)];
         const double iy = py[static_cast<std::size_t>(i)];
         const double ex = px[static_cast<std::size_t>(i + len - 1)];
@@ -378,7 +378,7 @@ double improve_tour(const TourProblem& problem, Tour& tour,
   double saved = 0.0;
   // "The current tour was verified move-free by a full or_opt walk" — set
   // by a converged or_opt and preserved while nothing touches the tour.
-  // Every applied move gains strictly more than min_gain > 0, so an
+  // Every applied move gains strictly more than kMinGain > 0, so an
   // operator returns exactly 0.0 iff it applied no move and left the tour
   // untouched; that makes both skips below provably bit-neutral: the
   // skipped work would have contributed 0.0 and changed nothing.
@@ -398,7 +398,7 @@ double improve_tour(const TourProblem& problem, Tour& tour,
     }
     const double round_gain = two_gain + or_gain;
     saved += round_gain;
-    if (round_gain <= options.min_gain) break;
+    if (round_gain <= kMinGain) break;
     // A follow-up round is provably a no-op when two_opt's last full scan
     // was clean with nothing running after it (or_gain == 0.0) and the
     // or-opt move set is verified clean as well.

@@ -9,6 +9,10 @@
 
 namespace mcharge::tsp {
 
+/// Gain a move must strictly exceed to be applied: ignores numerically-zero
+/// improvements. Positive, which improve_tour's convergence skips rely on.
+inline constexpr double kMinGain = 1e-9;
+
 struct ImproveOptions {
   bool use_two_opt = true;
   bool use_or_opt = true;
@@ -19,7 +23,6 @@ struct ImproveOptions {
   /// same bound on to both operators. A truncated run returns the tour
   /// as it stood when the budget ran out.
   std::size_t max_passes = 64;
-  double min_gain = 1e-9;        ///< ignore numerically-zero improvements
 };
 
 /// 2-opt to a local optimum (reverses tour segments). Returns total travel

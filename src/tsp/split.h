@@ -27,12 +27,11 @@ struct SplitResult {
 
 /// Optional per-segment energy cap for the split. A segment's energy is
 /// its travel seconds (depot -> sites -> depot) times travel_power_w plus
-/// its service seconds times service_power_w; core/appro.cpp derives the
-/// powers from an energy::McvBudgetSpec (travel_power_w = move cost per
-/// meter x MCV speed, service_power_w = charging rate / transfer
-/// efficiency), making a segment's energy exactly the planner's estimate
-/// of the executor's battery draw. budget_j == 0 disables the cap — the
-/// split then takes exactly the delay-only code path.
+/// its service seconds times service_power_w. budget_j == 0 disables the
+/// cap — the split then takes exactly the delay-only code path. No
+/// planner sets it; the benchmark replay passes
+/// MinMaxTourOptions::energy through, so the cap goes at the next
+/// benchmark change, as TourBuilder does.
 struct SegmentEnergyCap {
   double budget_j = 0.0;        ///< per-segment joule cap; 0 = disabled
   double travel_power_w = 0.0;  ///< joules per second of driving
@@ -67,7 +66,9 @@ struct MinMaxTourOptions {
   bool improve_segments = true; ///< 2-opt each segment after splitting
   /// Per-segment energy cap forwarded to split_min_max. Disabled by
   /// default; per-segment 2-opt can only shorten travel, so it never
-  /// pushes a cap-respecting segment back over the cap.
+  /// pushes a cap-respecting segment back over the cap. Read only by the
+  /// tests and the benchmark replay; goes with TourBuilder at the next
+  /// benchmark change.
   SegmentEnergyCap energy;
 };
 

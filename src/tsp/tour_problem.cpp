@@ -27,11 +27,16 @@ void TourProblem::ensure_distance_cache() const {
   simd::distance_row(xs.data(), ys.data(), m, depot.x, depot.y,
                      depot_dist_.data());
   site_dist_.resize(m * m);
-  // Row-wise kernel fill of the upper triangle (diagonal included: the
-  // kernel yields +0.0 there), mirrored into the lower triangle so the
-  // matrix stays structurally symmetric. Every entry carries exactly the
-  // bits geom::distance would produce.
-  simd::distance_matrix(xs.data(), ys.data(), m, site_dist_.data());
+  // Row a is filled from the diagonal rightwards with the row kernel (which
+  // yields +0.0 on the diagonal), then mirrored into column a. Mirroring is
+  // bitwise-safe: dx and -dx square to the same double, so every entry
+  // carries exactly the bits geom::distance would produce.
+  for (std::size_t a = 0; a < m; ++a) {
+    double* row = site_dist_.data() + a * m;
+    simd::distance_row(xs.data() + a, ys.data() + a, m - a, xs[a], ys[a],
+                       row + a);
+    for (std::size_t b = a + 1; b < m; ++b) site_dist_[b * m + a] = row[b];
+  }
 }
 
 void TourProblem::drop_distance_cache() const {

@@ -51,12 +51,12 @@ struct TourProblem {
   /// geom::distance. For m <= 1 the build is a cheap no-op (no
   /// allocation): there are no site pairs to cache and distance queries
   /// fall through to on-the-fly geometry.
-  /// Only the exact solver (tsp/exact.h, Held-Karp, m <= 20) calls this
-  /// itself. The tour substrate never does: Christofides streams Prim
-  /// rows from the coordinates, 2-opt / Or-opt keep a position mirror and
-  /// split_min_max reads O(m) legs. A caller may still build the cache
-  /// first; every travel() answer keeps the same bits, so no tour
-  /// changes.
+  /// No library path calls this: Christofides streams Prim rows from the
+  /// coordinates, 2-opt / Or-opt keep a position mirror and split_min_max
+  /// reads O(m) legs. Only the benchmark replay, the micro benches and the
+  /// tests' Held-Karp oracle build the cache; every travel() answer keeps
+  /// the same bits, so no tour changes. The cache goes at the next
+  /// benchmark change.
   /// Mutating `sites` or `depot` IN PLACE (same size) is invisible to the
   /// staleness check — call drop_distance_cache() first. Not safe to
   /// call concurrently on a shared instance; build before handing the

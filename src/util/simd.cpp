@@ -92,18 +92,7 @@ std::size_t scalar_advance_select_below(double* level, double* as_of,
                                         std::uint32_t* out) {
   std::size_t count = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (t > as_of[i]) {
-      const double drained = draw[i] * (t - as_of[i]);
-      if (drained >= level[i] && draw[i] > 0.0) {
-        if (dead_since[i] == kInf) {
-          dead_since[i] = as_of[i] + level[i] / draw[i];
-        }
-        level[i] = 0.0;
-      } else {
-        level[i] -= drained;
-      }
-      as_of[i] = t;
-    }
+    advance_drain(level[i], as_of[i], dead_since[i], draw[i], t);
     if (level[i] < threshold) out[count++] = ids[i];
   }
   return count;
@@ -229,21 +218,6 @@ const char* backend_name(Backend backend) {
 void distance_row(const double* xs, const double* ys, std::size_t n,
                   double px, double py, double* out) {
   dispatch().table->distance_row(xs, ys, n, px, py, out);
-}
-
-void distance_matrix(const double* xs, const double* ys, std::size_t m,
-                     double* out) {
-  // Row a is filled from the diagonal rightwards with the row kernel, then
-  // mirrored into column a. Mirroring is bitwise-safe: dx and -dx square
-  // to the same double, so d(a, b) == d(b, a) exactly.
-  const auto* table = dispatch().table;
-  for (std::size_t a = 0; a < m; ++a) {
-    double* row = out + a * m;
-    table->distance_row(xs + a, ys + a, m - a, xs[a], ys[a], row + a);
-    for (std::size_t b = a + 1; b < m; ++b) {
-      out[b * m + a] = row[b];
-    }
-  }
 }
 
 std::size_t two_opt_scan(const double* px, const double* py, const double* tc,

@@ -55,11 +55,6 @@ const char* backend_name(Backend backend);
 void distance_row(const double* xs, const double* ys, std::size_t n,
                   double px, double py, double* out);
 
-/// Fills the dense m x m symmetric Euclidean distance matrix (row-major)
-/// for the SoA point set (xs, ys). Diagonal is +0.0.
-void distance_matrix(const double* xs, const double* ys, std::size_t m,
-                     double* out);
-
 /// First-improvement scan of the 2-opt move set for a fixed left edge.
 ///
 /// Positions are given as SoA arrays px/py over tour positions, with the

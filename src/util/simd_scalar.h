@@ -1,8 +1,10 @@
-// Scalar one-element forms of the first-hit scans in util/simd.h.
+// Scalar one-element forms of the scans in util/simd.h.
 //
 // or_opt_hit is the loop body of the scalar reference kernel
-// scalar_or_opt_scan (simd.cpp), shared with callers that test single
-// elements and would otherwise pay a dispatched kernel call per element.
+// scalar_or_opt_scan (simd.cpp), and advance_drain the per-element update
+// of scalar_advance_select_below. Both are shared with callers that touch
+// single elements and would otherwise pay a dispatched kernel call per
+// element.
 // The per-ISA TUs must not include this header (simd_kernels.h's rule on
 // inline FP functions); they keep their own scalar tails.
 #pragma once
@@ -50,6 +52,26 @@ inline bool or_opt_hit(const double* px, const double* py, const double* tc,
   }
   const double cost = std::sqrt(qa) / speed + std::sqrt(qb) / speed - tc[k];
   return cost < threshold;
+}
+
+/// Element update of advance_select_below: advances one sensor's lazy
+/// drain state to time t (a no-op unless t > as_of). A drain that empties
+/// the battery records the first death instant and clamps the level at
+/// zero.
+inline void advance_drain(double& level, double& as_of, double& dead_since,
+                          double draw, double t) {
+  if (t > as_of) {
+    const double drained = draw * (t - as_of);
+    if (drained >= level && draw > 0.0) {
+      if (dead_since == std::numeric_limits<double>::infinity()) {
+        dead_since = as_of + level / draw;
+      }
+      level = 0.0;
+    } else {
+      level -= drained;
+    }
+    as_of = t;
+  }
 }
 
 }  // namespace mcharge::simd

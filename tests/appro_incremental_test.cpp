@@ -163,7 +163,7 @@ double two_opt(const tsp::TourProblem& problem, tsp::Tour& tour,
       while (j < j_end) {
         const std::size_t hit = simd::two_opt_scan(
             px.data(), py.data(), tc.data(), j, j_end, ax, ay, bx, by,
-            problem.speed, base, options.min_gain);
+            problem.speed, base, tsp::kMinGain);
         if (hit == simd::kNpos) break;
         const auto jp = static_cast<std::ptrdiff_t>(hit);
         const double before =
@@ -216,8 +216,8 @@ double or_opt(const tsp::TourProblem& problem, tsp::Tour& tour,
         const double removal_gain = leg(problem, tour, i - 1, i) +
                                     leg(problem, tour, i + len - 1, i + len) -
                                     leg(problem, tour, i - 1, i + len);
-        if (removal_gain <= options.min_gain) continue;
-        const double threshold = removal_gain - options.min_gain;
+        if (removal_gain <= tsp::kMinGain) continue;
+        const double threshold = removal_gain - tsp::kMinGain;
         const double ix = px[static_cast<std::size_t>(i)];
         const double iy = py[static_cast<std::size_t>(i)];
         const double ex = px[static_cast<std::size_t>(i + len - 1)];
@@ -282,7 +282,7 @@ double improve_tour(const tsp::TourProblem& problem, tsp::Tour& tour,
       round_gain += reference::or_opt(problem, tour, options, tally);
     }
     saved += round_gain;
-    if (round_gain <= options.min_gain) break;
+    if (round_gain <= tsp::kMinGain) break;
   }
   return saved;
 }

@@ -9,15 +9,12 @@
 
 #include "core/appro.h"
 #include "core/overlap_graph.h"
+#include "estimate_oracle.h"
 #include "geometry/field.h"
-#include "graph/mis.h"
 #include "model/charging_problem.h"
 #include "offset_clusters.h"
-#include "schedule/estimate.h"
 #include "schedule/execute.h"
 #include "schedule/verify.h"
-#include "tsp/split.h"
-#include "tsp/tour_problem.h"
 #include "util/rng.h"
 
 namespace mcharge::core {
@@ -249,7 +246,7 @@ TEST_P(ApproBoundProperty, ExecutedDelayWithinEq5Bound) {
   ApproScheduler appro;
   const auto plan = appro.plan(p);
   const auto schedule = sched::execute_plan(p, plan);
-  const auto bounds = sched::estimate_tour_bounds(p, plan);
+  const auto bounds = sched::oracle::estimate_tour_bounds(p, plan);
   for (std::size_t k = 0; k < bounds.size(); ++k) {
     double waited = 0.0;
     for (const auto& s : schedule.mcvs[k].sojourns) waited += s.wait();
@@ -325,10 +322,7 @@ TEST(Appro, MoreChargersNeverMuchWorse) {
 TEST(ApproGolden, PlanDigestPinned) {
   // One FNV-1a digest over every plan plan_with_stats returns for
   // all-requesting rounds at n = 1..40, 200, 600 and 1200 x K in
-  // {1, 2, 5} x uniform and clustered layouts x two budgets: none, and an
-  // MCV budget at 0.9x the heaviest planned draw of step 5's uncapped
-  // split, which makes the split cut wherever K segments can meet it (and
-  // drop the cap where they cannot). The field side scales as
+  // {1, 2, 5} x uniform and clustered layouts. The field side scales as
   // 100 m x sqrt(n / 1200), so every size has the density of the paper's
   // hardest point and step 6 has nodes to insert. Only + - * / and sqrt
   // shape the inputs, so the digest does not depend on the libm.
@@ -342,12 +336,6 @@ TEST(ApproGolden, PlanDigestPinned) {
   std::vector<std::size_t> sizes;
   for (std::size_t n = 1; n <= 40; ++n) sizes.push_back(n);
   sizes.insert(sizes.end(), {200, 600, 1200});
-  // A travel-heavy MCV: at the default 50 J/m, service dominates every
-  // segment's energy as it dominates its delay, so the delay-optimal split
-  // already is energy-optimal and a cap below it is infeasible.
-  energy::McvBudgetSpec spec;
-  spec.move_cost_j_per_m = 2000.0;
-  std::size_t budget_cut = 0;
   std::size_t inserted = 0;
   for (const std::size_t n : sizes) {
     for (const bool clustered : {false, true}) {
@@ -367,57 +355,27 @@ TEST(ApproGolden, PlanDigestPinned) {
       for (const std::size_t k : {1, 2, 5}) {
         const ChargingProblem p(pts, seconds, {side / 2, side / 2}, 2.7, 1.0,
                                 k);
-        // Steps 1-5 by hand, to price the uncapped split's segments.
-        const auto s_i = graph::maximal_independent_set(charging_graph(p));
-        tsp::TourProblem sites;
-        sites.depot = p.depot();
-        sites.speed = p.speed();
-        for (const graph::Vertex i :
-             graph::maximal_independent_set(overlap_graph(p, s_i))) {
-          sites.sites.push_back(p.position(s_i[i]));
-          sites.service.push_back(p.tau(s_i[i]));
+        ApproStats stats;
+        const auto plan = ApproScheduler().plan_with_stats(p, &stats);
+        ASSERT_EQ(plan.tours.size(), k);
+        inserted += stats.inserted_case_one + stats.inserted_case_two;
+        mix(n, 4);
+        mix(k, 4);
+        for (const std::size_t field :
+             {stats.v_s, stats.s_i, stats.v_h, stats.h_max_degree,
+              stats.inserted_case_one, stats.inserted_case_two,
+              stats.dropped_covered}) {
+          mix(field, 8);
         }
-        double heaviest_j = 0.0;
-        for (const auto& seg : tsp::min_max_k_tours(sites, k).tours) {
-          heaviest_j = std::max(
-              heaviest_j,
-              tsp::tour_travel_time(sites, seg) * spec.move_cost_j_per_m *
-                      p.speed() +
-                  tsp::tour_service_time(sites, seg) * p.charging_rate_w());
-        }
-        sched::ChargingPlan free;
-        for (const bool budgeted : {false, true}) {
-          ApproOptions options;
-          if (budgeted) {
-            options.mcv_budget = spec;
-            options.mcv_budget.capacity_j = 0.9 * heaviest_j;
-          }
-          ApproStats stats;
-          const auto plan = ApproScheduler(options).plan_with_stats(p, &stats);
-          if (!budgeted) free = plan;
-          if (budgeted && plan.tours != free.tours) ++budget_cut;
-          inserted += stats.inserted_case_one + stats.inserted_case_two;
-          mix(n, 4);
-          mix(k, 4);
-          mix(budgeted, 1);
-          for (const std::size_t field :
-               {stats.v_s, stats.s_i, stats.v_h, stats.h_max_degree,
-                stats.inserted_case_one, stats.inserted_case_two,
-                stats.dropped_covered}) {
-            mix(field, 8);
-          }
-          ASSERT_EQ(plan.tours.size(), k);
-          for (const auto& tour : plan.tours) {
-            mix(tour.size(), 4);
-            for (const std::uint32_t v : tour) mix(v, 4);
-          }
+        for (const auto& tour : plan.tours) {
+          mix(tour.size(), 4);
+          for (const std::uint32_t v : tour) mix(v, 4);
         }
       }
     }
   }
-  EXPECT_GT(budget_cut, 0u);
   EXPECT_GT(inserted, 0u);
-  EXPECT_EQ(digest, 0x34124a20ca79cca9ULL) << std::hex << digest;
+  EXPECT_EQ(digest, 0x4814a2e2b3cadfe6ULL) << std::hex << digest;
 }
 
 }  // namespace

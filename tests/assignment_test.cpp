@@ -1,13 +1,39 @@
 // Tests for the Hungarian assignment solver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <numeric>
 #include <vector>
 
 #include "assignment/hungarian.h"
+#include "util/assert.h"
 #include "util/rng.h"
 
 namespace mcharge::assignment {
 namespace {
+
+/// Brute-force reference (permutations); requires rows == cols <= 9.
+AssignmentResult solve_assignment_brute_force(
+    const std::vector<std::vector<double>>& cost) {
+  const std::size_t n = cost.size();
+  MCHARGE_ASSERT(n <= 9, "brute force limited to n <= 9");
+  AssignmentResult best;
+  if (n == 0) return best;
+  MCHARGE_ASSERT(cost[0].size() == n, "brute force requires square matrix");
+  std::vector<std::uint32_t> perm(n);
+  std::iota(perm.begin(), perm.end(), 0u);
+  best.total_cost = std::numeric_limits<double>::infinity();
+  do {
+    double total = 0.0;
+    for (std::size_t i = 0; i < n; ++i) total += cost[i][perm[i]];
+    if (total < best.total_cost) {
+      best.total_cost = total;
+      best.column_of_row = perm;
+    }
+  } while (std::next_permutation(perm.begin(), perm.end()));
+  return best;
+}
 
 TEST(Hungarian, EmptyInput) {
   const auto r = solve_assignment({});

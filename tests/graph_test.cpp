@@ -10,7 +10,6 @@
 #include <numeric>
 
 #include "geometry/field.h"
-#include "graph/dsu.h"
 #include "graph/euler.h"
 #include "graph/graph.h"
 #include "graph/mis.h"
@@ -195,7 +194,7 @@ TEST(Mis, LinearCheckMatchesPairwiseOnRandomSubsets) {
 // ---------- DSU ----------
 
 TEST(Dsu, UniteAndFind) {
-  Dsu dsu(5);
+  oracle::Dsu dsu(5);
   EXPECT_EQ(dsu.num_components(), 5u);
   EXPECT_TRUE(dsu.unite(0, 1));
   EXPECT_TRUE(dsu.unite(1, 2));
@@ -226,7 +225,7 @@ TEST(Mst, PrimMatchesKruskalWeight) {
       edges.push_back({u, v, geom::distance(pts[u], pts[v])});
     }
   }
-  const auto kruskal = kruskal_mst(pts.size(), edges);
+  const auto kruskal = oracle::kruskal_mst(pts.size(), edges);
   EXPECT_EQ(prim.size(), kruskal.size());
   EXPECT_NEAR(total_weight(prim), total_weight(kruskal), 1e-9);
 }
@@ -293,7 +292,7 @@ TEST(Mst, SoaPrimMatchesFrozenTemplate) {
 
 TEST(Mst, KruskalDisconnectedIsForest) {
   std::vector<WeightedEdge> edges{{0, 1, 1.0}, {2, 3, 2.0}};
-  const auto forest = kruskal_mst(4, edges);
+  const auto forest = oracle::kruskal_mst(4, edges);
   EXPECT_EQ(forest.size(), 2u);
 }
 
@@ -353,7 +352,7 @@ TEST_P(MstProperty, TreeIsSpanningAcyclicAndNoWorseThanRandomTrees) {
   const auto tree = euclidean_mst(pts);
   ASSERT_EQ(tree.size(), n - 1);
   // Spanning and acyclic via DSU.
-  Dsu dsu(n);
+  oracle::Dsu dsu(n);
   for (const auto& e : tree) {
     EXPECT_TRUE(dsu.unite(e.u, e.v)) << "cycle in MST";
   }

@@ -39,6 +39,8 @@ namespace {
 
 using oracle::exact_min_weight_matching;
 using oracle::kOracleLimit;
+using oracle::matching_weight;
+using oracle::WeightFn;
 
 WeightFn euclidean(const std::vector<geom::Point>& pts) {
   return [&pts](std::uint32_t a, std::uint32_t b) {

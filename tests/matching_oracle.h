@@ -1,11 +1,12 @@
 // Test oracle: exact minimum-weight perfect matching by bitmask DP on
-// arbitrary weights. O(2^n * n) time and memory, so it certifies only
-// small instances (n <= kOracleLimit); the library's geometric dispatch
-// runs the blossom engines instead.
+// arbitrary weights (WeightFn). O(2^n * n) time and memory, so it
+// certifies only small instances (n <= kOracleLimit); the library's
+// geometric dispatch runs the blossom engines instead.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -13,6 +14,15 @@
 #include "util/assert.h"
 
 namespace mcharge::matching::oracle {
+
+using WeightFn = std::function<double(std::uint32_t, std::uint32_t)>;
+
+/// Sum of edge weights in a matching.
+inline double matching_weight(const Matching& m, const WeightFn& weight) {
+  double total = 0.0;
+  for (const auto& [a, b] : m) total += weight(a, b);
+  return total;
+}
 
 /// Largest n the DP accepts (asserted: 2^n states are materialized).
 inline constexpr std::size_t kOracleLimit = 16;

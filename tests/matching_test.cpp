@@ -33,6 +33,8 @@ namespace {
 
 using oracle::exact_min_weight_matching;
 using oracle::kOracleLimit;
+using oracle::matching_weight;
+using oracle::WeightFn;
 
 /// The dense blossom core on an arbitrary complete weighted graph (the
 /// library only feeds it Euclidean weights). Costs are quantized onto

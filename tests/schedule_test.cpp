@@ -4,8 +4,8 @@
 
 #include <cmath>
 
+#include "estimate_oracle.h"
 #include "model/charging_problem.h"
-#include "schedule/estimate.h"
 #include "schedule/execute.h"
 #include "schedule/plan.h"
 #include "schedule/verify.h"
@@ -501,7 +501,7 @@ TEST(Estimate, MatchesHandComputedBound) {
   const auto p = line3(1);
   ChargingPlan plan;
   plan.tours = {{0, 2}};
-  const auto bounds = estimate_tour_bounds(p, plan);
+  const auto bounds = oracle::estimate_tour_bounds(p, plan);
   ASSERT_EQ(bounds.size(), 1u);
   // tau(0) = max(t0,t1) = 100; tau(2) = max(t1,t2) = 200.
   EXPECT_DOUBLE_EQ(bounds[0], 10.0 + 100.0 + 4.0 + 200.0 + 14.0);
@@ -516,7 +516,7 @@ TEST(Estimate, OneToOneEstimateIsExact) {
   plan.mode = ChargeMode::kOneToOne;
   plan.tours = {{0, 1, 2}};
   const auto schedule = execute_plan(p, plan);
-  const auto bounds = estimate_tour_bounds(p, plan);
+  const auto bounds = oracle::estimate_tour_bounds(p, plan);
   ASSERT_EQ(bounds.size(), 1u);
   EXPECT_DOUBLE_EQ(bounds[0], schedule.longest_delay());
 }
@@ -525,7 +525,7 @@ TEST(Estimate, EmptyTourIsZero) {
   const auto p = line3(2);
   ChargingPlan plan;
   plan.tours = {{}, {1}};
-  const auto bounds = estimate_tour_bounds(p, plan);
+  const auto bounds = oracle::estimate_tour_bounds(p, plan);
   EXPECT_DOUBLE_EQ(bounds[0], 0.0);
   EXPECT_GT(bounds[1], 0.0);
 }
@@ -552,7 +552,7 @@ TEST_P(EstimateUpperBounds, ExecutedDelayNeverExceedsBoundWithoutWaiting) {
   for (std::uint32_t v = 0; v < n; ++v) plan.tours[v % 2].push_back(v);
   const auto schedule = execute_plan(p, plan);
   ASSERT_DOUBLE_EQ(schedule.total_wait(), 0.0);
-  const auto bounds = estimate_tour_bounds(p, plan);
+  const auto bounds = oracle::estimate_tour_bounds(p, plan);
   for (std::size_t k = 0; k < 2; ++k) {
     EXPECT_LE(schedule.mcvs[k].return_time, bounds[k] + 1e-6);
   }

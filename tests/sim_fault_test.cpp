@@ -10,10 +10,11 @@
 //    code path — byte-identical to a default-constructed config;
 //  * every executed (possibly partial) schedule passes the verifier with
 //    zero violations at breakdown rates up to 0.5 per round;
-//  * simulate_checked rejects malformed inputs with structured errors
-//    instead of asserting deep in the round loop.
+//  * validate_sim_inputs rejects malformed inputs with structured errors
+//    before simulate() would assert deep in the round loop.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <string>
 #include <vector>
@@ -468,10 +469,7 @@ TEST(SimEnergy, RecoverRoundDelayAndEnergyAccountsAreConsistent) {
     energy::McvBudgetSpec spec;
     spec.capacity_j = 1e18;
     spec.transfer_efficiency = 0.9;
-    core::ApproOptions options;
-    options.mcv_budget = spec;  // budget-aware split (capacity is loose)
-    core::ApproScheduler appro(options);
-    const sched::ChargingPlan plan = appro.plan(problem);
+    const sched::ChargingPlan plan = core::ApproScheduler().plan(problem);
 
     // Calibrate the tight capacity off the fault-free metered execution.
     sched::ExecutionFaults meter;
@@ -604,6 +602,30 @@ TEST(Validation, RejectsBadConfigsWithTheRightCode) {
   EXPECT_EQ(err->code, ConfigErrorCode::kNonFiniteSensorData);
 }
 
+TEST(Validation, RejectsHorizonBeyondHundredYears) {
+  // simulate() allocates one dead-time bucket per 30 days of the horizon
+  // before its loop starts, so an absurd horizon must be rejected up
+  // front rather than abort on the allocation.
+  Rng rng(7);
+  const auto instance = model::make_instance(model::NetworkConfig{}, 10, rng);
+  const double cap_s = 100.0 * 365.25 * 86400.0;
+
+  SimConfig config;
+  config.monitoring_period_s = cap_s;
+  EXPECT_FALSE(validate_sim_inputs(instance, config).has_value());
+
+  for (const double horizon_s :
+       {std::nextafter(cap_s, std::numeric_limits<double>::infinity()),
+        1e13 * 30.0 * 86400.0, std::numeric_limits<double>::max()}) {
+    config.monitoring_period_s = horizon_s;
+    const auto err = validate_sim_inputs(instance, config);
+    ASSERT_TRUE(err.has_value()) << horizon_s;
+    EXPECT_EQ(err->code, ConfigErrorCode::kBadHorizon);
+    EXPECT_NE(err->message.find("at most 100 years"), std::string::npos)
+        << err->message;
+  }
+}
+
 TEST(Validation, RejectsMismatchedPerSensorArrays) {
   // Three positions but one consumption entry: the validator must not
   // read past the consumption array (nor let simulate() do so).
@@ -683,23 +705,24 @@ TEST(Validation, RejectsBadMcvBudgets) {
   EXPECT_FALSE(validate_sim_inputs(instance, config).has_value());
 }
 
-TEST(Validation, SimulateCheckedReturnsErrorInsteadOfAborting) {
+TEST(Validation, ValidatorGatesSimulate) {
+  // The front-door pattern of the CLIs: validate, report the structured
+  // error instead of reaching simulate()'s assert, simulate otherwise.
   Rng rng(3);
   const auto instance = model::make_instance(model::NetworkConfig{}, 15, rng);
   core::ApproScheduler appro;
 
   SimConfig bad;
   bad.charge_target_fraction = 0.05;
-  const auto failed = simulate_checked(instance, appro, bad);
-  ASSERT_FALSE(failed.has_value());
-  EXPECT_EQ(failed.error().code, ConfigErrorCode::kBadChargeTarget);
-  EXPECT_FALSE(failed.error().message.empty());
+  const auto failed = validate_sim_inputs(instance, bad);
+  ASSERT_TRUE(failed.has_value());
+  EXPECT_EQ(failed->code, ConfigErrorCode::kBadChargeTarget);
+  EXPECT_FALSE(failed->message.empty());
 
   SimConfig good;
   good.monitoring_period_s = 10.0 * 86400.0;
-  const auto ok = simulate_checked(instance, appro, good);
-  ASSERT_TRUE(ok.has_value());
-  EXPECT_EQ(ok->verify_violations, 0u);
+  ASSERT_FALSE(validate_sim_inputs(instance, good).has_value());
+  EXPECT_EQ(simulate(instance, appro, good).verify_violations, 0u);
 }
 
 }  // namespace

@@ -352,7 +352,7 @@ TEST(Simulate, BusyFractionScalesByElapsedTimeOnMaxRoundsTruncation) {
               round.dispatch_time;
       ready = round.dispatch_time + round.longest_delay_s;
     } else {
-      ready = round.dispatch_time + config.empty_round_backoff_s;
+      ready = round.dispatch_time + kEmptyRoundBackoffS;
     }
   }
   ASSERT_GT(busy, 0.0);

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -82,33 +81,6 @@ TEST(Simd, DistanceRowMatchesScalarOnAllBackends) {
         EXPECT_EQ(expected[i], out[i])
             << "n=" << n << " i=" << i << " backend=" << static_cast<int>(b);
       }
-    }
-  }
-}
-
-TEST(Simd, DistanceMatrixSymmetricZeroDiagonalAndScalarIdentical) {
-  for (std::size_t m : {std::size_t{1}, std::size_t{2}, std::size_t{7},
-                        std::size_t{33}}) {
-    const Soa p = random_points(m, 200 + m);
-    std::vector<double> scalar(m * m, -1.0);
-    {
-      BackendGuard guard(simd::Backend::kScalar);
-      simd::distance_matrix(p.xs.data(), p.ys.data(), m, scalar.data());
-    }
-    for (std::size_t a = 0; a < m; ++a) {
-      EXPECT_EQ(scalar[a * m + a], 0.0);
-      for (std::size_t b = 0; b < m; ++b) {
-        EXPECT_EQ(scalar[a * m + b], scalar[b * m + a]);
-        EXPECT_EQ(scalar[a * m + b], dist(p.xs[a], p.ys[a], p.xs[b], p.ys[b]));
-      }
-    }
-    for (simd::Backend b : supported_backends()) {
-      BackendGuard guard(b);
-      std::vector<double> out(m * m, -1.0);
-      simd::distance_matrix(p.xs.data(), p.ys.data(), m, out.data());
-      EXPECT_EQ(0, std::memcmp(scalar.data(), out.data(),
-                               m * m * sizeof(double)))
-          << "m=" << m << " backend=" << static_cast<int>(b);
     }
   }
 }

@@ -1,16 +1,27 @@
-#include "tsp/exact.h"
+// Test oracle: exact TSP via Held-Karp dynamic programming.
+//
+// The reference the tour tests measure construction and local search
+// against on small instances. Exponential in the number of sites
+// (O(2^m * m^2) time, O(2^m * m) space); capped at m <= 20.
+#pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
+#include "tsp/tour_problem.h"
 #include "util/assert.h"
 
-namespace mcharge::tsp {
+namespace mcharge::tsp::oracle {
 
-namespace {
+/// Largest site count accepted by held_karp_tour (2^m states are
+/// materialized).
+inline constexpr std::size_t kHeldKarpLimit = 20;
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
+namespace detail {
+
+inline constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Held-Karp table: best[mask][last] = cheapest travel time starting at the
 /// depot, visiting exactly the sites in `mask`, ending at site `last`.
@@ -27,7 +38,7 @@ struct HeldKarp {
   }
 };
 
-HeldKarp solve(const TourProblem& p) {
+inline HeldKarp solve(const TourProblem& p) {
   const std::size_t m = p.size();
   MCHARGE_ASSERT(m <= kHeldKarpLimit, "Held-Karp limited to 20 sites");
   p.ensure_distance_cache();
@@ -60,14 +71,15 @@ HeldKarp solve(const TourProblem& p) {
   return hk;
 }
 
-}  // namespace
+}  // namespace detail
 
-double held_karp_travel_time(const TourProblem& problem) {
+/// The optimal closed-tour travel time without reconstructing the tour.
+inline double held_karp_travel_time(const TourProblem& problem) {
   const std::size_t m = problem.size();
   if (m == 0) return 0.0;
-  HeldKarp hk = solve(problem);
+  detail::HeldKarp hk = detail::solve(problem);
   const std::uint32_t full = (1u << m) - 1u;
-  double best = kInf;
+  double best = detail::kInf;
   for (std::size_t last = 0; last < m; ++last) {
     best = std::min(best, hk.at(full, last) +
                               problem.travel_depot(static_cast<SiteId>(last)));
@@ -75,12 +87,15 @@ double held_karp_travel_time(const TourProblem& problem) {
   return best;
 }
 
-Tour held_karp_tour(const TourProblem& problem) {
+/// The optimal closed tour (minimum travel time; service times are
+/// order-invariant and excluded from the optimization). Requires
+/// problem.size() <= kHeldKarpLimit (asserted).
+inline Tour held_karp_tour(const TourProblem& problem) {
   const std::size_t m = problem.size();
   if (m == 0) return {};
-  HeldKarp hk = solve(problem);
+  detail::HeldKarp hk = detail::solve(problem);
   const std::uint32_t full = (1u << m) - 1u;
-  double best = kInf;
+  double best = detail::kInf;
   std::size_t last = 0;
   for (std::size_t v = 0; v < m; ++v) {
     const double cost =
@@ -105,4 +120,4 @@ Tour held_karp_tour(const TourProblem& problem) {
   return tour;
 }
 
-}  // namespace mcharge::tsp
+}  // namespace mcharge::tsp::oracle

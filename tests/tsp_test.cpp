@@ -10,10 +10,10 @@
 #include "geometry/field.h"
 #include "offset_clusters.h"
 #include "tsp/construct.h"
-#include "tsp/exact.h"
 #include "tsp/improve.h"
 #include "tsp/split.h"
 #include "tsp/tour_problem.h"
+#include "tsp_oracle.h"
 #include "util/rng.h"
 
 namespace mcharge::tsp {
@@ -164,8 +164,8 @@ TEST_P(HeldKarpVsEnumeration, MatchesPermutationOptimum) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 911 + 7);
   const std::size_t m = 1 + rng.below(7);  // 1..7 (enumeration stays cheap)
   const TourProblem p = random_problem(m, rng);
-  EXPECT_NEAR(held_karp_travel_time(p), exact_travel(p), 1e-9);
-  const Tour tour = held_karp_tour(p);
+  EXPECT_NEAR(oracle::held_karp_travel_time(p), exact_travel(p), 1e-9);
+  const Tour tour = oracle::held_karp_tour(p);
   EXPECT_TRUE(is_complete_tour(p, tour));
   EXPECT_NEAR(tour_travel_time(p, tour), exact_travel(p), 1e-9);
 }
@@ -175,14 +175,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, HeldKarpVsEnumeration, ::testing::Range(0, 10));
 TEST(HeldKarp, EmptyProblem) {
   TourProblem p;
   p.depot = {0, 0};
-  EXPECT_DOUBLE_EQ(held_karp_travel_time(p), 0.0);
-  EXPECT_TRUE(held_karp_tour(p).empty());
+  EXPECT_DOUBLE_EQ(oracle::held_karp_travel_time(p), 0.0);
+  EXPECT_TRUE(oracle::held_karp_tour(p).empty());
 }
 
 TEST(HeldKarp, MediumInstanceLowerBoundsHeuristics) {
   Rng rng(55);
   const TourProblem p = random_problem(14, rng);
-  const double opt = held_karp_travel_time(p);
+  const double opt = oracle::held_karp_travel_time(p);
   EXPECT_GE(tour_travel_time(p, christofides_tour(p)), opt - 1e-9);
 }
 
@@ -193,7 +193,7 @@ TEST(HeldKarp, TwoOptNeverBeatsExact) {
     Tour tour = christofides_tour(p);
     improve_tour(p, tour);
     EXPECT_GE(tour_travel_time(p, tour),
-              held_karp_travel_time(p) - 1e-9);
+              oracle::held_karp_travel_time(p) - 1e-9);
   }
 }
 
