@@ -18,13 +18,18 @@
 //                   budgeted executor: tours that would overdraw abort at
 //                   the exhaustion point and the orphaned stops are pushed
 //                   to the next round (RecoveryPolicy::kDefer).
+//   --layout=L      uniform (default, as the paper), clustered or grid
 //   --csv=PREFIX    also write PREFIX_a.csv / PREFIX_b.csv
+//
+// An unknown layout or a settings value the simulator rejects (e.g.
+// --months=-1, --mcv-budget=-1) prints `error: <message>` and exits 2.
 //
 // The (instance, algorithm) work items are the one grain of parallelism:
 // each simulation and each planner call runs on a single thread.
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -37,6 +42,7 @@
 #include "baselines/netwrap.h"
 #include "core/appro.h"
 #include "sim/simulation.h"
+#include "sim/validate.h"
 #include "util/assert.h"
 #include "util/cli.h"
 #include "util/parallel.h"
@@ -80,9 +86,28 @@ struct SweepSettings {
     s.mcv_budget_j = flags.get_double("mcv-budget", 0.0);
     s.csv_prefix = flags.get("csv", "");
     const std::string layout = flags.get("layout", "uniform");
-    if (layout == "clustered") s.layout = model::FieldLayout::kClustered;
-    if (layout == "grid") s.layout = model::FieldLayout::kGrid;
+    const auto parsed = model::parse_layout(layout);
+    if (!parsed) {
+      std::fprintf(stderr,
+                   "error: unknown --layout=%s (uniform|clustered|grid)\n",
+                   layout.c_str());
+      std::exit(2);
+    }
+    s.layout = *parsed;
+    // Checked once here, so a bad flag never reaches a sweep worker.
+    if (const auto error = sim::validate_sim_config(s.sim_config())) {
+      std::fprintf(stderr, "error: %s\n", error->message.c_str());
+      std::exit(2);
+    }
     return s;
+  }
+
+  /// The simulator settings every run of the sweep shares.
+  sim::SimConfig sim_config() const {
+    sim::SimConfig config;
+    config.monitoring_period_s = months * 30.0 * 86400.0;
+    config.mcv_budget.capacity_j = mcv_budget_j;
+    return config;
   }
 };
 
@@ -110,9 +135,7 @@ template <typename MakeInstance>
 PointResult run_point(const SweepSettings& settings,
                       const std::vector<sched::SchedulerPtr>& algorithms,
                       MakeInstance&& make_instance) {
-  sim::SimConfig sim_config;
-  sim_config.monitoring_period_s = settings.months * 30.0 * 86400.0;
-  sim_config.mcv_budget.capacity_j = settings.mcv_budget_j;
+  const sim::SimConfig sim_config = settings.sim_config();
 
   const std::size_t num_algos = algorithms.size();
   std::vector<sim::SimResult> items(settings.instances * num_algos);

@@ -6,6 +6,7 @@
 //   ./build/examples/fleet_planner --input=round.csv --algo=appro
 //             --chargers=2 [--gamma=2.7] [--speed=1] [--depot_x=50] [--depot_y=50]
 //       [--gantt] [--schedule_csv=out.csv]
+#include <cmath>
 #include <cstdio>
 #include <string>
 
@@ -50,6 +51,25 @@ io::RoundData demo_round(std::uint64_t seed) {
   return round;
 }
 
+/// The first round constant that ChargingProblem or the planners would
+/// reject, as a message; null when all of them hold.
+const char* check_constants(geom::Point depot, double gamma, double speed,
+                            double rate_w) {
+  if (!std::isfinite(depot.x) || !std::isfinite(depot.y)) {
+    return "--depot_x and --depot_y must be finite";
+  }
+  if (!std::isfinite(gamma) || gamma < 0.0) {
+    return "--gamma must be >= 0 and finite";
+  }
+  if (!std::isfinite(speed) || speed <= 0.0) {
+    return "--speed must be positive and finite";
+  }
+  if (!std::isfinite(rate_w) || rate_w <= 0.0) {
+    return "--rate_w must be positive and finite";
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -78,11 +98,17 @@ int main(int argc, char** argv) {
     round = demo_round(static_cast<std::uint64_t>(flags.get_int("seed", 9)));
   }
 
+  const geom::Point depot{flags.get_double("depot_x", 50.0),
+                          flags.get_double("depot_y", 50.0)};
+  const double gamma = flags.get_double("gamma", 2.7);
+  const double speed = flags.get_double("speed", 1.0);
   const double eta = flags.get_double("rate_w", 2.0);
+  if (const char* error = check_constants(depot, gamma, speed, eta)) {
+    std::fprintf(stderr, "error: %s\n", error);
+    return 2;
+  }
   model::ChargingProblem problem = round.to_problem(
-      {flags.get_double("depot_x", 50.0), flags.get_double("depot_y", 50.0)},
-      flags.get_double("gamma", 2.7), flags.get_double("speed", 1.0),
-      flags.get_count("chargers", 2), eta);
+      depot, gamma, speed, flags.get_count("chargers", 2), eta);
 
   const auto plan = scheduler->plan(problem);
   const auto schedule = sched::execute_plan(problem, plan);

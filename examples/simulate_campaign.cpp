@@ -4,8 +4,8 @@
 // per-round log, and an SVG of the field.
 //
 //   ./build/examples/simulate_campaign --algo=appro --n=1000 --chargers=2
-//             [--layout=uniform|clustered|grid] [--routing=minhop|minenergy]
-//       [--months=12] [--epoch_h=0] [--target=1.0] [--threshold=0.2]
+//             [--layout=uniform|clustered|grid]
+//       [--months=12] [--epoch_h=0] [--threshold=0.2]
 //       [--bmax_kbps=50] [--seed=1]
 //       [--save_instance=inst.csv] [--load_instance=inst.csv]
 //       [--rounds_csv=rounds.csv] [--svg=field.svg]
@@ -42,12 +42,6 @@ sched::SchedulerPtr make_scheduler(const std::string& name) {
   return nullptr;
 }
 
-model::FieldLayout parse_layout(const std::string& name) {
-  if (name == "clustered") return model::FieldLayout::kClustered;
-  if (name == "grid") return model::FieldLayout::kGrid;
-  return model::FieldLayout::kUniform;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -77,13 +71,21 @@ int main(int argc, char** argv) {
     config.num_chargers = flags.get_count("chargers", 2);
     config.request_threshold = flags.get_double("threshold", 0.2);
     config.rate_max_bps = flags.get_double("bmax_kbps", 50.0) * 1e3;
-    if (flags.get("routing", "minhop") == "minenergy") {
-      config.routing = energy::RoutingPolicy::kMinEnergy;
+    const std::string layout_name = flags.get("layout", "uniform");
+    const auto layout = model::parse_layout(layout_name);
+    if (!layout) {
+      std::fprintf(stderr,
+                   "error: unknown --layout=%s (uniform|clustered|grid)\n",
+                   layout_name.c_str());
+      return 2;
+    }
+    if (const auto error = sim::validate_network(config)) {
+      std::fprintf(stderr, "error: %s\n", error->message.c_str());
+      return 2;
     }
     Rng rng(static_cast<std::uint64_t>(flags.get_int("seed", 1)));
-    instance = model::make_instance(
-        config, flags.get_size("n", 1000), rng,
-        parse_layout(flags.get("layout", "uniform")));
+    instance = model::make_instance(config, flags.get_size("n", 1000), rng,
+                                    *layout);
   }
   if (flags.has("save_instance")) {
     if (!io::write_instance_csv(flags.get("save_instance", ""), instance)) {
@@ -96,7 +98,6 @@ int main(int argc, char** argv) {
   sim_config.monitoring_period_s =
       flags.get_double("months", 12.0) * 30.0 * 86400.0;
   sim_config.dispatch_epoch_s = flags.get_double("epoch_h", 0.0) * 3600.0;
-  sim_config.charge_target_fraction = flags.get_double("target", 1.0);
   sim_config.record_rounds =
       flags.has("rounds_csv") || flags.get_bool("verbose", false);
 
@@ -106,13 +107,13 @@ int main(int argc, char** argv) {
   }
   const sim::SimResult result = sim::simulate(instance, *scheduler, sim_config);
 
+  // Every charge fills the battery (Eq. (1)): the target is always 1.00.
   std::printf("campaign: algo=%s n=%zu K=%zu months=%.1f epoch_h=%.1f "
-              "target=%.2f\n",
+              "target=1.00\n",
               scheduler->name().c_str(), instance.num_sensors(),
               instance.config.num_chargers,
               sim_config.monitoring_period_s / (30.0 * 86400.0),
-              sim_config.dispatch_epoch_s / 3600.0,
-              sim_config.charge_target_fraction);
+              sim_config.dispatch_epoch_s / 3600.0);
   std::printf("  rounds                   %zu\n", result.rounds);
   std::printf("  charge events            %zu\n", result.sensors_charged);
   std::printf("  mean batch size          %.1f (max %.0f)\n",

@@ -4,14 +4,19 @@
 #include <numeric>
 
 #include "cluster/kmeans.h"
+#include "energy/mcv_battery.h"
 #include "obs/obs.h"
 #include "util/assert.h"
+#include "util/rng.h"
 
 namespace mcharge::baselines {
 
-AaScheduler::AaScheduler() : AaScheduler(Options{}) {}
+namespace {
 
-AaScheduler::AaScheduler(Options options) : options_(options) {}
+/// Seed of the k-means grouping, so a problem always gets the same groups.
+constexpr std::uint64_t kKmeansSeed = 0x5eedu;
+
+}  // namespace
 
 sched::ChargingPlan AaScheduler::plan(
     const model::ChargingProblem& problem) const {
@@ -24,7 +29,7 @@ sched::ChargingPlan AaScheduler::plan(
   if (n == 0) return plan;
 
   // Spatial partition into K groups (k-means over sensor positions).
-  Rng rng(options_.kmeans_seed);
+  Rng rng(kKmeansSeed);
   const auto clustering = cluster::kmeans(problem.positions(), k, rng);
 
   for (std::size_t g = 0; g < k; ++g) {
@@ -46,7 +51,7 @@ sched::ChargingPlan AaScheduler::plan(
     geom::Point at = problem.depot();
     for (std::uint32_t v : members) {
       const double detour_m = geom::distance(at, problem.position(v));
-      const double travel_energy = options_.move_cost_j_per_m * detour_m;
+      const double travel_energy = energy::kMoveCostJPerM * detour_m;
       const double delivered_j =
           problem.charge_seconds(v) * problem.charging_rate_w();
       if (delivered_j <= travel_energy) continue;  // unprofitable: skip

@@ -4,31 +4,19 @@
 // assigns one MCV per group, and has each MCV serve its group in residual-
 // lifetime (deadline) order, charging a sensor only when it is profitable:
 // the energy delivered must exceed the MCV's travel energy spent reaching
-// it (move_cost_j_per_m * detour meters). Unprofitable sensors are dropped
-// from the plan (they are what drives AA's large dead durations in the
-// paper's Fig. 3(b)). One-to-one charging.
+// it (energy::kMoveCostJPerM * detour meters). Unprofitable sensors are
+// dropped from the plan (they are what drives AA's large dead durations in
+// the paper's Fig. 3(b)). One-to-one charging.
 #pragma once
 
 #include "schedule/scheduler.h"
-#include "util/rng.h"
 
 namespace mcharge::baselines {
 
 class AaScheduler : public sched::Scheduler {
  public:
-  struct Options {
-    double move_cost_j_per_m = 50.0;  ///< MCV locomotion energy per meter
-    std::uint64_t kmeans_seed = 0x5eedu;
-  };
-
-  AaScheduler();
-  explicit AaScheduler(Options options);
-
   std::string name() const override { return "AA"; }
   sched::ChargingPlan plan(const model::ChargingProblem& problem) const override;
-
- private:
-  Options options_;
 };
 
 }  // namespace mcharge::baselines

@@ -81,12 +81,10 @@ struct Search {
 
 }  // namespace
 
-ExactResult exact_min_longest_delay(const model::ChargingProblem& problem,
-                                    const ExactOptions& options) {
+ExactResult exact_min_longest_delay(const model::ChargingProblem& problem) {
   const std::size_t n = problem.size();
-  MCHARGE_ASSERT(n <= options.max_sensors,
+  MCHARGE_ASSERT(n <= kExactMaxSensors,
                  "exact solver limited to tiny instances");
-  MCHARGE_ASSERT(n <= 16, "exact solver hard cap");
   ExactResult best;
   best.longest_delay = kInf;
   best.plan.mode = sched::ChargeMode::kMultiNode;

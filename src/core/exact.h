@@ -17,11 +17,9 @@
 
 namespace mcharge::core {
 
-struct ExactOptions {
-  /// Hard cap on problem size (asserted); the search is O(m! * K^m) per
-  /// covering subset, over all 2^n covering subsets.
-  std::size_t max_sensors = 7;
-};
+/// Hard cap on problem size (asserted); the search is O(m! * K^m) per
+/// covering subset, over all 2^n covering subsets.
+inline constexpr std::size_t kExactMaxSensors = 7;
 
 struct ExactResult {
   sched::ChargingPlan plan;      ///< an optimal plan
@@ -30,8 +28,7 @@ struct ExactResult {
 };
 
 /// Exhaustively minimizes the executed longest delay. The problem must
-/// have at most options.max_sensors sensors.
-ExactResult exact_min_longest_delay(const model::ChargingProblem& problem,
-                                    const ExactOptions& options = {});
+/// have at most kExactMaxSensors sensors.
+ExactResult exact_min_longest_delay(const model::ChargingProblem& problem);
 
 }  // namespace mcharge::core

@@ -27,10 +27,9 @@ std::vector<double> consumption_watts(const RoutingTree& tree,
 
 std::vector<double> consumption_watts(
     const std::vector<geom::Point>& positions, geom::Point base_station,
-    const RadioParams& radio, const std::vector<double>& rate_bps,
-    RoutingPolicy policy) {
+    const RadioParams& radio, const std::vector<double>& rate_bps) {
   const RoutingTree tree =
-      build_routing_tree(positions, base_station, radio, rate_bps, policy);
+      build_routing_tree(positions, base_station, radio, rate_bps);
   return consumption_watts(tree, radio, rate_bps);
 }
 

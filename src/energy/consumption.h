@@ -18,8 +18,7 @@ namespace mcharge::energy {
 /// RadioParams::aggregation_ratio).
 std::vector<double> consumption_watts(
     const std::vector<geom::Point>& positions, geom::Point base_station,
-    const RadioParams& radio, const std::vector<double>& rate_bps,
-    RoutingPolicy policy = RoutingPolicy::kMinHop);
+    const RadioParams& radio, const std::vector<double>& rate_bps);
 
 /// Variant reusing a prebuilt routing tree.
 std::vector<double> consumption_watts(const RoutingTree& tree,

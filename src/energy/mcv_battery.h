@@ -2,11 +2,11 @@
 //
 // The paper assumes every MCV carries enough energy to finish its tour;
 // this module makes charger exhaustion a first-class, deterministic
-// failure mode instead. An McvBudgetSpec describes the draw model:
-//  * locomotion draws move_cost_j_per_m joules per meter driven;
-//  * wireless transfer draws delivered_j / transfer_efficiency joules from
-//    the MCV battery per joule radiated (the transmitter runs for the
-//    whole sojourn at the problem's charging rate, so delivered_j is
+// failure mode instead. The draw model is fixed:
+//  * locomotion draws kMoveCostJPerM joules per meter driven;
+//  * wireless transfer is lossless: radiating delivered_j joules draws
+//    delivered_j from the MCV battery (the transmitter runs for the whole
+//    sojourn at the problem's charging rate, so delivered_j is
 //    duration * charging_rate_w regardless of how many sensors absorb it);
 //  * the MCV recharges to full capacity at the depot between rounds —
 //    no battery state crosses a round boundary.
@@ -22,28 +22,18 @@
 
 namespace mcharge::energy {
 
-/// The draw model + capacity of one MCV battery. Plain aggregate so it can
-/// ride inside sched::ExecutionFaults and sim::SimConfig by value.
+/// MCV locomotion draw per meter driven: the executor's and verifier's
+/// budget debits, ChargingSchedule::energy_use and AA's profit test.
+inline constexpr double kMoveCostJPerM = 50.0;
+
+/// The capacity of one MCV battery. Plain aggregate so it can ride inside
+/// sched::ExecutionFaults and sim::SimConfig by value.
 struct McvBudgetSpec {
   /// Usable battery capacity in joules. 0 (the default) = unlimited:
   /// the budget layer is disabled and no energy accounting runs at all.
   double capacity_j = 0.0;
-  /// Locomotion draw per meter driven. The default matches the fleet-
-  /// sizing convention of sched::ChargingSchedule::energy_use.
-  double move_cost_j_per_m = 50.0;
-  /// Delivered joules per joule drawn from the MCV battery, in (0, 1].
-  /// 1 = lossless transfer (the paper's implicit assumption).
-  double transfer_efficiency = 1.0;
 
   bool enabled() const { return capacity_j > 0.0; }
-  /// Battery draw of driving `meters` meters.
-  double travel_cost_j(double meters) const {
-    return move_cost_j_per_m * meters;
-  }
-  /// Battery draw of radiating `delivered_j` joules at the antenna.
-  double transfer_cost_j(double delivered_j) const {
-    return delivered_j / transfer_efficiency;
-  }
 };
 
 /// One MCV's battery over one charging round. Starts full (depot
@@ -55,9 +45,6 @@ class McvBattery {
       : spec_(spec), level_(spec.capacity_j) {
     MCHARGE_ASSERT(spec.capacity_j >= 0.0,
                    "MCV battery capacity must be >= 0");
-    MCHARGE_ASSERT(spec.transfer_efficiency > 0.0 &&
-                       spec.transfer_efficiency <= 1.0,
-                   "transfer efficiency must be in (0, 1]");
   }
 
   const McvBudgetSpec& spec() const { return spec_; }

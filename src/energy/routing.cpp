@@ -4,7 +4,6 @@
 #include <deque>
 #include <limits>
 #include <numeric>
-#include <queue>
 
 #include "geometry/grid_index.h"
 #include "util/assert.h"
@@ -13,86 +12,14 @@ namespace mcharge::energy {
 
 namespace {
 
-constexpr double kInfD = std::numeric_limits<double>::infinity();
 constexpr auto kUnreached = std::numeric_limits<std::uint32_t>::max();
-
-/// Multi-source BFS from the base station (fewest hops). Each popped
-/// sensor drains its disk from `index`, so a sensor is examined only until
-/// it is reached: every sensor the index still holds is unreached or a
-/// first-hop seed, and the unreached ones are met in visit_disk's order.
-void route_min_hop(const std::vector<geom::Point>& positions,
-                   geom::Point base_station, const RadioParams& radio,
-                   geom::GridIndex& index, RoutingTree* tree) {
-  const std::size_t n = positions.size();
-  std::deque<std::uint32_t> queue;
-  for (std::uint32_t v = 0; v < n; ++v) {
-    if (geom::within(base_station, positions[v], radio.comm_range)) {
-      tree->hops[v] = 1;
-      tree->parent[v] = RoutingTree::kToBaseStation;
-      tree->link_length[v] = geom::distance(base_station, positions[v]);
-      queue.push_back(v);
-    }
-  }
-  while (!queue.empty()) {
-    const std::uint32_t v = queue.front();
-    queue.pop_front();
-    index.drain_disk(positions[v], radio.comm_range, [&](std::uint32_t u) {
-      if (tree->hops[u] == kUnreached) {
-        tree->hops[u] = tree->hops[v] + 1;
-        tree->parent[u] = v;
-        tree->link_length[u] = geom::distance(positions[u], positions[v]);
-        queue.push_back(u);
-      }
-    });
-  }
-}
-
-/// Dijkstra from the base station on per-bit forwarding energy.
-void route_min_energy(const std::vector<geom::Point>& positions,
-                      geom::Point base_station, const RadioParams& radio,
-                      const geom::GridIndex& index, RoutingTree* tree) {
-  const std::size_t n = positions.size();
-  std::vector<double> cost(n, kInfD);
-  using Item = std::pair<double, std::uint32_t>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap;
-  for (std::uint32_t v = 0; v < n; ++v) {
-    const double d = geom::distance(base_station, positions[v]);
-    if (d <= radio.comm_range) {
-      cost[v] = radio.tx_per_bit(d);
-      tree->parent[v] = RoutingTree::kToBaseStation;
-      tree->link_length[v] = d;
-      tree->hops[v] = 1;
-      heap.push({cost[v], v});
-    }
-  }
-  while (!heap.empty()) {
-    const auto [c, v] = heap.top();
-    heap.pop();
-    if (c > cost[v]) continue;  // stale entry
-    index.visit_disk(positions[v], radio.comm_range, [&](std::uint32_t u) {
-      if (u == v) return true;
-      const double d = geom::distance(positions[u], positions[v]);
-      // u transmits to v (tx), v receives (rx) before forwarding onward.
-      const double via = cost[v] + radio.tx_per_bit(d) + radio.rx_per_bit();
-      if (via < cost[u]) {
-        cost[u] = via;
-        tree->parent[u] = v;
-        tree->link_length[u] = d;
-        tree->hops[u] = tree->hops[v] + 1;
-        heap.push({via, u});
-      }
-      return true;
-    });
-  }
-}
 
 }  // namespace
 
 RoutingTree build_routing_tree(const std::vector<geom::Point>& positions,
                                geom::Point base_station,
                                const RadioParams& radio,
-                               const std::vector<double>& rate_bps,
-                               RoutingPolicy policy) {
+                               const std::vector<double>& rate_bps) {
   const std::size_t n = positions.size();
   MCHARGE_ASSERT(rate_bps.size() == n, "one data rate per sensor required");
   RoutingTree tree;
@@ -102,11 +29,32 @@ RoutingTree build_routing_tree(const std::vector<geom::Point>& positions,
   tree.relay_rate_bps.assign(n, 0.0);
   if (n == 0) return tree;
 
+  // Multi-source BFS from the base station (fewest hops). Each popped
+  // sensor drains its disk from `index`, so a sensor is examined only
+  // until it is reached: every sensor the index still holds is unreached
+  // or a first-hop seed, and the unreached ones are met in visit_disk's
+  // order.
   geom::GridIndex index(positions, radio.comm_range);
-  if (policy == RoutingPolicy::kMinHop) {
-    route_min_hop(positions, base_station, radio, index, &tree);
-  } else {
-    route_min_energy(positions, base_station, radio, index, &tree);
+  std::deque<std::uint32_t> queue;
+  for (std::uint32_t v = 0; v < n; ++v) {
+    if (geom::within(base_station, positions[v], radio.comm_range)) {
+      tree.hops[v] = 1;
+      tree.parent[v] = RoutingTree::kToBaseStation;
+      tree.link_length[v] = geom::distance(base_station, positions[v]);
+      queue.push_back(v);
+    }
+  }
+  while (!queue.empty()) {
+    const std::uint32_t v = queue.front();
+    queue.pop_front();
+    index.drain_disk(positions[v], radio.comm_range, [&](std::uint32_t u) {
+      if (tree.hops[u] == kUnreached) {
+        tree.hops[u] = tree.hops[v] + 1;
+        tree.parent[u] = v;
+        tree.link_length[u] = geom::distance(positions[u], positions[v]);
+        queue.push_back(u);
+      }
+    });
   }
 
   // Disconnected sensors fall back to a direct (long) uplink to the BS.

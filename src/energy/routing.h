@@ -15,17 +15,6 @@
 
 namespace mcharge::energy {
 
-/// How each sensor picks its parent toward the base station.
-enum class RoutingPolicy {
-  /// Fewest hops (multi-source BFS). Short paths but long, amplifier-heavy
-  /// links. The default (and the classic energy-hole setting).
-  kMinHop,
-  /// Minimum total per-bit transmission energy to the BS (Dijkstra with
-  /// edge cost tx_per_bit(d) + rx_per_bit()). Prefers many short links;
-  /// spreads load onto more relays.
-  kMinEnergy,
-};
-
 struct RoutingTree {
   /// Parent index per sensor; kToBaseStation means the sensor uplinks
   /// directly to the base station (either within comm range of it, or
@@ -39,13 +28,14 @@ struct RoutingTree {
   std::size_t direct_fallbacks = 0;     ///< sensors with no multi-hop path
 };
 
-/// Builds a routing tree over `positions` toward `base_station` under the
-/// chosen policy, then accumulates per-node relay load from `rate_bps`
-/// (own data generation rate per sensor, bits/second).
+/// Builds the fewest-hops routing tree over `positions` toward
+/// `base_station` (multi-source BFS: short paths over long,
+/// amplifier-heavy links, the classic energy-hole setting), then
+/// accumulates per-node relay load from `rate_bps` (own data generation
+/// rate per sensor, bits/second).
 RoutingTree build_routing_tree(const std::vector<geom::Point>& positions,
                                geom::Point base_station,
                                const RadioParams& radio,
-                               const std::vector<double>& rate_bps,
-                               RoutingPolicy policy = RoutingPolicy::kMinHop);
+                               const std::vector<double>& rate_bps);
 
 }  // namespace mcharge::energy

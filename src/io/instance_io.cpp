@@ -131,39 +131,25 @@ std::optional<model::WrsnInstance> read_instance_csv(const std::string& path,
       c.request_threshold = values[11];
       saw_config = true;
     } else if (cells[0] == "sensor") {
-      // v1: x,y,rate,consumption. v2: id,x,y,rate,consumption — the id
-      // must equal the 0-based row index, which rejects duplicate and
-      // out-of-order sensor ids outright.
-      if (values.size() != 4 && values.size() != 5) {
-        fail(error, "sensor line needs 4 values (v1) or id + 4 values (v2)");
+      if (values.size() != 4) {
+        fail(error, "sensor line needs 4 values (x, y, rate, consumption)");
         return std::nullopt;
       }
-      std::size_t at = 0;
-      if (values.size() == 5) {
-        if (!is_index(values[0]) ||
-            static_cast<std::size_t>(values[0]) != instance.positions.size()) {
-          fail(error, "sensor id on line " + std::to_string(lineno) +
-                          " must equal its 0-based row index (duplicate, "
-                          "out-of-order, or non-integer id)");
-          return std::nullopt;
-        }
-        at = 1;
-      }
-      if (!std::isfinite(values[at]) || !std::isfinite(values[at + 1])) {
+      if (!std::isfinite(values[0]) || !std::isfinite(values[1])) {
         fail(error, "sensor position on line " + std::to_string(lineno) +
                         " is not finite");
         return std::nullopt;
       }
-      if (!std::isfinite(values[at + 2]) || values[at + 2] < 0.0 ||
-          !std::isfinite(values[at + 3]) || values[at + 3] < 0.0) {
+      if (!std::isfinite(values[2]) || values[2] < 0.0 ||
+          !std::isfinite(values[3]) || values[3] < 0.0) {
         fail(error, "sensor rate/consumption on line " +
                         std::to_string(lineno) +
                         " must be finite and non-negative");
         return std::nullopt;
       }
-      instance.positions.push_back({values[at], values[at + 1]});
-      instance.rate_bps.push_back(values[at + 2]);
-      instance.consumption_w.push_back(values[at + 3]);
+      instance.positions.push_back({values[0], values[1]});
+      instance.rate_bps.push_back(values[2]);
+      instance.consumption_w.push_back(values[3]);
     } else {
       fail(error, "unknown record '" + cells[0] + "' on line " +
                       std::to_string(lineno));

@@ -8,14 +8,12 @@
 //   config,<field_w>,<field_h>,<bs_x>,<bs_y>,<depot_x>,<depot_y>,
 //          <capacity_j>,<gamma>,<eta_w>,<speed>,<K>,<threshold>
 //   sensor,<x>,<y>,<rate_bps>,<consumption_w>
-//   ... one sensor line per node ...
-// v2 sensor rows carry a leading id that must equal the 0-based row index
-// (sensor,<id>,<x>,<y>,<rate_bps>,<consumption_w>); duplicate or
-// out-of-order ids are rejected. The writer emits v1.
+//   ... one sensor line per node, in sensor-index order ...
 //
 // Both readers reject malformed input with a structured error instead of
-// crashing: short/long rows, non-numeric or NaN/Inf fields, non-positive
-// physical constants, duplicate config lines.
+// crashing: short/long rows (a sensor row has exactly 4 values),
+// non-numeric or NaN/Inf fields, non-positive physical constants,
+// duplicate config lines.
 //
 // Round file (one charging round, the fleet_planner input):
 //   # mcharge-round v1

@@ -6,6 +6,13 @@
 
 namespace mcharge::model {
 
+std::optional<FieldLayout> parse_layout(std::string_view name) {
+  if (name == "uniform") return FieldLayout::kUniform;
+  if (name == "clustered") return FieldLayout::kClustered;
+  if (name == "grid") return FieldLayout::kGrid;
+  return std::nullopt;
+}
+
 WrsnInstance make_instance(const NetworkConfig& config, std::size_t n,
                            Rng& rng, FieldLayout layout) {
   MCHARGE_ASSERT(config.rate_min_bps <= config.rate_max_bps,
@@ -33,7 +40,7 @@ WrsnInstance make_instance(const NetworkConfig& config, std::size_t n,
   }
   instance.consumption_w = energy::consumption_watts(
       instance.positions, config.base_station, config.radio,
-      instance.rate_bps, config.routing);
+      instance.rate_bps);
   return instance;
 }
 

@@ -6,10 +6,11 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "energy/radio.h"
-#include "energy/routing.h"
 #include "geometry/point.h"
 #include "util/rng.h"
 
@@ -31,8 +32,6 @@ struct NetworkConfig {
   std::size_t num_chargers = 2;      ///< K
   double request_threshold = 0.20;   ///< request when residual < 20% C_v
   energy::RadioParams radio;         ///< consumption model parameters
-  /// Routing policy used to derive relay loads (min-hop by default).
-  energy::RoutingPolicy routing = energy::RoutingPolicy::kMinHop;
 
   /// Seconds to charge a battery deficit of `deficit_j` joules.
   double charge_seconds(double deficit_j) const {
@@ -52,6 +51,10 @@ struct WrsnInstance {
 
 /// Field layout used by the generator.
 enum class FieldLayout { kUniform, kClustered, kGrid };
+
+/// The layout named "uniform", "clustered" or "grid" (the --layout flag's
+/// values); nullopt for any other name.
+std::optional<FieldLayout> parse_layout(std::string_view name);
 
 /// Generates an instance with n sensors. Positions follow `layout`
 /// (clustered: 5 hotspots with sigma = 8 m; grid: 10% jitter), data rates

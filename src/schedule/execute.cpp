@@ -61,10 +61,9 @@ void abort_tour(const ChargingPlan& plan, std::uint32_t k, std::size_t pos,
 /// `duration` must be the recorded finish - start (so a resume replay of
 /// the sojourn record reproduces the exact same bits).
 double sojourn_energy_j(const model::ChargingProblem& problem,
-                        const energy::McvBudgetSpec& spec, geom::Point from,
-                        std::uint32_t loc, double duration) {
-  return spec.travel_cost_j(geom::distance(from, problem.position(loc))) +
-         spec.transfer_cost_j(duration * problem.charging_rate_w());
+                        geom::Point from, std::uint32_t loc, double duration) {
+  const double meters = geom::distance(from, problem.position(loc));
+  return energy::kMoveCostJPerM * meters + duration * problem.charging_rate_w();
 }
 
 /// Per-MCV batteries for one execution, seeded from a resume prefix when
@@ -207,8 +206,8 @@ ChargingSchedule execute_tours(const model::ChargingProblem& problem,
     // debit twice.
     if (budget_on) {
       const double need =
-          sojourn_energy_j(problem, faults.budget, origin(ev.mcv, ev.tour_pos),
-                           loc, (start + duration) - start);
+          sojourn_energy_j(problem, origin(ev.mcv, ev.tour_pos), loc,
+                           (start + duration) - start);
       if (!battery[ev.mcv].draw(need)) {
         OBS_COUNT("exec.energy_aborts", 1);
         abort_tour(plan, ev.mcv, ev.tour_pos, &schedule.mcvs[ev.mcv],
@@ -249,8 +248,9 @@ ChargingSchedule execute_tours(const model::ChargingProblem& problem,
       events.push({start + duration + travel, ev.mcv, ev.tour_pos + 1});
     } else {
       if (budget_on &&
-          !battery[ev.mcv].draw(faults.budget.travel_cost_j(
-              geom::distance(problem.position(loc), problem.depot())))) {
+          !battery[ev.mcv].draw(
+              energy::kMoveCostJPerM *
+              geom::distance(problem.position(loc), problem.depot()))) {
         // Not enough energy for the depot-return leg: the MCV strands in
         // the field with its tour complete (skipped stays empty).
         OBS_COUNT("exec.energy_aborts", 1);
@@ -360,8 +360,8 @@ std::vector<double> prefix_energy_left(
     const std::size_t p = std::min(prefix_len[k], mcv.sojourns.size());
     for (std::size_t i = 0; i < p; ++i) {
       const Sojourn& s = mcv.sojourns[i];
-      const bool ok = battery.draw(sojourn_energy_j(
-          problem, spec, from, s.location, s.finish - s.start));
+      const bool ok = battery.draw(
+          sojourn_energy_j(problem, from, s.location, s.finish - s.start));
       MCHARGE_ASSERT(ok, "an executed prefix sojourn must have been paid for");
       from = problem.position(s.location);
     }

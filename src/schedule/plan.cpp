@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "energy/mcv_battery.h"
+
 namespace mcharge::sched {
 
 std::size_t ChargingPlan::total_stops() const {
@@ -52,7 +54,7 @@ bool ChargingSchedule::all_charged() const {
 }
 
 std::vector<ChargingSchedule::EnergyUse> ChargingSchedule::energy_use(
-    const model::ChargingProblem& problem, double move_cost_j_per_m) const {
+    const model::ChargingProblem& problem) const {
   std::vector<EnergyUse> use(mcvs.size());
   for (std::size_t k = 0; k < mcvs.size(); ++k) {
     const auto& mcv = mcvs[k];
@@ -73,7 +75,7 @@ std::vector<ChargingSchedule::EnergyUse> ChargingSchedule::energy_use(
             problem.position(mcv.sojourns.back().location), problem.depot());
       }
     }
-    use[k].locomotion_j = move_cost_j_per_m * meters;
+    use[k].locomotion_j = energy::kMoveCostJPerM * meters;
     for (const auto& s : mcv.sojourns) {
       use[k].delivered_j += s.duration() * problem.charging_rate_w();
     }

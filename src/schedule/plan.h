@@ -99,7 +99,7 @@ struct ChargingSchedule {
   /// Energy use of one MCV over its tour, for fleet sizing.
   struct EnergyUse {
     double delivered_j = 0.0;   ///< wireless energy transferred to sensors
-    double locomotion_j = 0.0;  ///< travel energy (move_cost * meters)
+    double locomotion_j = 0.0;  ///< travel energy (kMoveCostJPerM * meters)
   };
 
   /// max_k T'(k): the objective of the paper.
@@ -118,10 +118,10 @@ struct ChargingSchedule {
   /// Per-MCV energy budget of the executed round: energy radiated while
   /// charging (active duration * the problem's charging rate — the
   /// transmitter runs for the whole sojourn regardless of how many sensors
-  /// absorb it) plus locomotion energy at `move_cost_j_per_m` over the
-  /// legs actually driven (no depot return for an aborted tour).
-  std::vector<EnergyUse> energy_use(const model::ChargingProblem& problem,
-                                    double move_cost_j_per_m = 50.0) const;
+  /// absorb it) plus locomotion energy at energy::kMoveCostJPerM over
+  /// the legs actually driven (no depot return for an aborted tour).
+  std::vector<EnergyUse> energy_use(
+      const model::ChargingProblem& problem) const;
 };
 
 }  // namespace mcharge::sched

@@ -7,6 +7,9 @@ namespace mcharge::sched {
 
 namespace {
 
+/// Slack in seconds for the time comparisons.
+constexpr double kToleranceS = 1e-6;
+
 std::string fmt(const char* what, std::uint32_t mcv, std::size_t stop,
                 const std::string& detail) {
   std::ostringstream os;
@@ -20,7 +23,7 @@ std::vector<std::string> verify_schedule(const model::ChargingProblem& problem,
                                          const ChargingSchedule& schedule,
                                          const VerifyOptions& options) {
   std::vector<std::string> violations;
-  const double eps = options.tolerance;
+  const double eps = kToleranceS;
 
   // --- Per-MCV timing and charge-set checks. ---
   std::vector<int> charged_by(problem.size(), -1);
@@ -146,14 +149,13 @@ std::vector<std::string> verify_schedule(const model::ChargingProblem& problem,
           k < schedule.starts.size() ? schedule.starts[k] : problem.depot();
       for (const Sojourn& s : mcv.sojourns) {
         if (s.location >= problem.size()) continue;  // reported above
-        spent += budget.travel_cost_j(
-            geom::distance(prev, problem.position(s.location)));
-        spent +=
-            budget.transfer_cost_j(s.duration() * problem.charging_rate_w());
+        spent += energy::kMoveCostJPerM *
+                 geom::distance(prev, problem.position(s.location));
+        spent += s.duration() * problem.charging_rate_w();
         prev = problem.position(s.location);
       }
       if (!mcv.aborted && !mcv.sojourns.empty()) {
-        spent += budget.travel_cost_j(geom::distance(prev, problem.depot()));
+        spent += energy::kMoveCostJPerM * geom::distance(prev, problem.depot());
       }
       if (spent > budget.capacity_j + tol_j) {
         violations.push_back(fmt("energy budget exceeded", k,

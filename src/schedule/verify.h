@@ -16,7 +16,6 @@ namespace mcharge::sched {
 
 struct VerifyOptions {
   bool require_full_coverage = true;  ///< every sensor must be charged
-  double tolerance = 1e-6;            ///< seconds, for time comparisons
   /// Accept aborted (breakdown-truncated) tours: the MCV's return_time must
   /// then equal its last sojourn's finish (no depot leg) instead of the
   /// depot return. Without this flag an aborted tour is a violation.

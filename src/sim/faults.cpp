@@ -70,22 +70,6 @@ std::uint32_t FaultModel::breakdown_stop(std::uint64_t round,
   return stop < tour_len ? stop : tour_len - 1;
 }
 
-double FaultModel::travel_multiplier(std::uint64_t round, std::uint32_t mcv,
-                                     std::size_t leg) const {
-  if (config_.travel_jitter <= 0.0) return 1.0;
-  const std::uint64_t entity =
-      (static_cast<std::uint64_t>(mcv) << 32) | static_cast<std::uint64_t>(leg);
-  return jitter_mult(draw(config_.seed, kStreamTravel, round, entity),
-                     config_.travel_jitter);
-}
-
-double FaultModel::charge_multiplier(std::uint64_t round,
-                                     std::uint32_t location) const {
-  if (config_.charge_jitter <= 0.0) return 1.0;
-  return jitter_mult(draw(config_.seed, kStreamCharge, round, location),
-                     config_.charge_jitter);
-}
-
 bool FaultModel::sensor_dies(std::uint64_t round, std::uint32_t v) const {
   if (config_.sensor_death_prob <= 0.0) return false;
   return u01(draw(config_.seed, kStreamDeath, round, v)) <

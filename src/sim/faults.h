@@ -74,11 +74,6 @@ class FaultModel {
   /// tour_len > 0.
   std::uint32_t breakdown_stop(std::uint64_t round, std::uint32_t mcv,
                                std::uint32_t tour_len) const;
-  /// Travel multiplier in [1-j, 1+j) for (round, mcv, leg).
-  double travel_multiplier(std::uint64_t round, std::uint32_t mcv,
-                           std::size_t leg) const;
-  /// Charging-duration multiplier in [1-j, 1+j) for (round, location).
-  double charge_multiplier(std::uint64_t round, std::uint32_t location) const;
   /// True iff sensor `v` dies at the start of round `round` (given it is
   /// still alive then — the model itself is memoryless).
   bool sensor_dies(std::uint64_t round, std::uint32_t v) const;
@@ -87,7 +82,9 @@ class FaultModel {
   double dispatch_delay(std::uint64_t round) const;
 
   /// Assembles the executor-facing fault bundle for `round` against `plan`:
-  /// breakdown_after per tour plus jitter closures. Fault classes with a
+  /// breakdown_after per tour plus the jitter closures (travel multiplier
+  /// in [1-j, 1+j) per (mcv, leg), charging-duration multiplier in
+  /// [1-j, 1+j) per location). Fault classes with a
   /// zero rate contribute nothing (no closure installed, no breakdown
   /// entries), so a disabled model yields an empty bundle.
   sched::ExecutionFaults round_faults(std::uint64_t round,

@@ -77,7 +77,6 @@ SimResult simulate(const model::WrsnInstance& instance,
   if (auto input_error = validate_sim_inputs(instance, config)) {
     MCHARGE_ASSERT(false, input_error->message.c_str());
   }
-  const double target_j = config.charge_target_fraction * capacity;
 
   SimResult result;
   if (n == 0) return result;
@@ -239,7 +238,7 @@ SimResult simulate(const model::WrsnInstance& instance,
       for (std::uint32_t v : batch) {
         positions.push_back(instance.positions[v]);
         charge_seconds.push_back(
-            net.charge_seconds(std::max(0.0, target_j - state.level[v])));
+            net.charge_seconds(std::max(0.0, capacity - state.level[v])));
         lifetimes.push_back(draw[v] > 0.0 ? state.level[v] / draw[v] : kInf);
       }
       problem = model::ChargingProblem(
@@ -360,7 +359,7 @@ SimResult simulate(const model::WrsnInstance& instance,
         state.dead_since[v] = kInf;
       }
       if (done < horizon) {
-        state.level[v] = target_j;
+        state.level[v] = capacity;
         state.as_of[v] = done;
         ++charged_count;
         ++result.charges_per_sensor[v];
@@ -371,7 +370,7 @@ SimResult simulate(const model::WrsnInstance& instance,
       } else {
         // Charge completes after the monitoring period; the event is
         // censored and contributes no latency sample.
-        state.level[v] = target_j;
+        state.level[v] = capacity;
         state.as_of[v] = horizon;
         pending_since[v] = kInf;
       }

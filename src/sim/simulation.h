@@ -55,12 +55,6 @@ struct SimConfig {
   double dispatch_epoch_s = 0.0;
   /// Record one RoundLog entry per charging round in SimResult::rounds_log.
   bool record_rounds = false;
-  /// Partial-charging model: each visit charges a sensor up to this
-  /// fraction of capacity instead of full (1.0 = the paper's full-charging
-  /// model). Must exceed the request threshold. Smaller targets shorten
-  /// every sojourn but make sensors request again sooner — the classic
-  /// full-vs-partial tradeoff of the charging literature.
-  double charge_target_fraction = 1.0;
   /// Deterministic fault injection (sim/faults.h). All rates default to
   /// zero; a zero-rate config takes exactly the fault-free code path, so
   /// its SimResult is byte-identical to a run without the fault layer.

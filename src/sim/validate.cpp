@@ -15,10 +15,7 @@ std::optional<ConfigError> err(ConfigErrorCode code, const std::string& msg) {
 
 }  // namespace
 
-std::optional<ConfigError> validate_sim_inputs(
-    const model::WrsnInstance& instance, const SimConfig& config) {
-  const model::NetworkConfig& net = instance.config;
-
+std::optional<ConfigError> validate_network(const model::NetworkConfig& net) {
   if (net.num_chargers < 1) {
     return err(ConfigErrorCode::kEmptyFleet, "num_chargers must be >= 1");
   }
@@ -43,12 +40,20 @@ std::optional<ConfigError> validate_sim_inputs(
     return err(ConfigErrorCode::kBadThreshold,
                "request_threshold must be in (0, 1)");
   }
-  if (!std::isfinite(config.charge_target_fraction) ||
-      config.charge_target_fraction <= net.request_threshold ||
-      config.charge_target_fraction > 1.0) {
-    return err(ConfigErrorCode::kBadChargeTarget,
-               "charge_target_fraction must be in (request_threshold, 1]");
+  if (!std::isfinite(net.rate_min_bps) || !std::isfinite(net.rate_max_bps) ||
+      net.rate_min_bps < 0.0 || net.rate_min_bps > net.rate_max_bps) {
+    return err(ConfigErrorCode::kBadDataRate,
+               "data rates must be finite with 0 <= rate_min_bps <= "
+               "rate_max_bps");
   }
+  if (!std::isfinite(net.depot.x) || !std::isfinite(net.depot.y)) {
+    return err(ConfigErrorCode::kNonFiniteSensorData,
+               "depot position must be finite");
+  }
+  return std::nullopt;
+}
+
+std::optional<ConfigError> validate_sim_config(const SimConfig& config) {
   if (!pos_finite(config.monitoring_period_s)) {
     return err(ConfigErrorCode::kBadHorizon,
                "monitoring_period_s must be positive and finite");
@@ -101,28 +106,19 @@ std::optional<ConfigError> validate_sim_inputs(
                "faults.dispatch_delay_max_s must be >= 0 and finite");
   }
 
-  // MCV energy budget: 0 capacity disables the whole subsystem, but the
-  // cost-model fields must stay coherent even then (an enabled run built
-  // from a disabled template must not inherit a poisoned cost model).
-  const energy::McvBudgetSpec& b = config.mcv_budget;
-  if (!std::isfinite(b.capacity_j) || b.capacity_j < 0.0) {
+  // MCV energy budget: 0 capacity disables the whole subsystem.
+  const double capacity_j = config.mcv_budget.capacity_j;
+  if (!std::isfinite(capacity_j) || capacity_j < 0.0) {
     return err(ConfigErrorCode::kBadMcvBudget,
                "mcv_budget.capacity_j must be >= 0 and finite");
   }
-  if (!std::isfinite(b.move_cost_j_per_m) || b.move_cost_j_per_m < 0.0) {
-    return err(ConfigErrorCode::kBadMcvBudget,
-               "mcv_budget.move_cost_j_per_m must be >= 0 and finite");
-  }
-  if (!std::isfinite(b.transfer_efficiency) || b.transfer_efficiency <= 0.0 ||
-      b.transfer_efficiency > 1.0) {
-    return err(ConfigErrorCode::kBadMcvBudget,
-               "mcv_budget.transfer_efficiency must be in (0, 1]");
-  }
+  return std::nullopt;
+}
 
-  if (!std::isfinite(net.depot.x) || !std::isfinite(net.depot.y)) {
-    return err(ConfigErrorCode::kNonFiniteSensorData,
-               "depot position must be finite");
-  }
+std::optional<ConfigError> validate_sim_inputs(
+    const model::WrsnInstance& instance, const SimConfig& config) {
+  if (auto error = validate_network(instance.config)) return error;
+  if (auto error = validate_sim_config(config)) return error;
   if (instance.consumption_w.size() != instance.num_sensors()) {
     std::ostringstream os;
     os << "consumption_w has " << instance.consumption_w.size()

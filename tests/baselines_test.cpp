@@ -222,13 +222,12 @@ TEST(Aa, ChargesEverythingWhenProfitable) {
 }
 
 TEST(Aa, PrunesUnprofitableSensors) {
-  // Tiny deficits + huge locomotion cost: everything is unprofitable.
+  // Tiny deficits far from the depot: 2 J delivered against ~2.8 kJ of
+  // detour at 50 J/m, so everything is unprofitable.
   std::vector<geom::Point> pts{{10, 10}, {90, 90}};
   ChargingProblem p(std::move(pts), {1.0, 1.0}, {50, 50}, 2.7, 1.0, 1);
   p.set_residual_lifetimes({100.0, 200.0});
-  AaScheduler::Options options;
-  options.move_cost_j_per_m = 1e6;
-  AaScheduler sched_algo(options);
+  AaScheduler sched_algo;
   const auto plan = sched_algo.plan(p);
   EXPECT_EQ(plan.total_stops(), 0u);
 }

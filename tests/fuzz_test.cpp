@@ -210,9 +210,11 @@ void expect_instance_rejected(const std::string& name,
 
 TEST(FuzzIo, MalformedInstanceFilesAreRejected) {
   const std::string good_sensor = "sensor,10,20,5,0.5\n";
-  // Short and long sensor rows.
+  // Short and long sensor rows: a sensor row has exactly 4 values.
   expect_instance_rejected("short_row",
                            std::string(kGoodConfig) + "sensor,10,20,5\n");
+  expect_instance_rejected(
+      "five_values", std::string(kGoodConfig) + "sensor,0,10,20,5,0.5\n");
   expect_instance_rejected(
       "long_row", std::string(kGoodConfig) + "sensor,0,10,20,5,0.5,99\n");
   // NaN / Inf fields in positions and physics.
@@ -227,15 +229,6 @@ TEST(FuzzIo, MalformedInstanceFilesAreRejected) {
   expect_instance_rejected(
       "nan_config",
       "config,100,100,50,50,0,0,nan,2.7,5,1,3,0.2\n" + good_sensor);
-  // Duplicate / out-of-order v2 sensor ids.
-  expect_instance_rejected("dup_id", std::string(kGoodConfig) +
-                                         "sensor,0,10,20,5,0.5\n"
-                                         "sensor,0,30,40,5,0.5\n");
-  expect_instance_rejected("skipped_id", std::string(kGoodConfig) +
-                                             "sensor,0,10,20,5,0.5\n"
-                                             "sensor,2,30,40,5,0.5\n");
-  expect_instance_rejected(
-      "fractional_id", std::string(kGoodConfig) + "sensor,0.5,10,20,5,0.5\n");
   // Trailing garbage after a number ("1.5abc" must not parse as 1.5).
   expect_instance_rejected(
       "trailing_garbage",
@@ -280,24 +273,14 @@ TEST(FuzzIo, MalformedRoundFilesAreRejected) {
   }
 }
 
-TEST(FuzzIo, V2SensorRowsWithCorrectIdsLoad) {
-  const std::string path = write_fuzz_file("v2_good",
-                                           std::string(kGoodConfig) +
-                                               "sensor,0,10,20,5,0.5\n"
-                                               "sensor,1,30,40,6,0.6\n");
-  std::string error;
-  const auto instance = io::read_instance_csv(path, &error);
-  ASSERT_TRUE(instance.has_value()) << error;
-  EXPECT_EQ(instance->num_sensors(), 2u);
-  EXPECT_DOUBLE_EQ(instance->positions[1].x, 30.0);
-  EXPECT_DOUBLE_EQ(instance->consumption_w[1], 0.6);
+TEST(FuzzIo, InfiniteRoundLifetimeLoads) {
   // +inf lifetime is legal in round files (a sensor that never drains).
+  std::string error;
   const std::string rpath =
       write_fuzz_file("round_inf_life", "10,20,500,inf\n");
   const auto round = io::read_round_csv(rpath, &error);
   ASSERT_TRUE(round.has_value()) << error;
   EXPECT_TRUE(std::isinf(round->residual_lifetime_s[0]));
-  std::remove(path.c_str());
   std::remove(rpath.c_str());
 }
 

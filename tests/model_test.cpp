@@ -62,25 +62,6 @@ TEST(MakeInstance, ZeroSensors) {
   EXPECT_EQ(instance.num_sensors(), 0u);
 }
 
-TEST(MakeInstance, MinEnergyRoutingChangesConsumption) {
-  NetworkConfig hop, energy_cfg;
-  energy_cfg.routing = energy::RoutingPolicy::kMinEnergy;
-  Rng a(9), b(9);
-  const auto with_hop = make_instance(hop, 400, a);
-  const auto with_energy = make_instance(energy_cfg, 400, b);
-  // Same field (same seed), different relay structure -> some sensor's
-  // draw must differ.
-  bool any_diff = false;
-  for (std::size_t v = 0; v < 400; ++v) {
-    EXPECT_DOUBLE_EQ(with_hop.positions[v].x, with_energy.positions[v].x);
-    if (std::abs(with_hop.consumption_w[v] - with_energy.consumption_w[v]) >
-        1e-12) {
-      any_diff = true;
-    }
-  }
-  EXPECT_TRUE(any_diff);
-}
-
 // ---------- ChargingProblem ----------
 
 ChargingProblem small_problem() {

@@ -19,8 +19,8 @@
 
 namespace mcharge::energy::oracle {
 
-/// build_routing_tree(positions, base_station, radio, rate_bps,
-/// RoutingPolicy::kMinHop), with a visit_disk BFS.
+/// build_routing_tree(positions, base_station, radio, rate_bps), with a
+/// visit_disk BFS.
 inline RoutingTree min_hop_tree(const std::vector<geom::Point>& positions,
                                 geom::Point base_station,
                                 const RadioParams& radio,

@@ -438,13 +438,13 @@ TEST(EnergyUse, MatchesHandComputation) {
   ChargingPlan plan;
   plan.tours = {{0}, {1}};
   const auto schedule = execute_plan(p, plan);
-  const auto use = schedule.energy_use(p, 10.0);
+  const auto use = schedule.energy_use(p);
   ASSERT_EQ(use.size(), 2u);
-  // MCV 0: 30 m out + 30 m back at 10 J/m; 100 s charging at 2 W.
-  EXPECT_DOUBLE_EQ(use[0].locomotion_j, 600.0);
+  // MCV 0: 30 m out + 30 m back at 50 J/m; 100 s charging at 2 W.
+  EXPECT_DOUBLE_EQ(use[0].locomotion_j, 3000.0);
   EXPECT_DOUBLE_EQ(use[0].delivered_j, 200.0);
   // MCV 1: same travel; 300 s charging.
-  EXPECT_DOUBLE_EQ(use[1].locomotion_j, 600.0);
+  EXPECT_DOUBLE_EQ(use[1].locomotion_j, 3000.0);
   EXPECT_DOUBLE_EQ(use[1].delivered_j, 600.0);
 }
 
@@ -475,24 +475,21 @@ TEST(EnergyUse, MultiNodeDeliversAtLeastTotalDeficitEnergy) {
 TEST(EnergyUse, AbortedTourDrivesNoDepotLeg) {
   // One MCV breaks down after (80,0), its first of two stops: 80 m driven
   // (4000 J at 50 J/m) and 100 s radiated at 2 W. The fleet-sizing account
-  // must match the executor's metered draw, which never pays for a depot
-  // leg the stranded vehicle did not drive.
+  // must match the executor's metered draw (lossless transfer), which
+  // never pays for a depot leg the stranded vehicle did not drive.
   ChargingProblem p({{80, 0}, {90, 0}}, {100.0, 100.0}, {0, 0}, 2.7, 1.0, 1);
   ChargingPlan plan;
   plan.tours = {{0, 1}};
   ExecutionFaults faults;
   faults.breakdown_after = {1};
   faults.budget.capacity_j = 1e9;
-  faults.budget.transfer_efficiency = 0.8;
   const auto schedule = execute_plan(p, plan, faults);
   ASSERT_TRUE(schedule.mcvs[0].aborted);
-  const auto use = schedule.energy_use(p, faults.budget.move_cost_j_per_m);
+  const auto use = schedule.energy_use(p);
   EXPECT_DOUBLE_EQ(use[0].locomotion_j, 4000.0);
   EXPECT_DOUBLE_EQ(use[0].delivered_j, 200.0);
-  EXPECT_DOUBLE_EQ(
-      use[0].locomotion_j +
-          use[0].delivered_j / faults.budget.transfer_efficiency,
-      schedule.mcvs[0].energy_spent_j);
+  EXPECT_DOUBLE_EQ(use[0].locomotion_j + use[0].delivered_j,
+                   schedule.mcvs[0].energy_spent_j);
 }
 
 // Estimator (Eq. (5)) ------------------------------------------------------

@@ -24,7 +24,6 @@ namespace {
 
 struct Variant {
   double dispatch_epoch_s;
-  double charge_target_fraction;
   const char* tag;
 };
 
@@ -37,9 +36,8 @@ TEST(SimDeterminism, ByteIdenticalAcrossJobsAndBackends) {
   core::ApproScheduler appro;
 
   const Variant variants[] = {
-      {0.0, 1.0, "on-demand/full"},
-      {86400.0, 1.0, "epoch/full"},
-      {0.0, 0.6, "on-demand/partial"},
+      {0.0, "on-demand"},
+      {86400.0, "epoch"},
   };
   std::vector<SimConfig> configs;
   for (const Variant& variant : variants) {
@@ -47,7 +45,6 @@ TEST(SimDeterminism, ByteIdenticalAcrossJobsAndBackends) {
     config.monitoring_period_s = 60.0 * 86400.0;
     config.record_rounds = true;
     config.dispatch_epoch_s = variant.dispatch_epoch_s;
-    config.charge_target_fraction = variant.charge_target_fraction;
     configs.push_back(config);
   }
 

@@ -283,9 +283,8 @@ TEST(Truncation, CleanRunIsNotTruncated) {
 // from the instance itself instead of hard-coding joules.
 double mean_mcv_round_energy(const model::WrsnInstance& instance,
                              const sched::Scheduler& scheduler,
-                             SimConfig config, double efficiency) {
+                             SimConfig config) {
   config.mcv_budget.capacity_j = 1e18;
-  config.mcv_budget.transfer_efficiency = efficiency;
   const SimResult metered = simulate(instance, scheduler, config);
   EXPECT_GT(metered.rounds, 0u);
   EXPECT_EQ(metered.mcv_energy_exhausted, 0u);
@@ -303,11 +302,11 @@ TEST(SimEnergy, DisabledBudgetSpecIsByteIdenticalToBaseline) {
   config.record_rounds = true;
   const SimResult plain = simulate(instance, appro, config);
 
-  // Budget "configured" but disabled (capacity 0): the cost-model fields
-  // must be inert and the whole run byte-identical to the baseline.
+  // Budget "configured" but disabled (capacity 0): the recovery policy it
+  // would route aborts through must be inert and the whole run
+  // byte-identical to the baseline.
   SimConfig budgeted = config;
-  budgeted.mcv_budget.move_cost_j_per_m = 75.0;
-  budgeted.mcv_budget.transfer_efficiency = 0.8;
+  budgeted.mcv_budget.capacity_j = 0.0;
   budgeted.recovery = core::RecoveryPolicy::kReplan;
   const SimResult got = simulate(instance, appro, budgeted);
   expect_results_identical(plain, got);
@@ -321,13 +320,12 @@ TEST(SimEnergy, TightBudgetAbortsAreAccountedAndVerifierClean) {
   SimConfig config;
   config.monitoring_period_s = 45.0 * 86400.0;
   config.record_rounds = true;
-  const double mean_j = mean_mcv_round_energy(instance, appro, config, 0.9);
+  const double mean_j = mean_mcv_round_energy(instance, appro, config);
 
   for (const core::RecoveryPolicy policy : kPolicies) {
     SimConfig tight = config;
     tight.recovery = policy;
     tight.mcv_budget.capacity_j = 0.5 * mean_j;
-    tight.mcv_budget.transfer_efficiency = 0.9;
     const SimResult result = simulate(instance, appro, tight);
     SCOPED_TRACE(policy_name(policy));
     EXPECT_EQ(result.verify_violations, 0u);
@@ -397,14 +395,13 @@ TEST(SimEnergy, BudgetedRunsBitIdenticalAcrossJobsBackendsAndPolicies) {
   SimConfig base;
   base.monitoring_period_s = 45.0 * 86400.0;
   base.record_rounds = true;
-  const double mean_j = mean_mcv_round_energy(instance, appro, base, 0.9);
+  const double mean_j = mean_mcv_round_energy(instance, appro, base);
 
   std::vector<SimConfig> configs;
   for (const core::RecoveryPolicy policy : kPolicies) {
     SimConfig config = base;
     config.recovery = policy;
     config.mcv_budget.capacity_j = 0.6 * mean_j;
-    config.mcv_budget.transfer_efficiency = 0.9;
     // Budget on top of the full fault soup: exhaustion and coin-flip
     // breakdowns must coexist deterministically.
     config.faults = harsh_faults(5);
@@ -468,7 +465,6 @@ TEST(SimEnergy, RecoverRoundDelayAndEnergyAccountsAreConsistent) {
 
     energy::McvBudgetSpec spec;
     spec.capacity_j = 1e18;
-    spec.transfer_efficiency = 0.9;
     const sched::ChargingPlan plan = core::ApproScheduler().plan(problem);
 
     // Calibrate the tight capacity off the fault-free metered execution.
@@ -554,14 +550,8 @@ TEST(Validation, RejectsBadConfigsWithTheRightCode) {
   const auto instance = model::make_instance(model::NetworkConfig{}, 10, rng);
 
   SimConfig config;
-  config.charge_target_fraction = 0.1;  // below the 0.2 request threshold
-  auto err = validate_sim_inputs(instance, config);
-  ASSERT_TRUE(err.has_value());
-  EXPECT_EQ(err->code, ConfigErrorCode::kBadChargeTarget);
-
-  config = SimConfig{};
   config.monitoring_period_s = 0.0;
-  err = validate_sim_inputs(instance, config);
+  auto err = validate_sim_inputs(instance, config);
   ASSERT_TRUE(err.has_value());
   EXPECT_EQ(err->code, ConfigErrorCode::kBadHorizon);
 
@@ -588,6 +578,12 @@ TEST(Validation, RejectsBadConfigsWithTheRightCode) {
   err = validate_sim_inputs(broken, SimConfig{});
   ASSERT_TRUE(err.has_value());
   EXPECT_EQ(err->code, ConfigErrorCode::kEmptyFleet);
+
+  broken = instance;
+  broken.config.rate_max_bps = -5e3;  // below rate_min_bps
+  err = validate_sim_inputs(broken, SimConfig{});
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(err->code, ConfigErrorCode::kBadDataRate);
 
   broken = instance;
   broken.positions[3].x = std::numeric_limits<double>::quiet_NaN();
@@ -679,21 +675,8 @@ TEST(Validation, RejectsBadMcvBudgets) {
   ASSERT_TRUE(err.has_value());
   EXPECT_EQ(err->code, ConfigErrorCode::kBadMcvBudget);
 
-  // A *disabled* budget must still carry a coherent cost model.
   config = SimConfig{};
-  config.mcv_budget.move_cost_j_per_m = -5.0;
-  err = validate_sim_inputs(instance, config);
-  ASSERT_TRUE(err.has_value());
-  EXPECT_EQ(err->code, ConfigErrorCode::kBadMcvBudget);
-
-  config = SimConfig{};
-  config.mcv_budget.transfer_efficiency = 0.0;
-  err = validate_sim_inputs(instance, config);
-  ASSERT_TRUE(err.has_value());
-  EXPECT_EQ(err->code, ConfigErrorCode::kBadMcvBudget);
-
-  config = SimConfig{};
-  config.mcv_budget.transfer_efficiency = 1.2;
+  config.mcv_budget.capacity_j = std::numeric_limits<double>::quiet_NaN();
   err = validate_sim_inputs(instance, config);
   ASSERT_TRUE(err.has_value());
   EXPECT_EQ(err->code, ConfigErrorCode::kBadMcvBudget);
@@ -701,8 +684,37 @@ TEST(Validation, RejectsBadMcvBudgets) {
   // A well-formed enabled budget passes.
   config = SimConfig{};
   config.mcv_budget.capacity_j = 5e5;
-  config.mcv_budget.transfer_efficiency = 0.85;
   EXPECT_FALSE(validate_sim_inputs(instance, config).has_value());
+}
+
+TEST(Validation, HalvesCheckNetworkAndSettingsAlone) {
+  // validate_network gates make_instance, whose rate_min <= rate_max
+  // assert a bad or NaN data rate would otherwise trip.
+  model::NetworkConfig net;
+  EXPECT_FALSE(validate_network(net).has_value());
+  for (const double bmax : {-5e3, std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()}) {
+    net.rate_max_bps = bmax;
+    const auto err = validate_network(net);
+    ASSERT_TRUE(err.has_value()) << bmax;
+    EXPECT_EQ(err->code, ConfigErrorCode::kBadDataRate);
+  }
+  net = model::NetworkConfig{};
+  net.depot.x = std::numeric_limits<double>::quiet_NaN();
+  ASSERT_TRUE(validate_network(net).has_value());
+  EXPECT_EQ(validate_network(net)->code, ConfigErrorCode::kNonFiniteSensorData);
+
+  // validate_sim_config needs no instance: the figure benches check their
+  // sweep settings once, before any worker runs.
+  SimConfig config;
+  EXPECT_FALSE(validate_sim_config(config).has_value());
+  config.monitoring_period_s = -30.0 * 86400.0;
+  ASSERT_TRUE(validate_sim_config(config).has_value());
+  EXPECT_EQ(validate_sim_config(config)->code, ConfigErrorCode::kBadHorizon);
+  config = SimConfig{};
+  config.mcv_budget.capacity_j = -1.0;
+  ASSERT_TRUE(validate_sim_config(config).has_value());
+  EXPECT_EQ(validate_sim_config(config)->code, ConfigErrorCode::kBadMcvBudget);
 }
 
 TEST(Validation, ValidatorGatesSimulate) {
@@ -713,10 +725,10 @@ TEST(Validation, ValidatorGatesSimulate) {
   core::ApproScheduler appro;
 
   SimConfig bad;
-  bad.charge_target_fraction = 0.05;
+  bad.monitoring_period_s = -86400.0;
   const auto failed = validate_sim_inputs(instance, bad);
   ASSERT_TRUE(failed.has_value());
-  EXPECT_EQ(failed->code, ConfigErrorCode::kBadChargeTarget);
+  EXPECT_EQ(failed->code, ConfigErrorCode::kBadHorizon);
   EXPECT_FALSE(failed->message.empty());
 
   SimConfig good;
