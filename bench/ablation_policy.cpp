@@ -20,6 +20,7 @@
 #include "core/appro.h"
 #include "model/network.h"
 #include "sim/simulation.h"
+#include "sim/validate.h"
 #include "trace_common.h"
 #include "util/cli.h"
 #include "util/parallel.h"
@@ -70,6 +71,21 @@ int main(int argc, char** argv) {
   constexpr std::size_t kNumAlgos = std::size(algorithms);
   constexpr std::size_t kNumPolicies = std::size(policies);
 
+  const auto policy_sim_config = [&](std::size_t p) {
+    sim::SimConfig sim_config;
+    sim_config.monitoring_period_s = months * 30.0 * 86400.0;
+    sim_config.dispatch_epoch_s = policies[p].epoch_s;
+    sim_config.record_rounds = true;
+    return sim_config;
+  };
+  // Every cell's settings are checked once, before any worker starts.
+  for (std::size_t p = 0; p < kNumPolicies; ++p) {
+    if (const auto error = sim::validate_sim_config(policy_sim_config(p))) {
+      std::fprintf(stderr, "error: %s\n", error->message.c_str());
+      return 2;
+    }
+  }
+
   // One work item per (algorithm, policy, instance) triple; the instance
   // is regenerated from a seed derived from its index alone, so every
   // (algorithm, policy) cell simulates the same instance stream.
@@ -84,11 +100,8 @@ int main(int argc, char** argv) {
         config.num_chargers = k;
         Rng rng(derive_seed(seed, i));
         const auto instance = model::make_instance(config, n, rng);
-        sim::SimConfig sim_config;
-        sim_config.monitoring_period_s = months * 30.0 * 86400.0;
-        sim_config.dispatch_epoch_s = policies[p].epoch_s;
-        sim_config.record_rounds = true;
-        const auto r = sim::simulate(instance, *algorithms[a], sim_config);
+        const auto r =
+            sim::simulate(instance, *algorithms[a], policy_sim_config(p));
         PolicyItem& item = items[idx];
         item.rounds = static_cast<double>(r.rounds);
         item.batch = r.round_batch_size.mean();

@@ -106,8 +106,8 @@ void BM_OverlapGraph(benchmark::State& state) {
 BENCHMARK(BM_OverlapGraph)->Arg(200)->Arg(600)->Arg(1200);
 
 void BM_OddSetMatching(benchmark::State& state) {
-  // kAuto on Christofides-sized odd sets (the dense blossom below
-  // kSparseCrossover).
+  // kAuto on Christofides-sized odd sets: the dense blossom below
+  // kSparseCrossover (4..16), the sparse one at Appro's sizes (64, 128).
   Rng rng(4);
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto pts = geom::uniform_field(n, 100.0, 100.0, rng);
@@ -115,7 +115,13 @@ void BM_OddSetMatching(benchmark::State& state) {
     benchmark::DoNotOptimize(matching::min_weight_euclidean_matching(pts));
   }
 }
-BENCHMARK(BM_OddSetMatching)->Arg(4)->Arg(8)->Arg(12)->Arg(16);
+BENCHMARK(BM_OddSetMatching)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(12)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(128);
 
 void BM_LocalSearchMatching(benchmark::State& state) {
   Rng rng(5);
@@ -177,7 +183,8 @@ BENCHMARK(BM_Blossom)
 void BM_ChristofidesMatching(benchmark::State& state) {
   // The matching step alone, on the REAL odd-degree MST vertex set a
   // Christofides run produces over arg0 uniform sites (the odd set is
-  // roughly 40% of the sites); arg1 = engine as in BM_Blossom.
+  // roughly 40% of the sites, so 300 sites give the ~120 odd vertices of
+  // a typical daily-overload Appro round); arg1 = engine as in BM_Blossom.
   const auto p = make_tour_problem(static_cast<std::size_t>(state.range(0)), 6);
   std::vector<geom::Point> vertices = p.sites;
   vertices.insert(vertices.begin(), p.depot);
@@ -204,6 +211,8 @@ BENCHMARK(BM_ChristofidesMatching)
     ->Args({1200, 0})
     ->Args({1200, 1})
     ->Args({1200, 2})
+    ->Args({300, 0})
+    ->Args({300, 1})
     ->Unit(benchmark::kMillisecond);
 
 void BM_EuclideanMst(benchmark::State& state) {

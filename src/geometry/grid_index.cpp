@@ -73,15 +73,4 @@ std::vector<std::uint32_t> GridIndex::query_disk(Point center,
   return out;
 }
 
-std::vector<std::uint32_t> GridIndex::query_disk_excluding(
-    Point center, double radius, std::uint32_t self) const {
-  std::vector<std::uint32_t> out;
-  visit_disk(center, radius, [&](std::uint32_t id) {
-    if (id != self) out.push_back(id);
-    return true;
-  });
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 }  // namespace mcharge::geom

@@ -27,10 +27,6 @@ class GridIndex {
   /// sorted: visit_disk's hits in ascending id.
   std::vector<std::uint32_t> query_disk(Point center, double radius) const;
 
-  /// As query_disk, but excludes the point with index `self` from results.
-  std::vector<std::uint32_t> query_disk_excluding(Point center, double radius,
-                                                  std::uint32_t self) const;
-
   /// Visits point indices within `radius` of `center`; the callback may
   /// return false to stop early. Returns false iff stopped early.
   template <typename Visitor>

@@ -41,12 +41,13 @@ using Matching = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
 inline constexpr std::size_t kBlossomLimit = 4096;
 
 /// Below this size kAuto prefers the dense engine over the sparse one:
-/// the sparse engine's candidate-build + multi-round pricing overhead
-/// only amortizes once the (n+1)^2 dense solve is expensive enough. With
-/// the jump-started core, dense wins every measured size in [128, 172]
-/// by 1.3-1.6x and 192..256 is mixed (see EXPERIMENTS.md). Both engines
-/// return the identical matching, so this is purely a latency knob.
-inline constexpr std::size_t kSparseCrossover = 192;
+/// the sparse engine's candidate-build + pricing overhead only amortizes
+/// once the (n+1)^2 dense solve is expensive enough. On Christofides odd
+/// sets captured from Appro rounds, sparse/dense is 1.1-1.2x at 32-47
+/// vertices, 1.00 at 48-55 and 0.92 at 56-63, falling to about 0.5 at
+/// 128-159 (see EXPERIMENTS.md). Both engines return the identical
+/// matching, so this is purely a latency knob.
+inline constexpr std::size_t kSparseCrossover = 56;
 
 /// Which matching engine to run on geometric instances.
 enum class MatchingEngine : std::uint8_t {

@@ -1,15 +1,16 @@
 // Sparse price-and-repair blossom engine (Cook & Rohe style).
 //
-// 1. Build a candidate graph: k nearest neighbors per vertex (grid index,
-//    expanding-radius queries) plus a trivial backbone pairing
-//    (2i, 2i+1) so a perfect matching always exists.
+// 1. Build a candidate graph: k nearest neighbors per vertex by
+//    (squared distance, id), found by a sweep over the points along the
+//    axis of larger extent, plus a trivial backbone pairing (2i, 2i+1)
+//    so a perfect matching always exists.
 // 2. Solve exactly on the candidate graph with the shared blossom core.
 // 3. Price: scan every non-candidate pair against the solver's final
 //    duals. The solver's labels are a feasible dual solution for the
 //    candidate graph; a pair (u, v) outside it violates complete-graph
 //    dual feasibility only if lab2_u + lab2_v + z2(u, v) < 2 * profit,
 //    where z2(u, v) sums the duals of every surviving blossom containing
-//    both endpoints (the common prefix of the two nesting chains).
+//    both endpoints (the core's shared_z2).
 //    Pricing on labels ALONE is also sound (z >= 0 only tightens the
 //    left side) but spuriously flags close pairs inside surviving
 //    blossoms, and after a warm re-solve those spurious admissions
@@ -26,21 +27,24 @@
 //    the quantizer's tie perturbation makes the optimum generically
 //    unique, so the dense/sparse identical-matching invariant holds.
 //
-// The pricing scan is the only O(n^2) part. Its prefilter relaxes the
-// int64 dual test to a conservative double-precision distance bound
+// The pricing scan is the only part that can reach O(n^2). Its prefilter
+// relaxes the int64 dual test to a conservative double-precision
+// distance bound
 //     dist(u, v) < base - a_u - a_v      (a_x = lab2_x / (2 S scale))
 // with a safety margin of several quantization steps (covering llround,
-// the resolution clamp, and double rounding), so one distance and compare
-// per pair rejects almost all pairs; survivors are re-checked exactly in
-// int64.
+// the resolution clamp, and double rounding), so one squared distance
+// and compare per pair rejects almost all pairs; survivors are
+// re-checked exactly in int64. The scan walks each point's later
+// neighbours in sweep order and stops once the gap along the sweep axis
+// alone fails the bound against the least a_v further on.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <utility>
 #include <vector>
 
-#include "geometry/grid_index.h"
 #include "geometry/point.h"
 #include "matching/blossom.h"
 #include "matching/blossom_core.h"
@@ -50,53 +54,140 @@
 
 namespace mcharge::matching {
 
+namespace detail {
+
 namespace {
 
-/// k-NN + backbone candidate edges, 0-based, u < v, sorted, unique.
-std::vector<std::pair<int, int>> candidate_edges(
-    const std::vector<geom::Point>& pts, int knn) {
-  const int n = static_cast<int>(pts.size());
-  knn = std::clamp(knn, 1, n - 1);
+/// The points in sweep order: ascending along the axis of larger extent
+/// (ties in any order), so points on one vertical line still sweep by y.
+/// id[p] is the point at position p, a[p] its coordinate along the axis
+/// and b[p] across it. Squared distances over (a, b) are bit-identical to
+/// geom::distance_sq, since a sum of two squares does not depend on their
+/// order.
+struct Sweep {
+  std::vector<int> id;
+  std::vector<double> a, b;
+};
 
+Sweep sweep_order(const std::vector<geom::Point>& pts) {
+  const std::size_t n = pts.size();
   const geom::BoundingBox box = geom::bounding_box(pts);
-  const double diag = box.empty ? 0.0 : geom::distance(box.lo, box.hi);
-  const double cell =
-      diag > 0.0 ? diag / std::sqrt(static_cast<double>(n)) : 1.0;
-  const geom::GridIndex grid(pts, cell);
+  const bool by_y = box.hi.y - box.lo.y > box.hi.x - box.lo.x;
+  const auto along = [by_y](geom::Point q) { return by_y ? q.y : q.x; };
+  const auto across = [by_y](geom::Point q) { return by_y ? q.x : q.y; };
+  Sweep s{std::vector<int>(n), std::vector<double>(n), std::vector<double>(n)};
+  std::iota(s.id.begin(), s.id.end(), 0);
+  std::sort(s.id.begin(), s.id.end(),
+            [&](int i, int j) { return along(pts[i]) < along(pts[j]); });
+  for (std::size_t p = 0; p < n; ++p) {
+    s.a[p] = along(pts[s.id[p]]);
+    s.b[p] = across(pts[s.id[p]]);
+  }
+  return s;
+}
 
-  std::vector<std::pair<int, int>> edges;
-  edges.reserve(static_cast<std::size_t>(n) * knn / 2 + n);
-  std::vector<std::pair<double, std::uint32_t>> near;
+std::vector<std::pair<int, int>> sweep_knn_edges(const Sweep& sweep,
+                                                 int knn) {
+  const int n = static_cast<int>(sweep.id.size());
+  const int k = std::clamp(knn, 1, n - 1);
+  const std::vector<int>& order = sweep.id;
+  const std::vector<double>& xs = sweep.a;
+  const std::vector<double>& ys = sweep.b;
+
+  // The walk from sweep position p offers the k sweep neighbours on each
+  // side first, then goes on outward on each side until the squared
+  // gap alone exceeds the k-th smallest squared distance met so far:
+  // every later point on that side is at least as far along the axis,
+  // and a squared distance never rounds below its squared gap. best holds
+  // the k smallest squared distances met, ascending (infinite until k
+  // points are met); met_* record every point the walk meets.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> best(k), met_d2(n);
+  std::vector<int> met_id(n), tied_id(n);
+  std::vector<int> near(static_cast<std::size_t>(n) * k);
+  for (int p = 0; p < n; ++p) {
+    const geom::Point c{xs[p], ys[p]};
+    std::fill(best.begin(), best.end(), kInf);
+    int met = 0;
+    const auto offer = [&](int q) {
+      double d2 = geom::distance_sq(c, {xs[q], ys[q]});
+      met_d2[met] = d2;
+      met_id[met++] = order[q];
+      // Branch-free insertion: d2 sinks to its place and the largest
+      // drops out.
+      for (int t = 0; t < k; ++t) {
+        const double lo = std::min(d2, best[t]);
+        d2 = std::max(d2, best[t]);
+        best[t] = lo;
+      }
+    };
+    const int hi = std::min(n, p + 1 + k);
+    const int lo = std::max(0, p - k);
+    for (int q = p + 1; q < hi; ++q) offer(q);
+    for (int q = p - 1; q >= lo; --q) offer(q);
+    for (int q = hi; q < n; ++q) {
+      const double gap = xs[q] - c.x;
+      if (gap * gap > best[k - 1]) break;
+      offer(q);
+    }
+    for (int q = lo - 1; q >= 0; --q) {
+      const double gap = c.x - xs[q];
+      if (gap * gap > best[k - 1]) break;
+      offer(q);
+    }
+    // The k nearest by (squared distance, id): every met point closer
+    // than the k-th distance (fewer than k are), then the lowest ids
+    // among those at exactly that distance.
+    const double dk = best[k - 1];
+    int* out = near.data() + static_cast<std::size_t>(order[p]) * k;
+    int closer = 0, tied = 0;
+    for (int t = 0; t < met; ++t) {
+      out[closer] = met_id[t];
+      closer += met_d2[t] < dk;
+      tied_id[tied] = met_id[t];
+      tied += met_d2[t] == dk;
+    }
+    if (tied > k - closer) std::sort(tied_id.begin(), tied_id.begin() + tied);
+    std::copy_n(tied_id.begin(), k - closer, out + closer);
+  }
+
+  // Every kNN pair and backbone pair as (lower, higher) endpoint; two
+  // stable counting passes, by higher then by lower endpoint, sort them
+  // without a comparison, and duplicates end up adjacent.
+  std::vector<std::pair<int, int>> pairs;
+  pairs.reserve(near.size() + n / 2);
   for (int i = 0; i < n; ++i) {
-    double radius = cell;
-    std::vector<std::uint32_t> ids;
-    for (;;) {
-      ids = grid.query_disk_excluding(pts[i], radius,
-                                      static_cast<std::uint32_t>(i));
-      if (static_cast<int>(ids.size()) >= knn || radius > diag) break;
-      radius *= 2.0;
-    }
-    near.clear();
-    near.reserve(ids.size());
-    for (const std::uint32_t id : ids) {
-      near.emplace_back(geom::distance_sq(pts[i], pts[id]), id);
-    }
-    std::sort(near.begin(), near.end());
-    const int take = std::min<int>(knn, static_cast<int>(near.size()));
-    for (int k = 0; k < take; ++k) {
-      const int j = static_cast<int>(near[k].second);
-      edges.emplace_back(std::min(i, j), std::max(i, j));
+    for (int t = 0; t < k; ++t) {
+      const int j = near[static_cast<std::size_t>(i) * k + t];
+      pairs.emplace_back(std::min(i, j), std::max(i, j));
     }
   }
   // Backbone: guarantees the candidate graph admits a perfect matching.
-  for (int i = 0; i + 1 < n; i += 2) edges.emplace_back(i, i + 1);
-
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  return edges;
+  for (int i = 0; i + 1 < n; i += 2) pairs.emplace_back(i, i + 1);
+  std::vector<std::pair<int, int>> by_v(pairs.size());
+  std::vector<int> head(n + 1);
+  const auto counting_pass = [&](const std::vector<std::pair<int, int>>& in,
+                                 std::vector<std::pair<int, int>>& out,
+                                 auto endpoint) {
+    std::fill(head.begin(), head.end(), 0);
+    for (const auto& e : in) ++head[endpoint(e) + 1];
+    for (int u = 0; u < n; ++u) head[u + 1] += head[u];
+    for (const auto& e : in) out[head[endpoint(e)]++] = e;
+  };
+  counting_pass(pairs, by_v, [](const auto& e) { return e.second; });
+  counting_pass(by_v, pairs, [](const auto& e) { return e.first; });
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  return pairs;
 }
 
 }  // namespace
+
+std::vector<std::pair<int, int>> knn_candidate_edges(
+    const std::vector<geom::Point>& pts, int knn) {
+  return sweep_knn_edges(sweep_order(pts), knn);
+}
+
+}  // namespace detail
 
 Matching sparse_blossom_euclidean_matching(const std::vector<geom::Point>& pts,
                                            int knn) {
@@ -106,10 +197,15 @@ Matching sparse_blossom_euclidean_matching(const std::vector<geom::Point>& pts,
   if (n == 2) return {{0, 1}};
 
   const detail::BlossomQuantizer qz = detail::make_point_quantizer(pts);
-  std::vector<std::pair<int, int>> edges0 = candidate_edges(pts, knn);
+  const detail::Sweep sweep = detail::sweep_order(pts);
+  const std::vector<int>& order = sweep.id;
+  std::vector<std::pair<int, int>> edges0 = detail::sweep_knn_edges(sweep, knn);
 
-  // Per-vertex pricing terms a_v for the prefilter sweep.
-  std::vector<double> av(n);
+  // Per-vertex pricing terms a_v, and in sweep order with the suffix
+  // minima of a_v that bound the pricing window.
+  std::vector<double> av(n), sav(n), sav_min(n);
+  const std::vector<double>& sa = sweep.a;
+  const std::vector<double>& sb = sweep.b;
   const double two_s_scale =
       2.0 * static_cast<double>(qz.tie_scale) * qz.scale;
   const double inv = 1.0 / two_s_scale;
@@ -137,7 +233,7 @@ Matching sparse_blossom_euclidean_matching(const std::vector<geom::Point>& pts,
   std::vector<std::int64_t> w2;
   std::vector<std::int64_t> lab2(n);
   std::vector<std::int32_t> mate(n, 0);
-  std::vector<std::vector<std::pair<std::int32_t, std::int64_t>>> chains(n);
+  std::vector<std::int64_t> fold2(n);  ///< enclosing z per vertex
   bool warm = false;
   int round = 0;
   for (;; ++round) {
@@ -168,18 +264,14 @@ Matching sparse_blossom_euclidean_matching(const std::vector<geom::Point>& pts,
         // The fold keeps every matched pair with IDENTICAL chains exactly
         // tight (their full constraint held with equality and both sides
         // gain the same amount) and preserves feasibility everywhere: a
-        // pair's two chain sums each dominate the common-prefix sum its
+        // pair's two chain sums each dominate the shared-blossom sum its
         // constraint carries, so the average does too. Without it,
         // dropping z broke tightness of nearly every intra-blossom
         // matched edge and unmatched 50-90% of all vertices. The core's
         // repair passes (parity, feasibility bump over the grown edge
         // set, unmatching non-tight pairs) then break only the pairs
         // near the new edges, and the re-solve repairs just that damage.
-        for (std::size_t v = 0; v < n; ++v) {
-          std::int64_t zsum2 = 0;
-          for (const auto& [b, z2] : chains[v]) zsum2 += z2;
-          lab2[v] += zsum2 / 2;
-        }
+        for (std::size_t v = 0; v < n; ++v) lab2[v] += fold2[v] / 2;
         core.solve_from(lab2, mate);
       }
     }
@@ -188,8 +280,8 @@ Matching sparse_blossom_euclidean_matching(const std::vector<geom::Point>& pts,
       lab2[v] = core.dual2(static_cast<int>(v) + 1);
       mate[v] = static_cast<std::int32_t>(core.partner(static_cast<int>(v) + 1));
       av[v] = static_cast<double>(lab2[v]) * inv;
+      fold2[v] = core.enclosing_z2(static_cast<int>(v) + 1);
     }
-    core.export_blossom_chains(chains);
     warm = true;
 
     std::size_t added = 0;
@@ -197,34 +289,41 @@ Matching sparse_blossom_euclidean_matching(const std::vector<geom::Point>& pts,
     const double scan_base = base + static_cast<double>(admit2) * inv;
     {
       OBS_SPAN("blossom.price_scan");
-      for (std::size_t u = 0; u + 1 < n; ++u) {
-        const double bound = scan_base - av[u];
-        for (auto v = static_cast<std::uint32_t>(u + 1); v < n; ++v) {
-          const double d = geom::distance(pts[u], pts[v]);
-          if (!(d < bound - av[v])) continue;
+      for (std::size_t p = n; p-- > 0;) {
+        sav[p] = av[order[p]];
+        sav_min[p] = p + 1 < n ? std::min(sav[p], sav_min[p + 1]) : sav[p];
+      }
+      // Each pair once, from its earlier end in sweep order. The scan
+      // from p stops at the first q whose gap reaches bound - sav_min[q]:
+      // every later point is at least that far away and has a_v at least
+      // sav_min[q], so the prefilter rejects it.
+      for (std::size_t p = 0; p + 1 < n; ++p) {
+        const double bound = scan_base - sav[p];
+        for (std::size_t q = p + 1; q < n; ++q) {
+          const double gap = sa[q] - sa[p];
+          if (gap >= bound - sav_min[q]) break;
+          // d < b, squared: d2 and b * b round within an ulp of the
+          // exact values, far inside the bound's margin.
+          const double b = bound - sav[q];
+          const double d2 = geom::distance_sq({sa[p], sb[p]}, {sa[q], sb[q]});
+          if (!(b > 0.0 && d2 < b * b)) continue;
+          const auto u = static_cast<std::uint32_t>(std::min(order[p], order[q]));
+          const auto v = static_cast<std::uint32_t>(std::max(order[p], order[q]));
           if (store.weight(static_cast<int>(u) + 1, static_cast<int>(v) + 1) !=
               0) {
             continue;  // already a candidate; its constraint is enforced
           }
-          const std::int64_t p2 =
-              2 * qz.profit(d, static_cast<std::uint32_t>(u), v);
+          const std::int64_t p2 = 2 * qz.profit(std::sqrt(d2), u, v);
           // Full dual test. A pair inside a surviving blossom carries
           // every shared blossom's z on the left side of its
           // complete-graph constraint; pricing on labels alone spuriously
           // flags every close intra-blossom pair (z is large exactly
           // because the blossom is tight), and after a warm re-solve
           // those spurious admissions snowballed into an extra full
-          // round. The shared blossoms are the common prefix of the two
-          // nesting chains (outermost first), so the exact test sums z
-          // over that prefix.
-          std::int64_t lhs2 = lab2[u] + lab2[v];
-          const auto& cu = chains[u];
-          const auto& cv = chains[v];
-          const std::size_t depth = std::min(cu.size(), cv.size());
-          for (std::size_t i = 0; i < depth && cu[i].first == cv[i].first;
-               ++i) {
-            lhs2 += cu[i].second;
-          }
+          // round.
+          const std::int64_t lhs2 =
+              lab2[u] + lab2[v] +
+              core.shared_z2(static_cast<int>(u) + 1, static_cast<int>(v) + 1);
           if (lhs2 < p2 + admit2) {
             edges0.emplace_back(static_cast<int>(u), static_cast<int>(v));
             // Only a genuine violation forces a re-solve; a margin-only

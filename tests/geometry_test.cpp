@@ -76,13 +76,6 @@ TEST(GridIndex, SinglePoint) {
   EXPECT_EQ(index.query_disk({6, 5}, 1.0).size(), 1u);
 }
 
-TEST(GridIndex, ExcludesSelf) {
-  GridIndex index({{0, 0}, {0.5, 0}}, 1.0);
-  const auto r = index.query_disk_excluding({0, 0}, 1.0, 0);
-  ASSERT_EQ(r.size(), 1u);
-  EXPECT_EQ(r[0], 1u);
-}
-
 class GridIndexProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(GridIndexProperty, MatchesBruteForce) {
@@ -117,7 +110,6 @@ TEST(GridIndex, FarOutlierKeepsBucketTableSmall) {
   }
   EXPECT_EQ(index.query_disk({1e12, 1e12}, 1.0),
             (std::vector<std::uint32_t>{60}));
-  EXPECT_EQ(index.query_disk_excluding({1e12, 1e12}, 1.0, 60).size(), 0u);
 }
 
 TEST(GridIndex, VisitEarlyStop) {

@@ -31,6 +31,7 @@
 #include "util/rng.h"
 #include "util/simd.h"
 
+#include "knn_oracle.h"
 #include "matching_oracle.h"
 #include "simd_backends.h"
 
@@ -249,6 +250,31 @@ TEST(EnginesDispatch, AutoMatchesForcedEngines) {
             matching_weight(heuristic, w_mid) + 1e-9);
 }
 
+TEST(EnginesDispatch, AutoMatchesForcedEnginesAroundCrossover) {
+  // Every even size from 32 to 128 brackets kSparseCrossover, so kAuto
+  // runs each engine on some of them; on every one it must return the
+  // forced dense and sparse engines' matching.
+  static_assert(kSparseCrossover > 32 && kSparseCrossover <= 128);
+  MatchingOptions dense;
+  dense.engine = MatchingEngine::kDenseBlossom;
+  MatchingOptions sparse;
+  sparse.engine = MatchingEngine::kSparseBlossom;
+  Rng rng(2027);
+  for (std::size_t n = 32; n <= 128; n += 2) {
+    for (const bool clustered : {false, true}) {
+      const auto pts =
+          clustered ? geom::clustered_field(n, 100.0, 100.0, 3, 5.0, rng)
+                    : geom::uniform_field(n, 100.0, 100.0, rng);
+      const Matching auto_m = min_weight_euclidean_matching(pts);
+      ASSERT_TRUE(is_perfect_matching(n, auto_m));
+      EXPECT_EQ(auto_m, min_weight_euclidean_matching(pts, dense))
+          << "n=" << n << " clustered=" << clustered;
+      EXPECT_EQ(auto_m, min_weight_euclidean_matching(pts, sparse))
+          << "n=" << n << " clustered=" << clustered;
+    }
+  }
+}
+
 TEST(EnginesDispatch, SparseKnnInsensitive) {
   // The repair loop certifies optimality regardless of how sparse the
   // initial candidate graph is.
@@ -342,6 +368,43 @@ TEST(EnginesNegativeDuals, OutliersDriveLabelsBelowZero) {
     EXPECT_EQ(dense_blossom_euclidean_matching(pts),
               sparse_blossom_euclidean_matching(pts, knn))
         << "knn=" << knn;
+  }
+}
+
+// ---------- candidate graph ----------
+
+TEST(SparseCandidates, BuilderMatchesFrozenGridKnn) {
+  // The sweep builder must emit exactly the frozen grid builder's edge
+  // list: uniform and clustered fields, a vertical line (every x ties,
+  // so the sweep cannot prune), duplicate and all-identical points.
+  std::vector<std::pair<const char*, std::vector<geom::Point>>> inputs;
+  for (const std::size_t n : {2, 4, 64, 1024, 4096}) {
+    Rng rng(n * 31 + 7);
+    inputs.emplace_back("uniform", geom::uniform_field(n, 100.0, 100.0, rng));
+    inputs.emplace_back("clustered",
+                        geom::clustered_field(n, 100.0, 100.0, 4, 3.0, rng));
+    std::vector<geom::Point> line;
+    for (std::size_t i = 0; i < n; ++i) {
+      line.push_back({42.5, rng.uniform(0.0, 100.0)});
+    }
+    inputs.emplace_back("vertical line", std::move(line));
+    if (n <= 1024) {
+      inputs.emplace_back("identical",
+                          std::vector<geom::Point>(n, geom::Point{3.0, 4.0}));
+    }
+    if (n >= 4) {
+      auto dup = geom::uniform_field(n / 2, 100.0, 100.0, rng);
+      const auto copy = dup;
+      dup.insert(dup.end(), copy.rbegin(), copy.rend());
+      inputs.emplace_back("duplicates", std::move(dup));
+    }
+  }
+  for (const auto& [name, pts] : inputs) {
+    for (const int knn : {1, 8, 16}) {
+      EXPECT_EQ(detail::knn_candidate_edges(pts, knn),
+                oracle::grid_knn_edges(pts, knn))
+          << name << " n=" << pts.size() << " knn=" << knn;
+    }
   }
 }
 
