@@ -6,8 +6,10 @@
 #      non-zero counts of the load-bearing spans (planner phases, the
 #      tour substrate's stages inside tsp::min_max_k_tours, executor,
 #      simulator round loop, its problem build and its accounting tail);
-#      one ablation_design round adds the dense blossom's solve span and
-#      the stages inside tsp.construct (MST, odd-set matching, Euler).
+#      one 1000-sensor ablation_design round adds the sparse blossom's
+#      solve and pricing spans and the stages inside tsp.construct (MST,
+#      odd-set matching, Euler), and one 50-sensor round the dense
+#      blossom's solve span.
 #   2. Runs the BM_ObsOverhead micro-bench pair and asserts the
 #      tracing-enabled run stays within a noise margin of the disabled
 #      run (the layer's contract is < 1% overhead on instrumented
@@ -51,16 +53,24 @@ trap 'rm -rf "$TMP"' EXIT
 "$BUILD_DIR/bench/fig3_vary_n" --nmin=200 --nmax=200 --instances=2 \
   --months=0.5 --trace-out="$TMP/trace.json" >/dev/null
 [ -s "$TMP/trace.json" ] || { echo "FAIL: trace.json not written" >&2; exit 1; }
-# One ablation_design round plans 1000 sensors at once: its Christofides
-# odd sets run the dense blossom, and every stage of the tour substrate
-# fires at full size. The short fig3 run is not sure to meet an odd set
-# of four or more vertices, so the blossom span is required here only.
+# One ablation_design round plans 1000 sensors at once: every stage of
+# the tour substrate fires at full size, and its Christofides odd sets
+# (162-190 vertices) run the sparse blossom. A 50-sensor round has at
+# most 51 tour nodes, below kSparseCrossover = 56, so each of its odd
+# sets of four or more vertices runs the dense blossom. The short fig3
+# run is not sure to meet an odd set of four or more vertices, so the
+# blossom spans are required from these two rounds only.
 "$BUILD_DIR/bench/ablation_design" --rounds=1 \
   --trace-out="$TMP/trace_matching.json" >/dev/null
 [ -s "$TMP/trace_matching.json" ] || {
   echo "FAIL: trace_matching.json not written" >&2; exit 1; }
+"$BUILD_DIR/bench/ablation_design" --n=50 --rounds=1 \
+  --trace-out="$TMP/trace_dense.json" >/dev/null
+[ -s "$TMP/trace_dense.json" ] || {
+  echo "FAIL: trace_dense.json not written" >&2; exit 1; }
 
-python3 - "$TMP/trace.json" "$TMP/trace_matching.json" <<'EOF'
+python3 - "$TMP/trace.json" "$TMP/trace_matching.json" \
+  "$TMP/trace_dense.json" <<'EOF'
 import json, sys
 
 
@@ -93,10 +103,13 @@ require(sim, ("appro.plan", "appro.k_tours", "appro.insertion",
               "exec.multinode", "sim.round", "sim.select_scan",
               "sim.problem", "sim.account", "tsp.construct",
               "tsp.improve_tour", "tsp.split", "tsp.segment_improve"))
-# The sparse engine's blossom.* spans fire only when auto-dispatch picks
-# it, which depends on odd-set size, so only the dense span is required.
-require(load(sys.argv[2]), ("appro.k_tours", "blossom.dense_solve",
-                            "tsp.mst", "tsp.odd_match", "tsp.euler"))
+# Which blossom engine runs depends on odd-set size, so each engine's
+# spans are required from the round whose odd sets sit on its side of
+# kSparseCrossover.
+require(load(sys.argv[2]), ("appro.k_tours", "blossom.solve",
+                            "blossom.price_scan", "tsp.mst", "tsp.odd_match",
+                            "tsp.euler"))
+require(load(sys.argv[3]), ("blossom.dense_solve", "tsp.odd_match"))
 print("trace schema: OK (%d metrics)" % len(sim))
 EOF
 

@@ -89,7 +89,10 @@ double CliFlags::get_double(const std::string& key, double fallback) const {
 bool CliFlags::get_bool(const std::string& key, bool fallback) const {
   auto it = flags_.find(key);
   if (it == flags_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& v = it->second;
+  if (v == "true" || v == "1" || v == "yes") return true;
+  if (v == "false" || v == "0" || v == "no") return false;
+  reject(key, v, "one of true, false, 1, 0, yes, no");
 }
 
 }  // namespace mcharge

@@ -13,7 +13,7 @@ namespace mcharge {
 /// The numeric getters must consume the whole value: a malformed number
 /// (`--instances=1O0`, `--jobs=abc`, a negative count for get_size, or a
 /// zero for get_count) prints the flag and its value to stderr and exits
-/// with status 2.
+/// with status 2, and so does an on/off value get_bool does not know.
 class CliFlags {
  public:
   CliFlags(int argc, const char* const* argv);
@@ -27,6 +27,8 @@ class CliFlags {
   /// instances, rounds).
   std::size_t get_count(const std::string& key, std::size_t fallback) const;
   double get_double(const std::string& key, double fallback) const;
+  /// On/off switch: bare, "true", "1" or "yes" is on; "false", "0" or
+  /// "no" is off; any other value is rejected like a malformed number.
   bool get_bool(const std::string& key, bool fallback) const;
 
   const std::map<std::string, std::string>& flags() const { return flags_; }

@@ -321,5 +321,19 @@ TEST(CliFlags, ExplicitBoolValues) {
   EXPECT_TRUE(flags.get_bool("c", false));
 }
 
+TEST_F(CliFlagsDeathTest, UnknownBoolValueExitsWithStatus2) {
+  const char* argv[] = {"prog", "--a=0", "--b=no", "--c=2", "--d=ture",
+                        "--e="};
+  CliFlags flags(6, argv);
+  EXPECT_FALSE(flags.get_bool("a", true));
+  EXPECT_FALSE(flags.get_bool("b", true));
+  EXPECT_EXIT(flags.get_bool("c", false), ::testing::ExitedWithCode(2),
+              "--c=2 is not one of true, false");
+  EXPECT_EXIT(flags.get_bool("d", false), ::testing::ExitedWithCode(2),
+              "--d=ture");
+  EXPECT_EXIT(flags.get_bool("e", false), ::testing::ExitedWithCode(2),
+              "--e=");
+}
+
 }  // namespace
 }  // namespace mcharge
