@@ -66,6 +66,7 @@ int main(int argc, char** argv) {
   const auto rounds = flags.get_count("rounds", 10);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const auto jobs = flags.get_size("jobs", 0);
+  flags.reject_unknown();
 
   std::vector<Variant> variants;
   {

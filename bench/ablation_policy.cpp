@@ -51,6 +51,7 @@ int main(int argc, char** argv) {
   const double months = flags.get_double("months", 12.0);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const auto jobs = flags.get_size("jobs", 0);
+  flags.reject_unknown();
 
   struct Policy {
     const char* name;

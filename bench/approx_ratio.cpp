@@ -48,6 +48,7 @@ int main(int argc, char** argv) {
   const auto big_n = flags.get_size("big_n", 1000);
   const auto k = flags.get_count("chargers", 2);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  flags.reject_unknown();
 
   core::ApproScheduler appro;
 

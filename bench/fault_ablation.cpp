@@ -60,6 +60,7 @@ int main(int argc, char** argv) {
   const double mcv_budget_j = flags.get_double("mcv-budget", 0.0);
   const bool budget_sweep = flags.get_bool("budget-sweep", true);
   const std::string csv = flags.get("csv", "");
+  flags.reject_unknown();
 
   struct Policy {
     const char* name;

@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
   const auto n_max = flags.get_size("nmax", 1200);
   const auto n_step = flags.get_count("nstep", 200);
   const auto k = flags.get_count("chargers", 2);
+  flags.reject_unknown();
 
   bench::FigureSweep sweep("Fig. 3", "n", settings);
   for (std::size_t n = n_min; n <= n_max; n += n_step) {

@@ -13,6 +13,7 @@ int main(int argc, char** argv) {
   const auto settings = bench::SweepSettings::from_flags(flags);
   const auto n = flags.get_size("n", 1000);
   const auto k_max = flags.get_count("kmax", 5);
+  flags.reject_unknown();
 
   bench::FigureSweep sweep("Fig. 5", "K", settings);
   for (std::size_t k = 1; k <= k_max; ++k) {

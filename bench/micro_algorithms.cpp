@@ -217,7 +217,8 @@ BENCHMARK(BM_ChristofidesMatching)
 
 void BM_EuclideanMst(benchmark::State& state) {
   // Christofides' MST stage alone: Prim over depot + arg0 uniform sites,
-  // streaming one distance row per step from the coordinates.
+  // one fused relax-and-pick kernel call per step. 218 sites is a
+  // daily-overload Appro round, 505 a K-minMax one.
   const auto p = make_tour_problem(static_cast<std::size_t>(state.range(0)), 6);
   std::vector<geom::Point> vertices = p.sites;
   vertices.insert(vertices.begin(), p.depot);
@@ -226,7 +227,7 @@ void BM_EuclideanMst(benchmark::State& state) {
   }
   state.SetLabel(simd::backend_name(simd::active_backend()));
 }
-BENCHMARK(BM_EuclideanMst)->Arg(350)->Arg(1200);
+BENCHMARK(BM_EuclideanMst)->Arg(350)->Arg(1200)->Arg(64)->Arg(218)->Arg(505);
 
 void BM_ChristofidesTour(benchmark::State& state) {
   const auto p =
@@ -485,6 +486,18 @@ void BM_RoutingTree(benchmark::State& state) {
 }
 BENCHMARK(BM_RoutingTree)->Arg(200)->Arg(2000)->Arg(20000)
     ->Unit(benchmark::kMicrosecond);
+
+// Registered last so that every earlier family keeps its index.
+void BM_MinMaxKToursSites(benchmark::State& state) {
+  // The whole tour substrate (construct, improve, split, per-segment
+  // 2-opt) at arg0 uniform sites and K = 2: 218 sites is the size of a
+  // daily-overload Appro round.
+  const auto p = make_tour_problem(static_cast<std::size_t>(state.range(0)), 8);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tsp::min_max_k_tours(p, 2));
+  }
+}
+BENCHMARK(BM_MinMaxKToursSites)->Arg(218)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

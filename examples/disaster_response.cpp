@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   const auto n = flags.get_size("sensors", 500);
   const auto k = flags.get_count("chargers", 3);
   Rng rng(static_cast<std::uint64_t>(flags.get_int("seed", 42)));
+  flags.reject_unknown();
 
   model::NetworkConfig config;
   config.rate_max_bps = 50e3;  // video-capable sensors stream heavily

@@ -22,6 +22,7 @@ int main(int argc, char** argv) {
   const auto n = flags.get_size("sensors", 400);
   const double days = flags.get_double("days", 120.0);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
+  flags.reject_unknown();
 
   std::printf("Farm monitoring: %zu soil sensors on a jittered grid, "
               "%.0f-day season\n\n",

@@ -74,7 +74,21 @@ const char* check_constants(geom::Point depot, double gamma, double speed,
 
 int main(int argc, char** argv) {
   const CliFlags flags(argc, argv);
+  // Every flag is read up front, with or without --input, so that a
+  // misspelt one is rejected before any work starts.
   const std::string algo_name = flags.get("algo", "appro");
+  const std::string input = flags.get("input", "");
+  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 9));
+  const geom::Point depot{flags.get_double("depot_x", 50.0),
+                          flags.get_double("depot_y", 50.0)};
+  const double gamma = flags.get_double("gamma", 2.7);
+  const double speed = flags.get_double("speed", 1.0);
+  const double eta = flags.get_double("rate_w", 2.0);
+  const std::size_t chargers = flags.get_count("chargers", 2);
+  const bool gantt = flags.get_bool("gantt", false);
+  const std::string schedule_csv = flags.get("schedule_csv", "");
+  flags.reject_unknown();
+
   const auto scheduler = make_scheduler(algo_name);
   if (!scheduler) {
     std::fprintf(
@@ -87,7 +101,7 @@ int main(int argc, char** argv) {
   io::RoundData round;
   if (flags.has("input")) {
     std::string error;
-    const auto loaded = io::read_round_csv(flags.get("input", ""), &error);
+    const auto loaded = io::read_round_csv(input, &error);
     if (!loaded) {
       std::fprintf(stderr, "failed to read round CSV: %s\n", error.c_str());
       return 2;
@@ -95,20 +109,15 @@ int main(int argc, char** argv) {
     round = *loaded;
   } else {
     std::printf("# no --input given; generating a demo round\n");
-    round = demo_round(static_cast<std::uint64_t>(flags.get_int("seed", 9)));
+    round = demo_round(seed);
   }
 
-  const geom::Point depot{flags.get_double("depot_x", 50.0),
-                          flags.get_double("depot_y", 50.0)};
-  const double gamma = flags.get_double("gamma", 2.7);
-  const double speed = flags.get_double("speed", 1.0);
-  const double eta = flags.get_double("rate_w", 2.0);
   if (const char* error = check_constants(depot, gamma, speed, eta)) {
     std::fprintf(stderr, "error: %s\n", error);
     return 2;
   }
-  model::ChargingProblem problem = round.to_problem(
-      depot, gamma, speed, flags.get_count("chargers", 2), eta);
+  model::ChargingProblem problem =
+      round.to_problem(depot, gamma, speed, chargers, eta);
 
   const auto plan = scheduler->plan(problem);
   const auto schedule = sched::execute_plan(problem, plan);
@@ -137,15 +146,14 @@ int main(int argc, char** argv) {
           s.charged.size());
     }
   }
-  if (flags.get_bool("gantt", false)) {
+  if (gantt) {
     std::printf("\n%s", io::render_timeline(problem, schedule, 100).c_str());
   }
   if (flags.has("schedule_csv")) {
-    const std::string out = flags.get("schedule_csv", "");
-    if (io::write_schedule_csv(out, problem, schedule)) {
-      std::printf("# schedule written to %s\n", out.c_str());
+    if (io::write_schedule_csv(schedule_csv, problem, schedule)) {
+      std::printf("# schedule written to %s\n", schedule_csv.c_str());
     } else {
-      std::fprintf(stderr, "failed to write %s\n", out.c_str());
+      std::fprintf(stderr, "failed to write %s\n", schedule_csv.c_str());
       return 2;
     }
   }

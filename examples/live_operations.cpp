@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
   const double interrupt = flags.get_double("interrupt", 0.4);
   const std::string svg_prefix = flags.get("svg_prefix", "");
   Rng rng(static_cast<std::uint64_t>(flags.get_int("seed", 17)));
+  flags.reject_unknown();
 
   // A charging round.
   std::vector<geom::Point> positions;

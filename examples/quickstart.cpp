@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
   const auto n = flags.get_size("sensors", 300);
   const auto k = flags.get_count("chargers", 2);
   Rng rng(static_cast<std::uint64_t>(flags.get_int("seed", 1)));
+  flags.reject_unknown();
 
   // --- 1. A charging round: n sensors that requested charging, each with a
   // deficit, in a 100 x 100 m field with the depot at the center. ---

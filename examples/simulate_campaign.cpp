@@ -46,7 +46,28 @@ sched::SchedulerPtr make_scheduler(const std::string& name) {
 
 int main(int argc, char** argv) {
   const CliFlags flags(argc, argv);
+  // Every flag is read up front, whichever input mode runs, so that a
+  // misspelt one is rejected before any work starts.
   const std::string algo_name = flags.get("algo", "appro");
+  const std::string load_path = flags.get("load_instance", "");
+  const std::string save_path = flags.get("save_instance", "");
+  model::NetworkConfig config;
+  config.num_chargers = flags.get_count("chargers", 2);
+  config.request_threshold = flags.get_double("threshold", 0.2);
+  config.rate_max_bps = flags.get_double("bmax_kbps", 50.0) * 1e3;
+  const std::string layout_name = flags.get("layout", "uniform");
+  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  const std::size_t n = flags.get_size("n", 1000);
+  sim::SimConfig sim_config;
+  sim_config.monitoring_period_s =
+      flags.get_double("months", 12.0) * 30.0 * 86400.0;
+  sim_config.dispatch_epoch_s = flags.get_double("epoch_h", 0.0) * 3600.0;
+  const std::string rounds_csv = flags.get("rounds_csv", "");
+  const std::string svg_path = flags.get("svg", "");
+  const bool verbose = flags.get_bool("verbose", false);
+  sim_config.record_rounds = flags.has("rounds_csv") || verbose;
+  flags.reject_unknown();
+
   const auto scheduler = make_scheduler(algo_name);
   if (!scheduler) {
     std::fprintf(
@@ -59,19 +80,13 @@ int main(int argc, char** argv) {
   model::WrsnInstance instance;
   if (flags.has("load_instance")) {
     std::string error;
-    const auto loaded =
-        io::read_instance_csv(flags.get("load_instance", ""), &error);
+    const auto loaded = io::read_instance_csv(load_path, &error);
     if (!loaded) {
       std::fprintf(stderr, "failed to load instance: %s\n", error.c_str());
       return 2;
     }
     instance = *loaded;
   } else {
-    model::NetworkConfig config;
-    config.num_chargers = flags.get_count("chargers", 2);
-    config.request_threshold = flags.get_double("threshold", 0.2);
-    config.rate_max_bps = flags.get_double("bmax_kbps", 50.0) * 1e3;
-    const std::string layout_name = flags.get("layout", "uniform");
     const auto layout = model::parse_layout(layout_name);
     if (!layout) {
       std::fprintf(stderr,
@@ -83,23 +98,15 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: %s\n", error->message.c_str());
       return 2;
     }
-    Rng rng(static_cast<std::uint64_t>(flags.get_int("seed", 1)));
-    instance = model::make_instance(config, flags.get_size("n", 1000), rng,
-                                    *layout);
+    Rng rng(seed);
+    instance = model::make_instance(config, n, rng, *layout);
   }
   if (flags.has("save_instance")) {
-    if (!io::write_instance_csv(flags.get("save_instance", ""), instance)) {
+    if (!io::write_instance_csv(save_path, instance)) {
       std::fprintf(stderr, "failed to save instance\n");
       return 2;
     }
   }
-
-  sim::SimConfig sim_config;
-  sim_config.monitoring_period_s =
-      flags.get_double("months", 12.0) * 30.0 * 86400.0;
-  sim_config.dispatch_epoch_s = flags.get_double("epoch_h", 0.0) * 3600.0;
-  sim_config.record_rounds =
-      flags.has("rounds_csv") || flags.get_bool("verbose", false);
 
   if (const auto error = sim::validate_sim_inputs(instance, sim_config)) {
     std::fprintf(stderr, "error: %s\n", error->message.c_str());
@@ -140,19 +147,18 @@ int main(int argc, char** argv) {
   }
 
   if (flags.has("rounds_csv")) {
-    std::ofstream out(flags.get("rounds_csv", ""));
+    std::ofstream out(rounds_csv);
     out << "dispatch_s,batch,charged,longest_delay_s,wait_s\n";
     for (const auto& r : result.rounds_log) {
       out << r.dispatch_time << ',' << r.batch << ',' << r.charged << ','
           << r.longest_delay_s << ',' << r.wait_s << '\n';
     }
-    std::printf("  rounds log               %s\n",
-                flags.get("rounds_csv", "").c_str());
+    std::printf("  rounds log               %s\n", rounds_csv.c_str());
   }
   if (flags.has("svg")) {
-    std::ofstream out(flags.get("svg", ""));
+    std::ofstream out(svg_path);
     out << viz::render_instance_svg(instance);
-    std::printf("  field SVG                %s\n", flags.get("svg", "").c_str());
+    std::printf("  field SVG                %s\n", svg_path.c_str());
   }
   return result.verify_violations == 0 ? 0 : 1;
 }

@@ -1,23 +1,11 @@
 #include "graph/mst.h"
 
-#include <algorithm>
 #include <limits>
 
 #include "util/assert.h"
 #include "util/simd.h"
 
 namespace mcharge::graph {
-
-namespace {
-
-/// Removes slot `pick` from the live prefix [0, live) of `v`, keeping the
-/// order of the slots behind it.
-template <typename T>
-void erase_live(T* v, std::size_t pick, std::size_t live) {
-  std::copy(v + pick + 1, v + live, v + pick);
-}
-
-}  // namespace
 
 std::vector<WeightedEdge> euclidean_mst(
     const std::vector<geom::Point>& points) {
@@ -26,16 +14,15 @@ std::vector<WeightedEdge> euclidean_mst(
   if (n <= 1) return tree;
   constexpr double kInf = std::numeric_limits<double>::infinity();
   tree.reserve(n - 1);
-  // Outside vertices, ascending: their ids, coordinates, best attachment
-  // so far and its tree end; `w` takes the row from the vertex just
-  // added. Two allocations hold all six arrays.
+  // Outside vertices in slots [0, live): their ids, coordinates, best
+  // attachment so far and its tree end. Two allocations hold all five
+  // arrays.
   const std::size_t outside = n - 1;
-  std::vector<double> reals(4 * outside);
+  std::vector<double> reals(3 * outside);
   std::vector<std::uint32_t> ids(2 * outside);
   double* xs = reals.data();
   double* ys = xs + outside;
-  double* w = ys + outside;
-  double* best = w + outside;
+  double* best = ys + outside;
   std::uint32_t* rest = ids.data();
   std::uint32_t* parent = rest + outside;
   for (std::size_t r = 0; r < outside; ++r) {
@@ -47,27 +34,20 @@ std::vector<WeightedEdge> euclidean_mst(
   }
   std::uint32_t added = 0;
   for (std::size_t live = outside; live > 0; --live) {
-    simd::distance_row(xs, ys, live, points[added].x, points[added].y, w);
-    std::size_t pick = live;
-    double pick_cost = kInf;
-    for (std::size_t r = 0; r < live; ++r) {
-      if (w[r] < best[r]) {
-        best[r] = w[r];
-        parent[r] = added;
-      }
-      if (best[r] < pick_cost) {
-        pick_cost = best[r];
-        pick = r;
-      }
-    }
+    const std::size_t pick =
+        simd::prim_relax_pick(xs, ys, best, parent, rest, live,
+                              points[added].x, points[added].y, added);
     MCHARGE_ASSERT(pick < live, "prim: every distance must be finite");
     added = rest[pick];
-    tree.push_back({parent[pick], added, pick_cost});
-    erase_live(rest, pick, live);
-    erase_live(parent, pick, live);
-    erase_live(xs, pick, live);
-    erase_live(ys, pick, live);
-    erase_live(best, pick, live);
+    tree.push_back({parent[pick], added, best[pick]});
+    // The kernel breaks ties by vertex id, not slot, so the last slot may
+    // fill the hole.
+    const std::size_t last = live - 1;
+    rest[pick] = rest[last];
+    parent[pick] = parent[last];
+    xs[pick] = xs[last];
+    ys[pick] = ys[last];
+    best[pick] = best[last];
   }
   return tree;
 }

@@ -21,12 +21,14 @@ struct WeightedEdge {
 /// order Prim adds them (empty for n <= 1); weights carry the exact bits
 /// of geom::distance.
 ///
-/// Vertex 0 seeds the tree. The outside vertices stay packed in ascending
-/// order, with SoA copies of their coordinates compacted alongside. Each
-/// step computes one simd::distance_row from the vertex just added over
-/// the live prefix, relaxes it (a strictly smaller weight wins) and, in
-/// the same pass, picks the lowest-index vertex of strictly smallest
-/// attachment weight. No distance table is ever built.
+/// Vertex 0 seeds the tree. The outside vertices stay packed in a live
+/// prefix of SoA slots (ids, coordinates, best attachment, tree end). Each
+/// step is one simd::prim_relax_pick over that prefix: it relaxes every
+/// slot from the vertex just added (a strictly smaller weight wins) and
+/// picks the vertex of smallest attachment weight, ties to the lowest id.
+/// The picked slot is then filled by the last one (swap-remove); the id
+/// tie-break makes the slot order irrelevant, so the edges are those of
+/// Prim over ascending ids. No distance table is ever built.
 std::vector<WeightedEdge> euclidean_mst(const std::vector<geom::Point>& points);
 
 /// Total weight of an edge set.

@@ -31,19 +31,16 @@ std::vector<TourLeg> tour_legs(const TourProblem& p, const Tour& tour) {
   return legs;
 }
 
-/// Greedily cuts `tour` into segments of delay <= budget. Returns the
-/// segments, or an empty optional-equivalent (ok=false) if some single
-/// site alone exceeds the budget.
-struct GreedyCut {
-  bool ok = false;
-  std::vector<Tour> segments;
-};
-
-GreedyCut greedy_cut(const Tour& tour, const std::vector<TourLeg>& legs,
-                     double budget, const SegmentEnergyCap& cap) {
-  GreedyCut result;
-  Tour current;
-  std::size_t first = 0;  // tour position of current.front()
+/// Greedily cuts the tour whose legs are `legs` into segments of delay
+/// <= budget. Writes the tour position where each segment starts into
+/// `starts` and returns true; returns false as soon as a single site alone
+/// exceeds the budget or the cut needs more than `max_segments` segments.
+/// Once `starts` has grown, a probe allocates nothing.
+bool greedy_cut(const std::vector<TourLeg>& legs, double budget,
+                const SegmentEnergyCap& cap, std::size_t max_segments,
+                std::vector<std::size_t>& starts) {
+  starts.clear();
+  std::size_t first = 0;  // tour position of the open segment's first site
   double internal = 0.0;  // travel within segment + service
   // Energy bookkeeping (cap only): internal travel / service seconds,
   // tracked separately so joules can be priced per component. The delay
@@ -51,50 +48,40 @@ GreedyCut greedy_cut(const Tour& tour, const std::vector<TourLeg>& legs,
   // the cut decisions are exactly the delay-only ones.
   double etravel = 0.0;
   double eservice = 0.0;
-  for (std::size_t i = 0; i < tour.size(); ++i) {
-    const SiteId v = tour[i];
+  for (std::size_t i = 0; i < legs.size(); ++i) {
     const double solo = 2.0 * legs[i].depot + legs[i].service;
-    if (solo > budget) return result;  // infeasible budget
-    if (current.empty()) {
-      current.push_back(v);
-      first = i;
-      internal = legs[i].service;
-      etravel = 0.0;
-      eservice = legs[i].service;
-      continue;
+    if (solo > budget) return false;  // infeasible budget
+    if (!starts.empty()) {
+      // Segments are consecutive runs of the tour, so the open segment
+      // ends at position i - 1 and its leg to i is legs[i].pred.
+      const double extended = legs[first].depot + internal + legs[i].pred +
+                              legs[i].service + legs[i].depot;
+      bool fits = extended <= budget;
+      if (fits && cap.enabled()) {
+        // A single site over the cap is still admitted as its own segment
+        // (the executor's budget machinery handles the overdraw); only
+        // *extending* past the cap forces a cut.
+        const double joules =
+            (legs[first].depot + etravel + legs[i].pred + legs[i].depot) *
+                cap.travel_power_w +
+            (eservice + legs[i].service) * cap.service_power_w;
+        fits = joules <= cap.budget_j;
+      }
+      if (fits) {
+        internal += legs[i].pred + legs[i].service;
+        etravel += legs[i].pred;
+        eservice += legs[i].service;
+        continue;
+      }
     }
-    // Segments are consecutive runs of the tour, so current.back() is
-    // tour[i - 1] and its leg to v is legs[i].pred.
-    const double extended = legs[first].depot + internal + legs[i].pred +
-                            legs[i].service + legs[i].depot;
-    bool fits = extended <= budget;
-    if (fits && cap.enabled()) {
-      // A single site over the cap is still admitted as its own segment
-      // (the executor's budget machinery handles the overdraw); only
-      // *extending* past the cap forces a cut.
-      const double joules =
-          (legs[first].depot + etravel + legs[i].pred + legs[i].depot) *
-              cap.travel_power_w +
-          (eservice + legs[i].service) * cap.service_power_w;
-      fits = joules <= cap.budget_j;
-    }
-    if (fits) {
-      internal += legs[i].pred + legs[i].service;
-      etravel += legs[i].pred;
-      eservice += legs[i].service;
-      current.push_back(v);
-    } else {
-      result.segments.push_back(std::move(current));
-      current = {v};
-      first = i;
-      internal = legs[i].service;
-      etravel = 0.0;
-      eservice = legs[i].service;
-    }
+    if (starts.size() == max_segments) return false;
+    starts.push_back(i);
+    first = i;
+    internal = legs[i].service;
+    etravel = 0.0;
+    eservice = legs[i].service;
   }
-  if (!current.empty()) result.segments.push_back(std::move(current));
-  result.ok = true;
-  return result;
+  return true;
 }
 
 double max_segment_delay(const TourProblem& p, const std::vector<Tour>& segs) {
@@ -129,32 +116,40 @@ SplitResult split_min_max(const TourProblem& problem, const Tour& tour,
   double hi = std::max(lo, tour_delay(problem, tour));
   hi += 1e-9 * std::max(1.0, hi);
 
+  // Probes only count: each keeps its segment starts, and the segments
+  // are built once, for the chosen cut.
   SegmentEnergyCap use = cap;
-  GreedyCut best = greedy_cut(tour, legs, hi, use);
-  if (use.enabled() && best.ok && best.segments.size() > k) {
+  std::vector<std::size_t> best;
+  std::vector<std::size_t> probe;
+  bool fits = greedy_cut(legs, hi, use, k, best);
+  if (use.enabled() && !fits) {
     // The energy cap and the fleet size cannot both hold even at the
     // loosest delay budget: drop the cap (best effort — the executor's
     // budget machinery turns any residual overdraw into a recoverable,
     // cause-tagged abort) and redo the feasibility anchor.
     use = SegmentEnergyCap{};
-    best = greedy_cut(tour, legs, hi, use);
+    fits = greedy_cut(legs, hi, use, k, best);
   }
-  MCHARGE_ASSERT(best.ok && best.segments.size() <= std::max<std::size_t>(k, 1),
-                 "whole-tour budget must be feasible");
+  MCHARGE_ASSERT(fits, "whole-tour budget must be feasible");
 
   // Binary search the smallest budget whose greedy cut uses <= k segments.
   for (int iter = 0; iter < 64 && hi - lo > 1e-9 * std::max(1.0, hi); ++iter) {
     const double mid = 0.5 * (lo + hi);
-    GreedyCut cut = greedy_cut(tour, legs, mid, use);
-    if (cut.ok && cut.segments.size() <= k) {
-      best = std::move(cut);
+    if (greedy_cut(legs, mid, use, k, probe)) {
+      best.swap(probe);
       hi = mid;
     } else {
       lo = mid;
     }
   }
 
-  result.tours = std::move(best.segments);
+  result.tours.reserve(k);
+  for (std::size_t s = 0; s < best.size(); ++s) {
+    const std::size_t end = s + 1 < best.size() ? best[s + 1] : tour.size();
+    result.tours.emplace_back(
+        tour.begin() + static_cast<std::ptrdiff_t>(best[s]),
+        tour.begin() + static_cast<std::ptrdiff_t>(end));
+  }
   result.tours.resize(k);  // pad with empty tours
   result.max_delay = max_segment_delay(problem, result.tours);
   return result;

@@ -43,8 +43,9 @@ struct SegmentEnergyCap {
 /// minimizing the maximum segment delay. The input tour's site order is
 /// preserved inside each segment. Each position's depot leg, predecessor
 /// leg and service time are computed once, in O(m); every bisection probe
-/// then runs one greedy cut over those arrays and materializes its
-/// segments. With an enabled `cap`, the greedy cut
+/// then runs one greedy cut over those arrays that records only where each
+/// segment starts (stopping once it needs more than K), and the segments
+/// are built once, for the chosen cut. With an enabled `cap`, the greedy cut
 /// also closes a segment whenever extending it would push its energy over
 /// cap.budget_j, so every returned segment fits the cap — except when even
 /// the loosest delay budget cannot satisfy cap and K together, in which

@@ -45,54 +45,69 @@ CliFlags::CliFlags(int argc, const char* const* argv) {
   }
 }
 
+const std::string* CliFlags::find(const std::string& key) const {
+  asked_.insert(key);
+  const auto it = flags_.find(key);
+  return it == flags_.end() ? nullptr : &it->second;
+}
+
 bool CliFlags::has(const std::string& key) const {
-  return flags_.count(key) > 0;
+  return find(key) != nullptr;
 }
 
 std::string CliFlags::get(const std::string& key,
                           const std::string& fallback) const {
-  auto it = flags_.find(key);
-  return it == flags_.end() ? fallback : it->second;
+  const std::string* value = find(key);
+  return value == nullptr ? fallback : *value;
 }
 
 long long CliFlags::get_int(const std::string& key, long long fallback) const {
-  auto it = flags_.find(key);
-  return it == flags_.end()
+  const std::string* value = find(key);
+  return value == nullptr
              ? fallback
-             : parse_whole<long long>(key, it->second, "an integer");
+             : parse_whole<long long>(key, *value, "an integer");
 }
 
 std::size_t CliFlags::get_size(const std::string& key,
                                std::size_t fallback) const {
-  auto it = flags_.find(key);
-  return it == flags_.end() ? fallback
-                            : parse_whole<std::size_t>(
-                                  key, it->second, "a non-negative integer");
+  const std::string* value = find(key);
+  return value == nullptr ? fallback
+                          : parse_whole<std::size_t>(
+                                key, *value, "a non-negative integer");
 }
 
 std::size_t CliFlags::get_count(const std::string& key,
                                 std::size_t fallback) const {
-  auto it = flags_.find(key);
-  if (it == flags_.end()) return fallback;
+  const std::string* value = find(key);
+  if (value == nullptr) return fallback;
   const char* const what = "a positive integer";
-  const auto count = parse_whole<std::size_t>(key, it->second, what);
-  if (count == 0) reject(key, it->second, what);
+  const auto count = parse_whole<std::size_t>(key, *value, what);
+  if (count == 0) reject(key, *value, what);
   return count;
 }
 
 double CliFlags::get_double(const std::string& key, double fallback) const {
-  auto it = flags_.find(key);
-  return it == flags_.end() ? fallback
-                            : parse_whole<double>(key, it->second, "a number");
+  const std::string* value = find(key);
+  return value == nullptr ? fallback
+                          : parse_whole<double>(key, *value, "a number");
 }
 
 bool CliFlags::get_bool(const std::string& key, bool fallback) const {
-  auto it = flags_.find(key);
-  if (it == flags_.end()) return fallback;
-  const std::string& v = it->second;
+  const std::string* value = find(key);
+  if (value == nullptr) return fallback;
+  const std::string& v = *value;
   if (v == "true" || v == "1" || v == "yes") return true;
   if (v == "false" || v == "0" || v == "no") return false;
   reject(key, v, "one of true, false, 1, 0, yes, no");
+}
+
+void CliFlags::reject_unknown() const {
+  for (const auto& [key, value] : flags_) {
+    if (asked_.count(key) == 0) {
+      std::fprintf(stderr, "error: unknown flag --%s\n", key.c_str());
+      std::exit(2);
+    }
+  }
 }
 
 }  // namespace mcharge

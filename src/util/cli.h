@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <map>
+#include <set>
 #include <string>
 
 namespace mcharge {
@@ -14,6 +15,10 @@ namespace mcharge {
 /// (`--instances=1O0`, `--jobs=abc`, a negative count for get_size, or a
 /// zero for get_count) prints the flag and its value to stderr and exits
 /// with status 2, and so does an on/off value get_bool does not know.
+///
+/// Every getter and has() records the key it was asked for. A binary
+/// calls reject_unknown() once, after it has asked for all of its flags,
+/// so that a misspelt flag fails instead of silently leaving a default.
 class CliFlags {
  public:
   CliFlags(int argc, const char* const* argv);
@@ -31,10 +36,16 @@ class CliFlags {
   /// "no" is off; any other value is rejected like a malformed number.
   bool get_bool(const std::string& key, bool fallback) const;
 
-  const std::map<std::string, std::string>& flags() const { return flags_; }
+  /// Prints `error: unknown flag --<key>` and exits with status 2 if a
+  /// flag was given that no getter or has() has asked for.
+  void reject_unknown() const;
 
  private:
+  /// The value of `key`, or nullptr; records that `key` was asked for.
+  const std::string* find(const std::string& key) const;
+
   std::map<std::string, std::string> flags_;
+  mutable std::set<std::string> asked_;
 };
 
 }  // namespace mcharge

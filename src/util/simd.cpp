@@ -29,6 +29,30 @@ void scalar_distance_row(const double* xs, const double* ys, std::size_t n,
   }
 }
 
+std::size_t scalar_prim_relax_pick(const double* xs, const double* ys,
+                                  double* best, std::uint32_t* parent,
+                                  const std::uint32_t* ids, std::size_t n,
+                                  double px, double py, std::uint32_t added) {
+  std::size_t pick = kNpos;
+  double pick_cost = kInf;
+  std::uint32_t pick_id = UINT32_MAX;
+  for (std::size_t r = 0; r < n; ++r) {
+    const double dx = px - xs[r];
+    const double dy = py - ys[r];
+    const double w = std::sqrt(dx * dx + dy * dy);
+    if (w < best[r]) {
+      best[r] = w;
+      parent[r] = added;
+    }
+    if (best[r] < pick_cost || (best[r] == pick_cost && ids[r] < pick_id)) {
+      pick_cost = best[r];
+      pick_id = ids[r];
+      pick = r;
+    }
+  }
+  return pick_cost < kInf ? pick : kNpos;
+}
+
 std::size_t scalar_two_opt_scan(const double* px, const double* py,
                                 const double* tc, std::size_t j_begin,
                                 std::size_t j_end, double ax, double ay,
@@ -192,8 +216,8 @@ Dispatch& dispatch() {
 
 namespace detail {
 const KernelTable kScalarKernels = {
-    scalar_distance_row,   scalar_two_opt_scan,    scalar_or_opt_scan,
-    scalar_crossing_min,   scalar_advance_select_below,
+    scalar_distance_row,   scalar_prim_relax_pick, scalar_two_opt_scan,
+    scalar_or_opt_scan,    scalar_crossing_min,    scalar_advance_select_below,
     scalar_i64_dual_apply, scalar_i64_slack_bound, scalar_i64_slack_shift,
 };
 }  // namespace detail
@@ -218,6 +242,14 @@ const char* backend_name(Backend backend) {
 void distance_row(const double* xs, const double* ys, std::size_t n,
                   double px, double py, double* out) {
   dispatch().table->distance_row(xs, ys, n, px, py, out);
+}
+
+std::size_t prim_relax_pick(const double* xs, const double* ys, double* best,
+                            std::uint32_t* parent, const std::uint32_t* ids,
+                            std::size_t n, double px, double py,
+                            std::uint32_t added) {
+  return dispatch().table->prim_relax_pick(xs, ys, best, parent, ids, n, px,
+                                           py, added);
 }
 
 std::size_t two_opt_scan(const double* px, const double* py, const double* tc,

@@ -1,12 +1,12 @@
 // Portable SIMD kernels for the hot loops that measurably pay for a
-// vector backend: the SoA distance row (and the distance matrix built
-// from it), the 2-opt / Or-opt first-improvement gain scans, the
-// simulator's two drain scans, and the blossom core's three int64
-// dual-adjustment loops. A kernel stays on the dispatch table only while
-// a benchmark workload measurably slows with its scalar twin; the loops
-// that did not pay (the split lower-bound max and the sparse engine's
-// pricing prefilter) live as plain scalar loops at their one caller each
-// (DESIGN.md, EXPERIMENTS.md).
+// vector backend: the SoA distance row (which fills the distance cache),
+// Prim's fused relax-and-pick step, the 2-opt / Or-opt first-improvement
+// gain scans, the simulator's two drain scans, and the blossom core's
+// three int64 dual-adjustment loops. A kernel stays on the dispatch
+// table only while a benchmark workload measurably slows with its scalar
+// twin; the loops that did not pay (the split lower-bound max and the
+// sparse engine's pricing prefilter) live as plain scalar loops at their
+// one caller each (DESIGN.md, EXPERIMENTS.md).
 //
 // Bitwise-identity contract
 // -------------------------
@@ -16,9 +16,10 @@
 // per-element IEEE-754 double operations as the scalar code — per-element
 // dx*dx + dy*dy, one correctly-rounded sqrt, one divide by speed — only
 // on 4 lanes at a time. No FMA contraction (the vector TU compiles with
-// -ffp-contract=off), no reassociation across elements, and the
-// first-hit scans return the lowest hit index exactly like a sequential
-// scan. Tests in tests/simd_test.cpp enforce lane-for-lane equality
+// -ffp-contract=off), no reassociation across elements, the first-hit
+// scans return the lowest hit index exactly like a sequential scan, and
+// the Prim pick breaks weight ties by vertex id, never by lane or slot.
+// Tests in tests/simd_test.cpp enforce lane-for-lane equality
 // against the scalar backend; the byte-compare regressions enforce it
 // end to end.
 //
@@ -54,6 +55,17 @@ const char* backend_name(Backend backend);
 /// out[i] = sqrt((px - xs[i])^2 + (py - ys[i])^2) for i in [0, n).
 void distance_row(const double* xs, const double* ys, std::size_t n,
                   double px, double py, double* out);
+
+/// One fused Prim step over the live slots [0, n) of graph::euclidean_mst.
+/// Per slot r, w = sqrt((px - xs[r])^2 + (py - ys[r])^2) with exactly
+/// distance_row's operation sequence; a strictly smaller w replaces
+/// best[r] and sets parent[r] = added. Returns the slot of smallest
+/// best[r] after the relax, ties broken to the lowest ids[r] (so the
+/// caller may reorder slots freely), or kNpos if no best[r] is finite.
+std::size_t prim_relax_pick(const double* xs, const double* ys, double* best,
+                            std::uint32_t* parent, const std::uint32_t* ids,
+                            std::size_t n, double px, double py,
+                            std::uint32_t added);
 
 /// First-improvement scan of the 2-opt move set for a fixed left edge.
 ///

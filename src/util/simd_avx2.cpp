@@ -4,8 +4,10 @@
 // Bitwise identity with the scalar backend: every lane performs the same
 // mul / add / div / sqrt sequence as the scalar loop (all IEEE-754
 // correctly rounded, no FMA), every min reduction returns a value only
-// (order-independent for non-NaN input), and the first-hit scans return
-// the lowest hit index exactly like a sequential scan.
+// (order-independent for non-NaN input) or, in the Prim pick, the
+// lexicographic minimum of unique (weight, id) pairs (order-independent
+// too), and the first-hit scans return the lowest hit index exactly like
+// a sequential scan.
 #include "util/simd_kernels.h"
 
 #if MCHARGE_SIMD_X86
@@ -42,6 +44,88 @@ void avx2_distance_row(const double* xs, const double* ys, std::size_t n,
     const double dy = py - ys[i];
     out[i] = std::sqrt(dx * dx + dy * dy);
   }
+}
+
+// Per lane, the best (best, id) pair seen so far in lexicographic order;
+// a slot's pair replaces it on a strictly smaller best, or an equal best
+// with a smaller id. Ids are unique, so the lanes reduce to one pair
+// whatever the order, and an inf or NaN best never beats a finite one.
+// The relax is branch-free (blend and store every block): which lanes
+// relax is data-dependent, and branching on it mispredicted often enough
+// in Appro's calls to cost more than the stores.
+std::size_t avx2_prim_relax_pick(const double* xs, const double* ys,
+                                 double* best, std::uint32_t* parent,
+                                 const std::uint32_t* ids, std::size_t n,
+                                 double px, double py, std::uint32_t added) {
+  std::size_t pick = kNpos;
+  double pick_cost = kInf;
+  std::int64_t pick_id = INT64_MAX;
+  std::size_t r = 0;
+  if (n >= 4) {
+    const __m256d vpx = _mm256_set1_pd(px);
+    const __m256d vpy = _mm256_set1_pd(py);
+    const __m256i step = _mm256_set1_epi64x(4);
+    // Picks the low 32 bits of each 64-bit lane: a relax mask for 4 ids.
+    const __m256i narrow = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
+    const __m128i vadded = _mm_set1_epi32(static_cast<int>(added));
+    __m256i slot = _mm256_setr_epi64x(0, 1, 2, 3);
+    __m256d min_cost = _mm256_set1_pd(kInf);
+    __m256i min_id = _mm256_set1_epi64x(INT64_MAX);
+    __m256i min_slot = _mm256_set1_epi64x(-1);
+    for (; r + 4 <= n; r += 4, slot = _mm256_add_epi64(slot, step)) {
+      const __m256d w = dist4(_mm256_loadu_pd(xs + r),
+                              _mm256_loadu_pd(ys + r), vpx, vpy);
+      const __m256d old_best = _mm256_loadu_pd(best + r);
+      const __m256d relax = _mm256_cmp_pd(w, old_best, _CMP_LT_OQ);
+      const __m256d b = _mm256_blendv_pd(old_best, w, relax);
+      _mm256_storeu_pd(best + r, b);
+      const __m128i relax32 = _mm256_castsi256_si128(
+          _mm256_permutevar8x32_epi32(_mm256_castpd_si256(relax), narrow));
+      __m128i* const par = reinterpret_cast<__m128i*>(parent + r);
+      _mm_storeu_si128(
+          par, _mm_blendv_epi8(_mm_loadu_si128(par), vadded, relax32));
+      const __m256i id = _mm256_cvtepu32_epi64(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(ids + r)));
+      const __m256d tie = _mm256_and_pd(
+          _mm256_cmp_pd(b, min_cost, _CMP_EQ_OQ),
+          _mm256_castsi256_pd(_mm256_cmpgt_epi64(min_id, id)));
+      const __m256d take =
+          _mm256_or_pd(_mm256_cmp_pd(b, min_cost, _CMP_LT_OQ), tie);
+      const __m256i take_i = _mm256_castpd_si256(take);
+      min_cost = _mm256_blendv_pd(min_cost, b, take);
+      min_id = _mm256_blendv_epi8(min_id, id, take_i);
+      min_slot = _mm256_blendv_epi8(min_slot, slot, take_i);
+    }
+    alignas(32) double lane_cost[4];
+    alignas(32) std::int64_t lane_id[4];
+    alignas(32) std::int64_t lane_slot[4];
+    _mm256_store_pd(lane_cost, min_cost);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lane_id), min_id);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lane_slot), min_slot);
+    for (int lane = 0; lane < 4; ++lane) {
+      if (lane_cost[lane] < pick_cost ||
+          (lane_cost[lane] == pick_cost && lane_id[lane] < pick_id)) {
+        pick_cost = lane_cost[lane];
+        pick_id = lane_id[lane];
+        pick = static_cast<std::size_t>(lane_slot[lane]);
+      }
+    }
+  }
+  for (; r < n; ++r) {
+    const double dx = px - xs[r];
+    const double dy = py - ys[r];
+    const double w = std::sqrt(dx * dx + dy * dy);
+    if (w < best[r]) {
+      best[r] = w;
+      parent[r] = added;
+    }
+    if (best[r] < pick_cost || (best[r] == pick_cost && ids[r] < pick_id)) {
+      pick_cost = best[r];
+      pick_id = ids[r];
+      pick = r;
+    }
+  }
+  return pick_cost < kInf ? pick : kNpos;
 }
 
 // Squared-distance prefilter (proof in simd_kernels.h): per lane,
@@ -417,8 +501,8 @@ void avx2_i64_slack_shift(std::int64_t* val, const std::int32_t* slack,
 }  // namespace
 
 const KernelTable kAvx2Kernels = {
-    avx2_distance_row,     avx2_two_opt_scan,    avx2_or_opt_scan,
-    avx2_crossing_min,     avx2_advance_select_below,
+    avx2_distance_row,     avx2_prim_relax_pick, avx2_two_opt_scan,
+    avx2_or_opt_scan,      avx2_crossing_min,    avx2_advance_select_below,
     avx2_i64_dual_apply,   avx2_i64_slack_bound, avx2_i64_slack_shift,
 };
 

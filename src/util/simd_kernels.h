@@ -64,6 +64,10 @@ inline constexpr double kPrefilterMaxSpeed = 0x1p100;
 struct KernelTable {
   void (*distance_row)(const double* xs, const double* ys, std::size_t n,
                        double px, double py, double* out);
+  std::size_t (*prim_relax_pick)(const double* xs, const double* ys,
+                                 double* best, std::uint32_t* parent,
+                                 const std::uint32_t* ids, std::size_t n,
+                                 double px, double py, std::uint32_t added);
   std::size_t (*two_opt_scan)(const double* px, const double* py,
                               const double* tc, std::size_t j_begin,
                               std::size_t j_end, double ax, double ay,

@@ -14,6 +14,7 @@
 #include "graph/graph.h"
 #include "graph/mis.h"
 #include "graph/mst.h"
+#include "euler_oracle.h"
 #include "mst_oracle.h"
 #include "simd_backends.h"
 #include "util/rng.h"
@@ -239,8 +240,9 @@ TEST(Mst, TrivialSizes) {
 }
 
 TEST(Mst, SoaPrimMatchesFrozenTemplate) {
-  // euclidean_mst streams one distance row per step from SoA coordinates;
-  // the frozen template reads geom::distance pair by pair. Both must emit
+  // euclidean_mst runs one fused relax-and-pick kernel per step over SoA
+  // slots it reorders by swap-remove; the frozen template reads
+  // geom::distance pair by pair over ascending ids. Both must emit
   // the same (u, v, weight) sequence, weights compared bit for bit, on
   // every backend and on layouts full of exact ties.
   const auto layouts = [](std::size_t n, std::uint64_t seed) {
@@ -263,12 +265,28 @@ TEST(Mst, SoaPrimMatchesFrozenTemplate) {
     }
     out.push_back(collinear);
     out.push_back(std::vector<geom::Point>(n, geom::Point{12.5, -3.0}));
+    // Integer lattices, where many different pairs tie exactly: once in
+    // row-major order and once shuffled, so that equal attachment weights
+    // meet in every slot order the swap-remove leaves and only the
+    // lowest-id tie-break reproduces the frozen template.
+    std::size_t side = 1;
+    while (side * side < n) ++side;
+    std::vector<geom::Point> lattice;
+    for (std::size_t i = 0; i < n; ++i) {
+      lattice.push_back({static_cast<double>(i % side),
+                         static_cast<double>(i / side)});
+    }
+    out.push_back(lattice);
+    rng.shuffle(lattice);
+    out.push_back(lattice);
     return out;
   };
   std::size_t trees = 0;
   for (const simd::Backend backend : supported_backends()) {
     const BackendGuard guard(backend);
-    for (const std::size_t n : {0, 1, 2, 3, 50, 505, 1200}) {
+    // 4-7 cover the SIMD tails, 218 Appro's daily-overload size.
+    for (const std::size_t n :
+         {0, 1, 2, 3, 4, 5, 6, 7, 50, 64, 218, 505, 1200}) {
       for (const auto& pts : layouts(n, 900 + n)) {
         const auto got = euclidean_mst(pts);
         const auto want =
@@ -287,7 +305,7 @@ TEST(Mst, SoaPrimMatchesFrozenTemplate) {
       }
     }
   }
-  EXPECT_GE(trees, 35u);
+  EXPECT_GE(trees, 91u);
 }
 
 TEST(Mst, KruskalDisconnectedIsForest) {
@@ -337,10 +355,13 @@ TEST(Euler, EmptyEdgeSet) {
   EXPECT_EQ(walk[0], 1u);
 }
 
-TEST(Euler, AllDegreesEvenPredicate) {
-  EXPECT_TRUE(all_degrees_even(3, {{0, 1}, {1, 2}, {2, 0}}));
-  EXPECT_FALSE(all_degrees_even(3, {{0, 1}}));
-  EXPECT_TRUE(all_degrees_even(2, {{0, 1}, {0, 1}}));
+TEST(Euler, OddDegreeIsRejected) {
+  // The CSR's degree count is also the parity check.
+  EXPECT_EQ(eulerian_circuit(3, {{0, 1}, {1, 2}, {2, 0}}, 0).size(), 4u);
+  EXPECT_EQ(eulerian_circuit(2, {{0, 1}, {0, 1}}, 1).size(), 3u);
+  EXPECT_DEATH(eulerian_circuit(3, {{0, 1}}, 0), "all-even degrees");
+  EXPECT_DEATH(eulerian_circuit(4, {{0, 1}, {1, 2}, {2, 0}, {2, 3}}, 0),
+               "all-even degrees");
 }
 
 class MstProperty : public ::testing::TestWithParam<int> {};
@@ -405,6 +426,53 @@ TEST_P(EulerProperty, DoubledRandomTreeAlwaysHasCircuit) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EulerProperty, ::testing::Range(0, 8));
+
+TEST(Euler, CsrMatchesFrozenHierholzer) {
+  // Random connected even-degree multigraphs: a union of closed walks,
+  // each starting on a vertex an earlier walk touched, over a random
+  // subset of the vertices (the rest stay isolated). Walks repeat pairs
+  // and a one-step walk is a self-loop; a walk step may also add the
+  // same pair twice more, in both orientations, as parallel edges. Every
+  // vertex with an edge is tried as the start.
+  std::size_t walks = 0;
+  for (std::uint64_t seed = 0; seed < 60; ++seed) {
+    Rng rng(8100 + seed);
+    const std::size_t n = 1 + rng.below(40);
+    std::vector<std::uint32_t> members;
+    for (std::uint32_t v = 0; v < n; ++v) {
+      if (members.empty() || rng.below(4) != 0) members.push_back(v);
+    }
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+    std::vector<std::uint32_t> touched{members[rng.below(members.size())]};
+    const std::size_t cycles = rng.below(6);
+    for (std::size_t c = 0; c < cycles; ++c) {
+      const std::uint32_t from = touched[rng.below(touched.size())];
+      std::uint32_t at = from;
+      const std::size_t length = 1 + rng.below(8);
+      for (std::size_t step = 0; step < length; ++step) {
+        const std::uint32_t to = step + 1 == length
+                                     ? from
+                                     : members[rng.below(members.size())];
+        edges.emplace_back(at, to);
+        if (rng.below(5) == 0) {
+          edges.emplace_back(to, at);
+          edges.emplace_back(at, to);
+        }
+        touched.push_back(to);
+        at = to;
+      }
+    }
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+    for (const std::uint32_t start : touched) {
+      ASSERT_EQ(eulerian_circuit(n, edges, start),
+                oracle::per_vertex_hierholzer(n, edges, start))
+          << "seed=" << seed << " start=" << start;
+      ++walks;
+    }
+  }
+  EXPECT_GE(walks, 200u);
+}
 
 TEST(Mis, RandomGraphsNotJustGeometric) {
   // Erdos-Renyi-ish graphs exercise MIS away from unit-disk structure.

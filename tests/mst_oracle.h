@@ -1,9 +1,10 @@
 // Test oracles for graph::euclidean_mst.
 //
 // prim_mst: Prim over an arbitrary weight callable, reading one weight per
-// pair. graph::euclidean_mst, which streams SIMD distance rows from SoA
-// coordinates, must reproduce its (u, v, weight) sequence bit for bit
-// under the geom::distance weight.
+// pair, with the outside vertices kept in ascending order. Frozen:
+// graph::euclidean_mst, which runs a fused SIMD relax-and-pick over SoA
+// slots it reorders by swap-remove, must reproduce its (u, v, weight)
+// sequence bit for bit under the geom::distance weight.
 //
 // kruskal_mst: Kruskal over an explicit edge list, on a disjoint-set
 // union (Dsu); an independent check of the tree's total weight.

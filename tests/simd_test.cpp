@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -83,6 +84,100 @@ TEST(Simd, DistanceRowMatchesScalarOnAllBackends) {
       }
     }
   }
+}
+
+/// The documented prim_relax_pick semantics as a plain loop: relax on a
+/// strictly smaller distance, then the lexicographically smallest
+/// (best, id) among the finite bests.
+std::size_t reference_prim_relax_pick(const Soa& p, std::vector<double>& best,
+                                      std::vector<std::uint32_t>& parent,
+                                      const std::vector<std::uint32_t>& ids,
+                                      double px, double py,
+                                      std::uint32_t added) {
+  std::size_t pick = simd::kNpos;
+  for (std::size_t r = 0; r < best.size(); ++r) {
+    const double w = dist(px, py, p.xs[r], p.ys[r]);
+    if (w < best[r]) {
+      best[r] = w;
+      parent[r] = added;
+    }
+    if (!(best[r] < kInf)) continue;
+    if (pick == simd::kNpos || best[r] < best[pick] ||
+        (best[r] == best[pick] && ids[r] < ids[pick])) {
+      pick = r;
+    }
+  }
+  return pick;
+}
+
+TEST(Simd, PrimRelaxPickMatchesReferenceOnAllBackends) {
+  // Five shapes per length: a first step (every best +inf); an integer
+  // lattice where many distances tie each other and some equal best
+  // exactly (an equal w must not relax); equal bests under shuffled ids
+  // (the pick is the lowest id, not the lowest slot); bests at +inf mixed
+  // with finite ones; and no finite best at all (kNpos).
+  std::size_t checked = 0;
+  for (std::size_t n = 0; n <= 100; ++n) {
+    for (int shape = 0; shape < 5; ++shape) {
+      Rng rng(31000 + 5 * n + static_cast<std::uint64_t>(shape));
+      Soa p;
+      std::vector<double> best(n, kInf);
+      std::vector<std::uint32_t> parent(n), ids(n);
+      const bool lattice = shape == 1 || shape == 2;
+      const double px = lattice ? 2.0 : rng.uniform(0.0, 100.0);
+      const double py = lattice ? 2.0 : rng.uniform(0.0, 100.0);
+      for (std::size_t r = 0; r < n; ++r) {
+        p.xs.push_back(lattice ? static_cast<double>(rng.below(5))
+                               : rng.uniform(0.0, 100.0));
+        p.ys.push_back(lattice ? static_cast<double>(rng.below(5))
+                               : rng.uniform(0.0, 100.0));
+        // Distinct ids in shuffled order, some near the top of the range.
+        ids[r] = static_cast<std::uint32_t>(r % 3 == 0 ? UINT32_MAX - r
+                                                       : 7 * r + 1);
+        parent[r] = static_cast<std::uint32_t>(rng.below(1000));
+      }
+      rng.shuffle(ids);
+      for (std::size_t r = 0; r < n; ++r) {
+        const double w = dist(px, py, p.xs[r], p.ys[r]);
+        if (shape == 1) {
+          const std::uint64_t kind = rng.below(3);
+          best[r] = kind == 0 ? w : kind == 1 ? kInf : 1.0;
+        } else if (shape == 2) {
+          best[r] = 0.5;  // below every nonzero lattice distance
+        } else if (shape == 3) {
+          best[r] = rng.below(2) == 0 ? kInf : w + rng.uniform(-1.0, 1.0);
+        } else if (shape == 4) {
+          p.xs[r] = kInf;  // w = +inf never relaxes a +inf best
+        }
+      }
+      std::vector<double> want_best = best;
+      std::vector<std::uint32_t> want_parent = parent;
+      const std::size_t want = reference_prim_relax_pick(
+          p, want_best, want_parent, ids, px, py, 4242);
+      if (shape == 4 || n == 0) {
+        EXPECT_EQ(want, simd::kNpos);
+      }
+      for (simd::Backend b : supported_backends()) {
+        BackendGuard guard(b);
+        std::vector<double> got_best = best;
+        std::vector<std::uint32_t> got_parent = parent;
+        const std::size_t got = simd::prim_relax_pick(
+            p.xs.data(), p.ys.data(), got_best.data(), got_parent.data(),
+            ids.data(), n, px, py, 4242);
+        ASSERT_EQ(want, got) << "n=" << n << " shape=" << shape
+                             << " backend=" << static_cast<int>(b);
+        for (std::size_t r = 0; r < n; ++r) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(want_best[r]),
+                    std::bit_cast<std::uint64_t>(got_best[r]))
+              << "n=" << n << " shape=" << shape << " r=" << r;
+          ASSERT_EQ(want_parent[r], got_parent[r])
+              << "n=" << n << " shape=" << shape << " r=" << r;
+        }
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GE(checked, 505u);
 }
 
 TEST(Simd, TwoOptScanMatchesScalarLoop) {

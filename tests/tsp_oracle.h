@@ -1,8 +1,14 @@
-// Test oracle: exact TSP via Held-Karp dynamic programming.
+// Test oracles for the tour substrate.
 //
-// The reference the tour tests measure construction and local search
-// against on small instances. Exponential in the number of sites
-// (O(2^m * m^2) time, O(2^m * m) space); capped at m <= 20.
+// held_karp_tour / held_karp_travel_time: exact TSP via Held-Karp dynamic
+// programming, the reference the tour tests measure construction and
+// local search against on small instances. Exponential in the number of
+// sites (O(2^m * m^2) time, O(2^m * m) space); capped at m <= 20.
+//
+// segment_building_split: tsp::split_min_max as it was when every
+// bisection probe built its segments. Frozen: the count-only probes of
+// tsp::split_min_max must return the same tours and the same max_delay
+// bits, with and without an energy cap.
 #pragma once
 
 #include <algorithm>
@@ -10,6 +16,7 @@
 #include <limits>
 #include <vector>
 
+#include "tsp/split.h"
 #include "tsp/tour_problem.h"
 #include "util/assert.h"
 
@@ -118,6 +125,120 @@ inline Tour held_karp_tour(const TourProblem& problem) {
   MCHARGE_ASSERT(is_complete_tour(problem, tour),
                  "Held-Karp reconstruction failed");
   return tour;
+}
+
+/// Legs of one tour position, as the frozen split computed them.
+struct FrozenLeg {
+  double depot = 0.0;
+  double pred = 0.0;
+  double service = 0.0;
+};
+
+struct FrozenCut {
+  bool ok = false;
+  std::vector<Tour> segments;
+};
+
+/// The frozen greedy cut: builds every segment of every probe.
+inline FrozenCut frozen_greedy_cut(const Tour& tour,
+                                   const std::vector<FrozenLeg>& legs,
+                                   double budget,
+                                   const SegmentEnergyCap& cap) {
+  FrozenCut result;
+  Tour current;
+  std::size_t first = 0;
+  double internal = 0.0;
+  double etravel = 0.0;
+  double eservice = 0.0;
+  for (std::size_t i = 0; i < tour.size(); ++i) {
+    const SiteId v = tour[i];
+    const double solo = 2.0 * legs[i].depot + legs[i].service;
+    if (solo > budget) return result;
+    if (current.empty()) {
+      current.push_back(v);
+      first = i;
+      internal = legs[i].service;
+      etravel = 0.0;
+      eservice = legs[i].service;
+      continue;
+    }
+    const double extended = legs[first].depot + internal + legs[i].pred +
+                            legs[i].service + legs[i].depot;
+    bool fits = extended <= budget;
+    if (fits && cap.enabled()) {
+      const double joules =
+          (legs[first].depot + etravel + legs[i].pred + legs[i].depot) *
+              cap.travel_power_w +
+          (eservice + legs[i].service) * cap.service_power_w;
+      fits = joules <= cap.budget_j;
+    }
+    if (fits) {
+      internal += legs[i].pred + legs[i].service;
+      etravel += legs[i].pred;
+      eservice += legs[i].service;
+      current.push_back(v);
+    } else {
+      result.segments.push_back(std::move(current));
+      current = {v};
+      first = i;
+      internal = legs[i].service;
+      etravel = 0.0;
+      eservice = legs[i].service;
+    }
+  }
+  if (!current.empty()) result.segments.push_back(std::move(current));
+  result.ok = true;
+  return result;
+}
+
+/// The frozen split_min_max (see the header comment).
+inline SplitResult segment_building_split(const TourProblem& problem,
+                                          const Tour& tour, std::size_t k,
+                                          const SegmentEnergyCap& cap = {}) {
+  SplitResult result;
+  if (tour.empty()) {
+    result.tours.assign(k, Tour{});
+    return result;
+  }
+  std::vector<FrozenLeg> legs(tour.size());
+  for (std::size_t i = 0; i < tour.size(); ++i) {
+    legs[i].depot = problem.travel_depot(tour[i]);
+    if (i > 0) legs[i].pred = problem.travel(tour[i - 1], tour[i]);
+    legs[i].service = problem.service[tour[i]];
+  }
+  double lo0 = -detail::kInf;
+  for (std::size_t i = 0; i < tour.size(); ++i) {
+    const double solo = 2.0 * legs[i].depot + legs[i].service;
+    if (solo > lo0) lo0 = solo;
+  }
+  double lo = std::max(0.0, lo0);
+  double hi = std::max(lo, tour_delay(problem, tour));
+  hi += 1e-9 * std::max(1.0, hi);
+
+  SegmentEnergyCap use = cap;
+  FrozenCut best = frozen_greedy_cut(tour, legs, hi, use);
+  if (use.enabled() && best.ok && best.segments.size() > k) {
+    use = SegmentEnergyCap{};
+    best = frozen_greedy_cut(tour, legs, hi, use);
+  }
+  MCHARGE_ASSERT(best.ok && best.segments.size() <= std::max<std::size_t>(k, 1),
+                 "whole-tour budget must be feasible");
+  for (int iter = 0; iter < 64 && hi - lo > 1e-9 * std::max(1.0, hi); ++iter) {
+    const double mid = 0.5 * (lo + hi);
+    FrozenCut cut = frozen_greedy_cut(tour, legs, mid, use);
+    if (cut.ok && cut.segments.size() <= k) {
+      best = std::move(cut);
+      hi = mid;
+    } else {
+      lo = mid;
+    }
+  }
+  result.tours = std::move(best.segments);
+  result.tours.resize(k);
+  for (const Tour& s : result.tours) {
+    result.max_delay = std::max(result.max_delay, tour_delay(problem, s));
+  }
+  return result;
 }
 
 }  // namespace mcharge::tsp::oracle

@@ -458,6 +458,49 @@ TEST(Split, InfeasibleEnergyCapFallsBackToUncapped) {
   EXPECT_TRUE(is_complete_tour(p, fallback.tours[0]));
 }
 
+TEST(Split, CountOnlyProbesMatchFrozenSplit) {
+  // Random tours (shuffled and Christofides) over random service times,
+  // K from 1 to past the site count, and energy caps off, binding,
+  // loose and infeasible (the fallback): the count-only probes must pick
+  // the frozen segment-building split's cut, tour for tour and bit for
+  // bit in max_delay.
+  std::size_t splits = 0;
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    Rng rng(9300 + seed);
+    const std::size_t m = 1 + rng.below(120);
+    const TourProblem p = random_problem(m, rng, seed % 2 == 0 ? 400.0 : 5.0);
+    Tour tour(m);
+    std::iota(tour.begin(), tour.end(), SiteId{0});
+    if (seed % 3 == 0) {
+      tour = christofides_tour(p);
+    } else {
+      rng.shuffle(tour);
+    }
+    SegmentEnergyCap cap;
+    cap.travel_power_w = 135.0;
+    cap.service_power_w = 2.0;
+    const double whole_j = segment_energy(p, tour, cap);
+    for (const std::size_t k :
+         {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{5},
+          m + 2}) {
+      for (const double budget_j :
+           {0.0, whole_j / 3.0, whole_j / 1.5, whole_j * 2.0, 1e-3}) {
+        cap.budget_j = budget_j;
+        const SplitResult got = split_min_max(p, tour, k, cap);
+        const SplitResult want =
+            oracle::segment_building_split(p, tour, k, cap);
+        ASSERT_EQ(got.tours, want.tours)
+            << "seed=" << seed << " k=" << k << " cap=" << budget_j;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got.max_delay),
+                  std::bit_cast<std::uint64_t>(want.max_delay))
+            << "seed=" << seed << " k=" << k << " cap=" << budget_j;
+        ++splits;
+      }
+    }
+  }
+  EXPECT_EQ(splits, 40u * 5u * 5u);
+}
+
 TEST(MinMaxKTours, EndToEndCoversAllSites) {
   Rng rng(31);
   const TourProblem p = random_problem(100, rng, 200.0);

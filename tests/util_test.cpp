@@ -279,6 +279,21 @@ TEST_F(CliFlagsDeathTest, MalformedIntegerExitsWithStatus2) {
               "--big=99999999999999999999");
 }
 
+TEST_F(CliFlagsDeathTest, FlagNoGetterAskedForExitsWithStatus2) {
+  const char* argv[] = {"prog", "--chargers=3", "--verbose", "--chargrs=0",
+                        "--svg=out.svg"};
+  CliFlags flags(5, argv);
+  EXPECT_EQ(flags.get_count("chargers", 2), 3u);
+  EXPECT_TRUE(flags.get_bool("verbose", false));
+  EXPECT_TRUE(flags.has("svg"));
+  EXPECT_EQ(flags.get_int("seed", 1), 1);  // asked, absent: fine
+  EXPECT_EXIT(flags.reject_unknown(), ::testing::ExitedWithCode(2),
+              "error: unknown flag --chargrs");
+  // Once a getter has asked for it, the flag is known.
+  EXPECT_EQ(flags.get("chargrs", ""), "0");
+  flags.reject_unknown();
+}
+
 TEST_F(CliFlagsDeathTest, NegativeOrMalformedSizeExitsWithStatus2) {
   const char* argv[] = {"prog", "--jobs=-1", "--instances=1O0", "--n=+5"};
   CliFlags flags(4, argv);
