@@ -4,8 +4,10 @@
 // plan execution, and full scheduling at the paper's instance sizes.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <numeric>
 
 #include "assignment/hungarian.h"
 #include "cluster/kmeans.h"
@@ -59,7 +61,7 @@ tsp::TourProblem make_tour_problem(std::size_t m, std::uint64_t seed) {
 }
 
 void BM_ChargingProblem(benchmark::State& state) {
-  // The round's one gamma-disk query: coverage lists N_c+ and tau.
+  // The public constructor's grid query: coverage lists N_c+ and tau.
   Rng rng(1);
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto pts = geom::uniform_field(n, 100.0, 100.0, rng);
@@ -70,6 +72,47 @@ void BM_ChargingProblem(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ChargingProblem)->Arg(200)->Arg(600)->Arg(1200);
+
+void BM_RoundProblemView(benchmark::State& state) {
+  // A simulated round's problem at fig3's n = 1200: the static coverage
+  // lists induced on the batch, plus the batch's positions and charging
+  // times. Each iteration takes the next of 16 pre-drawn ascending
+  // batches, so the branch predictor cannot learn one input.
+  constexpr std::size_t kN = 1200;
+  constexpr std::size_t kBatches = 16;
+  Rng rng(7);
+  const auto pts = geom::uniform_field(kN, 100.0, 100.0, rng);
+  const model::CoverageLists lists(pts, 2.7);
+  std::vector<std::uint32_t> slot(kN, model::CoverageLists::kNoSlot);
+  const auto m = static_cast<std::size_t>(state.range(0));
+  std::vector<std::uint32_t> ids(kN);
+  std::iota(ids.begin(), ids.end(), 0u);
+  struct Batch {
+    std::vector<std::uint32_t> members;
+    std::vector<geom::Point> positions;
+    std::vector<double> charge_seconds;
+  };
+  std::vector<Batch> batches(kBatches);
+  for (Batch& b : batches) {
+    rng.shuffle(ids);
+    b.members.assign(ids.begin(), ids.begin() + static_cast<std::ptrdiff_t>(m));
+    std::sort(b.members.begin(), b.members.end());
+    for (std::uint32_t v : b.members) {
+      b.positions.push_back(pts[v]);
+      b.charge_seconds.push_back(rng.uniform(3456.0, 5400.0));
+    }
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const Batch& b = batches[next];
+    next = (next + 1) % kBatches;
+    benchmark::DoNotOptimize(model::ChargingProblem(
+        b.positions, b.charge_seconds, lists.induced(b.members, slot),
+        {50.0, 50.0}, 2.7, 1.0, 2));
+  }
+}
+// Registered after the last family (end of file), so the family indices
+// of BENCH_micro.json's older rows hold.
 
 void BM_ChargingGraph(benchmark::State& state) {
   const auto problem =
@@ -498,6 +541,7 @@ void BM_MinMaxKToursSites(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MinMaxKToursSites)->Arg(218)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_RoundProblemView)->Arg(3)->Arg(400);
 
 }  // namespace
 

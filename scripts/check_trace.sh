@@ -100,9 +100,11 @@ def require(by_name, names):
 
 sim = load(sys.argv[1])
 require(sim, ("appro.plan", "appro.k_tours", "appro.insertion",
-              "exec.multinode", "sim.round", "sim.select_scan",
+              "kminmax.plan", "exec.multinode", "sim.round",
+              "sim.select_scan", "sim.coverage",
               "sim.problem", "sim.account", "tsp.construct",
-              "tsp.improve_tour", "tsp.split", "tsp.segment_improve"))
+              "tsp.improve_tour", "tsp.split", "tsp.split_probes",
+              "tsp.segment_improve"))
 # Which blossom engine runs depends on odd-set size, so each engine's
 # spans are required from the round whose odd sets sit on its side of
 # kSparseCrossover.

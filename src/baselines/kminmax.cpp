@@ -1,5 +1,7 @@
 #include "baselines/kminmax.h"
 
+#include "obs/obs.h"
+
 namespace mcharge::baselines {
 
 KMinMaxScheduler::KMinMaxScheduler(tsp::MinMaxTourOptions options)
@@ -7,6 +9,7 @@ KMinMaxScheduler::KMinMaxScheduler(tsp::MinMaxTourOptions options)
 
 sched::ChargingPlan KMinMaxScheduler::plan(
     const model::ChargingProblem& problem) const {
+  OBS_SPAN("kminmax.plan");
   tsp::TourProblem tour_problem;
   tour_problem.depot = problem.depot();
   tour_problem.speed = problem.speed();

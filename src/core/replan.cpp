@@ -123,9 +123,13 @@ ReplanResult replan_from(const model::ChargingProblem& problem,
     positions.push_back(problem.position(v));
     deficits.push_back(problem.charge_seconds(v));
   }
+  // Its coverage lists are the round problem's induced on the subset.
+  std::vector<std::uint32_t> slot(problem.size(),
+                                  model::CoverageLists::kNoSlot);
   result.subproblem = model::ChargingProblem(
-      std::move(positions), std::move(deficits), problem.depot(),
-      problem.gamma(), problem.speed(), k);
+      std::move(positions), std::move(deficits),
+      problem.coverage_lists().induced(result.original_index, slot),
+      problem.depot(), problem.gamma(), problem.speed(), k);
   result.subproblem.set_charging_rate(problem.charging_rate_w());
 
   result.plan.mode = sched::ChargeMode::kMultiNode;

@@ -1,9 +1,9 @@
 // Uniform-grid spatial index over a static point set.
 //
 // Supports disk queries in O(points in neighborhood) expected time; this is
-// what makes a round's coverage lists N_c+ (and from them the charging
-// graph G_c) over 1,200 sensors cheap (radius gamma = 2.7 m in a
-// 100 x 100 m field).
+// what makes the coverage lists N_c+ of 1,200 sensors cheap (radius
+// gamma = 2.7 m in a 100 x 100 m field). A simulation builds them once;
+// each round's lists, and from them the charging graph G_c, are induced.
 #pragma once
 
 #include <cstdint>

@@ -75,8 +75,7 @@ std::vector<std::string> verify_schedule(const model::ChargingProblem& problem,
         needed = std::max(needed, problem.charge_seconds(u));
         const bool in_range =
             schedule.mode == ChargeMode::kMultiNode
-                ? std::binary_search(problem.coverage(s.location).begin(),
-                                     problem.coverage(s.location).end(), u)
+                ? std::ranges::binary_search(problem.coverage(s.location), u)
                 : u == s.location;
         if (!in_range) {
           violations.push_back(

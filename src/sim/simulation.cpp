@@ -123,6 +123,14 @@ SimResult simulate(const model::WrsnInstance& instance,
   std::vector<std::uint32_t> ids(n);
   std::iota(ids.begin(), ids.end(), 0u);
   std::vector<std::uint32_t> select_scratch(n);
+  // Sensors never move, so every sensor's N_c+ is found once here; each
+  // round's coverage lists are these lists induced on its batch.
+  model::CoverageLists coverage;
+  {
+    OBS_SPAN("sim.coverage");
+    coverage = model::CoverageLists(instance.positions, net.charging_radius);
+  }
+  std::vector<std::uint32_t> coverage_slot(n, model::CoverageLists::kNoSlot);
 
   // Advances sensor v's lazy state to time t with the per-element update
   // of simd::advance_select_below, for the sparse per-completion advances
@@ -211,7 +219,7 @@ SimResult simulate(const model::WrsnInstance& instance,
     MCHARGE_ASSERT(!batch.empty(), "dispatch with an empty request set");
 
     // The batch's request instants and the round's ChargingProblem (its
-    // coverage lists are the round's one gamma-disk query).
+    // coverage lists are the static lists induced on the batch).
     model::ChargingProblem problem;
     {
       OBS_SPAN("sim.problem");
@@ -242,7 +250,8 @@ SimResult simulate(const model::WrsnInstance& instance,
         lifetimes.push_back(draw[v] > 0.0 ? state.level[v] / draw[v] : kInf);
       }
       problem = model::ChargingProblem(
-          std::move(positions), std::move(charge_seconds), net.depot,
+          std::move(positions), std::move(charge_seconds),
+          coverage.induced(batch, coverage_slot), net.depot,
           net.charging_radius, net.mcv_speed, net.num_chargers);
       problem.set_residual_lifetimes(std::move(lifetimes));
       problem.set_charging_rate(net.charging_rate_w);

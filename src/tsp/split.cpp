@@ -1,6 +1,7 @@
 #include "tsp/split.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -35,11 +36,15 @@ std::vector<TourLeg> tour_legs(const TourProblem& p, const Tour& tour) {
 /// <= budget. Writes the tour position where each segment starts into
 /// `starts` and returns true; returns false as soon as a single site alone
 /// exceeds the budget or the cut needs more than `max_segments` segments.
-/// Once `starts` has grown, a probe allocates nothing.
+/// `fitted` gets the largest delay of a segment extension the cut took
+/// (-inf if it took none): every budget in [fitted, budget] that no site
+/// alone exceeds makes the same cut. Once `starts` has grown, a probe
+/// allocates nothing.
 bool greedy_cut(const std::vector<TourLeg>& legs, double budget,
                 const SegmentEnergyCap& cap, std::size_t max_segments,
-                std::vector<std::size_t>& starts) {
+                std::vector<std::size_t>& starts, double& fitted) {
   starts.clear();
+  fitted = -std::numeric_limits<double>::infinity();
   std::size_t first = 0;  // tour position of the open segment's first site
   double internal = 0.0;  // travel within segment + service
   // Energy bookkeeping (cap only): internal travel / service seconds,
@@ -68,6 +73,7 @@ bool greedy_cut(const std::vector<TourLeg>& legs, double budget,
         fits = joules <= cap.budget_j;
       }
       if (fits) {
+        fitted = std::max(fitted, extended);
         internal += legs[i].pred + legs[i].service;
         etravel += legs[i].pred;
         eservice += legs[i].service;
@@ -121,27 +127,40 @@ SplitResult split_min_max(const TourProblem& problem, const Tour& tour,
   SegmentEnergyCap use = cap;
   std::vector<std::size_t> best;
   std::vector<std::size_t> probe;
-  bool fits = greedy_cut(legs, hi, use, k, best);
+  double best_fitted = 0.0;
+  bool fits = greedy_cut(legs, hi, use, k, best, best_fitted);
   if (use.enabled() && !fits) {
     // The energy cap and the fleet size cannot both hold even at the
     // loosest delay budget: drop the cap (best effort — the executor's
     // budget machinery turns any residual overdraw into a recoverable,
     // cause-tagged abort) and redo the feasibility anchor.
     use = SegmentEnergyCap{};
-    fits = greedy_cut(legs, hi, use, k, best);
+    fits = greedy_cut(legs, hi, use, k, best, best_fitted);
   }
   MCHARGE_ASSERT(fits, "whole-tour budget must be feasible");
 
   // Binary search the smallest budget whose greedy cut uses <= k segments.
+  // Every solo round trip is <= lo <= mid and the energy test does not
+  // read the budget, so a mid at or above the cut's `fitted` makes the
+  // cut at hi again: that step only moves hi, without a probe.
+  std::int64_t probes = 0;
   for (int iter = 0; iter < 64 && hi - lo > 1e-9 * std::max(1.0, hi); ++iter) {
     const double mid = 0.5 * (lo + hi);
-    if (greedy_cut(legs, mid, use, k, probe)) {
+    if (mid >= best_fitted) {
+      hi = mid;
+      continue;
+    }
+    ++probes;
+    double probe_fitted = 0.0;
+    if (greedy_cut(legs, mid, use, k, probe, probe_fitted)) {
       best.swap(probe);
+      best_fitted = probe_fitted;
       hi = mid;
     } else {
       lo = mid;
     }
   }
+  OBS_COUNT("tsp.split_probes", probes);
 
   result.tours.reserve(k);
   for (std::size_t s = 0; s < best.size(); ++s) {

@@ -3,13 +3,23 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
+#include <string>
 
+#include "geometry/field.h"
+#include "geometry/grid_index.h"
 #include "model/charging_problem.h"
 #include "model/network.h"
 #include "util/rng.h"
 
+#include "offset_clusters.h"
+#include "problem_compare.h"
+
 namespace mcharge::model {
 namespace {
+
+using testing_problems::as_vector;
+using testing_problems::same_problem;
 
 TEST(MakeInstance, PaperDefaultsPopulated) {
   NetworkConfig config;
@@ -75,9 +85,9 @@ ChargingProblem small_problem() {
 
 TEST(ChargingProblem, CoverageSets) {
   const auto p = small_problem();
-  EXPECT_EQ(p.coverage(0), (std::vector<std::uint32_t>{0, 1}));
-  EXPECT_EQ(p.coverage(1), (std::vector<std::uint32_t>{0, 1, 2}));
-  EXPECT_EQ(p.coverage(2), (std::vector<std::uint32_t>{1, 2}));
+  EXPECT_EQ(as_vector(p.coverage(0)), (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(as_vector(p.coverage(1)), (std::vector<std::uint32_t>{0, 1, 2}));
+  EXPECT_EQ(as_vector(p.coverage(2)), (std::vector<std::uint32_t>{1, 2}));
 }
 
 TEST(ChargingProblem, TauIsMaxOverCoverage) {
@@ -144,9 +154,102 @@ TEST(ChargingProblem, FarOutlierSensorIsAccepted) {
   // box (~1.4e23 cells) and throw; the grid now widens its cell instead.
   ChargingProblem p({{0, 0}, {1, 0}, {1e12, 1e12}}, {1.0, 1.0, 1.0}, {0, 0},
                     2.7, 1.0, 2);
-  EXPECT_EQ(p.coverage(0), (std::vector<std::uint32_t>{0, 1}));
-  EXPECT_EQ(p.coverage(1), (std::vector<std::uint32_t>{0, 1}));
-  EXPECT_EQ(p.coverage(2), (std::vector<std::uint32_t>{2}));
+  EXPECT_EQ(as_vector(p.coverage(0)), (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(as_vector(p.coverage(1)), (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(as_vector(p.coverage(2)), (std::vector<std::uint32_t>{2}));
+}
+
+// ---------- CoverageLists: the per-round view ----------
+
+struct Layout {
+  std::string name;
+  std::vector<geom::Point> points;
+  double gamma;
+};
+
+/// Uniform and clustered fields, duplicate points at gamma 2.7 and at
+/// gamma 0 (duplicates still cover each other), and an integer lattice at
+/// gamma 1, whose neighbours sit exactly at distance gamma.
+std::vector<Layout> view_layouts() {
+  std::vector<Layout> layouts;
+  Rng rng(3301);
+  layouts.push_back({"uniform", geom::uniform_field(300, 100.0, 100.0, rng),
+                     2.7});
+  layouts.push_back({"clustered",
+                     testing_layouts::offset_clusters(300, 100.0, 100.0, 6,
+                                                      5.0, rng),
+                     2.7});
+  std::vector<geom::Point> dup;
+  const auto distinct = geom::uniform_field(40, 20.0, 20.0, rng);
+  for (int i = 0; i < 160; ++i) dup.push_back(distinct[rng.below(40)]);
+  layouts.push_back({"duplicates", dup, 2.7});
+  layouts.push_back({"duplicates-gamma0", dup, 0.0});
+  std::vector<geom::Point> lattice;
+  for (int x = 0; x < 15; ++x) {
+    for (int y = 0; y < 15; ++y) lattice.push_back({double(x), double(y)});
+  }
+  layouts.push_back({"lattice", lattice, 1.0});
+  return layouts;
+}
+
+TEST(CoverageLists, RowsAreSortedGridQueries) {
+  for (const Layout& l : view_layouts()) {
+    const CoverageLists lists(l.points, l.gamma);
+    const geom::GridIndex index(l.points, l.gamma > 0.0 ? l.gamma : 1.0);
+    ASSERT_EQ(lists.size(), l.points.size()) << l.name;
+    for (std::uint32_t v = 0; v < l.points.size(); ++v) {
+      ASSERT_EQ(as_vector(lists[v]), index.query_disk(l.points[v], l.gamma))
+          << l.name << " v=" << v;
+    }
+  }
+  EXPECT_EQ(CoverageLists({}, 2.7).size(), 0u);
+}
+
+TEST(CoverageLists, LatticeNeighboursAtExactlyGamma) {
+  const Layout lattice = view_layouts().back();
+  ASSERT_EQ(lattice.name, "lattice");
+  const CoverageLists lists(lattice.points, lattice.gamma);
+  // (1, 1) is id 16: itself plus its four axis neighbours at distance 1.
+  EXPECT_EQ(as_vector(lists[16]),
+            (std::vector<std::uint32_t>{1, 15, 16, 17, 31}));
+}
+
+TEST(CoverageLists, InducedViewEqualsGridBuiltProblem) {
+  // Random ascending batches of every size class, from one sensor to the
+  // whole set: the problem built on the induced lists must be the one the
+  // public constructor builds from the batch's positions.
+  std::size_t checked = 0;
+  for (const Layout& l : view_layouts()) {
+    const std::size_t n = l.points.size();
+    const CoverageLists all(l.points, l.gamma);
+    std::vector<std::uint32_t> slot(n, CoverageLists::kNoSlot);
+    Rng rng(3302);
+    std::vector<std::uint32_t> ids(n);
+    std::iota(ids.begin(), ids.end(), 0u);
+    for (int trial = 0; trial < 24; ++trial) {
+      const std::size_t m =
+          trial == 0 ? 1 : trial == 1 ? n : 1 + rng.below(n);
+      rng.shuffle(ids);
+      std::vector<std::uint32_t> batch(ids.begin(), ids.begin() + m);
+      std::sort(batch.begin(), batch.end());
+      std::vector<geom::Point> pts;
+      std::vector<double> secs;
+      for (std::uint32_t v : batch) {
+        pts.push_back(l.points[v]);
+        secs.push_back(rng.uniform(0.0, 5000.0));
+      }
+      const ChargingProblem want(pts, secs, {50.0, 50.0}, l.gamma, 5.0, 2);
+      const ChargingProblem got(pts, secs, all.induced(batch, slot),
+                                {50.0, 50.0}, l.gamma, 5.0, 2);
+      ASSERT_TRUE(same_problem(got, want))
+          << l.name << " trial=" << trial << " m=" << m;
+      ASSERT_TRUE(std::all_of(slot.begin(), slot.end(), [](std::uint32_t s) {
+        return s == CoverageLists::kNoSlot;
+      })) << l.name << ": slot scratch not restored";
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 5u * 24u);
 }
 
 }  // namespace

@@ -10,9 +10,13 @@
 
 #include "core/appro.h"
 #include "core/replan.h"
+#include "geometry/field.h"
 #include "schedule/execute.h"
 #include "schedule/verify.h"
 #include "util/rng.h"
+
+#include "offset_clusters.h"
+#include "problem_compare.h"
 
 namespace mcharge::core {
 namespace {
@@ -173,6 +177,45 @@ TEST(Replan, OriginalIndexMapsBack) {
     EXPECT_DOUBLE_EQ(
         replan.subproblem.charge_seconds(static_cast<std::uint32_t>(i)),
         p.charge_seconds(orig));
+  }
+}
+
+TEST(Replan, SubproblemViewEqualsGridBuiltProblem) {
+  // The recovery sub-problem's coverage lists are the round problem's,
+  // induced on the uncharged sensors: it must be the problem a fresh grid
+  // query over those sensors builds. Dense clustered fields give long
+  // coverage lists; charged sets range from none to all but one sensor.
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    Rng rng(8800 + seed);
+    const std::size_t n = 1 + rng.below(160);
+    std::vector<geom::Point> pts =
+        seed % 2 == 0
+            ? testing_layouts::offset_clusters(n, 40.0, 40.0, 4, 4.0, rng)
+            : geom::uniform_field(n, 30.0, 30.0, rng);
+    std::vector<double> deficits;
+    for (std::size_t i = 0; i < n; ++i) {
+      deficits.push_back(rng.uniform(0.0, 3000.0));
+    }
+    const double gamma = seed % 5 == 0 ? 0.0 : 2.7;
+    const ChargingProblem p(pts, deficits, {20, 20}, gamma, 5.0, 2);
+    FleetState state;
+    state.mcv_positions = {{0, 0}, {20, 20}};
+    state.charged.assign(n, 0);
+    const double charged_share = seed % 4 == 0 ? 0.0 : rng.uniform();
+    for (std::size_t i = 1; i < n; ++i) {
+      state.charged[i] = rng.uniform() < charged_share;
+    }
+    const auto replan = replan_from(p, state);
+    std::vector<geom::Point> sub_pts;
+    std::vector<double> sub_deficits;
+    for (std::uint32_t v : replan.original_index) {
+      sub_pts.push_back(pts[v]);
+      sub_deficits.push_back(deficits[v]);
+    }
+    const ChargingProblem want(std::move(sub_pts), std::move(sub_deficits),
+                               {20, 20}, gamma, 5.0, 2);
+    EXPECT_TRUE(testing_problems::same_problem(replan.subproblem, want))
+        << "seed=" << seed;
   }
 }
 

@@ -8,6 +8,7 @@
 #include <numeric>
 
 #include "geometry/field.h"
+#include "obs/obs.h"
 #include "offset_clusters.h"
 #include "tsp/construct.h"
 #include "tsp/improve.h"
@@ -500,6 +501,74 @@ TEST(Split, CountOnlyProbesMatchFrozenSplit) {
   }
   EXPECT_EQ(splits, 40u * 5u * 5u);
 }
+
+TEST(Split, ProbeFreeStepsMatchFrozenSplit) {
+  // The inputs where the bisection skips most probes: one- and two-site
+  // tours (no extension, so no probe at all), duplicate sites with equal
+  // service times (zero legs, tied extensions), and K at or past the
+  // site count; with the energy cap off, binding and infeasible. Every
+  // split must equal the frozen split, which probes each step.
+  std::size_t splits = 0;
+  for (std::uint64_t seed = 0; seed < 30; ++seed) {
+    Rng rng(9400 + seed);
+    const std::size_t m =
+        seed < 6 ? 1 + seed % 2 : 1 + rng.below(seed % 2 == 0 ? 8 : 90);
+    TourProblem p = random_problem(m, rng, seed % 3 == 0 ? 800.0 : 20.0);
+    if (seed % 3 == 1) {
+      // A handful of distinct sites, each repeated, with one service time.
+      const auto distinct = geom::uniform_field(3, 100.0, 100.0, rng);
+      for (auto& site : p.sites) site = distinct[rng.below(3)];
+      std::fill(p.service.begin(), p.service.end(), 60.0);
+    }
+    Tour tour(m);
+    std::iota(tour.begin(), tour.end(), SiteId{0});
+    rng.shuffle(tour);
+    SegmentEnergyCap cap;
+    cap.travel_power_w = 135.0;
+    cap.service_power_w = 2.0;
+    const double whole_j = segment_energy(p, tour, cap);
+    for (const std::size_t k :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}, m, m + 3}) {
+      for (const double budget_j : {0.0, whole_j / 2.0, 1e-3}) {
+        cap.budget_j = budget_j;
+        const SplitResult got = split_min_max(p, tour, k, cap);
+        const SplitResult want =
+            oracle::segment_building_split(p, tour, k, cap);
+        ASSERT_EQ(got.tours, want.tours)
+            << "seed=" << seed << " k=" << k << " cap=" << budget_j;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got.max_delay),
+                  std::bit_cast<std::uint64_t>(want.max_delay))
+            << "seed=" << seed << " k=" << k << " cap=" << budget_j;
+        ++splits;
+      }
+    }
+  }
+  EXPECT_EQ(splits, 30u * 5u * 3u);
+}
+
+#ifndef MCHARGE_NO_OBS
+TEST(Split, OneProbeSplitsTwoFarSites) {
+  // Two sites in opposite corners, K = 2. The cut at the whole-tour budget
+  // joins them; the first midpoint is below that join's delay, so one
+  // probe splits them. A cut of solo segments extends nothing, so every
+  // later step keeps it without a probe. tsp.split_probes counts the
+  // probes run.
+  TourProblem p;
+  p.sites = {{0.0, 0.0}, {100.0, 100.0}};
+  p.service = {10.0, 10.0};
+  p.depot = {50.0, 50.0};
+  p.speed = 1.0;
+  const obs::EnabledScope tracing(true);
+  obs::reset();
+  const SplitResult r = split_min_max(p, Tour{0, 1}, 2);
+  EXPECT_EQ(r.tours, (std::vector<Tour>{{0}, {1}}));
+  std::int64_t probes = -1;
+  for (const auto& m : obs::capture().metrics) {
+    if (m.name == "tsp.split_probes") probes = m.value;
+  }
+  EXPECT_EQ(probes, 1);
+}
+#endif
 
 TEST(MinMaxKTours, EndToEndCoversAllSites) {
   Rng rng(31);
